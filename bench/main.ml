@@ -151,6 +151,26 @@ let micro_tests () =
              ()
            done))
   in
+  let bench_stream_step =
+    (* one generated update against four 3000-tuple source mirrors. At
+       p_insert 0.4 a step removes 0.2 tuples on average, so a mirror
+       that falls below 3000 gets one insert back, which keeps the size,
+       and with it the cost measured, fixed for the whole run *)
+    let view4 = Chain.view ~n:4 () in
+    let mirrors =
+      Array.map Update_gen.Mirror.of_relation
+        (Chain.populate view4 ~size:3000 ~domain:3000 (Rng.create 7L))
+    in
+    let srng = Rng.create 11L in
+    let cfg = { Update_gen.default with p_insert = 0.4; domain = 3000 } in
+    let refill = { cfg with p_insert = 1.0 } in
+    Test.make ~name:"update-stream step, 4 x 3000 live, p_insert 0.4"
+      (Staged.stage (fun () ->
+           let m = mirrors.(Rng.int srng 4) in
+           ignore (Update_gen.Mirror.gen srng cfg m);
+           if Update_gen.Mirror.live m < 3000 then
+             ignore (Update_gen.Mirror.gen srng refill m)))
+  in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
       (Staged.stage (fun () ->
@@ -161,7 +181,7 @@ let micro_tests () =
   in
   [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_trie_step;
     bench_trie_chain; bench_compensate; bench_full_eval; bench_delta_apply;
-    bench_queue_churn; bench_parser; bench_sim_round;
+    bench_queue_churn; bench_stream_step; bench_parser; bench_sim_round;
     bench_sim_round_batched ]
 
 (* Run the micro-benchmarks and return (name, ns-per-run) estimates;

@@ -179,15 +179,18 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
     | Some _ as d -> d
     | None -> if chaos then Some 16. else base.Scenario.deadline
   in
+  (* One resolved domain for the initial data and the inserts, so the
+     join fan-out holds for the whole run. *)
+  let domain = if domain = 0 then init else domain in
   let scenario =
     { Scenario.name = Option.value preset ~default:"cli";
       n_sources = n;
       init_size = init;
-      domain = (if domain = 0 then init else domain);
+      domain;
       stream =
         { base.Scenario.stream with
           Update_gen.n_updates = updates; mean_gap = gap; p_insert;
-          txn_size; placement };
+          txn_size; placement; domain };
       latency = Latency.Uniform (latency /. 2., latency *. 1.5);
       topology =
         (if centralized then Scenario.Centralized else base.Scenario.topology);

@@ -84,28 +84,33 @@ let sweep_eligible ?(local = fun _ -> false) ctx (e : Update_queue.entry) =
 
 (* Count queued entries currently parked behind open breakers; each is
    counted in [stalled_updates] once (monotone arrival mark). Returns
-   (parked now, new mark). *)
+   (parked now, new mark). With every breaker closed every entry is
+   eligible, so the answer is known without walking the queue. *)
 let note_parked ?(local = fun _ -> false) ctx ~stall_mark ~event =
-  let parked = ref 0 in
-  let mark = ref stall_mark in
-  List.iter
-    (fun (e : Update_queue.entry) ->
-      if not (sweep_eligible ~local ctx e) then begin
-        incr parked;
-        if e.arrival > !mark then begin
-          mark := e.arrival;
-          ctx.metrics.Metrics.stalled_updates <-
-            ctx.metrics.Metrics.stalled_updates + 1;
-          if Repro_observability.Obs.active ctx.obs then
-            Repro_observability.Obs.event ctx.obs event
-              [ ("txn",
-                 Repro_observability.Tracer.S
-                   (Format.asprintf "%a" Message.pp_txn_id
-                      e.update.Message.txn)) ]
-        end
-      end)
-    (Update_queue.entries ctx.queue);
-  (!parked, !mark)
+  let rec all_ok j = j < 0 || (ctx.source_ok j && all_ok (j - 1)) in
+  if all_ok (View_def.n_sources ctx.view - 1) then (0, stall_mark)
+  else begin
+    let parked = ref 0 in
+    let mark = ref stall_mark in
+    List.iter
+      (fun (e : Update_queue.entry) ->
+        if not (sweep_eligible ~local ctx e) then begin
+          incr parked;
+          if e.arrival > !mark then begin
+            mark := e.arrival;
+            ctx.metrics.Metrics.stalled_updates <-
+              ctx.metrics.Metrics.stalled_updates + 1;
+            if Repro_observability.Obs.active ctx.obs then
+              Repro_observability.Obs.event ctx.obs event
+                [ ("txn",
+                   Repro_observability.Tracer.S
+                     (Format.asprintf "%a" Message.pp_txn_id
+                        e.update.Message.txn)) ]
+          end
+        end)
+      (Update_queue.entries ctx.queue);
+    (!parked, !mark)
+  end
 
 (* ————— self-maintenance helper (shared by the sweep engines) ————— *)
 

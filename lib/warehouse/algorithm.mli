@@ -110,7 +110,8 @@ val sweep_eligible :
 (** Count queued entries parked behind open breakers into
     [metrics.stalled_updates], each once (monotone arrival mark),
     emitting [event] per newly parked entry. Returns
-    [(parked_now, new_mark)]. [local] as in {!sweep_eligible}. *)
+    [(parked_now, new_mark)]. [local] as in {!sweep_eligible}. O(1) in
+    the queue while every source is [ctx.source_ok]. *)
 val note_parked :
   ?local:(int -> bool) ->
   ctx -> stall_mark:int -> event:string -> int * int

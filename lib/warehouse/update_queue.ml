@@ -7,10 +7,18 @@ type entry = { update : Message.update; arrival : int; arrived_at : float }
    are O(1) amortized and the length is cached, so neither the hot append
    path nor the capacity check walks the queue. Mid-queue removal (which
    algorithms need for absorption) rebuilds both lists — it was O(n)
-   before and stays O(n). *)
+   before and stays O(n).
+
+   Beside it, [by_source.(j)] is a deque of the same shape holding
+   exactly the entries from source [j], in queue order. [append], [pop]
+   and [push_front] keep it in step in O(1); the O(n) removals rebuild
+   it. So the interference lookup [from_source j] costs O(|L_j|), not
+   O(queue). *)
+type deque = { mutable front : entry list; mutable rear : entry list }
+
 type t = {
-  mutable front : entry list;
-  mutable rear : entry list;
+  all : deque;
+  mutable by_source : deque array;
   mutable len : int;
   mutable next_arrival : int;
   capacity : int option;
@@ -20,9 +28,46 @@ let create ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Update_queue.create: capacity <= 0"
   | _ -> ());
-  { front = []; rear = []; len = 0; next_arrival = 0; capacity }
+  { all = { front = []; rear = [] }; by_source = [||]; len = 0;
+    next_arrival = 0; capacity }
 
 let capacity t = t.capacity
+
+let source_of e = e.update.Message.txn.source
+
+let normalize d =
+  if d.front = [] then begin
+    d.front <- List.rev d.rear;
+    d.rear <- []
+  end
+
+let to_list d = d.front @ List.rev d.rear
+
+(* The per-source deque of [j], growing the index on first sight. *)
+let source_deque t j =
+  let have = Array.length t.by_source in
+  if j >= have then
+    t.by_source <-
+      Array.init (max (j + 1) (2 * have)) (fun i ->
+          if i < have then t.by_source.(i) else { front = []; rear = [] });
+  t.by_source.(j)
+
+(* Make [entries] (oldest first) the whole queue and re-derive the
+   index from it. *)
+let reset t entries =
+  t.all.front <- entries;
+  t.all.rear <- [];
+  t.len <- List.length entries;
+  Array.iter
+    (fun d ->
+      d.front <- [];
+      d.rear <- [])
+    t.by_source;
+  List.iter
+    (fun e ->
+      let d = source_deque t (source_of e) in
+      d.rear <- e :: d.rear)
+    entries
 
 let append t update ~arrived_at =
   (match t.capacity with
@@ -33,7 +78,9 @@ let append t update ~arrived_at =
   | _ -> ());
   let entry = { update; arrival = t.next_arrival; arrived_at } in
   t.next_arrival <- t.next_arrival + 1;
-  t.rear <- entry :: t.rear;
+  t.all.rear <- entry :: t.all.rear;
+  let d = source_deque t (source_of entry) in
+  d.rear <- entry :: d.rear;
   t.len <- t.len + 1;
   entry
 
@@ -41,23 +88,21 @@ let append t update ~arrived_at =
    their original arrival numbers and the next number to assign. *)
 let of_entries ?capacity entries ~next_arrival =
   let t = create ?capacity () in
-  t.front <- entries;
-  t.len <- List.length entries;
+  reset t entries;
   t.next_arrival <- next_arrival;
   t
 
-let normalize t =
-  if t.front = [] then begin
-    t.front <- List.rev t.rear;
-    t.rear <- []
-  end
-
+(* The oldest entry of a source is the oldest of its deque, so a pop
+   takes the head of both. *)
 let pop t =
-  normalize t;
-  match t.front with
+  normalize t.all;
+  match t.all.front with
   | [] -> None
   | e :: rest ->
-      t.front <- rest;
+      t.all.front <- rest;
+      let d = t.by_source.(source_of e) in
+      normalize d;
+      d.front <- List.tl d.front;
       t.len <- t.len - 1;
       Some e
 
@@ -67,7 +112,9 @@ let push_front t e =
   (match t.capacity with
   | Some c when t.len >= c -> invalid_arg "Update_queue.push_front: over capacity"
   | _ -> ());
-  t.front <- e :: t.front;
+  t.all.front <- e :: t.all.front;
+  let d = source_deque t (source_of e) in
+  d.front <- e :: d.front;
   t.len <- t.len + 1
 
 (* Oldest entry satisfying [eligible], skipping (and preserving) parked
@@ -85,12 +132,12 @@ let pop_eligible t ~eligible =
   found
 
 let peek t =
-  normalize t;
-  match t.front with [] -> None | e :: _ -> Some e
+  normalize t.all;
+  match t.all.front with [] -> None | e :: _ -> Some e
 
 let is_empty t = t.len = 0
 let length t = t.len
-let entries t = t.front @ List.rev t.rear
+let entries t = to_list t.all
 
 let take t ~max =
   if max < 0 then invalid_arg "Update_queue.take: max < 0";
@@ -104,29 +151,32 @@ let take t ~max =
    arrival order, skipping (and preserving) ineligible ones. *)
 let take_eligible t ~max ~eligible =
   if max < 0 then invalid_arg "Update_queue.take_eligible: max < 0";
-  let all = entries t in
   let rec go k taken kept = function
     | [] -> (List.rev taken, List.rev kept)
     | e :: rest ->
         if k > 0 && eligible e then go (k - 1) (e :: taken) kept rest
         else go k taken (e :: kept) rest
   in
-  let taken, kept = go max [] [] all in
-  t.front <- kept;
-  t.rear <- [];
-  t.len <- List.length kept;
+  let taken, kept = go max [] [] (entries t) in
+  reset t kept;
   taken
 
+(* Folds the per-source rear into the front in place, so repeated
+   lookups between appends return the same list without allocating. *)
 let from_source t j =
-  List.filter (fun e -> e.update.Message.txn.source = j) (entries t)
+  if j < 0 || j >= Array.length t.by_source then []
+  else begin
+    let d = t.by_source.(j) in
+    if d.rear <> [] then begin
+      d.front <- to_list d;
+      d.rear <- []
+    end;
+    d.front
+  end
 
 let take_from_source t j =
-  let mine, rest =
-    List.partition (fun e -> e.update.Message.txn.source = j) (entries t)
-  in
-  t.front <- rest;
-  t.rear <- [];
-  t.len <- List.length rest;
+  let mine = from_source t j in
+  reset t (List.filter (fun e -> source_of e <> j) (entries t));
   mine
 
 let last_arrival t = t.next_arrival - 1

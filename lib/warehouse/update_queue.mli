@@ -58,7 +58,8 @@ val peek : t -> entry option
 val is_empty : t -> bool
 val length : t -> int
 
-(** Entries from source [j], oldest first (left in place). *)
+(** Entries from source [j], oldest first (left in place). Served from a
+    per-source index, so it costs O(entries from [j]), not O(queue). *)
 val from_source : t -> int -> entry list
 
 (** Remove and return all entries from source [j], oldest first — Nested

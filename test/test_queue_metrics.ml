@@ -133,6 +133,78 @@ let qcheck_fifo_model =
       && List.map (fun e -> e.Update_queue.update) (Update_queue.entries q)
          = List.rev !model)
 
+(* Model test for the per-source index: random sequences of every
+   mutating operation. After each step [from_source j] must equal the
+   filter of [entries] for every source (and one never used), [length]
+   must agree, and [entries] must hold exactly the modelled arrivals in
+   increasing order — a push_front only ever returns the most recently
+   popped entry, which is older than everything still queued. *)
+let qcheck_per_source_index =
+  QCheck.Test.make ~name:"from_source ≡ filter over entries under every op"
+    ~count:300
+    QCheck.(small_list (pair (int_range 0 7) (int_range 0 3)))
+    (fun ops ->
+      let q = ref (Update_queue.create ()) in
+      let model = ref [] (* arrival numbers queued, any order *) in
+      let popped = ref [] (* most recent first, for push_front *) in
+      let seq = ref 0 in
+      let source_of e = e.Update_queue.update.Message.txn.Message.source in
+      let arrivals es = List.map (fun e -> e.Update_queue.arrival) es in
+      let remove taken =
+        let gone = arrivals taken in
+        model := List.filter (fun a -> not (List.mem a gone)) !model
+      in
+      let consistent () =
+        let all = Update_queue.entries !q in
+        arrivals all = List.sort compare !model
+        && Update_queue.length !q = List.length all
+        && List.for_all
+             (fun j ->
+               arrivals (Update_queue.from_source !q j)
+               = arrivals (List.filter (fun e -> source_of e = j) all))
+             [ 0; 1; 2; 3; 4 ]
+      in
+      List.for_all
+        (fun (op, k) ->
+          (match op with
+          | 0 | 1 ->
+              incr seq;
+              let e =
+                Update_queue.append !q (upd ~source:k ~seq:!seq) ~arrived_at:0.
+              in
+              model := e.Update_queue.arrival :: !model
+          | 2 ->
+              Option.iter
+                (fun e ->
+                  popped := e :: !popped;
+                  remove [ e ])
+                (Update_queue.pop !q)
+          | 3 -> (
+              match !popped with
+              | e :: rest ->
+                  popped := rest;
+                  Update_queue.push_front !q e;
+                  model := e.Update_queue.arrival :: !model
+              | [] -> ())
+          | 4 ->
+              Option.iter
+                (fun e -> remove [ e ])
+                (Update_queue.pop_eligible !q ~eligible:(fun e ->
+                     source_of e <> k))
+          | 5 -> remove (Update_queue.take !q ~max:k)
+          | 6 ->
+              if k mod 2 = 0 then
+                remove
+                  (Update_queue.take_eligible !q ~max:(k + 1) ~eligible:(fun e ->
+                       source_of e <> k))
+              else remove (Update_queue.take_from_source !q k)
+          | _ ->
+              q :=
+                Update_queue.of_entries (Update_queue.entries !q)
+                  ~next_arrival:(Update_queue.last_arrival !q + 1));
+          consistent ())
+        ops)
+
 let test_metrics_batches () =
   let m = Metrics.create () in
   Alcotest.(check (float 1e-9)) "0/0 guarded" 0.
@@ -175,6 +247,7 @@ let suite =
     Alcotest.test_case "per-source views span the deque halves" `Quick
       test_from_source_after_wraparound;
     QCheck_alcotest.to_alcotest qcheck_fifo_model;
+    QCheck_alcotest.to_alcotest qcheck_per_source_index;
     Alcotest.test_case "batch accounting" `Quick test_metrics_batches;
     Alcotest.test_case "staleness accounting" `Quick test_metrics_staleness;
     Alcotest.test_case "queue watermark" `Quick test_metrics_queue_watermark ]
