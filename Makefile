@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-fast lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one examples doc clean
+.PHONY: all build test lint lint-fast lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
 
 all: build
 
@@ -103,6 +103,15 @@ W ?= batched-backlog
 SEED ?= 42
 perf-one:
 	dune exec --root . bench/perf/perf.exe -- --workload $(W) --seed $(SEED) --seconds 20 --trace 0
+
+# Paired comparison of a base revision against the working tree
+# (scripts/perf-pairs.sh): N alternating pairs of perf-one's command,
+# then each side's median and quartiles and the pairs the change won:
+#   make perf-pairs W=nested-crash-reads BASE=HEAD~1 [N=10] [SEED=42]
+BASE ?= HEAD
+N ?= 10
+perf-pairs:
+	sh scripts/perf-pairs.sh $(W) $(BASE) $(N) $(SEED)
 
 examples:
 	for e in quickstart figure5_walkthrough retail_warehouse \

@@ -171,6 +171,32 @@ let micro_tests () =
            if Update_gen.Mirror.live m < 3000 then
              ignore (Update_gen.Mirror.gen srng refill m)))
   in
+  let bench_checkpoint_encode =
+    (* the durability cost per checkpoint: 16 view tuples change between
+       two checkpoints of a 4000-tuple view, each alternating between
+       count 1 and 2 so the view keeps its size *)
+    let module Durable = Repro_durability in
+    let tuple k = Tuple.ints [ k; k * 7 mod 13; k mod 97 ] in
+    let counts = Array.make 4000 1 in
+    let view = Durable.Canon.create () in
+    Array.iteri (fun k c -> Durable.Canon.add view (tuple k) c) counts;
+    let ckpt =
+      { Durable.Checkpoint.taken_at = 0.; wal_pos = 0; view; queue = [];
+        queue_next_arrival = 0; next_qid = 0; algo = Durable.Snap.Unit;
+        recv_expected = [||]; senders = [||]; breaker = Durable.Snap.Unit;
+        aux = Durable.Snap.Unit }
+    in
+    let crng = Rng.create 5L in
+    Test.make ~name:"checkpoint encode, 4k-tuple view, 16 tuples changed"
+      (Staged.stage (fun () ->
+           for _ = 1 to 16 do
+             let k = Rng.int crng 4000 in
+             let d = if counts.(k) = 1 then 1 else -1 in
+             counts.(k) <- counts.(k) + d;
+             Durable.Canon.add view (tuple k) d
+           done;
+           ignore (Durable.Checkpoint.encode ckpt)))
+  in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
       (Staged.stage (fun () ->
@@ -181,7 +207,8 @@ let micro_tests () =
   in
   [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_trie_step;
     bench_trie_chain; bench_compensate; bench_full_eval; bench_delta_apply;
-    bench_queue_churn; bench_stream_step; bench_parser; bench_sim_round;
+    bench_queue_churn; bench_stream_step; bench_checkpoint_encode; bench_parser;
+    bench_sim_round;
     bench_sim_round_batched ]
 
 (* Run the micro-benchmarks and return (name, ns-per-run) estimates;

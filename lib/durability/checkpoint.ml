@@ -1,4 +1,3 @@
-open Repro_relational
 open Repro_protocol
 
 type sender_state = {
@@ -12,7 +11,7 @@ type queued = { update : Message.update; arrival : int; arrived_at : float }
 type t = {
   taken_at : float;
   wal_pos : int;
-  view : Bag.t;
+  view : Canon.t;
   queue : queued list;
   queue_next_arrival : int;
   next_qid : int;
@@ -54,10 +53,11 @@ let get_queued r =
   let arrived_at = Codec.get_float r in
   { update; arrival; arrived_at }
 
-let put b t =
+let put_head b t =
   Codec.put_float b t.taken_at;
-  Codec.put_int b t.wal_pos;
-  Codec.put_bag b t.view;
+  Codec.put_int b t.wal_pos
+
+let put_rest b t =
   Codec.put_list b put_queued t.queue;
   Codec.put_int b t.queue_next_arrival;
   Codec.put_int b t.next_qid;
@@ -70,7 +70,7 @@ let put b t =
 let get r =
   let taken_at = Codec.get_float r in
   let wal_pos = Codec.get_int r in
-  let view = Codec.get_bag r in
+  let view = Canon.get r in
   let queue = Codec.get_list r get_queued in
   let queue_next_arrival = Codec.get_int r in
   let next_qid = Codec.get_int r in
@@ -82,5 +82,17 @@ let get r =
   { taken_at; wal_pos; view; queue; queue_next_arrival; next_qid; algo;
     recv_expected; senders; breaker; aux }
 
-let encode = Codec.encode put
+(* Bytes in [get]'s order: [put_head], the view, [put_rest]. The view is
+   nearly all of a checkpoint, so its cached pages are copied once, into
+   a string of exactly the right size, rather than through a doubling
+   buffer that is then copied again. *)
+let encode t =
+  let head = Codec.encode put_head t and rest = Codec.encode put_rest t in
+  let h = String.length head and v = Canon.encoded_length t.view in
+  let out = Bytes.create (h + v + String.length rest) in
+  Bytes.blit_string head 0 out 0 h;
+  Canon.blit t.view out h;
+  Bytes.blit_string rest 0 out (h + v) (String.length rest);
+  Bytes.unsafe_to_string out
+
 let decode = Codec.decode get

@@ -4,7 +4,8 @@
     crash. It captures, at a consistent point (between message
     deliveries):
 
-    - the materialized view contents;
+    - the materialized view contents, as a {!Canon.t} image whose
+      encoding is byte-identical to [Codec.put_bag] of the view;
     - the pending-update queue, with original arrival numbers and
       timestamps (algorithms compare arrival numbers, and staleness is
       measured from the original arrival time);
@@ -21,8 +22,6 @@
 
     Checkpoints round-trip through {!encode}/{!decode} every time one is
     taken, so serializability is exercised on every run that crashes. *)
-
-open Repro_relational
 
 (** One warehouse→source transport sender, frozen. *)
 type sender_state = {
@@ -41,7 +40,9 @@ type queued = {
 type t = {
   taken_at : float;  (** sim time the checkpoint was taken *)
   wal_pos : int;  (** WAL records covered by this checkpoint *)
-  view : Bag.t;
+  view : Canon.t;
+      (** the view; a capture may pass the live image, since the store
+          encodes a checkpoint as soon as it is captured *)
   queue : queued list;
   queue_next_arrival : int;
   next_qid : int;
@@ -56,7 +57,10 @@ type t = {
           run has no aux store) *)
 }
 
-val put : Buffer.t -> t -> unit
-val get : Codec.reader -> t
+(** One exactly-sized string: the view image's cached pages are copied
+    in, not re-encoded. *)
 val encode : t -> string
+
+(** Raises {!Codec.Corrupt} on malformed bytes, including a view listing
+    whose tuples are not strictly ascending. *)
 val decode : string -> t

@@ -50,6 +50,11 @@ val put_value : Buffer.t -> Value.t -> unit
 val get_value : reader -> Value.t
 val put_tuple : Buffer.t -> Tuple.t -> unit
 val get_tuple : reader -> Tuple.t
+
+(** One [(tuple, count)] entry of a bag listing. *)
+val put_counted : Buffer.t -> Tuple.t * int -> unit
+
+val get_counted : reader -> Tuple.t * int
 val put_bag : Buffer.t -> Bag.t -> unit
 val get_bag : reader -> Bag.t
 val put_delta : Buffer.t -> Delta.t -> unit

@@ -2,7 +2,7 @@ type t = {
   wal : Wal.t;
   checkpoint_every : int;
   mutable capture : (unit -> Checkpoint.t) option;
-  mutable latest : string option;
+  mutable latest : (string * int) option;  (* bytes, and their wal_pos *)
   mutable records_since : int;
   mutable checkpoints : int;
   mutable checkpoint_bytes : int;
@@ -30,8 +30,9 @@ let checkpoint_now t =
       (* encode immediately: the stored bytes are the durable artifact,
          and decoding them (rather than keeping the live record) is what
          recovery does — serializability is exercised on every cycle *)
-      let s = Checkpoint.encode (capture ()) in
-      t.latest <- Some s;
+      let c = capture () in
+      let s = Checkpoint.encode c in
+      t.latest <- Some (s, c.Checkpoint.wal_pos);
       t.checkpoints <- t.checkpoints + 1;
       t.checkpoint_bytes <- t.checkpoint_bytes + String.length s;
       t.records_since <- 0
@@ -43,12 +44,9 @@ let maybe_checkpoint t =
     && Option.is_some t.capture
   then checkpoint_now t
 
-let latest_checkpoint t = Option.map Checkpoint.decode t.latest
+let latest_checkpoint t =
+  Option.map (fun (s, _) -> Checkpoint.decode s) t.latest
 
 let tail t =
-  let from =
-    match latest_checkpoint t with
-    | Some c -> c.Checkpoint.wal_pos
-    | None -> 0
-  in
+  let from = match t.latest with Some (_, wal_pos) -> wal_pos | None -> 0 in
   Wal.records_from t.wal from

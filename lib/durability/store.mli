@@ -35,7 +35,9 @@ val checkpoint_now : t -> unit
 val latest_checkpoint : t -> Checkpoint.t option
 
 (** The WAL records recovery must replay: everything after the latest
-    checkpoint's [wal_pos] (the whole log when no checkpoint exists). *)
+    checkpoint's [wal_pos] (the whole log when no checkpoint exists).
+    The position is kept beside the stored bytes, so this decodes
+    nothing. *)
 val tail : t -> Wal.record list
 
 val wal_length : t -> int

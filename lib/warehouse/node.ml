@@ -18,6 +18,9 @@ type t = {
   algorithm : (module Algorithm.S);
   send : int -> Message.to_source -> unit;
   data : Bag.t;
+  (* [data] in canonical order with cached encodings, for checkpoints;
+     built at the first checkpoint, then kept in step by every install *)
+  mutable image : Canon.t option;
   initial : Bag.t;
   metrics : Metrics.t;
   queue : Update_queue.t;
@@ -75,9 +78,15 @@ let wire t =
           e.update.Message.delta)
       txns
   in
+  let merge delta =
+    Bag.merge_into ~into:t.data delta;
+    match t.image with
+    | Some image -> Delta.iter (Canon.add image) delta
+    | None -> ()
+  in
   let install delta ~txns =
     if t.replaying then begin
-      Bag.merge_into ~into:t.data delta;
+      merge delta;
       apply_aux txns;
       Queue.push (Delta.copy delta) t.replay_installs
     end
@@ -97,7 +106,7 @@ let wire t =
           (fun tup c neg -> neg || Bag.count t.data tup + c < 0)
           delta false
       in
-      Bag.merge_into ~into:t.data delta;
+      merge delta;
       apply_aux txns;
       t.metrics.Metrics.installs <- t.metrics.Metrics.installs + 1;
       t.metrics.Metrics.updates_incorporated <-
@@ -169,7 +178,8 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
   let data = Bag.copy (Relation.as_bag init) in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let t =
-    { engine; view; algorithm; send; data; initial = Bag.copy data; metrics;
+    { engine; view; algorithm; send; data; image = None;
+      initial = Bag.copy data; metrics;
       queue = Update_queue.create ?capacity:queue_capacity ();
       record_history; trace; obs; store = durability; breaker; aux; stall_cap;
       next_qid = 0; replaying = false; replay_installs = Queue.create ();
@@ -191,7 +201,7 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
 let recover ~prev ?checkpoint () =
   if Option.is_none prev.store then
     invalid_arg "Node.recover: node has no store";
-  let data, queue, next_qid =
+  let data, image, queue, next_qid =
     match checkpoint with
     | Some (c : Checkpoint.t) ->
         let entries =
@@ -201,18 +211,20 @@ let recover ~prev ?checkpoint () =
                 arrived_at = q.arrived_at })
             c.queue
         in
-        ( Bag.copy c.view,
+        ( Canon.to_bag c.view,
+          Some c.view,
           Update_queue.of_entries
             ?capacity:(Update_queue.capacity prev.queue)
             entries ~next_arrival:c.queue_next_arrival,
           c.next_qid )
     | None ->
         ( Bag.copy prev.initial,
+          None,
           Update_queue.create ?capacity:(Update_queue.capacity prev.queue) (),
           0 )
   in
   let t =
-    { prev with data; queue; next_qid; replaying = false;
+    { prev with data; image; queue; next_qid; replaying = false;
       replay_installs = Queue.create (); algo = None }
   in
   (t.algo <-
@@ -334,8 +346,16 @@ let end_replay t =
 
 (* ————— checkpoint capture ————— *)
 
+let image t =
+  match t.image with
+  | Some image -> image
+  | None ->
+      let image = Canon.of_bag t.data in
+      t.image <- Some image;
+      image
+
 let checkpoint t ~wal_pos ~recv_expected ~senders : Checkpoint.t =
-  { taken_at = Engine.now t.engine; wal_pos; view = Bag.copy t.data;
+  { taken_at = Engine.now t.engine; wal_pos; view = image t;
     queue =
       List.map
         (fun (e : Update_queue.entry) ->

@@ -82,7 +82,8 @@ val deliver : t -> Message.to_warehouse -> unit
     [checkpoint], or from genesis (initial view, empty queue, fresh
     algorithm) when no checkpoint was taken; durable artifacts — store,
     metrics, install/delivery histories, listeners — carry over from
-    [prev]. The caller must then replay the WAL tail:
+    [prev]. The node takes over [checkpoint]'s view image as its own.
+    The caller must then replay the WAL tail:
     {!begin_replay}, {!replay_record} per record, {!end_replay}. *)
 val recover : prev:t -> ?checkpoint:Checkpoint.t -> unit -> t
 
@@ -98,7 +99,10 @@ val end_replay : t -> unit
 
 (** Freeze the node's recoverable state. [wal_pos] is the WAL length at
     capture; [recv_expected] / [senders] are the transport endpoints'
-    frozen states (supplied by the wiring layer, which owns the links). *)
+    frozen states (supplied by the wiring layer, which owns the links).
+    The view is the node's live {!Canon.t} image, not a copy — built on
+    the first call, then kept in step by every install — so encode the
+    checkpoint before the node installs again. *)
 val checkpoint :
   t ->
   wal_pos:int ->

@@ -134,7 +134,7 @@ let test_checkpoint_roundtrip () =
       global = None }
   in
   let c =
-    { Checkpoint.taken_at = 12.5; wal_pos = 9; view;
+    { Checkpoint.taken_at = 12.5; wal_pos = 9; view = Canon.of_bag view;
       queue = [ { Checkpoint.update = u; arrival = 4; arrived_at = 1.75 } ];
       queue_next_arrival = 5; next_qid = 17;
       algo = Snap.List [ Snap.Int 1; Snap.Str "x" ];
@@ -150,15 +150,101 @@ let test_checkpoint_roundtrip () =
   let c' = Checkpoint.decode (Checkpoint.encode c) in
   Alcotest.(check string) "checkpoint bytes stable"
     (Checkpoint.encode c) (Checkpoint.encode c');
-  Alcotest.(check bool) "view preserved" true (Bag.equal c.Checkpoint.view c'.Checkpoint.view);
+  Alcotest.(check bool) "view preserved" true
+    (Bag.equal (Canon.to_bag c.Checkpoint.view) (Canon.to_bag c'.Checkpoint.view));
   Alcotest.(check int) "wal_pos" 9 c'.Checkpoint.wal_pos;
   Alcotest.(check int) "queue length" 1 (List.length c'.Checkpoint.queue);
   Alcotest.(check int) "sender next_seq" 5 c'.Checkpoint.senders.(1).Checkpoint.next_seq;
   Alcotest.(check int) "sender window" 1
     (List.length c'.Checkpoint.senders.(1).Checkpoint.window)
 
+(* ————— the checkpoint view image (Canon) ————— *)
+
+(* Keys map to tuples monotonically, so a run of keys is a run of
+   adjacent entries: wide runs split pages, cancelled runs empty them. *)
+let canon_tuple k = Tuple.ints [ k / 7; k mod 7 ]
+
+type canon_op =
+  | Add of int * int * int  (* first key, run width, count *)
+  | Cancel of int * int  (* first key, run width: every entry to zero *)
+
+let canon_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map3 (fun k w c -> Add (k, w, c)) (int_range 0 5200)
+              (int_range 1 80) (int_range (-3) 3));
+        (1, map2 (fun k w -> Cancel (k, w)) (int_range 0 5200)
+              (int_range 1 100)) ])
+
+let pp_canon_op = function
+  | Add (k, w, c) -> Printf.sprintf "add [%d,+%d) %+d" k w c
+  | Cancel (k, w) -> Printf.sprintf "cancel [%d,+%d)" k w
+
+let canon_bytes img =
+  let out = Bytes.create (Canon.encoded_length img) in
+  Canon.blit img out 0;
+  Bytes.to_string out
+
+(* After every step the image encodes exactly as [Codec.put_bag] of a
+   shadow bag given the same adds, and the final bytes decode back to an
+   image that re-encodes identically. *)
+let qcheck_canon_matches_bag =
+  QCheck.Test.make ~count:60 ~name:"canon image encodes as Codec.put_bag"
+    QCheck.(
+      pair (make ~print:string_of_int (Gen.oneofl [ 0; 1; 5000 ]))
+        (list_of_size Gen.(int_range 1 15)
+           (make ~print:pp_canon_op canon_op_gen)))
+    (fun (initial, ops) ->
+      let shadow = Bag.create () in
+      for k = 0 to initial - 1 do
+        Bag.add shadow (canon_tuple k) 1
+      done;
+      let img = Canon.of_bag shadow in
+      let same () =
+        String.equal (canon_bytes img) (Codec.encode Codec.put_bag shadow)
+      in
+      let step = function
+        | Add (k, w, c) ->
+            for j = k to k + w - 1 do
+              Bag.add shadow (canon_tuple j) c;
+              Canon.add img (canon_tuple j) c
+            done
+        | Cancel (k, w) ->
+            for j = k to k + w - 1 do
+              let c = Bag.count shadow (canon_tuple j) in
+              Bag.add shadow (canon_tuple j) (-c);
+              Canon.add img (canon_tuple j) (-c)
+            done
+      in
+      same ()
+      && List.for_all (fun op -> step op; same ()) ops
+      &&
+      let bytes = canon_bytes img in
+      String.equal bytes (canon_bytes (Codec.decode Canon.get bytes)))
+
+(* A listing [put] cannot produce — keys out of order, a duplicate key,
+   a zero count — raises [Codec.Corrupt] and nothing else; every other
+   listing round-trips. *)
+let qcheck_canon_rejects_unsorted =
+  QCheck.Test.make ~count:300 ~name:"canon decode: unsorted listing is Corrupt"
+    QCheck.(small_list (pair (int_range 0 40) (int_range (-2) 2)))
+    (fun entries ->
+      let entries = List.map (fun (k, c) -> (canon_tuple k, c)) entries in
+      let bytes =
+        Codec.encode (fun b l -> Codec.put_list b Codec.put_counted l) entries
+      in
+      let rec canonical = function
+        | (a, c) :: ((b, _) :: _ as rest) ->
+            c <> 0 && Tuple.compare a b < 0 && canonical rest
+        | [ (_, c) ] -> c <> 0
+        | [] -> true
+      in
+      match Codec.decode Canon.get bytes with
+      | img -> canonical entries && String.equal bytes (canon_bytes img)
+      | exception Codec.Corrupt _ -> not (canonical entries))
+
 let dummy_capture () =
-  { Checkpoint.taken_at = 0.; wal_pos = 0; view = Bag.create (); queue = [];
+  { Checkpoint.taken_at = 0.; wal_pos = 0; view = Canon.create (); queue = [];
     queue_next_arrival = 0; next_qid = 0; algo = Snap.Unit;
     recv_expected = [||]; senders = [||]; breaker = Snap.Unit;
     aux = Snap.Unit }
@@ -549,6 +635,8 @@ let suite =
       test_wal_roundtrip_and_tail;
     Alcotest.test_case "checkpoint: full round trip" `Quick
       test_checkpoint_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_canon_matches_bag;
+    QCheck_alcotest.to_alcotest qcheck_canon_rejects_unsorted;
     Alcotest.test_case "store: checkpoint cadence and tail" `Quick
       test_store_checkpoint_cadence;
     Alcotest.test_case "queue: capacity enforced" `Quick

@@ -230,6 +230,33 @@ let test_outcome_classification () =
           r.Server.answer)
     (Server.log srv)
 
+(* The aggregate total is cached per install version and per view bag:
+   an install must refresh it, and so must a recovered node's fresh bag,
+   which arrives without an install. *)
+let test_aggregate_cache_invalidation () =
+  let engine = Engine.create ~seed:1L () in
+  let view = ref (Bag.of_list [ (Tuple.ints [ 1 ], 3) ]) in
+  let srv =
+    mk_server ~config:classification_config engine ~view:(fun () -> !view)
+  in
+  let read_at t =
+    Engine.at engine ~time:t (fun () ->
+        ignore (Server.read srv ~session:0 ~kind:Read_gen.Aggregate))
+  in
+  read_at 1.;
+  read_at 2.;
+  Engine.at engine ~time:3. (fun () ->
+      Bag.add !view (Tuple.ints [ 2 ]) 4;
+      Server.note_install srv []);
+  read_at 4.;
+  Engine.at engine ~time:5. (fun () ->
+      view := Bag.of_list [ (Tuple.ints [ 1 ], 3); (Tuple.ints [ 3 ], 1) ]);
+  read_at 6.;
+  run_engine engine;
+  Alcotest.(check (list int)) "aggregate answers track the live view"
+    [ 3; 3; 7; 4 ]
+    (List.map (fun (r : Server.record) -> r.Server.answer) (Server.log srv))
+
 let test_cap_sheds_not_queues () =
   let engine = Engine.create ~seed:1L () in
   let config =
@@ -473,6 +500,8 @@ let suite =
       test_duplicate_delivery_deduped;
     Alcotest.test_case "server: fresh / stale / shed classification" `Quick
       test_outcome_classification;
+    Alcotest.test_case "server: aggregate cache follows installs and recovery"
+      `Quick test_aggregate_cache_invalidation;
     Alcotest.test_case "server: cap sheds, never queues" `Quick
       test_cap_sheds_not_queues;
     Alcotest.test_case "storm: no shed below cap" `Quick test_no_shed_below_cap;
