@@ -171,23 +171,24 @@ let micro_tests () =
            if Update_gen.Mirror.live m < 3000 then
              ignore (Update_gen.Mirror.gen srng refill m)))
   in
-  let bench_checkpoint_encode =
+  let bench_checkpoint =
     (* the durability cost per checkpoint: 16 view tuples change between
        two checkpoints of a 4000-tuple view, each alternating between
-       count 1 and 2 so the view keeps its size *)
+       count 1 and 2 so the view keeps its size. The store encodes the
+       checkpoint and keeps it, as a warehouse crash run does *)
     let module Durable = Repro_durability in
     let tuple k = Tuple.ints [ k; k * 7 mod 13; k mod 97 ] in
     let counts = Array.make 4000 1 in
     let view = Durable.Canon.create () in
     Array.iteri (fun k c -> Durable.Canon.add view (tuple k) c) counts;
-    let ckpt =
-      { Durable.Checkpoint.taken_at = 0.; wal_pos = 0; view; queue = [];
-        queue_next_arrival = 0; next_qid = 0; algo = Durable.Snap.Unit;
-        recv_expected = [||]; senders = [||]; breaker = Durable.Snap.Unit;
-        aux = Durable.Snap.Unit }
-    in
+    let store = Durable.Store.create () in
+    Durable.Store.set_capture store (fun () ->
+        { Durable.Checkpoint.taken_at = 0.; wal_pos = 0; view; queue = [];
+          queue_next_arrival = 0; next_qid = 0; algo = Durable.Snap.Unit;
+          recv_expected = [||]; senders = [||]; breaker = Durable.Snap.Unit;
+          aux = None });
     let crng = Rng.create 5L in
-    Test.make ~name:"checkpoint encode, 4k-tuple view, 16 tuples changed"
+    Test.make ~name:"store checkpoint, 4k-tuple view, 16 tuples changed"
       (Staged.stage (fun () ->
            for _ = 1 to 16 do
              let k = Rng.int crng 4000 in
@@ -195,7 +196,7 @@ let micro_tests () =
              counts.(k) <- counts.(k) + d;
              Durable.Canon.add view (tuple k) d
            done;
-           ignore (Durable.Checkpoint.encode ckpt)))
+           Durable.Store.checkpoint_now store))
   in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
@@ -207,7 +208,7 @@ let micro_tests () =
   in
   [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_trie_step;
     bench_trie_chain; bench_compensate; bench_full_eval; bench_delta_apply;
-    bench_queue_churn; bench_stream_step; bench_checkpoint_encode; bench_parser;
+    bench_queue_churn; bench_stream_step; bench_checkpoint; bench_parser;
     bench_sim_round;
     bench_sim_round_batched ]
 

@@ -125,22 +125,10 @@ let page_bytes t p =
       p.bytes <- Some s;
       s
 
-let head t = Codec.encode Codec.put_int t.cardinal
-
-let encoded_length t =
-  Fences.fold
-    (fun _ p n -> n + String.length (page_bytes t p))
-    t.pages
-    (String.length (head t))
-
-let blit t dst off =
-  let copy s off =
-    Bytes.blit_string s 0 dst off (String.length s);
-    off + String.length s
-  in
-  ignore
-    (Fences.fold (fun _ p off -> copy (page_bytes t p) off) t.pages
-       (copy (head t) off))
+(* The cardinal, then every page's bytes, in key order. *)
+let pieces t =
+  Codec.encode Codec.put_int t.cardinal
+  :: List.rev (Fences.fold (fun _ p acc -> page_bytes t p :: acc) t.pages [])
 
 let to_sorted_list t =
   List.rev

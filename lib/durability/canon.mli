@@ -6,11 +6,13 @@
     means sorting and re-encoding the whole view at every checkpoint.
     An image instead holds the same entries already sorted, split into
     pages of at most 64 entries, and caches each page's encoded bytes.
-    {!add} dirties one page; {!blit} re-encodes only dirty pages and
-    copies the rest, so a checkpoint costs what changed since the last
-    one. Because a page's bytes are the concatenation of its entries'
-    encodings, in order, the image encodes byte-identically to
-    [Codec.put_bag] of a bag with the same contents. *)
+    {!add} dirties one page; {!pieces} re-encodes only dirty pages and
+    hands out the cached strings of the rest, so a checkpoint costs what
+    changed since the last one, and consecutive checkpoints share the
+    bytes of every page neither touched. Because a page's bytes are the
+    concatenation of its entries' encodings, in order, the image encodes
+    byte-identically to [Codec.put_bag] of a bag with the same
+    contents. *)
 
 open Repro_relational
 
@@ -23,8 +25,8 @@ val create : unit -> t
 val of_bag : Bag.t -> t
 
 (** A fresh bag with the same contents, built as [Bag.of_list] of the
-    sorted entries — the bag [Codec.get_bag] decodes from {!blit}'s
-    bytes. *)
+    sorted entries — the bag [Codec.get_bag] decodes from the
+    concatenated {!pieces}. *)
 val to_bag : t -> Bag.t
 
 (** [add t tup n] adds [n] (possibly negative) to the multiplicity of
@@ -32,16 +34,16 @@ val to_bag : t -> Bag.t
     whose count reaches zero is removed. O(log n + page size). *)
 val add : t -> Tuple.t -> int -> unit
 
-(** Byte length of the image's encoding. *)
-val encoded_length : t -> int
-
-(** [blit t dst off] writes the encoding into [dst] at [off]: the number
-    of distinct tuples ([Codec.put_int]), then every entry's
-    {!Codec.put_counted} bytes in order — the bytes of [Codec.put_bag] on
-    an equal bag. *)
-val blit : t -> Bytes.t -> int -> unit
+(** The encoding as byte pieces, in order: the number of distinct
+    tuples ([Codec.put_int]), then each page's entries'
+    {!Codec.put_counted} bytes. Concatenated, they are the bytes of
+    [Codec.put_bag] on an equal bag. A page unchanged since the previous
+    call yields the same immutable string again, so pieces kept from an
+    earlier call stay valid and share storage with later ones.
+    O(dirty pages' entries + pages). *)
+val pieces : t -> string list
 
 (** Reads a [Codec.put_bag] listing in O(n), without sorting. Raises
     {!Codec.Corrupt} unless the tuples are strictly ascending and every
-    count is non-zero — the only listings {!blit} can produce. *)
+    count is non-zero — the only listings {!pieces} can produce. *)
 val get : Codec.reader -> t

@@ -19,7 +19,7 @@ type t = {
   recv_expected : int array;
   senders : sender_state array;
   breaker : Snap.t;  (* circuit-breaker state; Snap.Unit when none *)
-  aux : Snap.t;  (* aux-store projections; Snap.Unit when off *)
+  aux : Canon.t list option;  (* aux-store projections; None when off *)
 }
 
 let put_sender b s =
@@ -64,8 +64,7 @@ let put_rest b t =
   Snap.put b t.algo;
   Codec.put_list b (fun b i -> Codec.put_int b i) (Array.to_list t.recv_expected);
   Codec.put_list b put_sender (Array.to_list t.senders);
-  Snap.put b t.breaker;
-  Snap.put b t.aux
+  Snap.put b t.breaker
 
 let get r =
   let taken_at = Codec.get_float r in
@@ -78,21 +77,19 @@ let get r =
   let recv_expected = Array.of_list (Codec.get_list r Codec.get_int) in
   let senders = Array.of_list (Codec.get_list r get_sender) in
   let breaker = Snap.get r in
-  let aux = Snap.get r in
+  let aux = Snap.get_image_list r in
   { taken_at; wal_pos; view; queue; queue_next_arrival; next_qid; algo;
     recv_expected; senders; breaker; aux }
 
-(* Bytes in [get]'s order: [put_head], the view, [put_rest]. The view is
-   nearly all of a checkpoint, so its cached pages are copied once, into
-   a string of exactly the right size, rather than through a doubling
-   buffer that is then copied again. *)
-let encode t =
-  let head = Codec.encode put_head t and rest = Codec.encode put_rest t in
-  let h = String.length head and v = Canon.encoded_length t.view in
-  let out = Bytes.create (h + v + String.length rest) in
-  Bytes.blit_string head 0 out 0 h;
-  Canon.blit t.view out h;
-  Bytes.blit_string rest 0 out (h + v) (String.length rest);
-  Bytes.unsafe_to_string out
+(* Bytes in [get]'s order: [put_head], the view, [put_rest], the aux
+   projections. Nearly all of it is the images' cached page strings,
+   passed along as they are. *)
+let pieces t =
+  List.concat
+    [ [ Codec.encode put_head t ];
+      Canon.pieces t.view;
+      [ Codec.encode put_rest t ];
+      Snap.image_list_pieces t.aux ]
 
+let encode t = String.concat "" (pieces t)
 let decode = Codec.decode get

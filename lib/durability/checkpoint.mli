@@ -17,11 +17,13 @@
       counter makes replay regenerate in-flight queries with their
       {e original} sequence numbers, so the sources' receivers suppress
       them as duplicates — exactly-once even though recovery resends;
+    - the aux-store projections, one {!Canon.t} image per source;
     - the WAL position [wal_pos] the checkpoint covers: recovery replays
       only records [wal_pos..].
 
-    Checkpoints round-trip through {!encode}/{!decode} every time one is
-    taken, so serializability is exercised on every run that crashes. *)
+    The store keeps every checkpoint encoded, as its {!pieces}, and
+    recovery decodes it, so serializability is exercised on every run
+    that crashes. *)
 
 (** One warehouse→source transport sender, frozen. *)
 type sender_state = {
@@ -52,13 +54,19 @@ type t = {
   breaker : Snap.t;
       (** per-source circuit-breaker state ([Snap.Unit] when the run has
           no breaker) *)
-  aux : Snap.t;
-      (** self-maintenance aux-store projections ([Snap.Unit] when the
-          run has no aux store) *)
+  aux : Canon.t list option;
+      (** self-maintenance aux-store projections, one image per source
+          ([None] when the run has no aux store); encoded as the
+          [Snap.Unit] or [Snap.List] of [Snap.Delta] they stand for, and
+          passed live like [view] *)
 }
 
-(** One exactly-sized string: the view image's cached pages are copied
-    in, not re-encoded. *)
+(** The encoding as byte pieces, in order. The images' pieces are their
+    cached page strings ({!Canon.pieces}), so pages unchanged since the
+    previous checkpoint are shared with it rather than copied. *)
+val pieces : t -> string list
+
+(** [String.concat ""] of {!pieces}. *)
 val encode : t -> string
 
 (** Raises {!Codec.Corrupt} on malformed bytes, including a view listing

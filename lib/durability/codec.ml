@@ -24,6 +24,16 @@ let get_int r =
   r.pos <- r.pos + 8;
   v
 
+(* A list length or tuple arity. Every list element and tuple field
+   encodes to at least one byte, so a count above the bytes left is
+   corrupt; checking it here keeps a damaged count from sizing an
+   allocation. *)
+let get_count r what =
+  let n = get_int r in
+  let left = String.length r.buf - r.pos in
+  if n < 0 || n > left then corrupt "%s %d with %d bytes left" what n left;
+  n
+
 let put_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
 
 let get_float r =
@@ -65,8 +75,7 @@ let put_list b f xs =
   List.iter (f b) xs
 
 let get_list r f =
-  let n = get_int r in
-  if n < 0 then corrupt "negative list length %d" n;
+  let n = get_count r "list length" in
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f r :: acc) in
   go n []
 
@@ -115,8 +124,7 @@ let put_tuple b (t : Tuple.t) =
 (* Array.init may evaluate out of order, which would scramble the stream;
    read tuples via an explicit loop instead. *)
 let get_tuple r : Tuple.t =
-  let n = get_int r in
-  if n < 0 then corrupt "negative tuple arity %d" n;
+  let n = get_count r "tuple arity" in
   let a = Array.make n Value.Null in
   for i = 0 to n - 1 do
     a.(i) <- get_value r

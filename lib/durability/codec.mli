@@ -10,7 +10,9 @@
 
     Encoders append to a [Buffer.t]; decoders consume a {!reader}.
     Decoding malformed bytes raises {!Corrupt}, never
-    [Invalid_argument]. *)
+    [Invalid_argument]. Every list element and tuple field encodes to at
+    least one byte, so a decoded list length or tuple arity larger than
+    the bytes left is {!Corrupt} too, before it sizes an allocation. *)
 
 open Repro_relational
 open Repro_protocol

@@ -103,5 +103,31 @@ let rec get r =
   | 9 -> Update (Codec.get_update r)
   | t -> raise (Codec.Corrupt (Printf.sprintf "bad snap tag %d" t))
 
+(* [Unit] or [List [Delta …]] with each delta kept as an image: the
+   bytes [put] writes for the deltas the images hold. *)
+let image_list_pieces = function
+  | None -> [ Codec.encode put Unit ]
+  | Some images ->
+      Codec.encode
+        (fun b n ->
+          Codec.put_tag b 5;
+          Codec.put_int b n)
+        (List.length images)
+      :: List.concat_map
+           (fun i -> Codec.encode Codec.put_tag 7 :: Canon.pieces i)
+           images
+
+let get_image_list r =
+  match Codec.get_tag r with
+  | 0 -> None
+  | 5 ->
+      Some
+        (Codec.get_list r (fun r ->
+             match Codec.get_tag r with
+             | 7 -> Canon.get r
+             | t ->
+                 raise (Codec.Corrupt (Printf.sprintf "bad delta tag %d" t))))
+  | t -> raise (Codec.Corrupt (Printf.sprintf "bad delta-list tag %d" t))
+
 let encode s = Codec.encode put s
 let decode s = Codec.decode get s

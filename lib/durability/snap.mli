@@ -53,6 +53,17 @@ val to_option : (t -> 'a) -> t -> 'a option
 val equal : t -> t -> bool
 
 val put : Buffer.t -> t -> unit
+
+(** The encoding of {!Unit} ([None]) or of [List [Delta d1; …; Delta
+    dk]] where each [di] is held as a {!Canon.t} image, as byte pieces:
+    the images' {!Canon.pieces} with the list's tags around them.
+    Concatenated, they are the bytes {!put} writes for that tree. *)
+val image_list_pieces : Canon.t list option -> string list
+
+(** Reads what {!image_list_pieces} writes. Raises {!Codec.Corrupt} on
+    any other shape, or on a listing {!Canon.get} rejects. *)
+val get_image_list : Codec.reader -> Canon.t list option
+
 val get : Codec.reader -> t
 val encode : t -> string
 val decode : string -> t

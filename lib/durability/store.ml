@@ -2,7 +2,7 @@ type t = {
   wal : Wal.t;
   checkpoint_every : int;
   mutable capture : (unit -> Checkpoint.t) option;
-  mutable latest : (string * int) option;  (* bytes, and their wal_pos *)
+  mutable latest : (string list * int) option;  (* pieces, and their wal_pos *)
   mutable records_since : int;
   mutable checkpoints : int;
   mutable checkpoint_bytes : int;
@@ -16,6 +16,7 @@ let create ?(checkpoint_every = 8) () =
 let set_capture t f = t.capture <- Some f
 let wal_length t = Wal.length t.wal
 let wal_bytes t = Wal.bytes t.wal
+let wal_live_bytes_max t = Wal.live_bytes_max t.wal
 let checkpoints t = t.checkpoints
 let checkpoint_bytes t = t.checkpoint_bytes
 
@@ -29,12 +30,16 @@ let checkpoint_now t =
   | Some capture ->
       (* encode immediately: the stored bytes are the durable artifact,
          and decoding them (rather than keeping the live record) is what
-         recovery does — serializability is exercised on every cycle *)
+         recovery does. The pieces are immutable strings, most of them
+         page bytes shared with the previous checkpoint. *)
       let c = capture () in
-      let s = Checkpoint.encode c in
-      t.latest <- Some (s, c.Checkpoint.wal_pos);
+      let pieces = Checkpoint.pieces c in
+      t.latest <- Some (pieces, c.Checkpoint.wal_pos);
+      Wal.truncate t.wal c.Checkpoint.wal_pos;
       t.checkpoints <- t.checkpoints + 1;
-      t.checkpoint_bytes <- t.checkpoint_bytes + String.length s;
+      t.checkpoint_bytes <-
+        List.fold_left (fun n s -> n + String.length s) t.checkpoint_bytes
+          pieces;
       t.records_since <- 0
 
 let maybe_checkpoint t =
@@ -45,7 +50,9 @@ let maybe_checkpoint t =
   then checkpoint_now t
 
 let latest_checkpoint t =
-  Option.map (fun (s, _) -> Checkpoint.decode s) t.latest
+  Option.map
+    (fun (pieces, _) -> Checkpoint.decode (String.concat "" pieces))
+    t.latest
 
 let tail t =
   let from = match t.latest with Some (_, wal_pos) -> wal_pos | None -> 0 in

@@ -41,27 +41,49 @@ let decode_record = Codec.decode get_record
 
 (* The in-simulation log device: an append-only sequence of encoded
    records. Records are serialized on append — the log never aliases live
-   algorithm state, exactly like bytes on stable storage. *)
+   algorithm state, exactly like bytes on stable storage. Records below
+   [base] have been truncated away; [count] and [total_bytes] still count
+   them. *)
 type t = {
-  mutable rev_records : string list;  (* newest first *)
+  mutable rev_records : string list;  (* records [base, count), newest first *)
+  mutable base : int;
   mutable count : int;
   mutable total_bytes : int;
+  mutable live_bytes : int;
+  mutable live_bytes_max : int;
 }
 
-let create () = { rev_records = []; count = 0; total_bytes = 0 }
+let create () =
+  { rev_records = []; base = 0; count = 0; total_bytes = 0; live_bytes = 0;
+    live_bytes_max = 0 }
 
 let append t record =
   let s = encode_record record in
   t.rev_records <- s :: t.rev_records;
   t.count <- t.count + 1;
-  t.total_bytes <- t.total_bytes + String.length s
+  t.total_bytes <- t.total_bytes + String.length s;
+  t.live_bytes <- t.live_bytes + String.length s;
+  t.live_bytes_max <- max t.live_bytes_max t.live_bytes
 
 let length t = t.count
 let bytes t = t.total_bytes
+let live_bytes_max t = t.live_bytes_max
+
+let check_pos fn t pos =
+  if pos < t.base || pos > t.count then
+    invalid_arg
+      (Printf.sprintf "Wal.%s: position %d outside [%d, %d]" fn pos t.base
+         t.count)
+
+let truncate t pos =
+  check_pos "truncate" t pos;
+  t.rev_records <- List.filteri (fun i _ -> i < t.count - pos) t.rev_records;
+  t.base <- pos;
+  t.live_bytes <-
+    List.fold_left (fun n s -> n + String.length s) 0 t.rev_records
 
 let records_from t pos =
-  if pos < 0 || pos > t.count then
-    invalid_arg (Printf.sprintf "Wal.records_from: position %d of %d" pos t.count);
+  check_pos "records_from" t pos;
   let rec take k acc rest =
     if k = 0 then acc
     else

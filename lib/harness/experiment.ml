@@ -528,6 +528,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
   | Some store ->
       m.Metrics.wal_records <- Store.wal_length store;
       m.Metrics.wal_bytes <- Store.wal_bytes store;
+      m.Metrics.wal_live_bytes_max <- Store.wal_live_bytes_max store;
       m.Metrics.checkpoints <- Store.checkpoints store;
       m.Metrics.checkpoint_bytes <- Store.checkpoint_bytes store
   | None -> ());

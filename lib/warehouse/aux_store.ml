@@ -1,5 +1,5 @@
 open Repro_relational
-module Snap = Repro_durability.Snap
+module Canon = Repro_durability.Canon
 
 type mode = Off | Keys_only | Full
 
@@ -37,12 +37,15 @@ type t = {
      [restore]/[reset]. Join columns are always tracked (both modes), so
      every probe an answerable leg issues hits an index. *)
   indexes : (int * int * index) list array;
+  (* [projs] in canonical order with cached encodings, for checkpoints;
+     built at the first {!image}, then kept in step by [apply] *)
+  mutable images : Canon.t array option;
 }
 
 let off () =
   { mode = Off; strategy = Join_strategy.default; view = None; tracked = [||];
     answerable = [||]; widths = [||]; projs = [||]; genesis = [||];
-    indexes = [||] }
+    indexes = [||]; images = None }
 
 let index_add (idx : index) pt pos count =
   let v = Tuple.get pt pos in
@@ -162,7 +165,7 @@ let create ~view ~mode ?(strategy = Join_strategy.default) ~initial () =
             Array.init n (fun j -> project_relation initial.(j) tracked.(j));
           genesis =
             Array.init n (fun j -> project_relation initial.(j) tracked.(j));
-          indexes }
+          indexes; images = None }
       in
       for j = 0 to n - 1 do
         rebuild_index t j
@@ -180,6 +183,7 @@ let apply t ~source delta =
       (fun tup c ->
         let pt = Tuple.project tup t.tracked.(source) in
         Bag.add t.projs.(source) pt c;
+        Option.iter (fun images -> Canon.add images.(source) pt c) t.images;
         List.iter
           (fun (_, pos, idx) -> index_add idx pt pos c)
           t.indexes.(source))
@@ -259,23 +263,26 @@ let local_answer t ~target ~partial ~overlay =
         | None -> Some (pairwise_answer t view j ~partial ~overlay))
   end
 
-let snapshot t =
-  match t.mode with
-  | Off -> Snap.Unit
-  | _ ->
-      Snap.List
-        (Array.to_list (Array.map (fun b -> Snap.Delta (Bag.copy b)) t.projs))
+let image t =
+  match (t.mode, t.images) with
+  | Off, _ -> None
+  | _, Some images -> Some (Array.to_list images)
+  | _, None ->
+      let images = Array.map Canon.of_bag t.projs in
+      t.images <- Some images;
+      Some (Array.to_list images)
 
-let restore t s =
+let restore t images =
   if t.mode <> Off then begin
-    let parts = Snap.to_list s in
-    if List.length parts <> Array.length t.projs then
+    if List.length images <> Array.length t.projs then
       invalid_arg "Aux_store.restore: source count mismatch";
-    List.iteri
-      (fun j p ->
-        t.projs.(j) <- Bag.copy (Snap.to_delta p);
+    let images = Array.of_list images in
+    Array.iteri
+      (fun j img ->
+        t.projs.(j) <- Canon.to_bag img;
         rebuild_index t j)
-      parts
+      images;
+    t.images <- Some images
   end
 
 let reset t =
@@ -283,6 +290,11 @@ let reset t =
     (fun j g ->
       t.projs.(j) <- Bag.copy g;
       rebuild_index t j)
-    t.genesis
+    t.genesis;
+  t.images <- None
 
-let bytes t = String.length (Snap.encode (snapshot t))
+let bytes t =
+  List.fold_left
+    (fun n s -> n + String.length s)
+    0
+    (Repro_durability.Snap.image_list_pieces (image t))

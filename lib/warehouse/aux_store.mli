@@ -84,17 +84,22 @@ val apply : t -> source:int -> Delta.t -> unit
 val local_answer :
   t -> target:int -> partial:Partial.t -> overlay:Delta.t -> Partial.t option
 
-(** Serialized size of the current state — the storage side of the
-    storage-vs-messages trade-off ([Metrics.aux_bytes]). *)
+(** Serialized size of the current state, as the checkpoint writes it
+    — the storage side of the storage-vs-messages trade-off
+    ([Metrics.aux_bytes]). *)
 val bytes : t -> int
 
-(** Deep-copied canonical encoding ({!Snap} tree, sorted entries); rides
-    the §8 checkpoint. [Snap.Unit] when off. *)
-val snapshot : t -> Repro_durability.Snap.t
+(** The projections as checkpoint images, one per source in source
+    order ([None] when off). Built at the first call, then kept in step
+    by {!apply}, so a checkpoint re-encodes only the pages that changed.
+    The images are live, not copies: they ride the §8 checkpoint, which
+    the store encodes as soon as it is captured. *)
+val image : t -> Repro_durability.Canon.t list option
 
-(** Restore projections from {!snapshot} output (crash recovery).
-    Mode and view must match the store that produced the snapshot. *)
-val restore : t -> Repro_durability.Snap.t -> unit
+(** Restore projections from a decoded checkpoint's images (crash
+    recovery), adopting them as the live images. Mode and view must
+    match the store that produced them. *)
+val restore : t -> Repro_durability.Canon.t list -> unit
 
 (** Reset projections to warehouse genesis (recovery without a
     checkpoint: WAL replay re-applies every installed delta). *)

@@ -23,6 +23,7 @@ type t = {
   mutable wh_crashes : int;
   mutable wal_records : int;
   mutable wal_bytes : int;
+  mutable wal_live_bytes_max : int;
   mutable checkpoints : int;
   mutable checkpoint_bytes : int;
   mutable replayed_records : int;
@@ -53,7 +54,8 @@ let create () =
     fallbacks = 0; max_depth = 0; max_queue = 0; negative_installs = 0;
     staleness_sum = 0.; staleness_max = 0.; retransmissions = 0;
     timeouts = 0; duplicates_suppressed = 0; recoveries = 0; frames_lost = 0;
-    wh_crashes = 0; wal_records = 0; wal_bytes = 0; checkpoints = 0;
+    wh_crashes = 0; wal_records = 0; wal_bytes = 0; wal_live_bytes_max = 0;
+    checkpoints = 0;
     checkpoint_bytes = 0; replayed_records = 0; recovery_seconds = 0.;
     snapshots_fetched = 0; queue_deferred = 0; queue_shed = 0; batches = 0;
     max_batch = 0; query_timeouts = 0; breaker_trips = 0; stalled_updates = 0;
@@ -121,6 +123,7 @@ let fields t : (string * [ `Int of int | `Float of float ]) list =
     ("wh_crashes", `Int t.wh_crashes);
     ("wal_records", `Int t.wal_records);
     ("wal_bytes", `Int t.wal_bytes);
+    ("wal_live_bytes_max", `Int t.wal_live_bytes_max);
     ("checkpoints", `Int t.checkpoints);
     ("checkpoint_bytes", `Int t.checkpoint_bytes);
     ("replayed_records", `Int t.replayed_records);
@@ -169,10 +172,10 @@ let pp ppf t =
       t.recoveries;
   if t.wal_records > 0 || t.wh_crashes > 0 then
     Format.fprintf ppf
-      "@,durability: %d crashes, %d WAL records (%d B), %d checkpoints (%d \
-       B), %d replayed (%.3fs recovery)"
-      t.wh_crashes t.wal_records t.wal_bytes t.checkpoints t.checkpoint_bytes
-      t.replayed_records t.recovery_seconds;
+      "@,durability: %d crashes, %d WAL records (%d B, at most %d B live), \
+       %d checkpoints (%d B), %d replayed (%.3fs recovery)"
+      t.wh_crashes t.wal_records t.wal_bytes t.wal_live_bytes_max
+      t.checkpoints t.checkpoint_bytes t.replayed_records t.recovery_seconds;
   if t.queue_deferred > 0 || t.queue_shed > 0 then
     Format.fprintf ppf "@,backpressure: %d deferred, %d shed" t.queue_deferred
       t.queue_shed;

@@ -27,8 +27,11 @@ type t = {
   mutable recoveries : int;  (** frames acked after ≥1 retransmission *)
   mutable frames_lost : int;  (** frames lost to drop + crash windows *)
   mutable wh_crashes : int;  (** warehouse crash/restart cycles *)
-  mutable wal_records : int;  (** records appended to the WAL *)
-  mutable wal_bytes : int;  (** encoded WAL size *)
+  mutable wal_records : int;  (** records ever appended to the WAL *)
+  mutable wal_bytes : int;  (** encoded bytes ever appended to the WAL *)
+  mutable wal_live_bytes_max : int;
+      (** the most WAL bytes held at once; each checkpoint truncates the
+          log, so this stays near [checkpoint_every] records' bytes *)
   mutable checkpoints : int;  (** checkpoints taken *)
   mutable checkpoint_bytes : int;  (** Σ encoded checkpoint sizes *)
   mutable replayed_records : int;  (** WAL records replayed during recovery *)

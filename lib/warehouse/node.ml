@@ -240,8 +240,7 @@ let recover ~prev ?checkpoint () =
           Breaker.restore b c.breaker
       | _ -> Breaker.reset b));
   (match checkpoint with
-  | Some (c : Checkpoint.t) when c.aux <> Snap.Unit ->
-      Aux_store.restore t.aux c.aux
+  | Some { Checkpoint.aux = Some images; _ } -> Aux_store.restore t.aux images
   | _ -> Aux_store.reset t.aux);
   wire_breaker t;
   t
@@ -369,7 +368,7 @@ let checkpoint t ~wal_pos ~recv_expected ~senders : Checkpoint.t =
       (match t.breaker with
       | Some b -> Breaker.snapshot b
       | None -> Snap.Unit);
-    aux = Aux_store.snapshot t.aux }
+    aux = Aux_store.image t.aux }
 
 (* prepend (O(1) per registration); install reverses so listeners still
    fire in registration order *)

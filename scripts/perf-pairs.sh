@@ -4,8 +4,9 @@
 #
 #   scripts/perf-pairs.sh WORKLOAD BASE [N] [SEED]     (make perf-pairs)
 #
-# BASE is built in a temporary git worktree, or taken from BASE_DIR when
-# that names an existing checkout of it. The script then runs N pairs of
+# BASE is exported with git archive into a temporary directory (removed
+# on exit) and built there, or taken from BASE_DIR when that names an
+# existing checkout of it. The script then runs N pairs of
 #
 #   perf.exe --workload WORKLOAD --seed SEED --seconds 20 --trace 0
 #
@@ -33,12 +34,12 @@ if [ -n "${BASE_DIR:-}" ]; then
   base_dir=$BASE_DIR
 else
   base_dir=$(mktemp -d "${TMPDIR:-/tmp}/perf-pairs-base.XXXXXX")
-  trap 'git -C "$root" worktree remove --force "$base_dir"' EXIT
-  git -C "$root" worktree add --detach "$base_dir" "$base" >/dev/null
+  trap 'rm -rf "$base_dir"' EXIT
+  git -C "$root" archive "$base" | tar -x -C "$base_dir"
 fi
 
 for dir in "$base_dir" "$root"; do
-  dune build --root "$dir" bench/perf/perf.exe 2>/dev/null
+  dune build --root "$dir" bench/perf/perf.exe
 done
 
 run() { # side dir pair

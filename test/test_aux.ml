@@ -23,6 +23,8 @@ open Repro_consistency
 open Repro_harness
 open Repro_workload
 module Snap = Repro_durability.Snap
+module Canon = Repro_durability.Canon
+module Codec = Repro_durability.Codec
 module Base_table = Repro_source.Base_table
 
 let aux_seeds = Rig.seeds_env ~var:"AUX_SEEDS" ~default:5
@@ -53,6 +55,13 @@ let test_mode_strings () =
    genesis and re-applies everything. Both recovery paths, and any
    install order of the same deltas, must land on byte-identical
    encodings — the canonical-encoding guarantee checkpoints rely on. *)
+(* The projections' bytes exactly as the checkpoint writes them, and
+   their decoding as the checkpoint reads them. *)
+let aux_encoding a =
+  String.concat "" (Snap.image_list_pieces (Aux_store.image a))
+
+let aux_decode s = Option.get (Codec.decode Snap.get_image_list s)
+
 let test_snapshot_byte_identity () =
   let view = (Paper_example.view ()) in
   let mk () =
@@ -65,33 +74,83 @@ let test_snapshot_byte_identity () =
   in
   let a = mk () in
   apply a all;
-  let golden = Snap.encode (Aux_store.snapshot a) in
+  let golden = aux_encoding a in
   (* crash after two installs with a checkpoint taken: restore, then
      replay the one-record WAL tail *)
   let c = mk () in
   apply c [ List.nth all 0; List.nth all 1 ];
-  let ck = Snap.encode (Aux_store.snapshot c) in
+  let ck = aux_encoding c in
   let r = mk () in
-  Aux_store.restore r (Snap.decode ck);
+  Aux_store.restore r (aux_decode ck);
   apply r [ List.nth all 2 ];
   Alcotest.(check string) "checkpoint + WAL tail: byte-identical" golden
-    (Snap.encode (Aux_store.snapshot r));
+    (aux_encoding r);
   (* crash with no checkpoint: reset to genesis, replay the whole log *)
   let g = mk () in
   apply g [ List.nth all 2 ];
+  ignore (aux_encoding g);  (* reset must also drop built images *)
   Aux_store.reset g;
   apply g all;
   Alcotest.(check string) "reset + full WAL replay: byte-identical" golden
-    (Snap.encode (Aux_store.snapshot g));
+    (aux_encoding g);
   (* canonical encoding: same installed set, different order *)
   let o = mk () in
   apply o (List.rev all);
   Alcotest.(check string) "install order does not change the bytes" golden
-    (Snap.encode (Aux_store.snapshot o));
+    (aux_encoding o);
   Alcotest.(check int) "bytes reports the encoded size"
     (String.length golden) (Aux_store.bytes a);
-  Alcotest.(check bool) "off store snapshots Unit" true
-    (Snap.equal (Aux_store.snapshot (Aux_store.off ())) Snap.Unit)
+  Alcotest.(check bool) "off store has no image" true
+    (Option.is_none (Aux_store.image (Aux_store.off ())))
+
+(* With [--aux full], random applies before and after the images are
+   first built leave the checkpoint's aux bytes equal to [Snap.encode] of
+   [Snap.List] of [Snap.Delta] over shadow projections, and those bytes
+   restore to a store that re-encodes them unchanged. *)
+let qcheck_aux_image_bytes =
+  let view = Chain.view ~n:3 () in
+  let op =
+    QCheck.(
+      triple (int_range 0 2) (int_range 0 40) (make Gen.(oneofl [ -1; 1; 2 ])))
+  in
+  QCheck.Test.make ~count:40
+    ~name:"aux images encode as Snap.List of Snap.Delta"
+    QCheck.(pair (int_range 0 30) (list_of_size Gen.(int_range 0 60) op))
+    (fun (cut, ops) ->
+      let initial () = Chain.populate view ~size:25 ~domain:6 (Rng.create 3L) in
+      let mk () =
+        Aux_store.create ~view ~mode:Aux_store.Full ~initial:(initial ()) ()
+      in
+      let a = mk () in
+      let shadow =
+        Array.mapi
+          (fun j rel ->
+            let b = Bag.create () in
+            Relation.iter
+              (fun tup c ->
+                Bag.add b (Tuple.project tup (Aux_store.tracked a j)) c)
+              rel;
+            b)
+          (initial ())
+      in
+      let old_bytes () =
+        Snap.encode
+          (Snap.List (Array.to_list (Array.map (fun b -> Snap.Delta b) shadow)))
+      in
+      let same = ref true in
+      List.iteri
+        (fun i (j, k, c) ->
+          if i = cut then
+            same := !same && String.equal (aux_encoding a) (old_bytes ());
+          let tup = Chain.tuple ~key:k ~a:(k mod 6) ~b:(k * 5 mod 6) in
+          Aux_store.apply a ~source:j (Delta.of_list [ (tup, c) ]);
+          Bag.add shadow.(j) (Tuple.project tup (Aux_store.tracked a j)) c)
+        ops;
+      let bytes = aux_encoding a in
+      let r = mk () in
+      Aux_store.restore r (aux_decode bytes);
+      !same && String.equal bytes (old_bytes ())
+      && String.equal bytes (aux_encoding r))
 
 (* ————— Base_table.probe unindexed-fallback contract ————— *)
 
@@ -504,6 +563,7 @@ let suite =
   [ Alcotest.test_case "aux mode: parse and print" `Quick test_mode_strings;
     Alcotest.test_case "aux snapshot: checkpoint + WAL replay byte identity"
       `Quick test_snapshot_byte_identity;
+    QCheck_alcotest.to_alcotest qcheck_aux_image_bytes;
     Alcotest.test_case "Base_table.probe: counted scan fallback" `Quick
       test_probe_scan_fallback;
     Alcotest.test_case "aux x open breaker: local installs, zero messages"

@@ -88,26 +88,28 @@ let test_snap_roundtrip () =
   Alcotest.(check bool) "distinct snaps differ" false
     (Snap.equal s (Snap.Int 0))
 
-let test_wal_roundtrip_and_tail () =
+(* One record of each kind, answers carrying a real partial. *)
+let sample_records () =
   let u =
     { Message.txn = { Message.source = 0; seq = 3 };
       delta = Delta.insertion (Tuple.ints [ 1; 2 ]); occurred_at = 2.0;
       global = None }
   in
-  let records =
-    [ Wal.Update_received { update = u; arrived_at = 2.5 };
-      Wal.Answer_received
-        { link = 1;
-          msg =
-            Message.Answer
-              { qid = 4; source = 1;
-                partial =
-                  Partial.of_source_delta (Paper_example.view ()) 1
-                    (snd (Paper_example.d_r2 ())) } };
-      Wal.Installed
-        { delta = Delta.insertion (Tuple.ints [ 7; 8 ]);
-          txns = [ { Message.source = 0; seq = 3 } ] } ]
-  in
+  [ Wal.Update_received { update = u; arrived_at = 2.5 };
+    Wal.Answer_received
+      { link = 1;
+        msg =
+          Message.Answer
+            { qid = 4; source = 1;
+              partial =
+                Partial.of_source_delta (Paper_example.view ()) 1
+                  (snd (Paper_example.d_r2 ())) } };
+    Wal.Installed
+      { delta = Delta.insertion (Tuple.ints [ 7; 8 ]);
+        txns = [ { Message.source = 0; seq = 3 } ] } ]
+
+let test_wal_roundtrip_and_tail () =
+  let records = sample_records () in
   List.iter
     (fun r ->
       let r' = Wal.decode_record (Wal.encode_record r) in
@@ -126,27 +128,29 @@ let test_wal_roundtrip_and_tail () =
     (List.map Wal.encode_record (List.tl records))
     (List.map Wal.encode_record (Wal.records_from w 1))
 
-let test_checkpoint_roundtrip () =
+(* Every field populated, aux included. *)
+let sample_checkpoint () =
   let view = Bag.of_list [ (Tuple.ints [ 1; 2; 3 ], 2) ] in
   let u =
     { Message.txn = { Message.source = 1; seq = 0 };
       delta = Delta.deletion (Tuple.ints [ 4; 5 ]); occurred_at = 1.0;
       global = None }
   in
-  let c =
-    { Checkpoint.taken_at = 12.5; wal_pos = 9; view = Canon.of_bag view;
-      queue = [ { Checkpoint.update = u; arrival = 4; arrived_at = 1.75 } ];
-      queue_next_arrival = 5; next_qid = 17;
-      algo = Snap.List [ Snap.Int 1; Snap.Str "x" ];
-      recv_expected = [| 3; 0; 8 |];
-      senders =
-        [| { Checkpoint.next_seq = 2; acked_upto = 1; window = [] };
-           { Checkpoint.next_seq = 5; acked_upto = 2;
-             window = [ (3, Message.Fetch { qid = 1; target = 0 }) ] };
-           { Checkpoint.next_seq = 0; acked_upto = -1; window = [] } |];
-      breaker = Snap.List [ Snap.Int 0; Snap.Int 2 ];
-      aux = Snap.List [ Snap.Delta (Delta.insertion (Tuple.ints [ 7 ])) ] }
-  in
+  { Checkpoint.taken_at = 12.5; wal_pos = 9; view = Canon.of_bag view;
+    queue = [ { Checkpoint.update = u; arrival = 4; arrived_at = 1.75 } ];
+    queue_next_arrival = 5; next_qid = 17;
+    algo = Snap.List [ Snap.Int 1; Snap.Str "x" ];
+    recv_expected = [| 3; 0; 8 |];
+    senders =
+      [| { Checkpoint.next_seq = 2; acked_upto = 1; window = [] };
+         { Checkpoint.next_seq = 5; acked_upto = 2;
+           window = [ (3, Message.Fetch { qid = 1; target = 0 }) ] };
+         { Checkpoint.next_seq = 0; acked_upto = -1; window = [] } |];
+    breaker = Snap.List [ Snap.Int 0; Snap.Int 2 ];
+    aux = Some [ Canon.of_bag (Delta.insertion (Tuple.ints [ 7 ])) ] }
+
+let test_checkpoint_roundtrip () =
+  let c = sample_checkpoint () in
   let c' = Checkpoint.decode (Checkpoint.encode c) in
   Alcotest.(check string) "checkpoint bytes stable"
     (Checkpoint.encode c) (Checkpoint.encode c');
@@ -180,10 +184,7 @@ let pp_canon_op = function
   | Add (k, w, c) -> Printf.sprintf "add [%d,+%d) %+d" k w c
   | Cancel (k, w) -> Printf.sprintf "cancel [%d,+%d)" k w
 
-let canon_bytes img =
-  let out = Bytes.create (Canon.encoded_length img) in
-  Canon.blit img out 0;
-  Bytes.to_string out
+let canon_bytes img = String.concat "" (Canon.pieces img)
 
 (* After every step the image encodes exactly as [Codec.put_bag] of a
    shadow bag given the same adds, and the final bytes decode back to an
@@ -243,11 +244,72 @@ let qcheck_canon_rejects_unsorted =
       | img -> canonical entries && String.equal bytes (canon_bytes img)
       | exception Codec.Corrupt _ -> not (canonical entries))
 
+(* ————— decoders under damaged bytes ————— *)
+
+(* Real encodings to damage: the sample checkpoint (every field, aux
+   included), a warehouse node's checkpoint after a scripted nested-sweep
+   run, and one WAL record of each kind. *)
+let damage_samples =
+  lazy
+    (let view = Chain.view ~n:3 () in
+     let initial = Chain.populate view ~size:12 ~domain:8 (Rng.create 12L) in
+     let updates =
+       List.init 6 (fun i ->
+           ( 0.4 *. float_of_int i, i mod 3,
+             Delta.insertion
+               (Chain.tuple ~key:(100 + i) ~a:(i mod 8) ~b:(i * 3 mod 8)) ))
+     in
+     let outcome =
+       Rig.scripted ~algorithm:(module Nested_sweep : Algorithm.S) ~view
+         ~initial ~updates ()
+     in
+     let node =
+       Node.checkpoint outcome.Rig.node ~wal_pos:6 ~recv_expected:[| 6; 0; 0 |]
+         ~senders:[||]
+     in
+     let checkpoint s = (s, fun s -> ignore (Checkpoint.decode s)) in
+     checkpoint (Checkpoint.encode (sample_checkpoint ()))
+     :: checkpoint (Checkpoint.encode node)
+     :: List.map
+          (fun r ->
+            (Wal.encode_record r, fun s -> ignore (Wal.decode_record s)))
+          (sample_records ()))
+
+let flip s bit =
+  let b = Bytes.of_string s in
+  Bytes.set b (bit / 8)
+    (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+  Bytes.to_string b
+
+(* A decoder given a flipped bit either decodes or raises
+   [Codec.Corrupt]; any other exception (an [Out_of_memory] from a huge
+   arity, an out-of-bounds access) escapes and fails the property. *)
+let qcheck_decoders_reject_flips =
+  QCheck.Test.make ~count:3000
+    ~name:"decoders: a flipped bit decodes or raises Corrupt"
+    QCheck.(pair (int_range 0 4) (int_range 0 max_int))
+    (fun (which, r) ->
+      let bytes, decode = List.nth (Lazy.force damage_samples) which in
+      match decode (flip bytes (r mod (8 * String.length bytes))) with
+      | () | (exception Codec.Corrupt _) -> true)
+
+(* The format is self-delimiting, so every strict prefix runs out of
+   bytes: Corrupt, and nothing else. *)
+let test_decoders_reject_prefixes () =
+  List.iter
+    (fun (bytes, decode) ->
+      for n = 0 to String.length bytes - 1 do
+        match decode (String.sub bytes 0 n) with
+        | () -> Alcotest.failf "prefix of %d bytes decoded" n
+        | exception Codec.Corrupt _ -> ()
+      done)
+    (Lazy.force damage_samples)
+
 let dummy_capture () =
   { Checkpoint.taken_at = 0.; wal_pos = 0; view = Canon.create (); queue = [];
     queue_next_arrival = 0; next_qid = 0; algo = Snap.Unit;
     recv_expected = [||]; senders = [||]; breaker = Snap.Unit;
-    aux = Snap.Unit }
+    aux = None }
 
 let test_store_checkpoint_cadence () =
   let s = Store.create ~checkpoint_every:3 () in
@@ -277,6 +339,109 @@ let test_store_checkpoint_cadence () =
   Alcotest.(check int) "0 disables checkpoints" 0 (Store.checkpoints off);
   Alcotest.(check int) "recovery would replay the whole log" 10
     (List.length (Store.tail off))
+
+(* A stored checkpoint keeps the bytes it was taken with, even as the
+   live image it shares pages with moves on; they equal a fresh encoding
+   of the same state (an image with no cached page), and
+   [checkpoint_bytes] sums those lengths. Consecutive checkpoints share
+   every page neither touched. *)
+let test_store_checkpoint_pieces () =
+  let view = Canon.create () in
+  for k = 0 to 999 do
+    Canon.add view (canon_tuple k) 1
+  done;
+  let s = Store.create ~checkpoint_every:1 () in
+  let capture () =
+    { (dummy_capture ()) with view; wal_pos = Store.wal_length s }
+  in
+  Store.set_capture s capture;
+  let fresh () =
+    Checkpoint.encode
+      { (capture ()) with view = Canon.of_bag (Canon.to_bag view) }
+  in
+  let rng = Rng.create 9L and total = ref 0 in
+  for _ = 1 to 20 do
+    for _ = 1 to 5 do
+      Canon.add view (canon_tuple (Rng.int rng 1200)) (Rng.int rng 3 - 1)
+    done;
+    Store.log s (Wal.Installed { delta = Delta.empty (); txns = [] });
+    let expected = fresh () in
+    Store.maybe_checkpoint s;
+    total := !total + String.length expected;
+    Canon.add view (canon_tuple (Rng.int rng 1200)) 1;
+    match Store.latest_checkpoint s with
+    | Some c ->
+        Alcotest.(check string) "stored checkpoint = fresh encoding" expected
+          (Checkpoint.encode c)
+    | None -> Alcotest.fail "no checkpoint"
+  done;
+  Alcotest.(check int) "checkpoint_bytes sums the encodings" !total
+    (Store.checkpoint_bytes s);
+  (* bump one existing tuple's count: only its page is re-encoded; the
+     head, cardinal, rest and aux pieces are rebuilt every time *)
+  let before = Checkpoint.pieces (capture ()) in
+  Canon.add view (canon_tuple 500) 1;
+  let after = Checkpoint.pieces (capture ()) in
+  Alcotest.(check int) "untouched pages are shared, not copied"
+    (List.length after - 5)
+    (List.length (List.filter Fun.id (List.map2 ( == ) before after)))
+
+(* Truncating at each checkpoint changes what the log holds, not what it
+   reports: the store's tail is record-for-record the untruncated log's
+   tail from the same position, and the counters stay cumulative. *)
+let test_wal_truncation () =
+  let record i =
+    Wal.Update_received
+      { update =
+          { Message.txn = { Message.source = i mod 3; seq = i };
+            delta = Delta.insertion (Tuple.ints [ i ]);
+            occurred_at = float_of_int i; global = None };
+        arrived_at = float_of_int i }
+  in
+  let s = Store.create ~checkpoint_every:3 () in
+  Store.set_capture s (fun () ->
+      { (dummy_capture ()) with wal_pos = Store.wal_length s });
+  let full = Wal.create () in
+  let enc = List.map Wal.encode_record in
+  for i = 0 to 19 do
+    Store.log s (record i);
+    Wal.append full (record i);
+    Store.maybe_checkpoint s;
+    let pos =
+      match Store.latest_checkpoint s with
+      | Some c -> c.Checkpoint.wal_pos
+      | None -> 0
+    in
+    Alcotest.(check (list string))
+      (Printf.sprintf "tail after record %d" i)
+      (enc (Wal.records_from full pos))
+      (enc (Store.tail s))
+  done;
+  Alcotest.(check int) "length cumulative" (Wal.length full)
+    (Store.wal_length s);
+  Alcotest.(check int) "bytes cumulative" (Wal.bytes full) (Store.wal_bytes s);
+  Alcotest.(check int) "at most checkpoint_every records held"
+    (3 * String.length (Wal.encode_record (record 0)))
+    (Store.wal_live_bytes_max s);
+  Alcotest.(check int) "untruncated log holds everything" (Wal.bytes full)
+    (Wal.live_bytes_max full);
+  let w = Wal.create () in
+  for i = 0 to 4 do
+    Wal.append w (record i)
+  done;
+  Wal.truncate w 3;
+  let rejects f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "records_from below the base" true
+    (rejects (fun () -> Wal.records_from w 2));
+  Alcotest.(check bool) "truncate below the base" true
+    (rejects (fun () -> Wal.truncate w 2));
+  Alcotest.(check bool) "truncate past the end" true
+    (rejects (fun () -> Wal.truncate w 6));
+  Alcotest.(check (list string)) "records_from the base"
+    (enc [ record 3; record 4 ])
+    (enc (Wal.records_from w 3))
 
 (* ————— backpressure + bounded queue units ————— *)
 
@@ -555,6 +720,34 @@ let test_recovery_without_checkpoints () =
   Alcotest.(check bool) "replay happened from the log alone" true
     (r.Experiment.metrics.Metrics.replayed_records > 0)
 
+(* The live-log gauge: with a checkpoint every 4 records the log holds
+   about 4 records at a time, while the cumulative counters match the
+   same run with checkpoints off, whose log is never truncated. Records
+   differ in size (an answer carries a partial, a notice one tuple), so
+   the bound allows each held record 4 times the mean record's bytes. *)
+let test_wal_live_bytes_bounded () =
+  let run checkpoint_every =
+    let r =
+      run_one (crashy_scenario ~checkpoint_every 17L)
+        (module Sweep : Algorithm.S)
+    in
+    r.Experiment.metrics
+  in
+  let on = run 4 and off = run 0 in
+  Alcotest.(check int) "same WAL records" off.Metrics.wal_records
+    on.Metrics.wal_records;
+  Alcotest.(check int) "wal_bytes stays cumulative" off.Metrics.wal_bytes
+    on.Metrics.wal_bytes;
+  Alcotest.(check int) "an untruncated log holds every byte at the end"
+    off.Metrics.wal_bytes off.Metrics.wal_live_bytes_max;
+  Alcotest.(check bool)
+    (Printf.sprintf "live max %d B <= 4 x 4 mean records (%d B / %d)"
+       on.Metrics.wal_live_bytes_max on.Metrics.wal_bytes
+       on.Metrics.wal_records)
+    true
+    (on.Metrics.wal_live_bytes_max * on.Metrics.wal_records
+    <= 16 * on.Metrics.wal_bytes)
+
 (* The remaining algorithms survive a crash window too (smoke level):
    C-strobe on the distributed topology, ECA on the centralized one. *)
 let test_c_strobe_crashy_smoke () =
@@ -637,8 +830,15 @@ let suite =
       test_checkpoint_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_canon_matches_bag;
     QCheck_alcotest.to_alcotest qcheck_canon_rejects_unsorted;
+    QCheck_alcotest.to_alcotest qcheck_decoders_reject_flips;
+    Alcotest.test_case "decoders: every strict prefix is Corrupt" `Quick
+      test_decoders_reject_prefixes;
     Alcotest.test_case "store: checkpoint cadence and tail" `Quick
       test_store_checkpoint_cadence;
+    Alcotest.test_case "store: checkpoints share page pieces, bytes intact"
+      `Quick test_store_checkpoint_pieces;
+    Alcotest.test_case "store: WAL truncated at each checkpoint" `Quick
+      test_wal_truncation;
     Alcotest.test_case "queue: capacity enforced" `Quick
       test_update_queue_capacity;
     Alcotest.test_case "backpressure: per-source FIFO, shed, release" `Quick
@@ -659,6 +859,8 @@ let suite =
       test_crashy_run_deterministic;
     Alcotest.test_case "recovery works with checkpoints disabled" `Quick
       test_recovery_without_checkpoints;
+    Alcotest.test_case "wal: live bytes bounded by the checkpoint cadence"
+      `Quick test_wal_live_bytes_bounded;
     Alcotest.test_case "smoke: c-strobe across a crash window" `Quick
       test_c_strobe_crashy_smoke;
     Alcotest.test_case "smoke: eca (centralized) across a crash window" `Quick
