@@ -61,11 +61,13 @@ serve:
 aux:
 	AUX_SEEDS=100 dune exec test/test_main.exe -- test aux
 
-# Join-strategy differential suite at full depth: 100 seeds per
-# algorithm proving pairwise, probe and trie execution produce
-# bit-identical views, replays and verdicts (including under crash and
-# outage schedules), and that the default probe path never degrades to
-# an unindexed scan. `dune runtest` runs the same suite at 5 seeds.
+# Indexed-leg join suite at full depth: the probe leg
+# (Base_table.extend) against the Algebra.extend reference on edge
+# cases and 100 randomized frontiers, then 100 seeded plain, crash and
+# outage storms per algorithm (sweep, sweep-batched, nested-sweep,
+# strobe), each draining at its consistency floor with no probe
+# degraded to an unindexed scan. `dune runtest` runs the same suite at
+# 5 seeds.
 joins:
 	JOIN_SEEDS=100 dune exec test/test_main.exe -- test join-strategies
 

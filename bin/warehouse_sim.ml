@@ -15,7 +15,7 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
     domain seed latency centralized drop duplicate spike spike_factor crashes
     wh_crashes chaos checkpoint_every queue_capacity batch_max deadline
     breaker_k probe_limit stall_cap read_rate staleness_slo read_cap aux
-    join no_check show_trace trace_spans json_out explain_sql =
+    no_check show_trace trace_spans json_out explain_sql =
   (match explain_sql with
   | Some query ->
       (match Repro_relational.View_parser.parse query with
@@ -164,16 +164,6 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
             Printf.eprintf "unknown --aux %S (off|keys-only|full)\n" s;
             exit 2)
   in
-  let join_strategy =
-    match join with
-    | None -> base.Scenario.join_strategy
-    | Some s -> (
-        match Repro_relational.Join_strategy.of_string s with
-        | Some j -> j
-        | None ->
-            Printf.eprintf "unknown --join %S (pairwise|probe|trie)\n" s;
-            exit 2)
-  in
   let deadline =
     match deadline with
     | Some _ as d -> d
@@ -207,7 +197,6 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
       read_cap;
       read_burst = base.Scenario.read_burst;
       aux_mode;
-      join_strategy;
       seed = Int64.of_int seed }
   in
   let alg =
@@ -418,17 +407,6 @@ let aux =
            aux store, no source queries). The self-maint preset sets \
            $(b,full).")
 
-let join =
-  Arg.(
-    value & opt (some string) None
-    & info [ "join" ] ~docv:"STRATEGY"
-        ~doc:
-          "Delta-join execution strategy (DESIGN.md \\u{00A7}15): $(b,probe) \
-           (default — persistent hash indexes on every join column), \
-           $(b,trie) (sort-order tries with leapfrog intersections) or \
-           $(b,pairwise) (the legacy scan/hash-join path). All three \
-           produce bit-identical views; only execution cost differs.")
-
 let no_check = Arg.(value & flag & info [ "no-check" ] ~doc:"Skip the consistency checker (faster for huge runs).")
 let show_trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the full simulation trace.")
 
@@ -471,7 +449,7 @@ let cmd =
       $ drop $ duplicate $ spike $ spike_factor $ crashes
       $ wh_crashes $ chaos $ checkpoint_every $ queue_capacity $ batch_max
       $ deadline $ breaker_k $ probe_limit $ stall_cap
-      $ read_rate $ staleness_slo $ read_cap $ aux $ join
+      $ read_rate $ staleness_slo $ read_cap $ aux
       $ no_check $ show_trace $ trace_spans $ json_out $ explain_sql)
 
 let () = exit (Cmd.eval cmd)

@@ -72,7 +72,6 @@ let algorithms_for (s : Scenario.t) =
 let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     ?max_events (scenario : Scenario.t) (algorithm : (module Algorithm.S)) =
   let wall_start = wall_clock () in
-  let strategy = scenario.join_strategy in
   let engine = Engine.create ~seed:scenario.seed () in
   Obs.set_clock obs (Engine.clock engine);
   let rng = Engine.rng engine in
@@ -225,8 +224,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
   in
   (* apply: how the workload performs an update at "source i";
      scan_total: probes across this run's own base tables that degraded
-     to O(n) scans — under the default Probe strategy the suites
-     assert 0. *)
+     to O(n) scans — the suites assert 0. *)
   let send_to, apply, scan_total =
     match scenario.topology with
     | Scenario.Distributed ->
@@ -242,7 +240,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
         in
         let sources =
           Array.init n (fun i ->
-              Source_node.create ~strategy engine ~view ~id:i
+              Source_node.create engine ~view ~id:i
                 ~init:initial.(i)
                 ~send:(fun m -> up_send.(i) m)
                 ~trace)
@@ -283,8 +281,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
             Channel.send ch
         in
         let site =
-          Eca_site.create ~strategy engine ~view ~inits:initial ~send:up
-            ~trace
+          Eca_site.create engine ~view ~inits:initial ~send:up ~trace
         in
         let deliver_down m = Eca_site.handle site m in
         let down =
@@ -313,8 +310,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     else None
   in
   let aux =
-    Aux_store.create ~view ~mode:scenario.aux_mode ~strategy
-      ~initial:initial_copy ()
+    Aux_store.create ~view ~mode:scenario.aux_mode ~initial:initial_copy ()
   in
   let warehouse =
     Node.create engine ~view ~algorithm ~send:send_to ~init:initial_view
@@ -587,9 +583,8 @@ type scripted_outcome = {
 }
 
 let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
-    ?(obs = Obs.disabled ()) ?(aux_mode = Aux_store.Off)
-    ?(join_strategy = Join_strategy.default) ~algorithm ~view ~initial
-    ~updates () =
+    ?(obs = Obs.disabled ()) ?(aux_mode = Aux_store.Off) ~algorithm ~view
+    ~initial ~updates () =
   let open Repro_relational in
   let engine = Engine.create ~seed () in
   Obs.set_clock obs (Engine.clock engine);
@@ -607,7 +602,7 @@ let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
   in
   let sources =
     Array.init n (fun i ->
-        Source_node.create ~strategy:join_strategy engine ~view ~id:i
+        Source_node.create engine ~view ~id:i
           ~init:initial.(i)
           ~send:(fun m -> Channel.send up.(i) m)
           ~trace)
@@ -623,8 +618,7 @@ let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
       ~send:(fun i msg -> Channel.send down.(i) msg)
       ~init:initial_view
       ~aux:
-        (Aux_store.create ~view ~mode:aux_mode ~strategy:join_strategy
-           ~initial:initial_copy ())
+        (Aux_store.create ~view ~mode:aux_mode ~initial:initial_copy ())
       ~trace ~obs ()
   in
   node := Some warehouse;

@@ -62,7 +62,6 @@ val run_scripted :
   ?trace_enabled:bool ->
   ?obs:Repro_observability.Obs.t ->
   ?aux_mode:Repro_warehouse.Aux_store.mode ->
-  ?join_strategy:Repro_relational.Join_strategy.t ->
   algorithm:(module Repro_warehouse.Algorithm.S) ->
   view:Repro_relational.View_def.t ->
   initial:Repro_relational.Relation.t array ->

@@ -28,8 +28,7 @@ let scenario ?(name = "exp") ?(n = 4) ?(init = 30) ?domain
     queue_capacity = None; batch_max = 16; deadline = None; breaker_k = 3;
     probe_limit = 0; stall_cap = 256; read_rate = 0.; staleness_slo = 2.0;
     read_cap = 16; read_burst = None;
-    aux_mode = Repro_warehouse.Aux_store.Off;
-    join_strategy = Join_strategy.default; seed }
+    aux_mode = Repro_warehouse.Aux_store.Off; seed }
 
 let mpu (r : Experiment.result) =
   (* round trips (query + answer) per incorporated update *)

@@ -24,7 +24,6 @@ type t = {
   read_cap : int;
   read_burst : Repro_serving.Read_gen.burst option;
   aux_mode : Repro_warehouse.Aux_store.mode;
-  join_strategy : Repro_relational.Join_strategy.t;
   seed : int64;
 }
 
@@ -35,8 +34,7 @@ let default =
     queue_capacity = None; batch_max = 16; deadline = None; breaker_k = 3;
     probe_limit = 0; stall_cap = 256; read_rate = 0.; staleness_slo = 2.0;
     read_cap = 16; read_burst = None;
-    aux_mode = Repro_warehouse.Aux_store.Off;
-    join_strategy = Repro_relational.Join_strategy.default; seed = 42L }
+    aux_mode = Repro_warehouse.Aux_store.Off; seed = 42L }
 
 let presets =
   [ (* updates spaced far apart: no concurrency, every algorithm should be
@@ -175,8 +173,5 @@ let pp ppf t =
   if t.aux_mode <> Repro_warehouse.Aux_store.Off then
     Format.fprintf ppf " aux=%s"
       (Repro_warehouse.Aux_store.mode_to_string t.aux_mode);
-  if t.join_strategy <> Repro_relational.Join_strategy.default then
-    Format.fprintf ppf " join=%s"
-      (Repro_relational.Join_strategy.to_string t.join_strategy);
   if Fault.is_faulty t.faults then
     Format.fprintf ppf " faults[%a]" Fault.pp t.faults

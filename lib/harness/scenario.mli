@@ -64,12 +64,6 @@ type t = {
       (** self-maintenance aux projections (DESIGN.md §14): [Off],
           [Keys_only] (keys + join columns) or [Full] (every referenced
           column — all sweep legs answered locally) *)
-  join_strategy : Repro_relational.Join_strategy.t;
-      (** delta-join execution for every leg (DESIGN.md §15): [Probe]
-          (the default — persistent hash indexes on join columns),
-          [Trie] (sort-order tries, leapfrog intersections) or
-          [Pairwise] (the legacy scan/hash-join path). All three are
-          bag-identical; only execution cost differs. *)
   seed : int64;
 }
 

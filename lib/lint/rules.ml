@@ -559,8 +559,8 @@ let contains hay needle =
    every stored tuple per delta row, so a bare call in the warehouse's
    per-update path silently reopens the scan bottleneck. Warehouse code
    must go through [Algebra.extend_with_probe] backed by the leg's
-   persistent index; the only legitimate scans (pairwise fallback for
-   cross-product junctions, explicit [--join pairwise] strategy) carry a
+   persistent index; the only legitimate scan is the fallback for a
+   cross-product junction (no equality to probe on), and it carries a
    pragma naming the reason. *)
 let l6 ctx (str : structure) =
   if not (contains (norm_path ctx.file) "lib/warehouse/") then []
@@ -580,9 +580,9 @@ let l6 ctx (str : structure) =
                 ~hint:
                   "probe the leg's index through \
                    `Algebra.extend_with_probe` (see \
-                   Aux_store.local_answer); if this site is a deliberate \
-                   scan — cross-product junction, explicit pairwise \
-                   strategy — say why with a `lint: allow L6` pragma"
+                   Aux_store.local_answer); if this site is the \
+                   cross-product fallback (a junction with no equality \
+                   to probe on), say so with a `lint: allow L6` pragma"
               :: !out
         | _ -> ())
       (fun it s -> it.structure it s)

@@ -16,7 +16,8 @@
       (or the [extra_] pair), every mutable record field must be
       referenced in the call closure of both.
     - L6 probe-less joins: bare [Algebra.extend] in [lib/warehouse/]
-      bypasses the persistent indexes (error).
+      bypasses the persistent indexes (error); only the cross-product
+      fallback, with no equality to probe on, may carry a pragma.
     - L7 toplevel mutable state (cross-module): any module-init mutable
       value in [lib/] — found through the Modgraph mutability fixpoint,
       so repo-local constructors count — is domain-shared state (error).

@@ -9,17 +9,14 @@ type t = {
   src : int;
   rel : Relation.t;
   indexes : (int * index) list;
-  mutable tries : (int * Trie_join.t) list;
-      (* lazily built sort-order tries, invalidated wholesale by [apply];
-         only the Trie strategy ever populates this cache *)
   mutable next_seq : int;
   mutable rev_log : (Message.txn_id * Delta.t) list;
   mutable scans : int;
       (* probes that found no index and degraded to an O(n) relation
          scan — per table, so concurrent runs (and, eventually, domains)
          never share a counter; the harness sums its own tables into
-         Metrics.unindexed_scans and the default-strategy suites assert
-         the sum stays 0 *)
+         Metrics.unindexed_scans and the indexed-leg suites assert the
+         sum stays 0 *)
 }
 
 let index_add (idx : index) tup col count =
@@ -67,8 +64,7 @@ let create ~source ?(indexes = []) ?view rel =
         (col, idx))
       (List.sort_uniq Int.compare indexes)
   in
-  { src = source; rel; indexes; tries = []; next_seq = 0; rev_log = [];
-    scans = 0 }
+  { src = source; rel; indexes; next_seq = 0; rev_log = []; scans = 0 }
 
 let source t = t.src
 let relation t = t.rel
@@ -82,7 +78,7 @@ let probe t ~col ~value =
       | Some bucket -> Hashtbl.fold (fun tup c acc -> (tup, c) :: acc) bucket [])
   | None ->
       (* No index: degrade to a counted O(n) scan rather than fail the
-         query — the default-strategy suites assert the counter stays 0,
+         query — the indexed-leg suites assert the counter stays 0,
          so a call-site regression surfaces in tests, not in latency. *)
       t.scans <- t.scans + 1;
       let acc = ref [] in
@@ -91,24 +87,16 @@ let probe t ~col ~value =
         t.rel;
       !acc
 
-let trie t ~col =
-  match List.assoc_opt col t.tries with
-  | Some tr -> tr
-  | None ->
-      let tr =
-        match List.assoc_opt col t.indexes with
-        | Some idx ->
-            (* build from the index: values are already grouped *)
-            Trie_join.of_rows
-              (Hashtbl.fold
-                 (fun _ bucket acc ->
-                   Hashtbl.fold (fun tup c acc -> (tup, c) :: acc) bucket acc)
-                 idx [])
-              ~col
-        | None -> Trie_join.of_relation t.rel ~col
-      in
-      t.tries <- (col, tr) :: t.tries;
-      tr
+(* The one way a delta join leg runs: probe the persistent indexes.
+   Only a cross-product junction (no equality to probe on) scans, via
+   the generic hash join over the whole relation. *)
+let extend t view partial =
+  match
+    Algebra.extend_with_probe view partial ~source:t.src
+      ~probe:(fun ~col ~value -> probe t ~col ~value)
+  with
+  | Some answer -> answer
+  | None -> Algebra.extend view partial ~with_relation:(t.src, t.rel)
 
 let apply t delta =
   (match Relation.apply t.rel delta with
@@ -122,7 +110,6 @@ let apply t delta =
     (fun (col, idx) ->
       Delta.iter (fun tup c -> index_add idx tup col c) delta)
     t.indexes;
-  t.tries <- [];
   let txn = { Message.source = t.src; seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
   t.rev_log <- (txn, Delta.copy delta) :: t.rev_log;

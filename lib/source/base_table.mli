@@ -11,7 +11,7 @@ type t
 (** [create ~source ?indexes ?view rel] — [indexes] lists local columns
     to keep persistent hash indexes on; [view] additionally derives this
     source's join columns from the chain's join conditions
-    ({!join_columns}) so every delta join leg can probe by default.
+    ({!join_columns}) so every delta join leg probes ({!extend}).
     Indexes are maintained incrementally by {!apply} and served by
     {!probe}. *)
 val create : source:int -> ?indexes:int list -> ?view:View_def.t ->
@@ -29,7 +29,7 @@ val indexed_columns : t -> int list
 (** [probe t ~col ~value] — all tuples whose [col] equals [value], with
     multiplicities. Served by the persistent index when [col] is
     indexed; otherwise degrades to an O(n) relation scan counted in
-    {!scan_count} (the default-strategy suites assert that counter
+    {!scan_count} (the indexed-leg suites assert that counter
     stays 0, so a regression to the scan path fails tests instead of
     silently costing 27×). *)
 val probe : t -> col:int -> value:Value.t -> (Tuple.t * int) list
@@ -39,10 +39,13 @@ val probe : t -> col:int -> value:Value.t -> (Tuple.t * int) list
     tables it created into [Metrics.unindexed_scans]. *)
 val scan_count : t -> int
 
-(** [trie t ~col] — sort-order trie over the current relation keyed on
-    [col] (built from the persistent index when one exists), cached
-    until the next {!apply}. Serves the [Trie] join strategy. *)
-val trie : t -> col:int -> Trie_join.t
+(** [extend t view partial] — one sweep leg: joins [partial] with this
+    table's current relation ({!Algebra.extend}'s result, bag for bag).
+    [partial] must be adjacent to {!source}. Probes the persistent
+    indexes ({!Algebra.extend_with_probe} over {!probe}); only a
+    cross-product junction, which has no equality to probe on, falls
+    back to the hash join over the whole relation. *)
+val extend : t -> View_def.t -> Partial.t -> Partial.t
 
 (** The live relation (mutated by {!apply}); treat as read-only. *)
 val relation : t -> Relation.t

@@ -6,19 +6,17 @@ type t = {
   engine : Engine.t;
   view : View_def.t;
   tables : Base_table.t array;
-  strategy : Join_strategy.t;
   send : Message.to_warehouse -> unit;
   trace : Trace.t;
 }
 
-let create ?(strategy = Join_strategy.default) engine ~view ~inits ~send
-    ~trace =
+let create engine ~view ~inits ~send ~trace =
   let n = View_def.n_sources view in
   if Array.length inits <> n then
     invalid_arg "Eca_site.create: need one initial relation per position";
   { engine; view;
     tables = Array.mapi (fun i r -> Base_table.create ~source:i ~view r) inits;
-    strategy; send; trace }
+    send; trace }
 
 let table t i = t.tables.(i)
 
@@ -31,30 +29,6 @@ let local_update t ~source delta =
     (Message.Update_notice
        { txn; delta = Delta.copy delta; occurred_at = now; global = None });
   txn
-
-(* Extend a partial with the current relation of unpinned position [j],
-   per the configured strategy (same dispatch as Source_node). *)
-let extend_leg t partial j =
-  let fallback () =
-    Algebra.extend t.view partial
-      ~with_relation:(j, Base_table.relation t.tables.(j))
-  in
-  match t.strategy with
-  | Join_strategy.Pairwise -> fallback ()
-  | Join_strategy.Probe -> (
-      match
-        Algebra.extend_with_probe t.view partial ~source:j
-          ~probe:(fun ~col ~value -> Base_table.probe t.tables.(j) ~col ~value)
-      with
-      | Some answer -> answer
-      | None -> fallback ())
-  | Join_strategy.Trie -> (
-      match
-        Trie_join.extend t.view partial ~source:j
-          ~trie:(fun ~col -> Base_table.trie t.tables.(j) ~col)
-      with
-      | Some answer -> answer
-      | None -> fallback ())
 
 (* Evaluate one term: a chain join over all positions where pinned
    positions contribute the pinned delta and the rest contribute the
@@ -88,7 +62,7 @@ let eval_term t (pins : Message.eca_term) : Partial.t =
             acc :=
               (if j < !acc.Partial.lo then Algebra.join t.view pp !acc
                else Algebra.join t.view !acc pp)
-        | None -> acc := extend_leg t !acc j
+        | None -> acc := Base_table.extend t.tables.(j) t.view !acc
       in
       for j = start - 1 downto 0 do
         leg j
@@ -115,7 +89,7 @@ let handle t msg =
         qid (List.length terms) Partial.pp partial;
       t.send (Message.Eca_answer { qid; partial })
   | Message.Sweep_query { qid; target; partial } ->
-      let answer = extend_leg t partial target in
+      let answer = Base_table.extend t.tables.(target) t.view partial in
       t.send (Message.Answer { qid; source = target; partial = answer })
   | Message.Fetch { qid; target } ->
       t.send

@@ -11,14 +11,12 @@ open Repro_protocol
 
 type t
 
-(** [create ?strategy engine ~view ~inits ~send ~trace] — every hosted
-    base table auto-indexes its join columns from [view]; [strategy]
-    (default [Probe]) selects how join legs against unpinned relations
-    execute, both for sweep queries and inside query-term evaluation
-    (terms fan out from the lowest pinned position so every intermediate
-    stays delta-sized). *)
+(** [create engine ~view ~inits ~send ~trace] — every hosted base table
+    auto-indexes its join columns from [view], so join legs against
+    unpinned relations probe ({!Base_table.extend}), both for sweep
+    queries and inside query-term evaluation (terms fan out from the
+    lowest pinned position so every intermediate stays delta-sized). *)
 val create :
-  ?strategy:Join_strategy.t ->
   Engine.t ->
   view:View_def.t ->
   inits:Relation.t array ->

@@ -12,14 +12,12 @@ open Repro_protocol
 
 type t
 
-(** [create ?strategy engine ~view ~id ~init ~send ~trace] builds the
-    server for source [id] with initial relation [init]; its base table
-    auto-indexes the view's join columns. [strategy] (default
-    {!Join_strategy.default}, i.e. [Probe]) selects how sweep-query join
-    legs execute. [send] transmits a message to the warehouse (normally
-    a FIFO channel endpoint). *)
+(** [create engine ~view ~id ~init ~send ~trace] builds the server for
+    source [id] with initial relation [init]; its base table
+    auto-indexes the view's join columns, so sweep-query legs probe
+    ({!Base_table.extend}). [send] transmits a message to the warehouse
+    (normally a FIFO channel endpoint). *)
 val create :
-  ?strategy:Join_strategy.t ->
   Engine.t ->
   view:View_def.t ->
   id:int ->
@@ -30,9 +28,6 @@ val create :
 
 val id : t -> int
 val table : t -> Base_table.t
-
-(** The leg-execution strategy this server was created with. *)
-val strategy : t -> Join_strategy.t
 
 (** Apply one local update transaction and notify the warehouse
     (the [SendUpdates] process of Fig. 3). [global] tags this update as

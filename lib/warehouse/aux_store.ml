@@ -23,7 +23,6 @@ type index = (Value.t, (Tuple.t, int) Hashtbl.t) Hashtbl.t
 
 type t = {
   mode : mode;
-  strategy : Join_strategy.t;
   view : View_def.t option;
   tracked : int array array;
   (* required ⊆ tracked, per source: the leg against that source can be
@@ -43,7 +42,7 @@ type t = {
 }
 
 let off () =
-  { mode = Off; strategy = Join_strategy.default; view = None; tracked = [||];
+  { mode = Off; view = None; tracked = [||];
     answerable = [||]; widths = [||]; projs = [||]; genesis = [||];
     indexes = [||]; images = None }
 
@@ -118,7 +117,7 @@ let rebuild_index t j =
       Bag.iter (fun pt c -> index_add idx pt pos c) t.projs.(j))
     t.indexes.(j)
 
-let create ~view ~mode ?(strategy = Join_strategy.default) ~initial () =
+let create ~view ~mode ~initial () =
   match mode with
   | Off -> off ()
   | _ ->
@@ -160,7 +159,7 @@ let create ~view ~mode ?(strategy = Join_strategy.default) ~initial () =
               (List.sort_uniq compare (localize view j jcols)))
       in
       let t =
-        { mode; strategy; view = Some view; tracked; answerable; widths;
+        { mode; view = Some view; tracked; answerable; widths;
           projs =
             Array.init n (fun j -> project_relation initial.(j) tracked.(j));
           genesis =
@@ -173,7 +172,6 @@ let create ~view ~mode ?(strategy = Join_strategy.default) ~initial () =
       t
 
 let mode t = t.mode
-let strategy t = t.strategy
 let tracked t j = if t.mode = Off then [||] else t.tracked.(j)
 let answers t j = t.mode <> Off && t.answerable.(j)
 
@@ -204,10 +202,10 @@ let lift t j proj =
   Bag.iter (fun pt c -> Bag.add lifted (lift_one t j pt) c) proj;
   lifted
 
-(* The original execution: copy the whole projection, merge the overlay,
-   lift, hash-join — O(|projection|) allocation per leg. Kept as the
-   Pairwise strategy and the fallback for cross-product junctions. *)
-let pairwise_answer t view j ~partial ~overlay =
+(* The cross-product fallback: copy the whole projection, merge the
+   overlay, lift, hash-join — O(|projection|) allocation per leg, paid
+   only when the junction has no equality to probe on. *)
+let cross_product_answer t view j ~partial ~overlay =
   let proj = Bag.copy t.projs.(j) in
   Delta.iter
     (fun tup c -> Bag.add proj (Tuple.project tup t.tracked.(j)) c)
@@ -248,19 +246,12 @@ let local_answer t ~target ~partial ~overlay =
   else begin
     let view = Option.get t.view in
     let j = target in
-    match t.strategy with
-    | Join_strategy.Pairwise -> Some (pairwise_answer t view j ~partial ~overlay)
-    | Join_strategy.Probe | Join_strategy.Trie -> (
-        (* the aux projections are delta-against-projection joins; the
-           hash-index probe is the right execution for both the Probe
-           and Trie strategies (a trie buys nothing over a point probe
-           here, and answers must stay bit-identical across strategies) *)
-        match
-          Algebra.extend_with_probe view partial ~source:j
-            ~probe:(indexed_probe t j ~overlay)
-        with
-        | Some answer -> Some answer
-        | None -> Some (pairwise_answer t view j ~partial ~overlay))
+    match
+      Algebra.extend_with_probe view partial ~source:j
+        ~probe:(indexed_probe t j ~overlay)
+    with
+    | Some answer -> Some answer
+    | None -> Some (cross_product_answer t view j ~partial ~overlay)
   end
 
 let image t =

@@ -45,22 +45,15 @@ type t
     the default for nodes created without auxiliary state. *)
 val off : unit -> t
 
-(** [create ~view ~mode ?strategy ~initial ()] projects the initial base
+(** [create ~view ~mode ~initial ()] projects the initial base
     relations. [initial.(j)] must be source [j]'s relation at warehouse
     genesis (the state [init] the initial view was computed from).
-    [strategy] (default {!Join_strategy.default}) selects how
-    {!local_answer} executes its leg: [Probe]/[Trie] probe persistent
-    hash indexes kept on every projected join column; [Pairwise] copies
-    the projection and hash-joins (the pre-index execution). All
-    strategies return bit-identical answers. *)
+    Persistent hash indexes are kept on every projected join column, so
+    {!local_answer} probes instead of copying the projection. *)
 val create :
-  view:View_def.t -> mode:mode -> ?strategy:Join_strategy.t ->
-  initial:Relation.t array -> unit -> t
+  view:View_def.t -> mode:mode -> initial:Relation.t array -> unit -> t
 
 val mode : t -> mode
-
-(** The join execution strategy {!local_answer} uses. *)
-val strategy : t -> Join_strategy.t
 
 (** Tracked local columns of source [j] (sorted; [[||]] when off). *)
 val tracked : t -> int -> int array
@@ -80,7 +73,9 @@ val apply : t -> source:int -> Delta.t -> unit
     remote path would observe (net of compensation); pass
     [Delta.empty ()] when the remote path would see exactly the
     installed state. [partial] must be adjacent to [target]
-    ([target = partial.lo - 1] or [target = partial.hi + 1]). *)
+    ([target = partial.lo - 1] or [target = partial.hi + 1]). The leg
+    probes the projection's indexes; only a cross-product junction
+    copies and hash-joins the whole projection. *)
 val local_answer :
   t -> target:int -> partial:Partial.t -> overlay:Delta.t -> Partial.t option
 

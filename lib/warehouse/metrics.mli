@@ -54,7 +54,7 @@ type t = {
   mutable aux_bytes : int;  (** encoded aux-store size at end of run *)
   mutable unindexed_scans : int;
       (** probes that found no index and degraded to an O(n) scan —
-          0 on every default-strategy run (asserted by the suites) *)
+          0 on every run (asserted by the suites) *)
 }
 
 val create : unit -> t

@@ -156,7 +156,7 @@ let qcheck_aux_image_bytes =
 
 (* An unindexed probe no longer raises: it degrades to a counted O(n)
    scan with the same answer an index would give, and the degradation is
-   observable per table in [scan_count] (the default-strategy suites
+   observable per table in [scan_count] (the indexed-leg suites
    assert the harness's sum of those counters stays 0). *)
 let test_probe_scan_fallback () =
   let rel = Relation.of_tuples [ Tuple.ints [ 1; 2; 3 ]; Tuple.ints [ 4; 2; 5 ] ] in

@@ -4,7 +4,9 @@
 
 open Repro_relational
 open Repro_sim
+open Repro_protocol
 open Repro_source
+open Repro_warehouse
 open Repro_workload
 
 let view = Chain.view ~n:3 ()
@@ -136,6 +138,61 @@ let test_source_auto_indexes () =
   Alcotest.(check (list int)) "endpoint indexes one column" [ 2 ]
     (Base_table.indexed_columns (Source_node.table endpoint))
 
+(* The cross-product fallback through the three callers that take it —
+   a source answering a sweep query, the ECA site answering one, the
+   aux store answering a leg locally in [Full] mode — each against the
+   reference hash join. The view projects every attribute, so [Full]
+   tracks every column and its lifted answer is the full tuple. *)
+let test_cross_product_fallback () =
+  let cross =
+    View_def.make ~name:"cross" ~schemas:(Chain.schemas ~n:2)
+      ~joins:[| Join_spec.make [] |]
+      ~projection:[| 0; 1; 2; 3; 4; 5 |] ()
+  in
+  let r0 =
+    Relation.of_tuples
+      [ Chain.tuple ~key:0 ~a:1 ~b:1; Chain.tuple ~key:1 ~a:2 ~b:3 ]
+  in
+  let r1 = Relation.of_tuples [ Chain.tuple ~key:5 ~a:4 ~b:4 ] in
+  let partial =
+    { Partial.lo = 1; hi = 1;
+      data =
+        Delta.of_list
+          [ (Chain.tuple ~key:7 ~a:1 ~b:2, 2); (Chain.tuple ~key:8 ~a:0 ~b:0, -1) ] }
+  in
+  let want = Algebra.extend cross partial ~with_relation:(0, r0) in
+  let check ctx got =
+    Alcotest.(check bool) (ctx ^ " ≡ reference") true (Partial.equal got want)
+  in
+  let answer = ref None in
+  let send = function
+    | Message.Answer { partial; _ } -> answer := Some partial
+    | m -> Alcotest.failf "unexpected %a" Message.pp_to_warehouse m
+  in
+  let answered () =
+    let a = Option.get !answer in
+    answer := None;
+    a
+  in
+  let query = Message.Sweep_query { qid = 1; target = 0; partial } in
+  let engine = Engine.create () and trace = Trace.create () in
+  let src = Source_node.create engine ~view:cross ~id:0 ~init:r0 ~send ~trace in
+  Source_node.handle src query;
+  check "Source_node.handle" (answered ());
+  let site =
+    Eca_site.create engine ~view:cross ~inits:[| r0; r1 |] ~send ~trace
+  in
+  Eca_site.handle site query;
+  check "Eca_site.handle" (answered ());
+  let aux =
+    Aux_store.create ~view:cross ~mode:Aux_store.Full ~initial:[| r0; r1 |] ()
+  in
+  match
+    Aux_store.local_answer aux ~target:0 ~partial ~overlay:(Delta.empty ())
+  with
+  | None -> Alcotest.fail "Full mode must answer the cross-product leg"
+  | Some got -> check "Aux_store.local_answer" got
+
 let suite =
   [ Alcotest.test_case "index maintenance under updates" `Quick
       test_index_maintenance;
@@ -143,4 +200,6 @@ let suite =
     Alcotest.test_case "fast path serves residuals, declines cross products"
       `Quick test_probe_serves_residuals_declines_cross;
     Alcotest.test_case "sources auto-index join columns" `Quick
-      test_source_auto_indexes ]
+      test_source_auto_indexes;
+    Alcotest.test_case "cross-product fallback through its callers" `Quick
+      test_cross_product_fallback ]
