@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-fast lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
+.PHONY: all build test loc lint lint-fast lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
 
 all: build
 
@@ -7,6 +7,22 @@ build:
 
 test:
 	dune runtest
+
+# Line delta of the working tree against BASE, per area (files staged
+# or committed since BASE; *.md counts as docs wherever it lives):
+#   make loc BASE=HEAD~1
+loc:
+	@git diff --numstat $(BASE) | awk '$$1 != "-" { \
+	  a = "other"; \
+	  if ($$3 ~ /^lib\//) a = "lib"; \
+	  if ($$3 ~ /^test\//) a = "test"; \
+	  if ($$3 ~ /^(bench|bin)\//) a = "bench+bin"; \
+	  if ($$3 ~ /\.md$$/) a = "docs"; \
+	  add[a] += $$1; del[a] += $$2 } \
+	  END { n = split("lib test bench+bin docs other", o, " "); \
+	    for (i = 1; i <= n; i++) \
+	      printf "%-10s +%-6d -%-6d net %+d\n", o[i], add[o[i]], del[o[i]], \
+	        add[o[i]] - del[o[i]] }'
 
 # Repository-invariant static analysis (rules L1-L9, see DESIGN.md §11
 # and §16). Fails on any error-severity finding not covered by an

@@ -34,9 +34,11 @@ let () =
     (Trace.lines outcome.Experiment.trace);
   Format.printf "@.view states (paper's Figure 5 warehouse column):@.";
   Format.printf "  initial:      %a@." Bag.pp (Paper_example.v0 ());
+  let v = Bag.copy (Node.initial_view outcome.Experiment.node) in
   List.iter2
     (fun label (r : Node.install_record) ->
-      Format.printf "  after %s: %a@." label Bag.pp r.Node.view_after)
+      Bag.merge_into ~into:v r.Node.delta;
+      Format.printf "  after %s: %a@." label Bag.pp v)
     [ "ΔR2"; "ΔR3"; "ΔR1" ]
     (Node.installs outcome.Experiment.node);
   let verdict = Experiment.check_scripted outcome in

@@ -56,14 +56,16 @@ let () =
   Format.printf "initial view: %a@.@." Relation.pp
     (Algebra.eval view (fun i -> pristine.(i)));
   Format.printf "view after each update:@.";
+  let v = Bag.copy (Node.initial_view outcome.Experiment.node) in
   List.iteri
     (fun k (r : Node.install_record) ->
+      Bag.merge_into ~into:v r.Node.delta;
       Format.printf "  %d. incorporates %s -> %a@." (k + 1)
         (String.concat ", "
            (List.map
               (fun t -> Format.asprintf "%a" Repro_protocol.Message.pp_txn_id t)
               r.Node.txns))
-        Bag.pp r.Node.view_after)
+        Bag.pp v)
     (Node.installs outcome.Experiment.node);
   let verdict = Experiment.check_scripted outcome in
   Format.printf "@.metrics:@.%a@." Metrics.pp

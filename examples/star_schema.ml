@@ -70,13 +70,8 @@ let () =
       ~aggregates:[ Aggregate.Count; Aggregate.Sum 3; Aggregate.Avg 3 ]
   in
   Aggregate.seed revenue (Node.initial_view node);
-  let prev = ref (Bag.copy (Node.initial_view node)) in
   List.iter
-    (fun (r : Node.install_record) ->
-      let delta = Bag.copy r.Node.view_after in
-      Bag.diff_into ~into:delta !prev;
-      Aggregate.apply revenue delta;
-      prev := r.Node.view_after)
+    (fun (r : Node.install_record) -> Aggregate.apply revenue r.Node.delta)
     (Node.installs node);
   Format.printf "star-schema warehouse (pipelined SWEEP, W=8)@.@.%a@.@."
     View_def.pp view;

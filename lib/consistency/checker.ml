@@ -24,16 +24,27 @@ let compare_verdict a b = Int.compare (rank a) (rank b)
 type observation = {
   initial_sources : Relation.t array;
   deliveries : Message.update list;
-  installs : (Message.txn_id list * Bag.t) list;
+  initial_view : Bag.t;
+  installs : (Message.txn_id list * Delta.t) list;
   final_view : Bag.t;
 }
 
-type result = { verdict : verdict; detail : string; states_checked : int }
+type deviation = {
+  install : int;
+  txns : Message.txn_id list;
+  tuples : (Tuple.t * int * int) list;
+}
 
-(* Apply one update to the replayed database, maintaining the expected view
-   incrementally: ΔV = R0 ⋈ … ⋈ ΔRi ⋈ … ⋈ R(n-1) evaluated on the current
+type result = {
+  verdict : verdict;
+  detail : string;
+  deviation : deviation option;
+}
+
+(* Apply one update to the replayed database, merging its view delta into
+   [into]: ΔV = R0 ⋈ … ⋈ ΔRi ⋈ … ⋈ R(n-1) evaluated on the current
    state, then ΔRi is applied to Ri. *)
-let apply_txn view rels expected (u : Message.update) =
+let apply_txn view rels into (u : Message.update) =
   let i = u.Message.txn.source in
   let n = View_def.n_sources view in
   let partial = ref (Partial.of_source_delta view i u.Message.delta) in
@@ -43,7 +54,7 @@ let apply_txn view rels expected (u : Message.update) =
   for j = i + 1 to n - 1 do
     partial := Algebra.extend view !partial ~with_relation:(j, rels.(j))
   done;
-  Bag.merge_into ~into:expected (Algebra.select_project view !partial);
+  Bag.merge_into ~into (Algebra.select_project view !partial);
   match Relation.apply rels.(i) u.Message.delta with
   | Ok () -> ()
   | Error _ ->
@@ -63,245 +74,6 @@ let expected_states view ~initial ~deliveries =
       states.(k + 1) <- Bag.copy expected)
     deliveries;
   states
-
-(* Complete consistency: the installs partition the delivery log into
-   contiguous runs, in delivery order, each installed state matching the
-   database state after its run exactly. A singleton-per-delivery history
-   (SWEEP) is the special case of all runs having length 1; a batched
-   install (Sweep_batched, Nested SWEEP when its batch happens to be the
-   full pending run) is complete iff it incorporates *exactly* the next
-   deliveries with nothing skipped — every installed state is then a
-   state the source databases actually passed through, in order, with no
-   update ever reflected early or late. Returns an error description on
-   failure. *)
-let check_complete view obs =
-  let by_txn = Hashtbl.create 64 in
-  List.iteri
-    (fun k u -> Hashtbl.replace by_txn u.Message.txn (k, u))
-    obs.deliveries;
-  let n_deliveries = List.length obs.deliveries in
-  let rels = Array.map Relation.copy obs.initial_sources in
-  let expected = initial_expected view obs.initial_sources in
-  let next = ref 0 in
-  let rec go installs k =
-    match installs with
-    | [] ->
-        if !next = n_deliveries then Ok ()
-        else
-          Error
-            (Format.asprintf "update %a was never installed"
-               Message.pp_txn_id
-               (List.nth obs.deliveries !next).Message.txn)
-    | (txns, snap) :: rest -> (
-        let resolved =
-          List.fold_left
-            (fun acc txn ->
-              match (acc, Hashtbl.find_opt by_txn txn) with
-              | Error e, _ -> Error e
-              | Ok _, None ->
-                  Error
-                    (Format.asprintf "install %d claims unknown txn %a" k
-                       Message.pp_txn_id txn)
-              | Ok l, Some ku -> Ok (ku :: l))
-            (Ok []) txns
-        in
-        match resolved with
-        | Error e -> Error e
-        | Ok batch ->
-            let batch =
-              List.sort (fun (a, _) (b, _) -> Int.compare a b) batch
-            in
-            let contiguous =
-              List.for_all2
-                (fun (idx, _) want -> idx = want)
-                batch
-                (List.init (List.length batch) (fun d -> !next + d))
-            in
-            if batch = [] || not contiguous then
-              let n_txns = List.length txns in
-              Error
-                (Format.asprintf
-                   "install %d does not incorporate exactly the next %s \
-                    in delivery order"
-                   k
-                   (if n_txns <= 1 then "delivered update"
-                    else Printf.sprintf "%d delivered updates" n_txns))
-            else begin
-              List.iter (fun (_, u) -> apply_txn view rels expected u) batch;
-              next := !next + List.length batch;
-              if Bag.equal expected snap then go rest (k + 1)
-              else
-                Error
-                  (Format.asprintf
-                     "install %d deviates from the expected state" k)
-            end)
-  in
-  go obs.installs 0
-
-(* Strong consistency: batch installs allowed, provided each cumulative set
-   is a per-source prefix of that source's update sequence and contents
-   match the corresponding database state; all deliveries must eventually
-   be incorporated. *)
-let check_strong view obs =
-  let n = View_def.n_sources view in
-  let by_txn = Hashtbl.create 64 in
-  List.iteri
-    (fun k u -> Hashtbl.replace by_txn u.Message.txn (k, u))
-    obs.deliveries;
-  let rels = Array.map Relation.copy obs.initial_sources in
-  let expected = initial_expected view obs.initial_sources in
-  let next_seq = Array.make n 0 in
-  let incorporated = ref 0 in
-  let n_deliveries = List.length obs.deliveries in
-  let rec go installs k =
-    match installs with
-    | [] ->
-        if !incorporated = n_deliveries then Ok ()
-        else
-          Error
-            (Printf.sprintf "only %d of %d updates were ever incorporated"
-               !incorporated n_deliveries)
-    | (txns, snap) :: rest -> (
-        (* Resolve the batch against the delivery log. *)
-        let resolved =
-          List.map
-            (fun txn ->
-              match Hashtbl.find_opt by_txn txn with
-              | Some ku -> Ok ku
-              | None ->
-                  Error
-                    (Format.asprintf "install %d claims unknown txn %a" k
-                       Message.pp_txn_id txn))
-            txns
-        in
-        match
-          List.fold_left
-            (fun acc r ->
-              match (acc, r) with
-              | Error e, _ -> Error e
-              | Ok l, Ok ku -> Ok (ku :: l)
-              | Ok _, Error e -> Error e)
-            (Ok []) resolved
-        with
-        | Error e -> Error e
-        | Ok batch ->
-            (* Per-source prefix condition. *)
-            let by_source = Array.make n [] in
-            List.iter
-              (fun (_, u) ->
-                let s = u.Message.txn.Message.source in
-                by_source.(s) <- u.Message.txn.Message.seq :: by_source.(s))
-              batch;
-            let prefix_ok = ref true in
-            Array.iteri
-              (fun s seqs ->
-                let seqs = List.sort Int.compare seqs in
-                List.iter
-                  (fun seq ->
-                    if seq <> next_seq.(s) then prefix_ok := false
-                    else next_seq.(s) <- next_seq.(s) + 1)
-                  seqs)
-              by_source;
-            if not !prefix_ok then
-              Error
-                (Printf.sprintf
-                   "install %d skips over an earlier update of some source" k)
-            else begin
-              (* Replay the batch in delivery order (the final state of a
-                 batch is interleaving-independent). *)
-              let batch =
-                List.sort (fun (a, _) (b, _) -> Int.compare a b) batch
-              in
-              List.iter (fun (_, u) -> apply_txn view rels expected u) batch;
-              incorporated := !incorporated + List.length batch;
-              if Bag.equal expected snap then go rest (k + 1)
-              else
-                Error
-                  (Printf.sprintf
-                     "install %d deviates from its batch's database state" k)
-            end)
-  in
-  go obs.installs 0
-
-(* Degraded consistency: the run ended with circuit breakers still open,
-   so some delivered updates were parked and never incorporated. The
-   install history must still be order-preserving and exact over the
-   {e incorporated subset} (per-source prefixes, contents matching the
-   partially-updated database state), and the final view must equal the
-   state reached by exactly the incorporated updates — the view is
-   honest about what it reflects, it just is not done. *)
-let check_degraded view obs =
-  let n = View_def.n_sources view in
-  let by_txn = Hashtbl.create 64 in
-  List.iteri
-    (fun k u -> Hashtbl.replace by_txn u.Message.txn (k, u))
-    obs.deliveries;
-  let rels = Array.map Relation.copy obs.initial_sources in
-  let expected = initial_expected view obs.initial_sources in
-  let next_seq = Array.make n 0 in
-  let rec go installs k =
-    match installs with
-    | [] ->
-        if Bag.equal expected obs.final_view then Ok ()
-        else
-          Error "final view deviates from the incorporated updates' state"
-    | (txns, snap) :: rest -> (
-        match
-          List.fold_left
-            (fun acc txn ->
-              match (acc, Hashtbl.find_opt by_txn txn) with
-              | Error e, _ -> Error e
-              | Ok _, None ->
-                  Error
-                    (Format.asprintf "install %d claims unknown txn %a" k
-                       Message.pp_txn_id txn)
-              | Ok l, Some ku -> Ok (ku :: l))
-            (Ok []) txns
-        with
-        | Error e -> Error e
-        | Ok batch ->
-            let by_source = Array.make n [] in
-            List.iter
-              (fun (_, u) ->
-                let s = u.Message.txn.Message.source in
-                by_source.(s) <- u.Message.txn.Message.seq :: by_source.(s))
-              batch;
-            let prefix_ok = ref true in
-            Array.iteri
-              (fun s seqs ->
-                let seqs = List.sort Int.compare seqs in
-                List.iter
-                  (fun seq ->
-                    if seq <> next_seq.(s) then prefix_ok := false
-                    else next_seq.(s) <- next_seq.(s) + 1)
-                  seqs)
-              by_source;
-            if not !prefix_ok then
-              Error
-                (Printf.sprintf
-                   "install %d skips over an earlier update of some source" k)
-            else begin
-              let batch =
-                List.sort (fun (a, _) (b, _) -> Int.compare a b) batch
-              in
-              List.iter (fun (_, u) -> apply_txn view rels expected u) batch;
-              if Bag.equal expected snap then go rest (k + 1)
-              else
-                Error
-                  (Printf.sprintf
-                     "install %d deviates from its batch's database state" k)
-            end)
-  in
-  go obs.installs 0
-
-let check_convergent view obs =
-  let states =
-    expected_states view ~initial:obs.initial_sources
-      ~deliveries:obs.deliveries
-  in
-  let final = states.(Array.length states - 1) in
-  if Bag.equal final obs.final_view then Ok ()
-  else Error "final view differs from the fully-updated database state"
 
 (* ————— session guarantees over the read path ————— *)
 
@@ -372,41 +144,167 @@ let pp_session_report ppf r =
     (if r.read_your_writes then "OK" else "violated")
     r.ryw_violations
 
+(* Up to three smallest tuples of the nonempty difference bag [d] after
+   install [k], with the observed count rebuilt from the initial view and
+   the deltas of installs 0..k. *)
+let deviation obs d k txns =
+  let observed tup =
+    List.fold_left
+      (fun c (_, delta) -> c + Delta.count delta tup)
+      (Bag.count obs.initial_view tup)
+      (List.filteri (fun j _ -> j <= k) obs.installs)
+  in
+  { install = k; txns;
+    tuples =
+      List.filteri (fun i _ -> i < 3) (Bag.to_sorted_list d)
+      |> List.map (fun (tup, diff) ->
+             (tup, observed tup + diff, observed tup)) }
+
+let pp_deviation ppf d =
+  Format.fprintf ppf "install %d (%a):" d.install
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space Message.pp_txn_id)
+    d.txns;
+  List.iteri
+    (fun i (tup, e, o) ->
+      Format.fprintf ppf "%s %a expected %d observed %d"
+        (if i = 0 then "" else ";") Tuple.pp tup e o)
+    d.tuples
+
+(* One pass grades every level. [d] is the difference bag expected −
+   observed: the replayed initial view minus the node's, then per install
+   plus its batch's expected ΔV and minus its observed delta. An install
+   is exact iff [d] is then empty — O(1), a bag stores no zero counts.
+   Complete and Strong are two admission policies over the same replay:
+   Complete admits exactly the next deliveries in delivery order; Strong
+   admits any batch extending every source's incorporated prefix
+   (sources are autonomous, so any interleaving that keeps per-source
+   order is a legal serialization; a batch's end state does not depend
+   on its interleaving, so it is replayed in delivery order). Both
+   require every delivery incorporated. While both admit an install the
+   replay is shared; once one rejects, the other carries on alone; a
+   deviation fails both. Degraded admits like Strong but only requires
+   [d] empty after the last install. Finishing the replay with the
+   deliveries never admitted, minus the deltas never graded, leaves
+   expected − final: the run converged iff it is empty. So the log is
+   replayed once. *)
 let check ?(degraded = false) view obs =
-  let states_checked = List.length obs.installs + 1 in
-  (* A wrong final view is inconsistent no matter what the install
-     history looks like — check it unconditionally first (a vacuously
-     perfect history, e.g. a zero-update run, must not mask it). A
-     degraded run (breakers open at the end, updates still parked) is
-     allowed to miss the fully-updated state, but only if it is exact
-     over the incorporated subset. *)
-  match check_convergent view obs with
-  | Error conv_err when degraded -> (
-      match check_degraded view obs with
-      | Ok () ->
-          { verdict = Degraded;
-            detail =
-              "breakers still open at end of run; view is exact over the \
-               incorporated updates";
-            states_checked }
-      | Error deg_err ->
-          { verdict = Inconsistent;
-            detail = conv_err ^ "; and over the incorporated subset: "
-                     ^ deg_err;
-            states_checked })
-  | Error conv_err ->
-      { verdict = Inconsistent; detail = conv_err; states_checked }
-  | Ok () -> (
-  match check_complete view obs with
-  | Ok () -> { verdict = Complete; detail = "every update installed in delivery order with exact contents"; states_checked }
-  | Error complete_err -> (
-      match check_strong view obs with
-      | Ok () ->
-          { verdict = Strong;
-            detail = "not complete (" ^ complete_err ^ ") but all batches \
-                      order-preserving and exact";
-            states_checked }
-      | Error strong_err ->
-          { verdict = Convergent;
-            detail = "not strong (" ^ strong_err ^ ") but converged";
-            states_checked }))
+  (* The observed states are the initial view plus the installed deltas;
+     a final view off that sum (a recovery that corrupted the view, say)
+     is inconsistent whatever the history claims. *)
+  let sum = Bag.copy obs.final_view in
+  Bag.diff_into ~into:sum obs.initial_view;
+  List.iter (fun (_, delta) -> Bag.diff_into ~into:sum delta) obs.installs;
+  let log = Array.of_list obs.deliveries in
+  let n_log = Array.length log in
+  let by_txn = Hashtbl.create 64 in
+  Array.iteri (fun k u -> Hashtbl.replace by_txn u.Message.txn k) log;
+  let rels = Array.map Relation.copy obs.initial_sources in
+  let d = initial_expected view obs.initial_sources in
+  Bag.diff_into ~into:d obs.initial_view;
+  let replayed = Array.make n_log false in
+  let applied = ref 0 in
+  let next_seq = Array.make (View_def.n_sources view) 0 in
+  let complete = ref None and strong = ref None and at = ref None in
+  let fail level why = if Option.is_none !level then level := Some why in
+  let in_order batch =
+    batch <> []
+    && List.for_all (( = ) !applied) (List.mapi (fun j i -> i - j) batch)
+  in
+  let per_source_prefix batch =
+    List.map (fun i -> log.(i).Message.txn) batch
+    |> List.sort Message.compare_txn_id
+    |> List.for_all (fun (t : Message.txn_id) ->
+           t.seq = next_seq.(t.source)
+           && (next_seq.(t.source) <- t.seq + 1; true))
+  in
+  let rec go k = function
+    | [] -> []
+    | (txns, delta) :: rest as pending -> (
+        match List.find_opt (fun t -> not (Hashtbl.mem by_txn t)) txns with
+        | Some t ->
+            let why =
+              Format.asprintf "install %d claims unknown txn %a" k
+                Message.pp_txn_id t
+            in
+            fail complete why; fail strong why; pending
+        | None ->
+            let batch =
+              List.sort Int.compare (List.map (Hashtbl.find by_txn) txns)
+            in
+            if !complete = None && not (in_order batch) then
+              fail complete
+                (Printf.sprintf
+                   "install %d does not incorporate exactly the next %s in \
+                    delivery order"
+                   k
+                   (match List.length txns with
+                   | 0 | 1 -> "delivered update"
+                   | n -> Printf.sprintf "%d delivered updates" n));
+            if !strong = None && not (per_source_prefix batch) then
+              fail strong
+                (Printf.sprintf
+                   "install %d skips over an earlier update of some source" k);
+            if !complete <> None && !strong <> None then pending
+            else begin
+              List.iter
+                (fun i ->
+                  apply_txn view rels d log.(i);
+                  replayed.(i) <- true)
+                batch;
+              applied := !applied + List.length batch;
+              Bag.diff_into ~into:d delta;
+              if Bag.is_empty d then go (k + 1) rest
+              else begin
+                at := Some (deviation obs d k txns);
+                fail complete
+                  (Printf.sprintf
+                     "install %d deviates from the expected state" k);
+                fail strong
+                  (Printf.sprintf
+                     "install %d deviates from its batch's database state" k);
+                rest
+              end
+            end)
+  in
+  let pending = go 0 obs.installs in
+  let degraded_err =
+    if !strong = None && not (Bag.is_empty d) then
+      Some "final view deviates from the incorporated updates' state"
+    else !strong
+  in
+  if !applied < n_log then begin
+    fail complete
+      (Format.asprintf "update %a was never installed" Message.pp_txn_id
+         log.(!applied).Message.txn);
+    fail strong
+      (Printf.sprintf "only %d of %d updates were ever incorporated" !applied
+         n_log)
+  end;
+  Array.iteri (fun i u -> if not replayed.(i) then apply_txn view rels d u) log;
+  List.iter (fun (_, delta) -> Bag.diff_into ~into:d delta) pending;
+  let result verdict detail = { verdict; detail; deviation = !at } in
+  let conv_err = "final view differs from the fully-updated database state" in
+  if not (Bag.is_empty sum) then
+    result Inconsistent
+      "final view is not the initial view plus the installed deltas"
+  else if not (Bag.is_empty d) then
+    match degraded_err with
+    | None when degraded ->
+        result Degraded
+          "breakers still open at end of run; view is exact over the \
+           incorporated updates"
+    | Some deg_err when degraded ->
+        result Inconsistent
+          (conv_err ^ "; and over the incorporated subset: " ^ deg_err)
+    | _ -> result Inconsistent conv_err
+  else
+    match (!complete, !strong) with
+    | None, _ ->
+        result Complete
+          "every update installed in delivery order with exact contents"
+    | Some complete_err, None ->
+        result Strong
+          ("not complete (" ^ complete_err
+         ^ ") but all batches order-preserving and exact")
+    | Some _, Some strong_err ->
+        result Convergent ("not strong (" ^ strong_err ^ ") but converged")

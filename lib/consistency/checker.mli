@@ -3,22 +3,22 @@
 
     The warehouse serializes source updates in delivery order (paper §5).
     Replaying that serialization over the initial database gives the
-    expected view after every prefix; the observed install history is then
-    classified:
+    expected view; the observed install history — the initial view plus
+    one installed delta per install — is graded in one pass over a
+    difference bag D = expected − observed, so the cost is the replay
+    plus the installed deltas, never a copy of the view per install:
 
     - {b Complete}: the installs partition the delivery log into
-      contiguous runs, in delivery order, each matching the expected
-      prefix state exactly — every warehouse state is a source state and
-      no update is reflected early or late. One install per update
-      (SWEEP) is the all-runs-of-length-1 case; a batched install
-      (Sweep_batched) qualifies iff it covers exactly the next pending
-      deliveries.
+      contiguous runs, in delivery order, each leaving D empty — every
+      warehouse state is a source state and no update is reflected early
+      or late. One install per update (SWEEP) is the all-runs-of-length-1
+      case; a batched install (Sweep_batched) qualifies iff it covers
+      exactly the next pending deliveries.
     - {b Strong}: installs may batch several updates {e skipping over
       other sources' deliveries}, as long as each batch keeps every
       source's updates in order (cumulative sets are per-source
       prefixes — sources are autonomous, so any interleaving respecting
-      per-source order is a legal serialization) and the resulting content
-      matches the corresponding database state.
+      per-source order is a legal serialization) and leaves D empty.
     - {b Convergent}: intermediate installs stray from every legal state,
       but the final view is correct once the run drains.
     - {b Degraded}: the run ended with circuit breakers still open
@@ -27,7 +27,8 @@
       install history is order-preserving and exact over the
       {e incorporated subset}: the view is honest about what it
       reflects, it just is not done.
-    - {b Inconsistent}: the final view is wrong (or was driven negative).
+    - {b Inconsistent}: the final view is wrong, or is not the initial
+      view plus the installed deltas.
 
     Commercial systems of the era ensured only convergence (paper §2 cites
     Red Brick); SWEEP must test as Complete, Nested SWEEP and Strobe as
@@ -47,16 +48,31 @@ val compare_verdict : verdict -> verdict -> int
 type observation = {
   initial_sources : Relation.t array;  (** source contents before any update *)
   deliveries : Message.update list;  (** warehouse delivery order *)
-  installs : (Message.txn_id list * Bag.t) list;
-      (** per install: incorporated txns and view snapshot *)
-  final_view : Bag.t;
+  initial_view : Bag.t;  (** the node's view before its first install *)
+  installs : (Message.txn_id list * Delta.t) list;
+      (** per install: incorporated txns and the view delta installed;
+          the state after install k is [initial_view] plus deltas 0..k *)
+  final_view : Bag.t;  (** must equal [initial_view] plus every delta *)
+}
+
+(** Where an install first left the expected state: its index in the
+    install history, its txns, and up to three of the smallest (by
+    {!Tuple.compare}) differing tuples with their expected and observed
+    counts after it. *)
+type deviation = {
+  install : int;
+  txns : Message.txn_id list;
+  tuples : (Tuple.t * int * int) list;  (** tuple, expected, observed *)
 }
 
 type result = {
   verdict : verdict;
   detail : string;  (** human explanation of the strongest failed level *)
-  states_checked : int;
+  deviation : deviation option;
+      (** the first inexact install, when one caused the verdict *)
 }
+
+val pp_deviation : Format.formatter -> deviation -> unit
 
 (** [degraded] (default false): the run ended with breakers open —
     accept an exact-over-the-incorporated-subset history as
@@ -65,8 +81,8 @@ val check : ?degraded:bool -> View_def.t -> observation -> result
 
 (** [expected_states view ~initial ~deliveries] — the ground-truth view
     after each delivery prefix (element 0 = initial view), computed by
-    in-memory incremental maintenance. Exposed for tests and for the
-    Figure 5 walkthrough. *)
+    in-memory incremental maintenance. One copy of the view per
+    delivery: for tests only, {!check} does not use it. *)
 val expected_states :
   View_def.t -> initial:Relation.t array -> deliveries:Message.update list ->
   Bag.t array

@@ -69,6 +69,15 @@ let algorithms_for (s : Scenario.t) =
   | Scenario.Distributed -> base
   | Scenario.Centralized -> base @ [ ("eca", (module Eca : Algorithm.S)) ]
 
+let observation ~initial_sources node =
+  { Checker.initial_sources; deliveries = Node.deliveries node;
+    initial_view = Node.initial_view node;
+    installs =
+      List.map
+        (fun (r : Node.install_record) -> (r.txns, r.delta))
+        (Node.installs node);
+    final_view = Node.view_contents node }
+
 let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     ?max_events (scenario : Scenario.t) (algorithm : (module Algorithm.S)) =
   let wall_start = wall_clock () in
@@ -554,16 +563,10 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
   let verdict =
     if check && completed then
       Checker.check ~degraded view
-        { Checker.initial_sources = initial_copy;
-          deliveries = Node.deliveries warehouse;
-          installs =
-            List.map
-              (fun (r : Node.install_record) -> (r.txns, r.view_after))
-              (Node.installs warehouse);
-          final_view = Node.view_contents warehouse }
+        (observation ~initial_sources:initial_copy warehouse)
     else
       { Checker.verdict = Checker.Convergent; detail = "not checked";
-        states_checked = 0 }
+        deviation = None }
   in
   { scenario; algorithm = Node.algorithm_name warehouse;
     metrics = Node.metrics warehouse; verdict; sim_time = Engine.now engine;
@@ -632,13 +635,7 @@ let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
 
 let check_scripted outcome =
   Checker.check outcome.view
-    { Checker.initial_sources = outcome.initial_sources;
-      deliveries = Node.deliveries outcome.node;
-      installs =
-        List.map
-          (fun (r : Node.install_record) -> (r.txns, r.view_after))
-          (Node.installs outcome.node);
-      final_view = Node.view_contents outcome.node }
+    (observation ~initial_sources:outcome.initial_sources outcome.node)
 
 let pp_result ppf r =
   Format.fprintf ppf
@@ -647,6 +644,9 @@ let pp_result ppf r =
     Checker.pp_verdict r.verdict.Checker.verdict r.verdict.Checker.detail
     r.sim_time r.events r.wall_seconds
     (if r.degraded then " [DEGRADED: breakers open at end of run]" else "");
+  Option.iter
+    (Format.fprintf ppf "@,  deviation: %a" Checker.pp_deviation)
+    r.verdict.Checker.deviation;
   match r.sessions with
   | Some s -> Format.fprintf ppf "@,  sessions: %a" Checker.pp_session_report s
   | None -> ()

@@ -69,12 +69,19 @@ val run_scripted :
   unit ->
   scripted_outcome
 
+(** The checker's view of a node's recorded history; [initial_sources]
+    are the sources before any update. *)
+val observation :
+  initial_sources:Repro_relational.Relation.t array ->
+  Node.t ->
+  Checker.observation
+
 (** Consistency verdict for a scripted run. *)
 val check_scripted : scripted_outcome -> Checker.result
 
 (** [run scenario algorithm] executes to quiescence.
-    [check] (default true) runs the consistency checker (it needs
-    per-install snapshots; disable for very long runs).
+    [check] (default true) records the install history and runs the
+    consistency checker over it.
     [trace] collects a simulation trace when provided.
     [obs] attaches structured observability (spans, histograms,
     transport events); its clock is bound to the engine's virtual time.

@@ -147,14 +147,15 @@ let f5 () =
   let expected = [ (Paper_example.v1 ()); (Paper_example.v2 ()); (Paper_example.v3 ()) ] in
   let labels = [ "ΔR2 = +(3,5)"; "ΔR3 = −(7,8)"; "ΔR1 = −(2,3)" ] in
   let show_bag b = Format.asprintf "%a" Bag.pp b in
+  let measured = Bag.copy (Node.initial_view outcome.Experiment.node) in
   let rows =
     ("initial state", show_bag (Paper_example.v0 ()), show_bag (Paper_example.v0 ()),
      "")
     :: List.map2
          (fun (label, want) (inst : Node.install_record) ->
-           ( label, show_bag want, show_bag inst.Node.view_after,
-             if Bag.equal want inst.Node.view_after then "ok" else "MISMATCH"
-           ))
+           Bag.merge_into ~into:measured inst.Node.delta;
+           ( label, show_bag want, show_bag measured,
+             if Bag.equal want measured then "ok" else "MISMATCH" ))
          (List.combine labels expected)
          installs
   in

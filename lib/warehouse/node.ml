@@ -5,12 +5,7 @@ open Repro_durability
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
 
-type install_record = {
-  at : float;
-  txns : Message.txn_id list;
-  view_after : Bag.t;
-  negative : bool;
-}
+type install_record = { txns : Message.txn_id list; delta : Delta.t }
 
 type t = {
   engine : Engine.t;
@@ -128,9 +123,8 @@ let wire t =
             ("negative", Tracer.B negative) ];
       if t.record_history then
         t.rev_installs <-
-          { at = now;
-            txns = List.map (fun e -> e.Update_queue.update.Message.txn) txns;
-            view_after = Bag.copy t.data; negative }
+          { txns = List.map (fun e -> e.Update_queue.update.Message.txn) txns;
+            delta = Delta.copy delta }
           :: t.rev_installs;
       List.iter (fun f -> f delta) (List.rev t.rev_listeners);
       List.iter

@@ -4,8 +4,8 @@
     runs one maintenance algorithm. The [LogUpdates] process of Fig. 4 is
     {!deliver} on an [Update_notice]; answers are routed to the
     algorithm's [on_answer]. All messages the algorithm sends are
-    instrumented here, and every install is recorded (time, incorporated
-    transactions, view snapshot) for the consistency checker.
+    instrumented here, and every install is recorded (incorporated
+    transactions, installed view delta) for the consistency checker.
 
     The view is stored as a signed {!Bag} on purpose: a correct algorithm
     never drives a count negative, and the node records it when one does
@@ -27,11 +27,11 @@ open Repro_sim
 open Repro_protocol
 open Repro_durability
 
+(** One install: the view after install k is {!initial_view} plus the
+    deltas of installs 0..k. *)
 type install_record = {
-  at : float;
   txns : Message.txn_id list;  (** incorporated by this install *)
-  view_after : Bag.t;  (** snapshot right after the install *)
-  negative : bool;  (** install drove some count negative *)
+  delta : Delta.t;  (** the view delta installed (a copy) *)
 }
 
 type t
@@ -40,7 +40,8 @@ type t
     [send i msg] must transmit [msg] to source [i] (or to the centralized
     site); [init] is the initial, correct materialized view (paper §5.1
     assumes V starts correct). [record_history] (default true) keeps
-    per-install snapshots for the checker. [durability] attaches a WAL +
+    each install's txns and a copy of its delta for the checker — O(|Δ|)
+    per install, not O(|view|). [durability] attaches a WAL +
     checkpoint store; [metrics] lets the caller supply the counter record
     (so it can survive crash/recovery); [queue_capacity] bounds the update
     queue (admission control must hold updates back — see

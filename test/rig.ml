@@ -33,6 +33,23 @@ let verdict =
 
 let final_view outcome = Node.view_contents outcome.node
 
+(* A hand-built history of view snapshots as a checker observation: each
+   install's delta is its snapshot minus the one before, starting from
+   the initial view [v0]. *)
+let history ~initial ~v0 ~deliveries snapshots final_view =
+  let prev = ref v0 in
+  let installs =
+    List.map
+      (fun (txns, snap) ->
+        let delta = Bag.copy snap in
+        Bag.diff_into ~into:delta !prev;
+        prev := snap;
+        (txns, delta))
+      snapshots
+  in
+  { Checker.initial_sources = initial; deliveries; initial_view = v0;
+    installs; final_view }
+
 (* ————— seeded storm scaffolding ————— *)
 
 (* The seeded property suites (chaos, serving, aux) share one shape: an

@@ -109,13 +109,8 @@ let test_tracks_warehouse_installs () =
       ()
   in
   (* replay the recorded install deltas *)
-  let prev = ref (Bag.copy (Node.initial_view outcome.Experiment.node)) in
   List.iter
-    (fun (rec_ : Node.install_record) ->
-      let delta = Bag.copy rec_.Node.view_after in
-      Bag.diff_into ~into:delta !prev;
-      Aggregate.apply incremental delta;
-      prev := rec_.Node.view_after)
+    (fun (r : Node.install_record) -> Aggregate.apply incremental r.Node.delta)
     (Node.installs outcome.Experiment.node);
   let recomputed = make () in
   Aggregate.seed recomputed (Node.view_contents outcome.Experiment.node);

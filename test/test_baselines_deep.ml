@@ -52,13 +52,7 @@ let run_centralized ~algorithm ~updates =
 
 let check_centralized (warehouse, view, initial_copy) =
   Checker.check view
-    { Checker.initial_sources = initial_copy;
-      deliveries = Node.deliveries warehouse;
-      installs =
-        List.map
-          (fun (r : Node.install_record) -> (r.txns, r.view_after))
-          (Node.installs warehouse);
-      final_view = Node.view_contents warehouse }
+    (Experiment.observation ~initial_sources:initial_copy warehouse)
 
 let ins k = Delta.insertion (Chain.tuple ~key:k ~a:0 ~b:0)
 

@@ -5,6 +5,7 @@
 open Repro_relational
 open Repro_protocol
 open Repro_consistency
+open Repro_workload
 
 let view = (Paper_example.view ())
 
@@ -18,9 +19,9 @@ let deliveries =
 
 let txn k = (List.nth deliveries k).Message.txn
 
-let obs installs final =
-  { Checker.initial_sources = Paper_example.initial (); deliveries; installs;
-    final_view = final }
+let obs ?(deliveries = deliveries) installs final =
+  Rig.history ~initial:(Paper_example.initial ()) ~v0:(Paper_example.v0 ())
+    ~deliveries installs final
 
 let test_expected_states () =
   let states =
@@ -102,11 +103,10 @@ let test_out_of_order_same_source_rejected () =
   let final = states.(2) in
   let r =
     Checker.check view
-      { Checker.initial_sources = Paper_example.initial (); deliveries;
-        installs =
-          [ ([ { Message.source = 1; seq = 1 } ], final);
-            ([ { Message.source = 1; seq = 0 } ], final) ];
-        final_view = final }
+      (obs ~deliveries
+         [ ([ { Message.source = 1; seq = 1 } ], final);
+           ([ { Message.source = 1; seq = 0 } ], final) ]
+         final)
   in
   Alcotest.(check bool) "reordered source txns rejected" true
     (Checker.compare_verdict r.Checker.verdict Checker.Strong > 0)
@@ -234,8 +234,8 @@ let test_degenerate_empty_initial () =
     (Bag.is_empty states.(0));
   let r =
     Checker.check view
-      { Checker.initial_sources = initial; deliveries = []; installs = [];
-        final_view = Bag.create () }
+      (Rig.history ~initial ~v0:(Bag.create ()) ~deliveries:[] []
+         (Bag.create ()))
   in
   Alcotest.check Rig.verdict "empty run is complete" Checker.Complete
     r.Checker.verdict
@@ -243,16 +243,14 @@ let test_degenerate_empty_initial () =
 let test_degenerate_zero_updates () =
   let r =
     Checker.check view
-      { Checker.initial_sources = Paper_example.initial (); deliveries = [];
-        installs = []; final_view = (Paper_example.v0 ()) }
+      (obs ~deliveries:[] [] (Paper_example.v0 ()))
   in
   Alcotest.check Rig.verdict "no-update run is complete" Checker.Complete
     r.Checker.verdict;
   let wrong = Bag.of_list [ (Tuple.ints [ 1; 2 ], 1) ] in
   let r =
     Checker.check view
-      { Checker.initial_sources = Paper_example.initial (); deliveries = [];
-        installs = []; final_view = wrong }
+      (obs ~deliveries:[] [] wrong)
   in
   Alcotest.check Rig.verdict "wrong final view still caught"
     Checker.Inconsistent r.Checker.verdict
@@ -274,19 +272,18 @@ let test_degenerate_all_noop_deltas () =
   let txn k = (List.nth deliveries k).Message.txn in
   let r =
     Checker.check view
-      { Checker.initial_sources = Paper_example.initial (); deliveries;
-        installs =
-          [ ([ txn 0 ], (Paper_example.v0 ())); ([ txn 1 ], (Paper_example.v0 ()));
-            ([ txn 2 ], (Paper_example.v0 ())) ];
-        final_view = (Paper_example.v0 ()) }
+      (obs ~deliveries
+         [ ([ txn 0 ], Paper_example.v0 ()); ([ txn 1 ], Paper_example.v0 ());
+           ([ txn 2 ], Paper_example.v0 ()) ]
+         (Paper_example.v0 ()))
   in
   Alcotest.check Rig.verdict "per-update no-op installs are complete"
     Checker.Complete r.Checker.verdict;
   let r =
     Checker.check view
-      { Checker.initial_sources = Paper_example.initial (); deliveries;
-        installs = [ ([ txn 0; txn 1; txn 2 ], (Paper_example.v0 ())) ];
-        final_view = (Paper_example.v0 ()) }
+      (obs ~deliveries
+         [ ([ txn 0; txn 1; txn 2 ], Paper_example.v0 ()) ]
+         (Paper_example.v0 ()))
   in
   Alcotest.(check bool) "batched no-op install at least strong" true
     (Checker.compare_verdict r.Checker.verdict Checker.Strong <= 0)
@@ -302,8 +299,7 @@ let test_degraded_zero_updates () =
      must not demote a vacuous history *)
   let r =
     Checker.check ~degraded:true view
-      { Checker.initial_sources = Paper_example.initial (); deliveries = [];
-        installs = []; final_view = (Paper_example.v0 ()) }
+      (obs ~deliveries:[] [] (Paper_example.v0 ()))
   in
   Alcotest.check Rig.verdict "zero-update degraded run is complete"
     Checker.Complete r.Checker.verdict
@@ -314,8 +310,7 @@ let test_degraded_read_only_with_parked_updates () =
      run grades Degraded — not Inconsistent, and not a crash *)
   let r =
     Checker.check ~degraded:true view
-      { Checker.initial_sources = Paper_example.initial (); deliveries;
-        installs = []; final_view = (Paper_example.v0 ()) }
+      (obs [] (Paper_example.v0 ()))
   in
   Alcotest.check Rig.verdict "parked deliveries grade degraded"
     Checker.Degraded r.Checker.verdict;
@@ -324,8 +319,7 @@ let test_degraded_read_only_with_parked_updates () =
      the fully-updated state *)
   let r =
     Checker.check view
-      { Checker.initial_sources = Paper_example.initial (); deliveries;
-        installs = []; final_view = (Paper_example.v0 ()) }
+      (obs [] (Paper_example.v0 ()))
   in
   Alcotest.check Rig.verdict "same history without the flag is inconsistent"
     Checker.Inconsistent r.Checker.verdict
@@ -336,8 +330,7 @@ let test_degraded_dishonest_final_view_rejected () =
   let junk = Bag.of_list [ (Tuple.ints [ 0; 0 ], 1) ] in
   let r =
     Checker.check ~degraded:true view
-      { Checker.initial_sources = Paper_example.initial (); deliveries;
-        installs = []; final_view = junk }
+      (obs [] junk)
   in
   Alcotest.check Rig.verdict "dishonest degraded view rejected"
     Checker.Inconsistent r.Checker.verdict
@@ -366,3 +359,136 @@ let suite =
         test_mutation_duplicated_txn;
       Alcotest.test_case "mutant: dropped install" `Quick
         test_mutation_dropped_install ]
+
+(* The difference bag names the first inexact install and the smallest
+   differing tuples with their expected and observed counts. *)
+let test_deviation_reported () =
+  let spurious = Tuple.ints [ 4; 4 ] in
+  let installs =
+    List.mapi
+      (fun i (txns, snap) ->
+        if i = 1 then begin
+          let snap = Bag.copy snap in
+          Bag.add snap spurious 1;
+          (txns, snap)
+        end
+        else (txns, snap))
+      (complete_installs ())
+  in
+  let r = Checker.check view (obs installs (Paper_example.v3 ())) in
+  match r.Checker.deviation with
+  | Some d ->
+      Alcotest.(check int) "install" 1 d.Checker.install;
+      Alcotest.(check bool) "txns" true (d.Checker.txns = [ txn 1 ]);
+      Alcotest.(check bool) "tuple, expected, observed" true
+        (d.Checker.tuples = [ (spurious, 0, 1) ])
+  | None -> Alcotest.fail "no deviation reported"
+
+(* Under the Strong policy too: a batch that skips over another source's
+   delivery, then carries a spurious tuple. *)
+let test_strong_deviation_reported () =
+  let states =
+    Checker.expected_states view ~initial:(Paper_example.initial ())
+      ~deliveries:
+        [ List.nth deliveries 0; List.nth deliveries 2; List.nth deliveries 1 ]
+  in
+  let snap = Bag.copy states.(2) in
+  Bag.add snap (Tuple.ints [ 4; 4 ]) 1;
+  let r =
+    Checker.check view
+      (obs
+         [ ([ txn 0; txn 2 ], snap); ([ txn 1 ], Paper_example.v3 ()) ]
+         (Paper_example.v3 ()))
+  in
+  Alcotest.check Rig.verdict "convergent" Checker.Convergent r.Checker.verdict;
+  Alcotest.(check (option int)) "deviating install" (Some 0)
+    (Option.map (fun d -> d.Checker.install) r.Checker.deviation)
+
+(* Mutated real histories. Seeded runs of the four algorithms that are at
+   least strong: a random stream of inserts and deletes over a 3-way
+   chain view, in bursts of three overlapping updates with a pause after
+   each, so batching algorithms install several batches. *)
+let seeded_observation name seed =
+  let view = Chain.view ~n:3 () in
+  let rng = Repro_sim.Rng.create (Int64.of_int seed) in
+  let initial = Chain.populate view ~size:8 ~domain:4 rng in
+  let mirrors = Array.map Update_gen.Mirror.of_relation initial in
+  let config = { Update_gen.default with p_insert = 0.6; domain = 4 } in
+  let updates =
+    List.init 10 (fun k ->
+        let s = Repro_sim.Rng.int rng 3 in
+        ( (0.5 *. float_of_int k) +. (8. *. float_of_int (k / 3)),
+          s,
+          Update_gen.Mirror.gen rng config mirrors.(s) ))
+  in
+  let algorithm =
+    Option.get (Repro_harness.Experiment.algorithm_by_name name)
+  in
+  let outcome =
+    Repro_harness.Experiment.run_scripted ~algorithm ~view ~initial ~updates ()
+  in
+  ( view,
+    Repro_harness.Experiment.observation
+      ~initial_sources:outcome.Repro_harness.Experiment.initial_sources
+      outcome.Repro_harness.Experiment.node )
+
+let spurious = Tuple.ints [ -1; -1; -1; -1; -1 ]
+
+(* [o] with [n] copies of [spurious] added to install [k]'s delta. *)
+let tamper (o : Checker.observation) k n =
+  { o with
+    installs =
+      List.mapi
+        (fun j (txns, delta) ->
+          if j <> k then (txns, delta)
+          else begin
+            let delta = Delta.copy delta in
+            Delta.add delta spurious n;
+            (txns, delta)
+          end)
+        o.installs }
+
+let qcheck_mutated_histories =
+  QCheck.Test.make ~name:"checker rejects mutated real histories" ~count:15
+    (QCheck.int_range 1 10_000)
+    (fun seed ->
+      List.for_all
+        (fun name ->
+          let view, o = seeded_observation name seed in
+          let grade o = Checker.check view o in
+          let at_least_strong r =
+            Checker.compare_verdict r.Checker.verdict Checker.Strong <= 0
+          in
+          let n_installs = List.length o.Checker.installs in
+          let k = seed mod max 1 (n_installs - 1) in
+          (* (i) a tuple installed at k and retracted at k+1 *)
+          let moved = grade (tamper (tamper o k 1) (k + 1) (-1)) in
+          (* (ii) a tuple installed at k and kept, final view included *)
+          let kept =
+            let final_view = Bag.copy o.final_view in
+            Bag.add final_view spurious 1;
+            grade { (tamper o k 1) with final_view }
+          in
+          (* (iii) a final view that is not the initial view plus the
+             deltas *)
+          let corrupt =
+            let final_view = Bag.copy o.final_view in
+            Bag.add final_view spurious 1;
+            grade { o with final_view }
+          in
+          at_least_strong (grade o)
+          && (n_installs < 2
+             || (not (at_least_strong moved))
+                && Option.map (fun d -> d.Checker.install) moved.deviation
+                   = Some k)
+          && kept.Checker.verdict = Checker.Inconsistent
+          && corrupt.Checker.verdict = Checker.Inconsistent)
+        [ "sweep"; "sweep-batched"; "nested-sweep"; "strobe" ])
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "deviation names install and tuples" `Quick
+        test_deviation_reported;
+      Alcotest.test_case "deviation under strong admission" `Quick
+        test_strong_deviation_reported;
+      QCheck_alcotest.to_alcotest qcheck_mutated_histories ]

@@ -79,13 +79,8 @@ let run ~split_notices =
   (match Engine.run engine with `Drained -> () | _ -> assert false);
   let verdict =
     Checker.check view
-      { Checker.initial_sources = initial_copy;
-        deliveries = Node.deliveries warehouse;
-        installs =
-          List.map
-            (fun (r : Node.install_record) -> (r.txns, r.view_after))
-            (Node.installs warehouse);
-        final_view = Node.view_contents warehouse }
+      (Repro_harness.Experiment.observation ~initial_sources:initial_copy
+         warehouse)
   in
   verdict.Checker.verdict
 
@@ -210,13 +205,8 @@ let test_transport_unwedges_sweep () =
     (Node.metrics warehouse).Metrics.updates_incorporated;
   let verdict =
     Checker.check view
-      { Checker.initial_sources = initial_copy;
-        deliveries = Node.deliveries warehouse;
-        installs =
-          List.map
-            (fun (r : Node.install_record) -> (r.txns, r.view_after))
-            (Node.installs warehouse);
-        final_view = Node.view_contents warehouse }
+      (Repro_harness.Experiment.observation ~initial_sources:initial_copy
+         warehouse)
   in
   Alcotest.check Rig.verdict "still complete" Checker.Complete
     verdict.Checker.verdict

@@ -29,9 +29,15 @@ let test_initial_view () =
 
 let test_sweep_state_sequence () =
   let outcome = run (module Sweep : Algorithm.S) in
-  let installs = Node.installs outcome.node in
-  Alcotest.(check int) "three installs" 3 (List.length installs);
-  let snaps = List.map (fun (r : Node.install_record) -> r.view_after) installs in
+  let v = Bag.copy (Node.initial_view outcome.node) in
+  let snaps =
+    List.map
+      (fun (r : Node.install_record) ->
+        Bag.merge_into ~into:v r.delta;
+        Bag.copy v)
+      (Node.installs outcome.node)
+  in
+  Alcotest.(check int) "three installs" 3 (List.length snaps);
   (match snaps with
   | [ s1; s2; s3 ] ->
       Alcotest.check Rig.bag "after ΔR2" (Paper_example.v1 ()) s1;

@@ -93,13 +93,7 @@ let test_atomic_installs () =
   (* and the run is at least strong *)
   let verdict =
     Checker.check view
-      { Checker.initial_sources = initial_copy;
-        deliveries = Node.deliveries warehouse;
-        installs =
-          List.map
-            (fun (r : Node.install_record) -> (r.txns, r.view_after))
-            (Node.installs warehouse);
-        final_view = Node.view_contents warehouse }
+      (Experiment.observation ~initial_sources:initial_copy warehouse)
   in
   Alcotest.(check bool) "at least strong" true
     (Checker.compare_verdict verdict.Checker.verdict Checker.Strong <= 0)

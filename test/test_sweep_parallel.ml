@@ -60,8 +60,9 @@ let test_distinct () =
     (Delta.of_list [ (Tuple.ints [ 1 ], 1); (Tuple.ints [ 2 ], 1) ])
     (Delta.distinct d)
 
-(* Parallel sweep must agree with sequential SWEEP on every install, and
-   finish each ViewChange no later. *)
+(* Parallel sweep must agree with sequential SWEEP on every install (equal
+   deltas from the same initial view), and finish each ViewChange no
+   later. *)
 let agree_with_sweep ~updates ~initial =
   let run algorithm =
     Experiment.run_scripted ~algorithm ~view:(Chain.view ~n:3 ())
@@ -69,14 +70,14 @@ let agree_with_sweep ~updates ~initial =
   in
   let seq = run (module Sweep : Algorithm.S) in
   let par = run (module Sweep_parallel : Algorithm.S) in
-  let snaps o =
+  let deltas o =
     List.map
-      (fun (r : Node.install_record) -> r.Node.view_after)
+      (fun (r : Node.install_record) -> r.Node.delta)
       (Node.installs o.Experiment.node)
   in
   List.iter2
-    (fun a b -> Alcotest.check Rig.bag "same install sequence" a b)
-    (snaps seq) (snaps par);
+    (fun a b -> Alcotest.check Rig.delta "same install sequence" a b)
+    (deltas seq) (deltas par);
   (seq, par)
 
 let initial3 () =
