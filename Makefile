@@ -131,10 +131,11 @@ N ?= 10
 perf-pairs:
 	sh scripts/perf-pairs.sh $(W) $(BASE) $(N) $(SEED)
 
+# Every example program, in order; stops at the first one that fails.
 examples:
 	for e in quickstart figure5_walkthrough retail_warehouse \
 	         concurrent_anomaly algorithm_comparison star_schema; do \
-	  echo "== $$e =="; dune exec examples/$$e.exe; echo; done
+	  echo "== $$e =="; dune exec examples/$$e.exe || exit 1; echo; done
 
 clean:
 	dune clean

@@ -97,39 +97,3 @@ val restore_packed : (module S) -> ctx -> Repro_durability.Snap.t -> packed
 
 val snap_of_entry : Update_queue.entry -> Repro_durability.Snap.t
 val entry_of_snap : Repro_durability.Snap.t -> Update_queue.entry
-
-(** {2 Degraded-mode helpers} — shared by the sweep-family engines. *)
-
-(** An update from source [i] sweeps every other source; with circuit
-    breakers it may start only while every leg's source is
-    [ctx.source_ok] — or locally answerable per [local] (default:
-    none). *)
-val sweep_eligible :
-  ?local:(int -> bool) -> ctx -> Update_queue.entry -> bool
-
-(** Count queued entries parked behind open breakers into
-    [metrics.stalled_updates], each once (monotone arrival mark),
-    emitting [event] per newly parked entry. Returns
-    [(parked_now, new_mark)]. [local] as in {!sweep_eligible}. O(1) in
-    the queue while every source is [ctx.source_ok]. *)
-val note_parked :
-  ?local:(int -> bool) ->
-  ctx -> stall_mark:int -> event:string -> int * int
-
-(** {2 Self-maintenance helper} — shared by the sweep-family engines
-    (DESIGN.md §14). *)
-
-(** [local_answer ctx ~name ?span ~target ~partial ~overlay ()] tries to
-    answer the sweep leg against [target] from [ctx.aux]
-    ({!Aux_store.local_answer}); on success bumps
-    [metrics.local_answers] and emits a trace line and an
-    ["<name>.local-answer"] observability event under [span]. *)
-val local_answer :
-  ctx ->
-  name:string ->
-  ?span:Repro_observability.Tracer.id ->
-  target:int ->
-  partial:Partial.t ->
-  overlay:Delta.t ->
-  unit ->
-  Partial.t option

@@ -1,5 +1,6 @@
-include Sweep_engine.Make (struct
+include Sweep_batched.Make (struct
   let name = "naive"
+  let batch_max = 1
 
   (* No on-line error correction — the whole point of this baseline. *)
   let compensate = false
@@ -8,14 +9,5 @@ include Sweep_engine.Make (struct
      always asking the sources. *)
   let local_answers = false
 
-  type extra = unit
-
-  let create_extra _ = ()
-
-  let on_complete ctx () view_delta entry =
-    ctx.Algorithm.install view_delta ~txns:[ entry ]
-
-  let extra_idle () = true
-  let extra_snapshot () = Repro_durability.Snap.Unit
-  let extra_restore _ _ = ()
+  include Sweep_batched.Immediate
 end)

@@ -4,22 +4,16 @@ open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
 
-(* One activation of the recursive ViewChange(ΔR, left, src, right).
-   [pending] lists the sources this frame still has to query, left sweep
-   first; [entries] are the update(s) this frame incorporates (several
-   when concurrent updates from one source are merged). *)
+(* One activation of the recursive ViewChange(ΔR, left, src, right):
+   its sweep leg visits the sources of [left..right] other than [src],
+   left sweep first; [entries] are the update(s) this frame incorporates
+   (several when concurrent updates from one source are merged). *)
 type frame = {
   entries : Update_queue.entry list;
   left : int;
   src : int;
   right : int;
-  mutable dv : Partial.t;
-  mutable temp : Partial.t;
-  mutable pending : int list;
-  mutable outstanding : int;
-  qid : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after restore *)
-  mutable leg : Tracer.id;
+  leg : Sweep_leg.t;
 }
 
 type state = {
@@ -41,10 +35,11 @@ let make_frame ctx ~entries ~left ~src ~right =
     Delta.sum
       (List.map (fun e -> e.Update_queue.update.Message.delta) entries)
   in
-  let dv = Partial.of_source_delta ctx.Algorithm.view src merged in
-  { entries; left; src; right; dv; temp = dv;
-    pending = frame_order ~left ~src ~right; outstanding = -1;
-    qid = ctx.Algorithm.fresh_qid (); span = Tracer.none; leg = Tracer.none }
+  { entries; left; src; right;
+    leg =
+      Sweep_leg.create ctx
+        (Partial.of_source_delta ctx.Algorithm.view src merged)
+        ~pending:(frame_order ~left ~src ~right) }
 
 module Make (Cfg : sig
   val max_depth : int
@@ -63,8 +58,6 @@ struct
     Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
       ~who:"warehouse" fmt
 
-  let local t j = Aux_store.answers t.ctx.Algorithm.aux j
-
   (* A remote answer from [j] reflects installed state + the absorbed-
      but-uninstalled batch deltas from [j] (queued interference is
      compensated away, then absorbed as child frames). The aux
@@ -72,64 +65,36 @@ struct
      local answer does NOT absorb queued updates from [j] — they stay
      queued for their own later ViewChange, exactly the already-correct
      forced-termination (SWEEP) path. *)
-  let batch_overlay t j =
-    Delta.sum
-      (List.filter_map
-         (fun (e : Update_queue.entry) ->
-           if e.update.Message.txn.source = j then
-             Some e.update.Message.delta
-           else None)
-         t.rev_batch)
-
   let rec advance t =
     match t.stack with
     | [] -> start_next t
     | frame :: parents -> (
-        match frame.pending with
-        | j :: rest when local t j -> (
-            match
-              Algorithm.local_answer t.ctx ~name ~span:frame.span ~target:j
-                ~partial:frame.dv ~overlay:(batch_overlay t j) ()
-            with
-            | Some dv ->
-                frame.pending <- rest;
-                frame.dv <- dv;
-                advance t
-            | None -> assert false (* local t j implies answerable *))
-        | j :: rest ->
-            frame.pending <- rest;
-            frame.outstanding <- j;
-            frame.temp <- frame.dv;
-            frame.leg <-
-              (if Obs.active t.ctx.obs then
-                 Obs.span t.ctx.obs ~parent:frame.span "query"
-                   [ ("source", Tracer.I j); ("qid", Tracer.I frame.qid) ]
-               else Tracer.none);
-            t.ctx.send j
-              (Message.Sweep_query
-                 { qid = frame.qid; target = j;
-                   partial = Partial.copy frame.dv })
-        | [] -> (
-            match parents with
-            | parent :: _ ->
-                (* Recursive call returns: merge the child's view change
-                   into the parent's and resume the parent. *)
-                t.stack <- parents;
-                parent.dv <- Partial.add parent.dv frame.dv;
-                trace t "frame for src %d returns to src %d" frame.src
-                  parent.src;
-                Obs.finish t.ctx.obs frame.span;
-                advance t
-            | [] ->
-                let view_delta = Algebra.select_project t.ctx.view frame.dv in
-                let txns = List.rev t.rev_batch in
-                t.stack <- [];
-                t.rev_batch <- [];
-                trace t "install batch of %d update(s): %a" (List.length txns)
-                  Delta.pp view_delta;
-                t.ctx.install view_delta ~txns;
-                Obs.finish t.ctx.obs frame.span;
-                start_next t))
+        if
+          Sweep_leg.step t.ctx ~name ~overlay:(Sweep_leg.overlay t.rev_batch)
+            frame.leg
+        then
+          match parents with
+          | parent :: _ ->
+              (* Recursive call returns: merge the child's view change
+                 into the parent's and resume the parent. *)
+              t.stack <- parents;
+              parent.leg.dv <- Partial.add parent.leg.dv frame.leg.dv;
+              trace t "frame for src %d returns to src %d" frame.src
+                parent.src;
+              Obs.finish t.ctx.obs frame.leg.span;
+              advance t
+          | [] ->
+              let view_delta =
+                Algebra.select_project t.ctx.view frame.leg.dv
+              in
+              let txns = List.rev t.rev_batch in
+              t.stack <- [];
+              t.rev_batch <- [];
+              trace t "install batch of %d update(s): %a" (List.length txns)
+                Delta.pp view_delta;
+              t.ctx.install view_delta ~txns;
+              Obs.finish t.ctx.obs frame.leg.span;
+              start_next t)
 
   and start_next t =
     match t.stack with
@@ -147,7 +112,7 @@ struct
             trace t "ViewChange(%a, 0, %d, %d) begins" Message.pp_txn_id
               entry.update.Message.txn i (n - 1);
             if Obs.active t.ctx.obs then
-              frame.span <-
+              frame.leg.span <-
                 Obs.span t.ctx.obs (name ^ ".txn")
                   [ ("txn",
                      Tracer.S
@@ -162,28 +127,12 @@ struct
   let on_answer t msg =
     match (msg, t.stack) with
     | Message.Answer { qid; source = j; partial }, frame :: _
-      when qid = frame.qid && j = frame.outstanding ->
-        frame.outstanding <- -1;
-        Obs.finish t.ctx.obs frame.leg;
-        frame.leg <- Tracer.none;
-        let interfering = Update_queue.from_source t.ctx.queue j in
+      when Sweep_leg.awaits frame.leg ~qid ~source:j ->
+        let interfering = Sweep_leg.queued t.ctx j in
+        Sweep_leg.answer t.ctx frame.leg ~source:j partial ~interfering;
         (match interfering with
-        | [] -> frame.dv <- partial
+        | [] -> ()
         | _ :: _ ->
-            let merged =
-              Delta.sum
-                (List.map (fun e -> e.Update_queue.update.Message.delta)
-                   interfering)
-            in
-            t.ctx.metrics.Metrics.compensations <-
-              t.ctx.metrics.Metrics.compensations + 1;
-            if Obs.active t.ctx.obs then
-              Obs.event t.ctx.obs ~span:frame.span "compensate"
-                [ ("source", Tracer.I j);
-                  ("interfering", Tracer.I (List.length interfering)) ];
-            frame.dv <-
-              Algebra.compensate t.ctx.view ~answer:partial ~interfering:merged
-                ~temp:frame.temp;
             let depth = List.length t.stack in
             if depth >= t.max_depth then begin
               (* Forced termination (paper §6.2): behave like SWEEP — the
@@ -193,7 +142,7 @@ struct
               trace t "depth limit: leaving %d update(s) from %d queued"
                 (List.length interfering) j;
               if Obs.active t.ctx.obs then
-                Obs.event t.ctx.obs ~span:frame.span "fallback"
+                Obs.event t.ctx.obs ~span:frame.leg.span "fallback"
                   [ ("source", Tracer.I j); ("depth", Tracer.I depth) ]
             end
             else begin
@@ -219,8 +168,8 @@ struct
               trace t "recurse: ViewChange(ΔR%d, %d, %d, %d) at depth %d" j
                 child.left child.src child.right new_depth;
               if Obs.active t.ctx.obs then
-                child.span <-
-                  Obs.span t.ctx.obs ~parent:frame.span "frame"
+                child.leg.span <-
+                  Obs.span t.ctx.obs ~parent:frame.leg.span "frame"
                     [ ("src", Tracer.I child.src);
                       ("left", Tracer.I child.left);
                       ("right", Tracer.I child.right);
@@ -245,23 +194,18 @@ struct
   let snap_of_frame f =
     Snap.List
       [ Snap.List (List.map Algorithm.snap_of_entry f.entries);
-        Snap.ints [ f.left; f.src; f.right ];
-        Snap.Partial (Partial.copy f.dv); Snap.Partial (Partial.copy f.temp);
-        Snap.ints f.pending; Snap.Int f.outstanding; Snap.Int f.qid ]
+        Snap.ints [ f.left; f.src; f.right ]; Sweep_leg.snapshot f.leg ]
 
   let frame_of_snap s =
     match Snap.to_list s with
-    | [ entries; bounds; dv; temp; pending; outstanding; qid ] ->
+    | [ entries; bounds; leg ] ->
         let left, src, right =
           match Snap.to_ints bounds with
           | [ l; s; r ] -> (l, s, r)
           | _ -> invalid_arg "nested-sweep: malformed frame bounds"
         in
         { entries = List.map Algorithm.entry_of_snap (Snap.to_list entries);
-          left; src; right; dv = Snap.to_partial dv;
-          temp = Snap.to_partial temp; pending = Snap.to_ints pending;
-          outstanding = Snap.to_int outstanding; qid = Snap.to_int qid;
-          span = Tracer.none; leg = Tracer.none }
+          left; src; right; leg = Sweep_leg.restore leg }
     | _ -> invalid_arg "nested-sweep: malformed frame snapshot"
 
   (* The batch is checkpointed in delivery order, keeping the encoding

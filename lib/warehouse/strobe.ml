@@ -14,14 +14,9 @@ type action =
 
 type query = {
   entry : Update_queue.entry;
-  mutable dv : Partial.t;
-  mutable pending : int list;
-  mutable outstanding : int;
+  leg : Sweep_leg.t;  (* answers are taken uncompensated *)
   (* key-deletes delivered while this query was in flight *)
   mutable kill_keys : (int * Tuple.t) list;
-  qid : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after restore *)
-  mutable leg : Tracer.id;
 }
 
 type t = {
@@ -85,57 +80,27 @@ let flush t =
 
 let maybe_flush t = if t.rev_uqs = [] then flush t
 
-let local t j = Aux_store.answers t.ctx.Algorithm.aux j
-
 (* A live remote answer from [j] reflects installed state + the batch
    deltas from [j] already delivered but awaiting flush (FIFO: anything
    applied at [j] before it answered reached our mailbox first). The aux
    projection holds installed state only, so overlay the batch. *)
-let batch_overlay t j =
-  Delta.sum
-    (List.filter_map
-       (fun (e : Update_queue.entry) ->
-         if e.update.Message.txn.source = j then Some e.update.Message.delta
-         else None)
-       t.rev_batch)
-
-let rec advance t q =
-  match q.pending with
-  | j :: rest when local t j -> (
-      match
-        Algorithm.local_answer t.ctx ~name ~span:q.span ~target:j
-          ~partial:q.dv ~overlay:(batch_overlay t j) ()
-      with
-      | Some dv ->
-          q.pending <- rest;
-          q.dv <- dv;
-          advance t q
-      | None -> assert false (* local t j implies answerable *))
-  | j :: rest ->
-      q.pending <- rest;
-      q.outstanding <- j;
-      q.leg <-
-        (if Obs.active t.ctx.obs then
-           Obs.span t.ctx.obs ~parent:q.span "query"
-             [ ("source", Tracer.I j); ("qid", Tracer.I q.qid) ]
-         else Tracer.none);
-      t.ctx.send j
-        (Message.Sweep_query
-           { qid = q.qid; target = j; partial = Partial.copy q.dv })
-  | [] ->
-      (* Query finished: apply the deletes seen during evaluation, then
-         append the insert action. *)
-      let full = q.dv.Partial.data in
-      List.iter
-        (fun (source, key) ->
-          let keys = Hashtbl.create 4 in
-          Hashtbl.replace keys key ();
-          Keys.kill_full t.ctx.view ~full ~source ~keys)
-        q.kill_keys;
-      t.rev_uqs <- List.filter (fun q' -> q'.qid <> q.qid) t.rev_uqs;
-      t.rev_al <- Ins { full } :: t.rev_al;
-      Obs.finish t.ctx.obs q.span;
-      maybe_flush t
+let advance t q =
+  if Sweep_leg.step t.ctx ~name ~overlay:(Sweep_leg.overlay t.rev_batch) q.leg
+  then begin
+    (* Query finished: apply the deletes seen during evaluation, then
+       append the insert action. *)
+    let full = q.leg.dv.Partial.data in
+    List.iter
+      (fun (source, key) ->
+        let keys = Hashtbl.create 4 in
+        Hashtbl.replace keys key ();
+        Keys.kill_full t.ctx.view ~full ~source ~keys)
+      q.kill_keys;
+    t.rev_uqs <- List.filter (fun q' -> q'.leg.qid <> q.leg.qid) t.rev_uqs;
+    t.rev_al <- Ins { full } :: t.rev_al;
+    Obs.finish t.ctx.obs q.leg.span;
+    maybe_flush t
+  end
 
 let on_update t (entry : Update_queue.entry) =
   (* Strobe consumes updates immediately; the queue is only a mailbox. *)
@@ -168,9 +133,11 @@ let on_update t (entry : Update_queue.entry) =
       else Tracer.none
     in
     let q =
-      { entry; dv = Partial.of_source_delta t.ctx.view i inserts;
-        pending = Sweep.sweep_order ~n ~i; outstanding = -1;
-        kill_keys = []; qid = t.ctx.fresh_qid (); span; leg = Tracer.none }
+      { entry; kill_keys = [];
+        leg =
+          Sweep_leg.create t.ctx ~span
+            (Partial.of_source_delta t.ctx.view i inserts)
+            ~pending:(Sweep_order.order ~n ~i) }
     in
     t.rev_uqs <- q :: t.rev_uqs;
     advance t q
@@ -180,12 +147,9 @@ let on_update t (entry : Update_queue.entry) =
 let on_answer t msg =
   match msg with
   | Message.Answer { qid; source = j; partial } -> (
-      match List.find_opt (fun q -> q.qid = qid) t.rev_uqs with
-      | Some q when q.outstanding = j ->
-          q.outstanding <- -1;
-          Obs.finish t.ctx.obs q.leg;
-          q.leg <- Tracer.none;
-          q.dv <- partial;
+      match List.find_opt (fun q -> q.leg.Sweep_leg.qid = qid) t.rev_uqs with
+      | Some q when Sweep_leg.awaits q.leg ~qid ~source:j ->
+          Sweep_leg.answer t.ctx q.leg ~source:j partial ~interfering:[];
           advance t q
       | Some _ | None ->
           invalid_arg
@@ -216,28 +180,24 @@ let action_of_snap s =
 
 let snap_of_query q =
   Snap.List
-    [ Algorithm.snap_of_entry q.entry; Snap.Partial (Partial.copy q.dv);
-      Snap.ints q.pending; Snap.Int q.outstanding;
+    [ Algorithm.snap_of_entry q.entry; Sweep_leg.snapshot q.leg;
       Snap.List
         (List.map
            (fun (source, key) ->
              Snap.List [ Snap.Int source; Snap.Tup (Array.copy key) ])
-           q.kill_keys);
-      Snap.Int q.qid ]
+           q.kill_keys) ]
 
 let query_of_snap s =
   match Snap.to_list s with
-  | [ entry; dv; pending; outstanding; kill_keys; qid ] ->
-      { entry = Algorithm.entry_of_snap entry; dv = Snap.to_partial dv;
-        pending = Snap.to_ints pending; outstanding = Snap.to_int outstanding;
+  | [ entry; leg; kill_keys ] ->
+      { entry = Algorithm.entry_of_snap entry; leg = Sweep_leg.restore leg;
         kill_keys =
           List.map
             (fun kk ->
               match Snap.to_list kk with
               | [ source; key ] -> (Snap.to_int source, Snap.to_tuple key)
               | _ -> invalid_arg "Strobe: malformed kill key snapshot")
-            (Snap.to_list kill_keys);
-        qid = Snap.to_int qid; span = Tracer.none; leg = Tracer.none }
+            (Snap.to_list kill_keys) }
   | _ -> invalid_arg "Strobe: malformed query snapshot"
 
 (* The batch and query set are checkpointed in delivery order, keeping

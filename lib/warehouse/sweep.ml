@@ -1,19 +1,9 @@
-let sweep_order ~n ~i = Sweep_order.order ~n ~i
-
-include Sweep_engine.Make (struct
+include Sweep_batched.Make (struct
   let name = "sweep"
+  let batch_max = 1
   let compensate = true
   let local_answers = true
 
-  type extra = unit
-
-  let create_extra _ = ()
-
   (* One install per update, immediately — complete consistency. *)
-  let on_complete ctx () view_delta entry =
-    ctx.Algorithm.install view_delta ~txns:[ entry ]
-
-  let extra_idle () = true
-  let extra_snapshot () = Repro_durability.Snap.Unit
-  let extra_restore _ _ = ()
+  include Sweep_batched.Immediate
 end)

@@ -10,11 +10,10 @@
     installed before the next update is started.
 
     Guarantees complete consistency; exactly 2(n−1) messages
-    (n−1 queries, n−1 answers) per update. *)
+    (n−1 queries, n−1 answers) per update.
+
+    This is the {!Sweep_batched} engine with a batch of one. An update
+    whose delta is empty installs an empty view delta without sending
+    any query. *)
 
 include Algorithm.S
-
-(** Sources queried for an update at position [i] in a view over [n]
-    sources, in SWEEP order (left sweep then right sweep) — exposed for
-    tests. *)
-val sweep_order : n:int -> i:int -> int list

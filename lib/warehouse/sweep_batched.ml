@@ -5,11 +5,12 @@ module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
 module Snap = Repro_durability.Snap
 
-(* Batched SWEEP: when an update reaches the head of the queue, drain up
-   to [batch_max] queued updates, coalesce them into per-source combined
-   deltas D_i (net effect via Delta.sum), and run one sweep per distinct
-   source — in ascending source order — installing the summed view delta
-   as a single transition covering the whole batch.
+(* The SWEEP engine: when an update reaches the head of the queue, drain
+   up to [batch_max] queued updates, coalesce them into per-source
+   combined deltas D_i (net effect via Delta.sum), and run one sweep leg
+   per distinct source — in ascending source order — handing the summed
+   view delta to the policy's install hook as one transition covering
+   the whole batch. SWEEP is a batch of one.
 
    Correctness (DESIGN.md §10): by multilinearity of the bag join,
 
@@ -28,17 +29,40 @@ module Snap = Repro_durability.Snap
    old state). The single installed delta is therefore exactly the
    next-|batch| database transition: completely consistent. *)
 
-(* One sweep leg: the ViewChange for combined delta D_src. *)
-type leg = {
-  src : int;
-  mutable dv : Partial.t;
-  mutable temp : Partial.t;  (* the partial the outstanding query carried *)
-  mutable pending : int list;
-  mutable outstanding : int;
-  qid : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after a crash restore (recovery truncates the span tree) *)
-  mutable query_span : Tracer.id;
-}
+module type POLICY = sig
+  val name : string
+  val batch_max : int
+  val compensate : bool
+
+  (* Whether sweep legs may be answered from the aux store (DESIGN.md
+     §14). Requires the policy to install each batch before the next
+     starts: the aux projections advance at install time, and a policy
+     that buffers finished-but-uninstalled batches (sweep-global) would
+     leave their deltas visible to neither the aux store nor the
+     interference-compensation queue scan. *)
+  val local_answers : bool
+
+  type extra
+
+  val create_extra : Algorithm.ctx -> extra
+
+  val install :
+    Algorithm.ctx -> extra -> Delta.t -> Update_queue.entry list -> unit
+
+  val extra_idle : extra -> bool
+  val extra_snapshot : extra -> Snap.t
+  val extra_restore : Algorithm.ctx -> Snap.t -> extra
+end
+
+module Immediate = struct
+  type extra = unit
+
+  let create_extra _ = ()
+  let install ctx () delta entries = ctx.Algorithm.install delta ~txns:entries
+  let extra_idle () = true
+  let extra_snapshot () = Snap.Unit
+  let extra_restore _ _ = ()
+end
 
 type batch = {
   entries : Update_queue.entry list;  (* delivery order *)
@@ -46,191 +70,202 @@ type batch = {
      kept in full (including net-empty sources) because right-leg
      compensation needs D_j for every j *)
   combined : (int * Delta.t) list;
-  (* legs still to run: the non-net-empty slice of [combined] *)
-  mutable remaining : (int * Delta.t) list;
-  mutable acc : Delta.t;  (* Σ finished legs' view deltas *)
-  mutable current : leg option;
-  (* lint: allow L5 volatile span id, like the legs': Tracer.none after restore *)
-  mutable span : Tracer.id;
+  mutable acc : Delta.t option;  (* Σ finished legs' view deltas *)
+  mutable src : int;  (* the running leg's source *)
+  mutable leg : Sweep_leg.t;
+  span : Tracer.id;
 }
 
-type state = {
-  ctx : Algorithm.ctx;
-  batch_max : int;
-  mutable batch : batch option;
-  mutable aborted : int list;
-      (* qids of legs aborted by a breaker trip: late answers dropped *)
-  mutable stall_mark : int;
-      (* highest arrival number already counted in [stalled_updates] *)
-}
+(* A batch of one reuses the entry's delta: nothing mutates [combined]. *)
+let combined_deltas = function
+  | [ (e : Update_queue.entry) ] ->
+      [ (e.update.Message.txn.source, e.update.Message.delta) ]
+  | entries ->
+      List.map (fun (e : Update_queue.entry) -> e.update.Message.txn.source)
+        entries
+      |> List.sort_uniq Int.compare
+      |> List.map (fun i -> (i, Sweep_leg.overlay entries i))
 
-let combined_deltas entries =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Update_queue.entry) ->
-      let i = e.update.Message.txn.source in
-      let d =
-        match Hashtbl.find_opt tbl i with
-        | Some d -> d
-        | None ->
-            let d = Delta.empty () in
-            Hashtbl.replace tbl i d;
-            d
-      in
-      Bag.merge_into ~into:d e.update.Message.delta)
-    entries;
-  Hashtbl.fold (fun i d acc -> (i, d) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* The next leg to run after source [after]: legs go in ascending source
+   order and skip net-empty sources. *)
+let next_leg combined ~after =
+  List.find_opt (fun (i, d) -> i > after && not (Delta.is_empty d)) combined
 
-module Make (Cfg : sig
-  val batch_max : int
-end) =
-struct
-  type t = state
+let pp_txns =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
+    (fun ppf (e : Update_queue.entry) ->
+      Message.pp_txn_id ppf e.update.Message.txn)
 
-  let name =
-    if Cfg.batch_max = 16 then "sweep-batched"
-    else Printf.sprintf "sweep-batched(k=%d)" Cfg.batch_max
+(* An update from source [i] sweeps every other source, so it is eligible
+   only while all of them have closed breakers — or can be answered
+   locally ([local], DESIGN.md §14): a leg that never leaves the
+   warehouse does not care about breakers. *)
+let sweep_eligible ~local (ctx : Algorithm.ctx) (e : Update_queue.entry) =
+  let i = e.update.Message.txn.source in
+  let n = View_def.n_sources ctx.view in
+  List.for_all (fun j -> ctx.source_ok j || local j) (Sweep_order.order ~n ~i)
+
+(* Count queued entries currently parked behind open breakers; each is
+   counted in [stalled_updates] once (monotone arrival mark). Returns
+   (parked now, new mark). With every breaker closed every entry is
+   eligible, so the answer is known without walking the queue. *)
+let note_parked ~local (ctx : Algorithm.ctx) ~stall_mark ~event =
+  let rec all_ok j = j < 0 || (ctx.source_ok j && all_ok (j - 1)) in
+  if all_ok (View_def.n_sources ctx.view - 1) then (0, stall_mark)
+  else begin
+    let parked = ref 0 in
+    let mark = ref stall_mark in
+    List.iter
+      (fun (e : Update_queue.entry) ->
+        if not (sweep_eligible ~local ctx e) then begin
+          incr parked;
+          if e.arrival > !mark then begin
+            mark := e.arrival;
+            ctx.metrics.Metrics.stalled_updates <-
+              ctx.metrics.Metrics.stalled_updates + 1;
+            if Obs.active ctx.obs then
+              Obs.event ctx.obs event
+                [ ("txn",
+                   Tracer.S
+                     (Format.asprintf "%a" Message.pp_txn_id
+                        e.update.Message.txn)) ]
+          end
+        end)
+      (Update_queue.entries ctx.queue);
+    (!parked, !mark)
+  end
+
+module Make (P : POLICY) = struct
+  type t = {
+    ctx : Algorithm.ctx;
+    extra : P.extra;
+    mutable batch : batch option;
+    mutable aborted : int list;
+        (* qids of legs aborted by a breaker trip: late answers dropped *)
+    mutable stall_mark : int;
+        (* highest arrival number already counted in [stalled_updates] *)
+  }
+
+  let name = P.name
+  let park_event = name ^ ".park"
 
   let create ctx =
-    if Cfg.batch_max < 1 then
+    if P.batch_max < 1 then
       invalid_arg "Sweep_batched: batch_max must be >= 1";
-    { ctx; batch_max = Cfg.batch_max; batch = None; aborted = [];
+    { ctx; extra = P.create_extra ctx; batch = None; aborted = [];
       stall_mark = -1 }
 
   let trace t fmt =
     Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
       ~who:"warehouse" fmt
 
-  let local t j = Aux_store.answers t.ctx.Algorithm.aux j
+  (* Legs answerable from the aux store need no remote round trip and no
+     compensation: the projections advance at install time, so they
+     equal exactly what a compensated remote answer reflects. *)
+  let local t j = P.local_answers && Aux_store.answers t.ctx.Algorithm.aux j
 
-  (* What a leg [j] of the leg for source [src] must reflect beyond the
+  (* What hop [j] of the leg for source [b.src] must reflect beyond the
      installed state the aux projection holds: a left-leg source
      (j < src) contributes its new state R_j + D_j — overlay the batch's
-     combined delta; a right-leg source (j > src) its old state R_j —
-     no overlay. (The remote path reaches the same states by subtracting
+     combined delta; a right-leg source (j > src) its old state R_j — no
+     overlay. (The remote path reaches the same states by subtracting
      L_j, and additionally D_j when j > src, from the live answer.) *)
-  let leg_overlay b ~src j =
-    if j < src then
-      match List.assoc_opt j b.combined with
-      | Some d -> d
-      | None -> Delta.empty ()
-    else Delta.empty ()
+  let overlay b j =
+    match List.assoc_opt j b.combined with
+    | Some d when j < b.src -> d
+    | _ -> Delta.empty ()
 
-  let rec advance t =
-    match t.batch with
-    | None -> ()
-    | Some b -> (
-        match b.current with
-        | Some leg -> advance_leg t b leg
-        | None -> (
-            match b.remaining with
-            | (src, delta) :: rest ->
-                b.remaining <- rest;
-                let dv = Partial.of_source_delta t.ctx.view src delta in
-                let n = View_def.n_sources t.ctx.view in
-                let leg =
-                  { src; dv; temp = dv;
-                    pending = Sweep_order.order ~n ~i:src; outstanding = -1;
-                    qid = t.ctx.fresh_qid (); span = Tracer.none;
-                    query_span = Tracer.none }
-                in
-                if Obs.active t.ctx.obs then
-                  leg.span <-
-                    Obs.span t.ctx.obs ~parent:b.span "leg"
-                      [ ("source", Tracer.I src); ("qid", Tracer.I leg.qid) ];
-                b.current <- Some leg;
-                advance_leg t b leg
-            | [] -> install t b))
+  let start_leg t ~span (src, delta) =
+    let n = View_def.n_sources t.ctx.view in
+    Sweep_leg.create t.ctx ~span
+      (Partial.of_source_delta t.ctx.view src delta)
+      ~pending:(Sweep_order.order ~n ~i:src)
 
-  and advance_leg t b leg =
-    match leg.pending with
-    | j :: rest -> (
-        match
-          if local t j then
-            Algorithm.local_answer t.ctx ~name ~span:leg.span ~target:j
-              ~partial:leg.dv ~overlay:(leg_overlay b ~src:leg.src j) ()
-          else None
-        with
-        | Some dv ->
-            leg.pending <- rest;
-            leg.dv <- dv;
-            advance_leg t b leg
-        | None ->
-            leg.pending <- rest;
-            leg.outstanding <- j;
-            leg.temp <- leg.dv;
-            leg.query_span <-
-              (if Obs.active t.ctx.obs then
-                 Obs.span t.ctx.obs ~parent:leg.span "query"
-                   [ ("source", Tracer.I j); ("qid", Tracer.I leg.qid) ]
-               else Tracer.none);
-            t.ctx.send j
-              (Message.Sweep_query
-                 { qid = leg.qid; target = j; partial = Partial.copy leg.dv }))
-    | [] ->
-        let view_delta = Algebra.select_project t.ctx.view leg.dv in
-        trace t "%s: leg for source %d yields %a" name leg.src Delta.pp
-          view_delta;
-        Bag.merge_into ~into:b.acc view_delta;
-        Obs.finish t.ctx.obs leg.span;
-        b.current <- None;
-        advance t
+  let rec advance t b =
+    if
+      Sweep_leg.step t.ctx ~name
+        ?overlay:(if P.local_answers then Some (overlay b) else None)
+        b.leg
+    then begin
+      let view_delta = Algebra.select_project t.ctx.view b.leg.dv in
+      (match b.acc with
+      | None -> b.acc <- Some view_delta
+      | Some acc -> Bag.merge_into ~into:acc view_delta);
+      match next_leg b.combined ~after:b.src with
+      | Some ((src, _) as next) ->
+          b.src <- src;
+          b.leg <- start_leg t ~span:b.span next;
+          advance t b
+      | None -> install t b.entries b.acc b.span
+    end
 
-  and install t b =
-    trace t "%s: install batch of %d update(s): %a" name
-      (List.length b.entries) Delta.pp b.acc;
+  and install t entries acc span =
+    let delta = match acc with Some d -> d | None -> Delta.empty () in
+    trace t "%s: ViewChange(%a) yields %a" name pp_txns entries Delta.pp
+      delta;
     t.batch <- None;
-    t.ctx.install b.acc ~txns:b.entries;
-    Obs.finish t.ctx.obs b.span;
+    P.install t.ctx t.extra delta entries;
+    Obs.finish t.ctx.obs span;
     start_next t
 
-  (* Drain up to [batch_max] queued updates and start the batch — only
-     breaker-eligible ones while degraded (parked entries stay in the
-     queue, visible to the L_j interference term; at the stall cap the
-     engine falls back to blocking on the dead source). *)
+  (* The UpdateView process of Fig. 4: drain up to [batch_max] queued
+     updates and sweep them — only breaker-eligible ones while degraded
+     (parked entries stay in the queue, visible to the L_j interference
+     term; at the stall cap the engine falls back to blocking on the
+     dead source). *)
   and start_next t =
     match t.batch with
     | Some _ -> ()
     | None -> (
         let parked, mark =
-          Algorithm.note_parked ~local:(local t) t.ctx
-            ~stall_mark:t.stall_mark ~event:(name ^ ".park")
+          note_parked ~local:(local t) t.ctx ~stall_mark:t.stall_mark
+            ~event:park_event
         in
         t.stall_mark <- mark;
         let drained =
           if parked = 0 || parked >= t.ctx.Algorithm.stall_cap then
-            Update_queue.take t.ctx.queue ~max:t.batch_max
+            Update_queue.take t.ctx.queue ~max:P.batch_max
           else
-            Update_queue.take_eligible t.ctx.queue ~max:t.batch_max
-              ~eligible:(Algorithm.sweep_eligible ~local:(local t) t.ctx)
+            Update_queue.take_eligible t.ctx.queue ~max:P.batch_max
+              ~eligible:(sweep_eligible ~local:(local t) t.ctx)
         in
         match drained with
         | [] -> ()
-        | entries ->
-            let combined = combined_deltas entries in
-            let remaining =
-              List.filter (fun (_, d) -> not (Delta.is_empty d)) combined
-            in
+        | entries -> (
             let size = List.length entries in
             Metrics.note_batch t.ctx.metrics size;
-            trace t "%s: batch of %d update(s) over %d source leg(s)" name
-              size (List.length remaining);
+            Obs.observe t.ctx.obs "batch_size" (float_of_int size);
             let span =
               if Obs.active t.ctx.obs then
-                Obs.span t.ctx.obs (name ^ ".batch")
-                  [ ("updates", Tracer.I size);
-                    ("legs", Tracer.I (List.length remaining)) ]
+                Obs.span t.ctx.obs (name ^ ".txn")
+                  [ ("txn", Tracer.S (Format.asprintf "%a" pp_txns entries)) ]
               else Tracer.none
             in
-            Obs.observe t.ctx.obs "batch_size" (float_of_int size);
-            t.batch <-
-              Some
-                { entries; combined; remaining; acc = Delta.empty ();
-                  current = None; span };
-            advance t)
+            let combined = combined_deltas entries in
+            match next_leg combined ~after:(-1) with
+            | None -> install t entries None span
+            | Some ((src, _) as first) ->
+                let b =
+                  { entries; combined; acc = None; src;
+                    leg = start_leg t ~span first; span }
+                in
+                t.batch <- Some b;
+                advance t b))
 
   let on_update t (_ : Update_queue.entry) = start_next t
+
+  (* On-line error correction against the combined deltas (§4): the
+     answer from [j] reflects R_j + D_j + L_j. A left-leg source
+     (j < src) must contribute its new state R_j + D_j — subtract L_j; a
+     right-leg source (j > src) its old state R_j — subtract D_j + L_j.
+     L_j is, by the FIFO argument of §4, exactly the queued updates from
+     j. *)
+  let interference t b j =
+    let queued = Sweep_leg.queued t.ctx j in
+    match List.assoc_opt j b.combined with
+    | Some d when j > b.src && not (Delta.is_empty d) -> d :: queued
+    | _ -> queued
 
   let on_answer t msg =
     match (msg, t.batch) with
@@ -242,52 +277,12 @@ struct
         trace t "%s: dropped answer for aborted qid=%d from %d" name qid
           source;
         start_next t
-    | Message.Answer { qid; source = j; partial }, Some b -> (
-        match b.current with
-        | Some leg when qid = leg.qid && j = leg.outstanding ->
-            leg.outstanding <- -1;
-            Obs.finish t.ctx.obs leg.query_span;
-            leg.query_span <- Tracer.none;
-            (* On-line error correction against the combined deltas: the
-               answer reflects R_j + D_j + L_j. A left-leg source (j <
-               src) must contribute its new state R_j + D_j — subtract
-               L_j; a right-leg source (j > src) its old state R_j —
-               subtract D_j + L_j. L_j is, by the FIFO argument of §4,
-               exactly the queued updates from j. *)
-            let queued = Update_queue.from_source t.ctx.queue j in
-            let interfering =
-              Delta.sum
-                ((if j > leg.src then
-                    match List.assoc_opt j b.combined with
-                    | Some d -> [ d ]
-                    | None -> []
-                  else [])
-                @ List.map
-                    (fun (e : Update_queue.entry) -> e.update.Message.delta)
-                    queued)
-            in
-            if Delta.is_empty interfering then leg.dv <- partial
-            else begin
-              t.ctx.metrics.Metrics.compensations <-
-                t.ctx.metrics.Metrics.compensations + 1;
-              trace t
-                "%s: compensate answer from %d (%d queued, batch delta %s)"
-                name j (List.length queued)
-                (if j > leg.src then "included" else "not included");
-              if Obs.active t.ctx.obs then
-                Obs.event t.ctx.obs ~span:leg.span "compensate"
-                  [ ("source", Tracer.I j);
-                    ("interfering", Tracer.I (List.length queued)) ];
-              leg.dv <-
-                Algebra.compensate t.ctx.view ~answer:partial ~interfering
-                  ~temp:leg.temp
-            end;
-            advance t
-        | Some _ | None ->
-            invalid_arg
-              (Printf.sprintf "%s: unexpected answer qid=%d from %d" name qid
-                 j))
-    | Message.Answer { qid; source; _ }, None ->
+    | Message.Answer { qid; source = j; partial }, Some b
+      when Sweep_leg.awaits b.leg ~qid ~source:j ->
+        Sweep_leg.answer t.ctx b.leg ~source:j partial
+          ~interfering:(if P.compensate then interference t b j else []);
+        advance t b
+    | Message.Answer { qid; source; _ }, _ ->
         invalid_arg
           (Printf.sprintf "%s: unexpected answer qid=%d from %d" name qid
              source)
@@ -299,11 +294,12 @@ struct
      leg for a source ≠ [j] sweeps [j]; the [j]-leg itself does not —
      and no leg does when [j] is locally answerable. *)
   let batch_needs t b j =
-    (match b.current with
-    | Some leg ->
-        leg.outstanding = j || (List.mem j leg.pending && not (local t j))
-    | None -> false)
-    || ((not (local t j)) && List.exists (fun (src, _) -> src <> j) b.remaining)
+    b.leg.outstanding = j
+    || (not (local t j))
+       && (List.mem j b.leg.pending
+          || List.exists
+               (fun (i, d) -> i > b.src && i <> j && not (Delta.is_empty d))
+               b.combined)
 
   (* Source [j]'s breaker opened. If the batch still has a leg through
      [j], abort the whole batch: discard the accumulated view delta,
@@ -314,97 +310,71 @@ struct
   let on_source_down t j =
     (match t.batch with
     | Some b when batch_needs t b j ->
-        (match b.current with
-        | Some leg when leg.outstanding >= 0 ->
-            t.aborted <- leg.qid :: t.aborted;
-            Obs.finish t.ctx.obs leg.query_span;
-            Obs.finish t.ctx.obs leg.span
-        | Some leg -> Obs.finish t.ctx.obs leg.span
-        | None -> ());
+        if b.leg.outstanding >= 0 then t.aborted <- b.leg.qid :: t.aborted;
         List.iter
           (fun e -> Update_queue.push_front t.ctx.queue e)
           (List.rev b.entries);
         t.batch <- None;
-        trace t "%s: abort batch of %d update(s) — source %d tripped" name
-          (List.length b.entries) j;
+        trace t "%s: abort ViewChange(%a) — source %d tripped" name pp_txns
+          b.entries j;
         if Obs.active t.ctx.obs then
           Obs.event t.ctx.obs ~span:b.span (name ^ ".abort")
-            [ ("source", Tracer.I j);
-              ("updates", Tracer.I (List.length b.entries)) ];
+            [ ("source", Tracer.I j); ("qid", Tracer.I b.leg.qid) ];
+        Obs.finish t.ctx.obs b.leg.query;
         Obs.finish t.ctx.obs b.span
     | _ -> ());
+    (* other queued updates may still be eligible *)
     start_next t
 
-  (* Source [j] healed: parked entries are eligible again. *)
+  (* Source [j] healed: parked entries are eligible again; replay them
+     (oldest first) through the normal path. *)
   let on_source_up t _j = start_next t
 
-  let idle t = t.batch = None && Update_queue.is_empty t.ctx.queue
+  let idle t =
+    t.batch = None
+    && Update_queue.is_empty t.ctx.queue
+    && P.extra_idle t.extra
 
-  let snap_of_leg leg =
-    Snap.List
-      [ Snap.Int leg.src; Snap.Partial (Partial.copy leg.dv);
-        Snap.Partial (Partial.copy leg.temp); Snap.ints leg.pending;
-        Snap.Int leg.outstanding; Snap.Int leg.qid ]
-
-  let leg_of_snap s =
-    match Snap.to_list s with
-    | [ src; dv; temp; pending; outstanding; qid ] ->
-        { src = Snap.to_int src; dv = Snap.to_partial dv;
-          temp = Snap.to_partial temp; pending = Snap.to_ints pending;
-          outstanding = Snap.to_int outstanding; qid = Snap.to_int qid;
-          span = Tracer.none; query_span = Tracer.none }
-    | _ -> invalid_arg (name ^ ": malformed leg snapshot")
-
-  let snap_of_deltas l =
-    Snap.List
-      (List.map
-         (fun (i, d) -> Snap.List [ Snap.Int i; Snap.Delta (Delta.copy d) ])
-         l)
-
-  let deltas_of_snap s =
-    List.map
-      (fun p ->
-        match Snap.to_list p with
-        | [ i; d ] -> (Snap.to_int i, Snap.to_delta d)
-        | _ -> invalid_arg (name ^ ": malformed per-source delta snapshot"))
-      (Snap.to_list s)
-
+  (* [combined] is a function of [entries]; restore recomputes it. *)
   let snap_of_batch b =
     Snap.List
       [ Snap.List (List.map Algorithm.snap_of_entry b.entries);
-        snap_of_deltas b.combined; snap_of_deltas b.remaining;
-        Snap.Delta (Delta.copy b.acc); Snap.option snap_of_leg b.current ]
+        Snap.option (fun d -> Snap.Delta (Delta.copy d)) b.acc;
+        Snap.Int b.src; Sweep_leg.snapshot b.leg ]
 
   let batch_of_snap s =
     match Snap.to_list s with
-    | [ entries; combined; remaining; acc; current ] ->
-        { entries = List.map Algorithm.entry_of_snap (Snap.to_list entries);
-          combined = deltas_of_snap combined;
-          remaining = deltas_of_snap remaining; acc = Snap.to_delta acc;
-          current = Snap.to_option leg_of_snap current; span = Tracer.none }
+    | [ entries; acc; src; leg ] ->
+        let entries = List.map Algorithm.entry_of_snap (Snap.to_list entries) in
+        { entries; combined = combined_deltas entries;
+          acc = Snap.to_option Snap.to_delta acc; src = Snap.to_int src;
+          leg = Sweep_leg.restore leg; span = Tracer.none }
     | _ -> invalid_arg (name ^ ": malformed batch snapshot")
 
   let snapshot t =
     Snap.List
-      [ Snap.option snap_of_batch t.batch; Snap.ints t.aborted;
-        Snap.Int t.stall_mark ]
+      [ Snap.option snap_of_batch t.batch; P.extra_snapshot t.extra;
+        Snap.ints t.aborted; Snap.Int t.stall_mark ]
 
   let restore ctx s =
     match Snap.to_list s with
-    | [ batch; aborted; stall_mark ] ->
-        { ctx; batch_max = Cfg.batch_max;
+    | [ batch; extra; aborted; stall_mark ] ->
+        { ctx; extra = P.extra_restore ctx extra;
           batch = Snap.to_option batch_of_snap batch;
           aborted = Snap.to_ints aborted; stall_mark = Snap.to_int stall_mark }
     | _ -> invalid_arg (name ^ ": malformed snapshot")
 end
 
-module Default = Make (struct
-  let batch_max = 16
-end)
-
-include Default
-
 let with_batch_max k : (module Algorithm.S) =
   (module Make (struct
+    let name =
+      if k = 16 then "sweep-batched" else Printf.sprintf "sweep-batched(k=%d)" k
+
     let batch_max = k
+    let compensate = true
+    let local_answers = true
+
+    include Immediate
   end))
+
+include (val with_batch_max 16)

@@ -10,11 +10,12 @@ type ledger = {
   mutable rev_buffered_entries : Update_queue.entry list;
 }
 
-include Sweep_engine.Make (struct
+include Sweep_batched.Make (struct
   let name = "sweep-global"
+  let batch_max = 1
   let compensate = true
 
-  (* Completed entries are buffered (not installed) while a global
+  (* Finished batches are buffered (not installed) while a global
      transaction is open; their deltas would be visible to neither the
      aux projections nor the queue scan, so local answers are unsound
      here (see POLICY.local_answers). *)
@@ -42,10 +43,11 @@ include Sweep_engine.Make (struct
 
   (* Buffer installs while any transaction is open; flush at boundaries
      so no view state exposes a partial transaction. *)
-  let on_complete ctx ledger view_delta entry =
-    note_part ledger entry;
+  let install ctx ledger view_delta entries =
+    List.iter (note_part ledger) entries;
     Bag.merge_into ~into:ledger.buffered view_delta;
-    ledger.rev_buffered_entries <- entry :: ledger.rev_buffered_entries;
+    ledger.rev_buffered_entries <-
+      List.rev_append entries ledger.rev_buffered_entries;
     if Hashtbl.length ledger.open_txns = 0 then begin
       let delta = ledger.buffered in
       let entries = List.rev ledger.rev_buffered_entries in

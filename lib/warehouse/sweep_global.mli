@@ -13,6 +13,9 @@
     whatever unrelated updates were interleaved between its parts, is
     installed as one atomic state transition once no transaction is open.
 
+    It is the {!Sweep_batched} engine with a batch of one, no local
+    answers and an install hook that keeps the transaction ledger.
+
     On streams without global transactions this is SWEEP (complete
     consistency); with them the view is strongly consistent and
     transaction-atomic — the test suite asserts that no install ever

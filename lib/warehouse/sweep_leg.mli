@@ -1,0 +1,80 @@
+(** One sweep: the ViewChange step of paper Fig. 4 that every
+    SWEEP-family state machine repeats.
+
+    A leg carries a partial view delta ΔV across the sources in
+    [pending], one hop at a time. Each hop is either answered from the
+    aux store (DESIGN.md §14) or sent as a [Sweep_query]; the answer is
+    then corrected locally against the interfering updates the caller
+    names (§4). What counts as interference, what happens when a leg
+    finishes, and how legs combine stay with the caller: the batched
+    engine, Nested SWEEP, the pipelined and parallel variants and
+    Strobe. *)
+
+open Repro_relational
+
+type t = {
+  qid : int;
+  mutable dv : Partial.t;  (** ΔV so far *)
+  mutable temp : Partial.t;
+      (** TempView: the ΔV the outstanding query carried *)
+  mutable pending : int list;  (** sources still to visit, in order *)
+  mutable outstanding : int;  (** source queried now, or [-1] *)
+  mutable span : Repro_observability.Tracer.id;
+      (** the span this leg's queries and events hang under *)
+  mutable query : Repro_observability.Tracer.id;
+}
+
+(** [create ctx ?span dv ~pending] starts a leg from [dv] with a fresh
+    query id. *)
+val create :
+  Algorithm.ctx ->
+  ?span:Repro_observability.Tracer.id ->
+  Partial.t ->
+  pending:int list ->
+  t
+
+(** No hop left and no query outstanding. *)
+val finished : t -> bool
+
+(** Advance the leg: answer the next hops from the aux store while it
+    can, then send the next [Sweep_query]. With [overlay], hop [j] is
+    answered locally whenever the aux store covers [j], joined against
+    the installed projection plus [overlay j] (the caller's delivered
+    but uninstalled delta of [j]); without it every hop is remote.
+    Returns {!finished}. [name] labels the local-answer trace line and
+    ["<name>.local-answer"] event. *)
+val step :
+  Algorithm.ctx -> name:string -> ?overlay:(int -> Delta.t) -> t -> bool
+
+(** Is [qid]/[source] the answer this leg waits for? *)
+val awaits : t -> qid:int -> source:int -> bool
+
+(** Take the awaited answer from [source]: close the query span, then
+    apply on-line error correction (paper §4) — subtract each
+    [interfering] delta of [source] joined with TempView, counting one
+    compensation and emitting a ["compensate"] event. With no
+    interference the answer is taken as is. Does not advance the leg. *)
+val answer :
+  Algorithm.ctx ->
+  t ->
+  source:int ->
+  Partial.t ->
+  interfering:Delta.t list ->
+  unit
+
+(** Deltas of the updates from source [j] still in the update queue —
+    by the FIFO argument of §4, exactly the updates that interfered with
+    an answer from [j] arriving now. *)
+val queued : Algorithm.ctx -> int -> Delta.t list
+
+(** Σ of the deltas from source [j] among [entries]: what a live answer
+    from [j] reflects beyond the installed state when [entries] were
+    delivered but not yet installed — the aux overlay of Nested SWEEP
+    and Strobe. *)
+val overlay : Update_queue.entry list -> int -> Delta.t
+
+(** The leg's resumable state; span ids are volatile and restore as
+    [Tracer.none]. *)
+val snapshot : t -> Repro_durability.Snap.t
+
+val restore : Repro_durability.Snap.t -> t

@@ -4,17 +4,9 @@ open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
 
-type vc = {
-  entry : Update_queue.entry;
-  mutable dv : Partial.t;
-  mutable temp : Partial.t;
-  mutable pending : int list;
-  mutable outstanding : int;
-  mutable completed : bool;  (* swept, awaiting in-order install *)
-  qid : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after restore *)
-  mutable leg : Tracer.id;
-}
+(* One pipelined ViewChange; its leg finished means swept, awaiting
+   in-order install. *)
+type vc = { entry : Update_queue.entry; leg : Sweep_leg.t }
 
 (* The pipeline is a two-list deque (cf. Update_queue): [front] holds the
    oldest view changes in delivery order, [rear] the newest in reverse,
@@ -58,35 +50,19 @@ struct
     Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
       ~who:"warehouse" fmt
 
-  let advance t vc =
-    match vc.pending with
-    | j :: rest ->
-        vc.pending <- rest;
-        vc.outstanding <- j;
-        vc.temp <- vc.dv;
-        vc.leg <-
-          (if Obs.active t.ctx.obs then
-             Obs.span t.ctx.obs ~parent:vc.span "query"
-               [ ("source", Tracer.I j); ("qid", Tracer.I vc.qid) ]
-           else Tracer.none);
-        t.ctx.send j
-          (Message.Sweep_query
-             { qid = vc.qid; target = j; partial = Partial.copy vc.dv })
-    | [] -> vc.completed <- true
-
   (* Install completed sweeps strictly in delivery order, then top the
      pipeline back up from the queue. *)
   let rec drain_and_refill t =
     normalize t;
     match t.front with
-    | vc :: rest when vc.completed ->
-        let view_delta = Algebra.select_project t.ctx.view vc.dv in
+    | vc :: rest when Sweep_leg.finished vc.leg ->
+        let view_delta = Algebra.select_project t.ctx.view vc.leg.dv in
         trace t "pipelined install for %a" Message.pp_txn_id
           vc.entry.update.Message.txn;
         t.front <- rest;
         t.depth <- t.depth - 1;
         t.ctx.install view_delta ~txns:[ vc.entry ];
-        Obs.finish t.ctx.obs vc.span;
+        Obs.finish t.ctx.obs vc.leg.span;
         drain_and_refill t
     | _ -> refill t
 
@@ -97,9 +73,6 @@ struct
       | Some entry ->
           let i = entry.update.Message.txn.source in
           let n = View_def.n_sources t.ctx.view in
-          let dv =
-            Partial.of_source_delta t.ctx.view i entry.update.Message.delta
-          in
           let span =
             if Obs.active t.ctx.obs then
               Obs.span t.ctx.obs (name ^ ".txn")
@@ -111,14 +84,17 @@ struct
             else Tracer.none
           in
           let vc =
-            { entry; dv; temp = dv; pending = Sweep.sweep_order ~n ~i;
-              outstanding = -1; completed = false;
-              qid = t.ctx.fresh_qid (); span; leg = Tracer.none }
+            { entry;
+              leg =
+                Sweep_leg.create t.ctx ~span
+                  (Partial.of_source_delta t.ctx.view i
+                     entry.update.Message.delta)
+                  ~pending:(Sweep_order.order ~n ~i) }
           in
           trace t "pipelined ViewChange(%a) begins (depth %d)"
             Message.pp_txn_id entry.update.Message.txn (t.depth + 1);
           push t vc;
-          advance t vc;
+          ignore (Sweep_leg.step t.ctx ~name vc.leg : bool);
           (* an n=1 view completes instantly; also keep filling *)
           drain_and_refill t
 
@@ -130,11 +106,6 @@ struct
      being swept further down the pipeline. Earlier-delivered updates
      serialize before this one and are meant to be in the answer. *)
   let interfering_deltas t vc j =
-    let queued =
-      List.map
-        (fun e -> e.Update_queue.update.Message.delta)
-        (Update_queue.from_source t.ctx.queue j)
-    in
     let in_pipeline =
       List.filter_map
         (fun other ->
@@ -145,32 +116,20 @@ struct
           else None)
         (pipeline t)
     in
-    in_pipeline @ queued
+    in_pipeline @ Sweep_leg.queued t.ctx j
 
   let on_answer t msg =
     match msg with
     | Message.Answer { qid; source = j; partial } -> (
         match
           List.find_opt
-            (fun vc -> vc.qid = qid && vc.outstanding = j)
+            (fun vc -> Sweep_leg.awaits vc.leg ~qid ~source:j)
             (pipeline t)
         with
         | Some vc ->
-            vc.outstanding <- -1;
-            Obs.finish t.ctx.obs vc.leg;
-            vc.leg <- Tracer.none;
-            (match interfering_deltas t vc j with
-            | [] -> vc.dv <- partial
-            | deltas ->
-                t.ctx.metrics.Metrics.compensations <-
-                  t.ctx.metrics.Metrics.compensations + 1;
-                if Obs.active t.ctx.obs then
-                  Obs.event t.ctx.obs ~span:vc.span "compensate"
-                    [ ("source", Tracer.I j) ];
-                vc.dv <-
-                  Algebra.compensate t.ctx.view ~answer:partial
-                    ~interfering:(Delta.sum deltas) ~temp:vc.temp);
-            advance t vc;
+            Sweep_leg.answer t.ctx vc.leg ~source:j partial
+              ~interfering:(interfering_deltas t vc j);
+            ignore (Sweep_leg.step t.ctx ~name vc.leg : bool);
             drain_and_refill t
         | None ->
             invalid_arg
@@ -187,19 +146,12 @@ struct
   module Snap = Repro_durability.Snap
 
   let snap_of_vc vc =
-    Snap.List
-      [ Algorithm.snap_of_entry vc.entry; Snap.Partial (Partial.copy vc.dv);
-        Snap.Partial (Partial.copy vc.temp); Snap.ints vc.pending;
-        Snap.Int vc.outstanding; Snap.Bool vc.completed; Snap.Int vc.qid ]
+    Snap.List [ Algorithm.snap_of_entry vc.entry; Sweep_leg.snapshot vc.leg ]
 
   let vc_of_snap s =
     match Snap.to_list s with
-    | [ entry; dv; temp; pending; outstanding; completed; qid ] ->
-        { entry = Algorithm.entry_of_snap entry; dv = Snap.to_partial dv;
-          temp = Snap.to_partial temp; pending = Snap.to_ints pending;
-          outstanding = Snap.to_int outstanding;
-          completed = Snap.to_bool completed; qid = Snap.to_int qid;
-          span = Tracer.none; leg = Tracer.none }
+    | [ entry; leg ] ->
+        { entry = Algorithm.entry_of_snap entry; leg = Sweep_leg.restore leg }
     | _ -> invalid_arg "Sweep_pipelined: malformed snapshot"
 
   (* Checkpoint encoding stays in delivery order, exactly as before the

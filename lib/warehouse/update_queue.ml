@@ -117,20 +117,6 @@ let push_front t e =
   d.front <- e :: d.front;
   t.len <- t.len + 1
 
-(* Oldest entry satisfying [eligible], skipping (and preserving) parked
-   ones. O(parked prefix) per call — the parked prefix is bounded by the
-   stall cap. *)
-let pop_eligible t ~eligible =
-  let rec go skipped =
-    match pop t with
-    | None -> (None, List.rev skipped)
-    | Some e -> if eligible e then (Some e, List.rev skipped) else go (e :: skipped)
-  in
-  let found, skipped = go [] in
-  (* put the skipped prefix back in order ahead of whatever remains *)
-  List.iter (fun e -> push_front t e) (List.rev skipped);
-  found
-
 let peek t =
   normalize t.all;
   match t.all.front with [] -> None | e :: _ -> Some e
@@ -147,8 +133,8 @@ let take t ~max =
   in
   go max []
 
-(* Batched variant of [pop_eligible]: up to [max] eligible entries in
-   arrival order, skipping (and preserving) ineligible ones. *)
+(* Up to [max] eligible entries in arrival order, skipping (and
+   preserving) ineligible ones. *)
 let take_eligible t ~max ~eligible =
   if max < 0 then invalid_arg "Update_queue.take_eligible: max < 0";
   let rec go k taken kept = function

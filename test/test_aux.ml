@@ -7,7 +7,8 @@
    a leg is locally answerable iff the tracked projection functionally
    determines its result, proved by executing both paths and comparing
    bags — and finally the seeded differential storms: for each seed and
-   each Sweep_engine algorithm, aux full and keys-only runs must end
+   each aux-capable algorithm (sweep, sweep-batched, nested-sweep,
+   strobe), aux full and keys-only runs must end
    bit-identical to the aux-off run, replay bit-identically, earn a
    verdict no weaker, and (full mode) send zero sweep queries, including
    under warehouse crashes and a mid-run source outage.

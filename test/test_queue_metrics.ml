@@ -187,9 +187,8 @@ let qcheck_per_source_index =
                   model := e.Update_queue.arrival :: !model
               | [] -> ())
           | 4 ->
-              Option.iter
-                (fun e -> remove [ e ])
-                (Update_queue.pop_eligible !q ~eligible:(fun e ->
+              remove
+                (Update_queue.take_eligible !q ~max:1 ~eligible:(fun e ->
                      source_of e <> k))
           | 5 -> remove (Update_queue.take !q ~max:k)
           | 6 ->

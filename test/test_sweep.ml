@@ -9,11 +9,11 @@ open Repro_workload
 
 let test_sweep_order () =
   Alcotest.(check (list int)) "middle" [ 1; 0; 3; 4 ]
-    (Sweep.sweep_order ~n:5 ~i:2);
-  Alcotest.(check (list int)) "left end" [ 1; 2 ] (Sweep.sweep_order ~n:3 ~i:0);
+    (Sweep_order.order ~n:5 ~i:2);
+  Alcotest.(check (list int)) "left end" [ 1; 2 ] (Sweep_order.order ~n:3 ~i:0);
   Alcotest.(check (list int)) "right end" [ 1; 0 ]
-    (Sweep.sweep_order ~n:3 ~i:2);
-  Alcotest.(check (list int)) "single source" [] (Sweep.sweep_order ~n:1 ~i:0)
+    (Sweep_order.order ~n:3 ~i:2);
+  Alcotest.(check (list int)) "single source" [] (Sweep_order.order ~n:1 ~i:0)
 
 (* A 3-source chain with hand-picked contents so every join matches. *)
 let view = Chain.view ~n:3 ()

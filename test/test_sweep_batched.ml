@@ -43,8 +43,11 @@ let test_scripted_burst_batches () =
   Alcotest.check Rig.verdict "complete" Checker.Complete
     (Rig.check outcome).Checker.verdict
 
-(* batch_max = 1 degenerates to plain SWEEP: same messages, same
-   installs, bit-identical final view. *)
+(* SWEEP is the engine at batch_max = 1. These are plain SWEEP's counts
+   on the concurrent scenario, recorded from the one-update-at-a-time
+   engine that preceded the batched one: sweep and sweep-batched(k=1)
+   must both reproduce them exactly. The digest is MD5 over the sorted
+   final view as Bag.pp prints it. *)
 let concurrent_scenario ?(batch_max = 16) seed =
   { Scenario.default with
     Scenario.name = "batched-concurrent";
@@ -55,24 +58,44 @@ let concurrent_scenario ?(batch_max = 16) seed =
     batch_max;
     seed }
 
+type pin = {
+  compensations : int;
+  sim_time : float;
+  digest : string;
+}
+
+let sweep_pins =
+  [ (3L, { compensations = 171; sim_time = 364.79905943493043;
+           digest = "1ffc0106920402e5aaca54f880ece29f" });
+    (4L, { compensations = 171; sim_time = 359.76106574905106;
+           digest = "14ae7607e7ad321be8dabb155efc6fea" });
+    (5L, { compensations = 158; sim_time = 354.78469925870036;
+           digest = "010b6b4f8f3d6c7f535a169c85d50b7a" }) ]
+
 let test_batch_max_one_is_sweep () =
   List.iter
-    (fun seed ->
-      let sc = concurrent_scenario ~batch_max:1 seed in
-      let batched = Experiment.run sc (Sweep_batched.with_batch_max 1) in
-      let sweep = Experiment.run sc (module Sweep : Algorithm.S) in
-      let bm = batched.Experiment.metrics and sm = sweep.Experiment.metrics in
-      Alcotest.(check int) "same queries" sm.Metrics.queries_sent
-        bm.Metrics.queries_sent;
-      Alcotest.(check int) "same answers" sm.Metrics.answers_received
-        bm.Metrics.answers_received;
-      Alcotest.(check int) "same installs" sm.Metrics.installs
-        bm.Metrics.installs;
-      Alcotest.check Rig.bag "same final view" sweep.Experiment.final_view
-        batched.Experiment.final_view;
-      Alcotest.check Rig.verdict "complete" Checker.Complete
-        batched.Experiment.verdict.Checker.verdict)
-    [ 3L; 4L; 5L ]
+    (fun (seed, pin) ->
+      List.iter
+        (fun algorithm ->
+          let r = Experiment.run (concurrent_scenario ~batch_max:1 seed) algorithm in
+          let m = r.Experiment.metrics in
+          let what = Printf.sprintf "%s seed %Ld" r.Experiment.algorithm seed in
+          Alcotest.(check (list int)) (what ^ " queries, answers, installs, events")
+            [ 180; 180; 60; 481 ]
+            [ m.Metrics.queries_sent; m.Metrics.answers_received;
+              m.Metrics.installs; r.Experiment.events ];
+          Alcotest.(check int) (what ^ " compensations") pin.compensations
+            m.Metrics.compensations;
+          Alcotest.(check (float 0.)) (what ^ " sim time") pin.sim_time
+            r.Experiment.sim_time;
+          Alcotest.(check string) (what ^ " final view") pin.digest
+            (Digest.to_hex
+               (Digest.string
+                  (Format.asprintf "%a" Bag.pp r.Experiment.final_view)));
+          Alcotest.check Rig.verdict (what ^ " complete") Checker.Complete
+            r.Experiment.verdict.Checker.verdict)
+        [ (module Sweep : Algorithm.S); Sweep_batched.with_batch_max 1 ])
+    sweep_pins
 
 (* Batching changes the install granularity but never the data: the final
    view must be bit-identical to one-at-a-time SWEEP on the same seed. *)
