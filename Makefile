@@ -1,4 +1,4 @@
-.PHONY: all build test loc lint lint-fast lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
+.PHONY: all build test loc lint lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
 
 all: build
 
@@ -29,12 +29,6 @@ loc:
 # audited `(* lint: allow <rule> <reason> *)` pragma.
 lint:
 	dune exec bin/repro_lint.exe -- lib bin bench test
-
-# Incremental pass over the files git reports changed vs HEAD; the
-# module graph forces a full run whenever a changed interface or a
-# referenced unit could shift cross-module verdicts elsewhere.
-lint-fast:
-	dune exec bin/repro_lint.exe -- --changed lib bin bench test
 
 # Same pass, machine-readable report for CI artifacts.
 lint-json:

@@ -187,7 +187,6 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
       faults;
       checkpoint_every;
       queue_capacity;
-      batch_max;
       deadline;
       breaker_k;
       probe_limit;

@@ -34,40 +34,35 @@ type result = {
   sessions : Checker.session_report option;
 }
 
-let algorithm_by_name ?(batch_max = 16) = function
-  | "sweep" -> Some (module Sweep : Algorithm.S)
-  | "sweep-parallel" -> Some (module Sweep_parallel : Algorithm.S)
-  | "sweep-pipelined" -> Some (module Sweep_pipelined : Algorithm.S)
-  | "sweep-global" -> Some (module Sweep_global : Algorithm.S)
-  | "sweep-batched" ->
-      Some
-        (if batch_max = 16 then (module Sweep_batched : Algorithm.S)
-         else Sweep_batched.with_batch_max batch_max)
-  | "nested-sweep" -> Some (module Nested_sweep : Algorithm.S)
-  | "strobe" -> Some (module Strobe : Algorithm.S)
-  | "c-strobe" -> Some (module C_strobe : Algorithm.S)
-  | "eca" -> Some (module Eca : Algorithm.S)
-  | "naive" -> Some (module Naive : Algorithm.S)
-  | "recompute" -> Some (module Recompute : Algorithm.S)
-  | _ -> None
+(* Every algorithm by name, in the order comparisons list them. *)
+let algorithms ?(batch_max = 16) () : (string * (module Algorithm.S)) list =
+  [ ("sweep", (module Sweep));
+    ("sweep-parallel", (module Sweep_parallel));
+    ("sweep-pipelined", (module Sweep_pipelined));
+    ( "sweep-batched",
+      if batch_max = 16 then (module Sweep_batched)
+      else Sweep_batched.with_batch_max batch_max );
+    ("nested-sweep", (module Nested_sweep));
+    ("strobe", (module Strobe));
+    ("c-strobe", (module C_strobe));
+    ("naive", (module Naive));
+    ("recompute", (module Recompute));
+    ("eca", (module Eca));
+    ("sweep-global", (module Sweep_global)) ]
 
+let algorithm_by_name ?batch_max name =
+  List.assoc_opt name (algorithms ?batch_max ())
+
+(* Comparisons leave out sweep-global, the global-transaction variant,
+   and run ECA only in the centralized topology it needs. *)
 let algorithms_for (s : Scenario.t) =
-  let base =
-    [ ("sweep", (module Sweep : Algorithm.S));
-      ("sweep-parallel", (module Sweep_parallel : Algorithm.S));
-      ("sweep-pipelined", (module Sweep_pipelined : Algorithm.S));
-      ( "sweep-batched",
-        (if s.batch_max = 16 then (module Sweep_batched : Algorithm.S)
-         else Sweep_batched.with_batch_max s.batch_max) );
-      ("nested-sweep", (module Nested_sweep : Algorithm.S));
-      ("strobe", (module Strobe : Algorithm.S));
-      ("c-strobe", (module C_strobe : Algorithm.S));
-      ("naive", (module Naive : Algorithm.S));
-      ("recompute", (module Recompute : Algorithm.S)) ]
-  in
-  match s.topology with
-  | Scenario.Distributed -> base
-  | Scenario.Centralized -> base @ [ ("eca", (module Eca : Algorithm.S)) ]
+  List.filter
+    (fun (name, _) ->
+      match name with
+      | "sweep-global" -> false
+      | "eca" -> s.topology = Scenario.Centralized
+      | _ -> true)
+    (algorithms ())
 
 let observation ~initial_sources node =
   { Checker.initial_sources; deliveries = Node.deliveries node;
@@ -231,22 +226,22 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     down_links := l :: !down_links;
     Transport.link_send l
   in
+  (* One link: a plain channel on a fault-free run, else the reliable
+     transport endpoint [mk] builds. *)
+  let link mk i ~deliver =
+    if faulty then mk i ~deliver
+    else
+      Channel.send
+        (Channel.create engine ~latency:scenario.latency ~rng:(Rng.split rng)
+           ~deliver)
+  in
   (* apply: how the workload performs an update at "source i";
      scan_total: probes across this run's own base tables that degraded
      to O(n) scans — the suites assert 0. *)
   let send_to, apply, scan_total =
     match scenario.topology with
     | Scenario.Distributed ->
-        let up_send =
-          Array.init n (fun i ->
-              if faulty then (mk_up i ~deliver : Message.to_warehouse -> unit)
-              else
-                let ch =
-                  Channel.create engine ~latency:scenario.latency
-                    ~rng:(Rng.split rng) ~deliver
-                in
-                Channel.send ch)
-        in
+        let up_send = Array.init n (fun i -> link mk_up i ~deliver) in
         let sources =
           Array.init n (fun i ->
               Source_node.create engine ~view ~id:i
@@ -256,14 +251,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
         in
         let down_send =
           Array.init n (fun i ->
-              let deliver m = Source_node.handle sources.(i) m in
-              if faulty then (mk_down i ~deliver : Message.to_source -> unit)
-              else
-                let ch =
-                  Channel.create engine ~latency:scenario.latency
-                    ~rng:(Rng.split rng) ~deliver
-                in
-                Channel.send ch)
+              link mk_down i ~deliver:(Source_node.handle sources.(i)))
         in
         ( (fun i msg -> down_send.(i) msg),
           (fun ~source ~global delta ->
@@ -280,28 +268,11 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
               0 sources )
     | Scenario.Centralized ->
         (* the single site plays the role of "source 0" for crash windows *)
-        let up =
-          if faulty then mk_up 0 ~deliver
-          else
-            let ch =
-              Channel.create engine ~latency:scenario.latency
-                ~rng:(Rng.split rng) ~deliver
-            in
-            Channel.send ch
-        in
+        let up = link mk_up 0 ~deliver in
         let site =
           Eca_site.create engine ~view ~inits:initial ~send:up ~trace
         in
-        let deliver_down m = Eca_site.handle site m in
-        let down =
-          if faulty then mk_down 0 ~deliver:deliver_down
-          else
-            let ch =
-              Channel.create engine ~latency:scenario.latency
-                ~rng:(Rng.split rng) ~deliver:deliver_down
-            in
-            Channel.send ch
-        in
+        let down = link mk_down 0 ~deliver:(Eca_site.handle site) in
         ( (fun _i msg -> down msg),
           (fun ~source ~global:_ delta ->
             (* the centralized site applies type-3 parts as local updates *)

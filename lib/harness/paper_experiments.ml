@@ -22,13 +22,9 @@ let stream ~updates ~gap =
 let scenario ?(name = "exp") ?(n = 4) ?(init = 30) ?domain
     ?(topology = Scenario.Distributed) ?(seed = 1997L) ~updates ~gap () =
   let domain = Option.value domain ~default:init in
-  { Scenario.name; n_sources = n; init_size = init; domain;
-    stream = stream ~updates ~gap; latency = Latency.Uniform (0.5, 1.5);
-    topology; faults = Fault.none; checkpoint_every = 8;
-    queue_capacity = None; batch_max = 16; deadline = None; breaker_k = 3;
-    probe_limit = 0; stall_cap = 256; read_rate = 0.; staleness_slo = 2.0;
-    read_cap = 16; read_burst = None;
-    aux_mode = Repro_warehouse.Aux_store.Off; seed }
+  { Scenario.default with
+    name; n_sources = n; init_size = init; domain;
+    stream = stream ~updates ~gap; topology; seed }
 
 let mpu (r : Experiment.result) =
   (* round trips (query + answer) per incorporated update *)

@@ -14,7 +14,6 @@ type t = {
   faults : Fault.t;
   checkpoint_every : int;
   queue_capacity : int option;
-  batch_max : int;
   deadline : float option;
   breaker_k : int;
   probe_limit : int;
@@ -31,7 +30,7 @@ let default =
   { name = "default"; n_sources = 3; init_size = 40; domain = 16;
     stream = Update_gen.default; latency = Latency.Uniform (0.5, 1.5);
     topology = Distributed; faults = Fault.none; checkpoint_every = 8;
-    queue_capacity = None; batch_max = 16; deadline = None; breaker_k = 3;
+    queue_capacity = None; deadline = None; breaker_k = 3;
     probe_limit = 0; stall_cap = 256; read_rate = 0.; staleness_slo = 2.0;
     read_cap = 16; read_burst = None;
     aux_mode = Repro_warehouse.Aux_store.Off; seed = 42L }

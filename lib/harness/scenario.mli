@@ -30,9 +30,6 @@ type t = {
   queue_capacity : int option;
       (** bound on the warehouse update queue; excess updates are held
           back (or shed when no-ops) at the workload layer. *)
-  batch_max : int;
-      (** cap on the updates [Sweep_batched] drains into one batched
-          sweep (default 16); only that algorithm reads it. *)
   deadline : float option;
       (** per-query transport deadline (sim seconds). [None] (the
           default) keeps the legacy retransmit-forever senders; [Some d]

@@ -1,13 +1,7 @@
 (* Orchestration, in two phases: phase 1 discovers and parses every
    unit once and builds the Modgraph (the cross-module rules' repo
-   model); phase 2 runs the rules over the selected units, applies
-   pragmas, renders text / JSON / SARIF and decides the exit status.
-
-   [--changed[=REF]] restricts phase 2 to the units git reports changed
-   against REF — phase 1 always covers the whole repo, so cross-module
-   verdicts stay exact for the selected files — falling back to a full
-   run when a changed interface (or a unit other units reference) could
-   shift verdicts elsewhere. *)
+   model); phase 2 runs the rules over every unit, applies pragmas,
+   renders text / JSON / SARIF and decides the exit status. *)
 
 module Jsonw = Repro_observability.Jsonw
 
@@ -149,94 +143,12 @@ let lint_sources units =
   { files = List.length parsed;
     reports = List.map (lint_parsed graph) parsed }
 
-let graph_of_sources units =
-  build_graph
-    (List.map (fun (file, src) -> parse_unit ~has_mli:false ~file src) units)
-
 let lint_paths paths =
   let files = List.concat_map discover paths in
   let parsed = List.map (fun f -> parse_unit ~file:f (read_file f)) files in
   let graph = build_graph parsed in
   { files = List.length files;
     reports = List.map (lint_parsed graph) parsed }
-
-(* ————— incremental planning (--changed) ————— *)
-
-(* Decide, purely from the module graph, whether linting only [changed]
-   is sound. A changed interface, or a changed unit other units
-   reference, can shift cross-module verdicts in files we would skip —
-   those force a full run. Exposed for unit tests (git is unavailable
-   in the dune sandbox). *)
-let incremental_plan ~graph ~all_files ~changed =
-  let norm p = String.concat "/" (String.split_on_char '\\' p) in
-  let all = List.map norm all_files in
-  let changed = List.map norm changed in
-  let graph_units = Modgraph.units graph in
-  let interface =
-    List.find_opt
-      (fun c ->
-        Filename.check_suffix c ".mli"
-        && List.mem (Modgraph.unit_name_of_file c) graph_units)
-      changed
-  in
-  match interface with
-  | Some mli ->
-      `Full (Printf.sprintf "interface %s changed" mli)
-  | None -> (
-      let changed_ml =
-        List.filter (fun c -> Filename.check_suffix c ".ml") changed
-      in
-      let selected =
-        List.filter
-          (fun f ->
-            List.exists
-              (fun c ->
-                f = c
-                || Filename.basename f = Filename.basename c)
-              changed_ml)
-          all
-      in
-      let referenced =
-        List.find_map
-          (fun f ->
-            let u = Modgraph.unit_name_of_file f in
-            match Modgraph.referencing_units graph u with
-            | [] -> None
-            | refs -> Some (u, refs))
-          selected
-      in
-      match referenced with
-      | Some (u, refs) ->
-          `Full
-            (Printf.sprintf "unit %s is referenced by %s" u
-               (String.concat ", " refs))
-      | None -> `Subset selected)
-
-let git_lines cmd =
-  let ic = Unix.open_process_in cmd in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> Some (List.rev !lines)
-  | _ -> None
-
-let git_changed ref_ =
-  match
-    git_lines
-      (Printf.sprintf "git diff --name-only %s -- 2>/dev/null"
-         (Filename.quote ref_))
-  with
-  | None -> None
-  | Some diff ->
-      let untracked =
-        Option.value ~default:[]
-          (git_lines "git ls-files --others --exclude-standard 2>/dev/null")
-      in
-      Some (diff @ untracked)
 
 (* ————— aggregation & rendering ————— *)
 
@@ -407,19 +319,16 @@ let render_sarif r = Jsonw.to_string ~indent:2 (to_sarif r)
 
 let usage =
   "usage: repro_lint [--json] [--show-suppressed] [--sarif OUT.sarif] \
-   [--changed[=REF]] [path ...]\n\
+   [path ...]\n\
    Lints every .ml under the given files/directories (default: lib bin \
    bench test).\n\
    --sarif writes a SARIF 2.1.0 report alongside the chosen output.\n\
-   --changed lints only files changed vs a git ref (default HEAD), \
-   falling back to the full repo when the module graph demands it.\n\
    Exit status 1 when any error-severity finding survives pragmas."
 
 let main argv =
   let json = ref false in
   let show_suppressed = ref false in
   let sarif_out = ref None in
-  let changed_ref = ref None in
   let paths = ref [] in
   let bad = ref None in
   let rec parse = function
@@ -434,28 +343,13 @@ let main argv =
         sarif_out := Some out;
         parse rest
     | [ "--sarif" ] -> bad := Some 2
-    | "--changed" :: rest ->
-        changed_ref := Some "HEAD";
-        parse rest
     | ("--help" | "-h") :: _ -> bad := Some 0
-    | arg :: rest when String.length arg > 0 && arg.[0] = '-' ->
-        let prefix pre =
-          String.length arg > String.length pre
-          && String.sub arg 0 (String.length pre) = pre
-        in
-        let suffix pre =
-          String.sub arg (String.length pre)
-            (String.length arg - String.length pre)
-        in
-        if prefix "--changed=" then begin
-          changed_ref := Some (suffix "--changed=");
-          parse rest
-        end
-        else if prefix "--sarif=" then begin
-          sarif_out := Some (suffix "--sarif=");
-          parse rest
-        end
-        else bad := Some 2
+    | arg :: rest
+      when String.starts_with ~prefix:"--sarif=" arg && String.length arg > 8
+      ->
+        sarif_out := Some (String.sub arg 8 (String.length arg - 8));
+        parse rest
+    | arg :: _ when String.length arg > 0 && arg.[0] = '-' -> bad := Some 2
     | path :: rest ->
         paths := path :: !paths;
         parse rest
@@ -476,42 +370,7 @@ let main argv =
           Printf.eprintf "repro_lint: no such path: %s\n" missing;
           2
       | None ->
-          let files = List.concat_map discover paths in
-          let parsed =
-            List.map (fun f -> parse_unit ~file:f (read_file f)) files
-          in
-          let graph = build_graph parsed in
-          let selected =
-            match !changed_ref with
-            | None -> parsed
-            | Some ref_ -> (
-                match git_changed ref_ with
-                | None ->
-                    Printf.eprintf
-                      "repro_lint: git diff vs %s failed; full run\n" ref_;
-                    parsed
-                | Some changed -> (
-                    match
-                      incremental_plan ~graph ~all_files:files ~changed
-                    with
-                    | `Full reason ->
-                        Printf.eprintf
-                          "repro_lint: incremental fallback to full run \
-                           (%s)\n"
-                          reason;
-                        parsed
-                    | `Subset keep ->
-                        Printf.eprintf
-                          "repro_lint: incremental vs %s: %d of %d file(s)\n"
-                          ref_ (List.length keep) (List.length files);
-                        List.filter
-                          (fun p -> List.mem p.p_file keep)
-                          parsed))
-          in
-          let r =
-            { files = List.length selected;
-              reports = List.map (lint_parsed graph) selected }
-          in
+          let r = lint_paths paths in
           (match !sarif_out with
           | Some out ->
               let oc = open_out_bin out in

@@ -1,6 +1,6 @@
 (** Two-phase orchestration: phase 1 parses every unit once and builds
-    the {!Modgraph}; phase 2 runs the rules over the selected units,
-    applies pragmas and renders text / JSON / SARIF. *)
+    the {!Modgraph}; phase 2 runs the rules over every unit, applies
+    pragmas and renders text / JSON / SARIF. *)
 
 type file_report = {
   file : string;
@@ -26,23 +26,10 @@ val lint_file : string -> file_report
     order. *)
 val lint_sources : (string * string) list -> report
 
-(** Phase 1 only: the module graph of the given [(file, source)] units
-    (for {!incremental_plan} tests — git is unavailable in the dune
-    sandbox). *)
-val graph_of_sources : (string * string) list -> Modgraph.t
-
 (** Lint every [.ml] under the given files/directories, skipping
     [_build], hidden directories and [lint_fixtures]. One shared module
     graph spans the whole set. *)
 val lint_paths : string list -> report
-
-(** [--changed] planning, pure for testing: lint only [changed] unless
-    a changed interface or a referenced unit forces a [`Full] run. *)
-val incremental_plan :
-  graph:Modgraph.t ->
-  all_files:string list ->
-  changed:string list ->
-  [ `Full of string | `Subset of string list ]
 
 val errors : report -> int
 val warnings : report -> int
@@ -65,5 +52,5 @@ val render_sarif : report -> string
 
 (** Run the CLI on [argv]; returns the intended exit status (0 clean,
     1 error findings, 2 usage error). Flags: [--json],
-    [--show-suppressed], [--sarif OUT], [--changed[=REF]]. *)
+    [--show-suppressed], [--sarif OUT]. *)
 val main : string array -> int

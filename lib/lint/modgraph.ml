@@ -49,12 +49,9 @@ and atom =
   | Prim_alias of string * int  (* reason, creator arity *)
 
 type t = {
-  files : (string * string) list;  (* unit name, file *)
-  unit_of_file : (string, string) Hashtbl.t;
   defs : def list;
   (* resolution index: (unit, name) -> def (first definition wins) *)
   by_name : (string * string, def) Hashtbl.t;
-  (* units referencing a given unit, precomputed for [--changed] *)
   mutable reach : ((string * string, string) Hashtbl.t) option;
       (* handler reachability: def -> " -> "-joined chain from its root;
          computed lazily, shared by every per-file L8 query *)
@@ -515,31 +512,9 @@ let build units =
           | None -> ())
       defs
   done;
-  let unit_of_file = Hashtbl.create 64 in
-  List.iter
-    (fun (file, _) ->
-      Hashtbl.replace unit_of_file (norm_path file) (unit_name_of_file file))
-    units;
-  { files = List.map (fun (f, _) -> (unit_name_of_file f, f)) units;
-    unit_of_file;
-    defs;
-    by_name;
-    reach = None }
+  { defs; by_name; reach = None }
 
 (* ————— queries ————— *)
-
-let units t = List.map fst t.files
-let file_of_unit t u = List.assoc_opt u t.files
-
-let referencing_units t target =
-  let out = ref SSet.empty in
-  List.iter
-    (fun d ->
-      if d.d_unit <> target
-         && List.exists (fun (u, _) -> u = target) d.d_refs
-      then out := SSet.add d.d_unit !out)
-    t.defs;
-  SSet.elements !out
 
 let mutable_values t ~file =
   let file = norm_path file in

@@ -1,6 +1,6 @@
 (** Phase 1 of the cross-module lint: a repo-wide model built by parsing
     every compilation unit once, queried by the cross-module rules
-    (L7–L9) and the [--changed] incremental planner.
+    (L7–L9).
 
     The model records, per unit (one [.ml] file, module name = capitalized
     basename):
@@ -45,16 +45,6 @@ type hot_effect = {
     [(file, structure)] pairs. Files that failed to parse are simply
     absent. *)
 val build : (string * Parsetree.structure) list -> t
-
-(** ["lib/relational/bag.ml"] -> ["Bag"]. *)
-val unit_name_of_file : string -> string
-
-val units : t -> string list
-val file_of_unit : t -> string -> string option
-
-(** Units (other than [u] itself) holding at least one reference to a
-    definition of unit [u] — the [--changed] fallback test. *)
-val referencing_units : t -> string -> string list
 
 (** Toplevel mutable values defined in [file], in source order. *)
 val mutable_values : t -> file:string -> mutable_value list

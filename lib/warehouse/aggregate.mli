@@ -9,9 +9,11 @@
     representation (a per-group value multiset makes MIN/MAX maintainable
     under deletes, which plain counters cannot do).
 
-    Attach one to a warehouse with {!Node.add_install_listener}; every
-    install keeps the aggregate exactly consistent with the view it is
-    derived from (asserted by the test suite). *)
+    Feed one from a warehouse's install history: {!seed} it with
+    {!Node.initial_view}, then {!apply} the delta of every record in
+    {!Node.installs}, in order. Each install keeps the aggregate exactly
+    consistent with the view it is derived from (asserted by the test
+    suite; [examples/star_schema.ml] does the same). *)
 
 open Repro_relational
 
@@ -27,7 +29,7 @@ val create : group_by:int array -> aggregates:func list -> t
 (** Feed one view-level delta (as passed to the warehouse's install). *)
 val apply : t -> Delta.t -> unit
 
-(** [of_view t view_contents] (re)initializes from a full view — used to
+(** [seed t view_contents] (re)initializes from a full view — used to
     seed from the initial materialized view. *)
 val seed : t -> Bag.t -> unit
 

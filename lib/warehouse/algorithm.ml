@@ -54,6 +54,26 @@ let packed_snapshot (Packed ((module A), st)) = A.snapshot st
 let restore_packed (module A : S) ctx snap =
   Packed ((module A), A.restore ctx snap)
 
+(* The transaction frame every algorithm shares. *)
+
+module Obs = Repro_observability.Obs
+module Tracer = Repro_observability.Tracer
+
+let trace ctx fmt =
+  Trace.emit ctx.trace ~time:(Engine.now ctx.engine) ~who:"warehouse" fmt
+
+let pp_txns =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
+    (fun ppf (e : Update_queue.entry) ->
+      Message.pp_txn_id ppf e.update.Message.txn)
+
+let txn_span ctx name ?(attrs = []) entries =
+  if Obs.active ctx.obs then
+    Obs.span ctx.obs (name ^ ".txn")
+      (("txn", Tracer.S (Format.asprintf "%a" pp_txns entries)) :: attrs)
+  else Tracer.none
+
 (* Shared (de)serialization of queue entries: algorithms checkpoint the
    entries they hold references to (pending lists, frames) by value. *)
 

@@ -92,6 +92,26 @@ val packed_snapshot : packed -> Repro_durability.Snap.t
 (** Re-instantiate an algorithm from a checkpointed snapshot. *)
 val restore_packed : (module S) -> ctx -> Repro_durability.Snap.t -> packed
 
+(** {2 The shared transaction frame} *)
+
+(** [trace ctx fmt …] records a warehouse line in [ctx.trace] at the
+    current simulated time (no-op when the trace is disabled). *)
+val trace : ctx -> ('a, Format.formatter, unit) format -> 'a
+
+(** Transaction ids of queue entries, comma-joined. *)
+val pp_txns : Format.formatter -> Update_queue.entry list -> unit
+
+(** [txn_span ctx name ?attrs entries] opens the root span
+    ["<name>.txn"] of one transaction covering [entries], with attribute
+    [txn] ({!pp_txns}) first and then [attrs];
+    [Tracer.none] when observability is off. *)
+val txn_span :
+  ctx ->
+  string ->
+  ?attrs:(string * Repro_observability.Tracer.attr) list ->
+  Update_queue.entry list ->
+  Repro_observability.Tracer.id
+
 (** {2 Shared snapshot helpers} — queue entries serialized by value, used
     by every algorithm's [snapshot]/[restore]. *)
 

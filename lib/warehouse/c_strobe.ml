@@ -1,24 +1,18 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
 
 let name = "c-strobe"
 
-(* One (possibly compensating) query: the chain join with [pins] replacing
-   the pinned sources' relations. [pin_ids] (sorted arrival numbers, the
-   initial update itself included) identify the pin set so each distinct
-   compensation is sent at most once. *)
+(* One (possibly compensating) query: a sweep leg over the chain join
+   with [pins] replacing the pinned sources' relations. [pin_ids] (sorted
+   arrival numbers, the initial update itself included) identify the pin
+   set so each distinct compensation is sent at most once. *)
 type job = {
   pins : (int * Delta.t) list;
   pin_ids : int list;
-  mutable dv : Partial.t;
-  mutable pending : int list;  (* next positions to incorporate, in order *)
-  mutable outstanding : int;
-  qid : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after restore *)
-  mutable leg : Tracer.id;
+  leg : Sweep_leg.t;
 }
 
 type current = {
@@ -30,7 +24,7 @@ type current = {
   mutable kills : (int * Tuple.t) list;  (* (source, key) kills to apply *)
   mutable finished : bool;  (* finalize-once guard *)
   delete_view_delta : Delta.t;  (* local handling of the delete part *)
-  (* lint: allow L5 volatile span id, like the jobs': Tracer.none after restore *)
+  (* lint: allow L5 volatile span id, like the legs': Tracer.none after restore *)
   mutable span : Tracer.id;
 }
 
@@ -40,61 +34,51 @@ let create ctx =
   Keys.require_keys ~algorithm:"C-strobe" ctx.Algorithm.view;
   { ctx; current = None }
 
-let trace t fmt =
-  Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-    ~who:"warehouse" fmt
-
-(* Positions a job must incorporate, sweeping out from its lowest pin. *)
-let job_order ~n ~start =
-  let left = List.init start (fun k -> start - 1 - k) in
-  let right = List.init (n - 1 - start) (fun k -> start + 1 + k) in
-  left @ right
-
-let make_job t ~pins ~pin_ids =
-  let n = View_def.n_sources t.ctx.Algorithm.view in
+(* A job sweeps out from its lowest pin; its span is the leg's. *)
+let make_job (ctx : Algorithm.ctx) cur ~pins ~pin_ids ~compensating =
   let start, start_delta =
     match List.sort (fun (a, _) (b, _) -> Int.compare a b) pins with
     | (s, d) :: _ -> (s, d)
     | [] -> invalid_arg "C_strobe.make_job: no pins"
   in
-  { pins; pin_ids;
-    dv = Partial.of_source_delta t.ctx.Algorithm.view start start_delta;
-    pending = job_order ~n ~start; outstanding = -1;
-    qid = t.ctx.Algorithm.fresh_qid (); span = Tracer.none;
-    leg = Tracer.none }
+  let leg =
+    Sweep_leg.create ctx
+      (Partial.of_source_delta ctx.view start start_delta)
+      ~pending:(Sweep_order.order ~n:(View_def.n_sources ctx.view) ~i:start)
+  in
+  let job = { pins; pin_ids; leg } in
+  if compensating then
+    Algorithm.trace ctx "c-strobe: compensating query %d (pins %s)" leg.qid
+      (String.concat "," (List.map string_of_int pin_ids));
+  if Obs.active ctx.obs then
+    leg.span <-
+      Obs.span ctx.obs ~parent:cur.span "job"
+        (("qid", Tracer.I leg.qid)
+        :: ("pins", Tracer.I (List.length pins))
+        :: (if compensating then [ ("compensating", Tracer.B true) ] else []));
+  job
+
+(* The hop of a pinned position: joined locally, no message. *)
+let pinned (ctx : Algorithm.ctx) job (leg : Sweep_leg.t) j =
+  Option.map
+    (fun pin ->
+      let pp = Partial.of_source_delta ctx.view j pin in
+      if j < leg.dv.Partial.lo then Algebra.join ctx.view pp leg.dv
+      else Algebra.join ctx.view leg.dv pp)
+    (List.assoc_opt j job.pins)
 
 let rec advance t cur job =
-  match job.pending with
-  | j :: rest -> (
-      job.pending <- rest;
-      match List.assoc_opt j job.pins with
-      | Some pin ->
-          (* Pinned position: joined locally, no message. *)
-          let pp = Partial.of_source_delta t.ctx.view j pin in
-          job.dv <-
-            (if j < job.dv.Partial.lo then Algebra.join t.ctx.view pp job.dv
-             else Algebra.join t.ctx.view job.dv pp);
-          advance t cur job
-      | None ->
-          job.outstanding <- j;
-          job.leg <-
-            (if Obs.active t.ctx.obs then
-               Obs.span t.ctx.obs ~parent:job.span "query"
-                 [ ("source", Tracer.I j); ("qid", Tracer.I job.qid) ]
-             else Tracer.none);
-          t.ctx.send j
-            (Message.Sweep_query
-               { qid = job.qid; target = j; partial = Partial.copy job.dv }))
-  | [] -> complete t cur job
+  if Sweep_leg.step t.ctx ~hop:(pinned t.ctx job) job.leg then
+    complete t cur job
 
 and complete t cur job =
-  Obs.finish t.ctx.obs job.span;
-  cur.jobs <- List.filter (fun j -> j.qid <> job.qid) cur.jobs;
+  Obs.finish t.ctx.obs job.leg.span;
+  cur.jobs <- List.filter (fun j -> j.leg.qid <> job.leg.qid) cur.jobs;
   cur.answer <-
     Some
       (match cur.answer with
-      | None -> job.dv
-      | Some a -> Partial.add a job.dv);
+      | None -> job.leg.dv
+      | Some a -> Partial.add a job.leg.dv);
   (* Conservative concurrency scan: every queued update delivered after
      the one being processed. *)
   let concurrent =
@@ -129,18 +113,10 @@ and complete t cur job =
         let pin_ids = List.sort Int.compare (e.arrival :: job.pin_ids) in
         if not (Hashtbl.mem cur.spawned pin_ids) then begin
           Hashtbl.replace cur.spawned pin_ids ();
-          let child =
-            make_job t ~pins:((src, dels) :: job.pins) ~pin_ids
-          in
-          trace t "c-strobe: compensating query %d (pins %s)" child.qid
-            (String.concat "," (List.map string_of_int pin_ids));
-          if Obs.active t.ctx.obs then
-            child.span <-
-              Obs.span t.ctx.obs ~parent:cur.span "job"
-                [ ("qid", Tracer.I child.qid);
-                  ("pins", Tracer.I (List.length child.pins));
-                  ("compensating", Tracer.B true) ];
-          children := child :: !children
+          children :=
+            make_job t.ctx cur ~pins:((src, dels) :: job.pins) ~pin_ids
+              ~compensating:true
+            :: !children
         end
       end)
     concurrent;
@@ -156,45 +132,17 @@ and complete t cur job =
   end
 
 and finalize t cur =
-  let view = t.ctx.view in
-  let contents = t.ctx.view_contents () in
-  let working = Bag.copy contents in
+  let working = Bag.copy (t.ctx.view_contents ()) in
   Bag.merge_into ~into:working cur.delete_view_delta;
   (match cur.answer with
   | None -> ()
   | Some a ->
       let full = a.Partial.data in
-      let by_source = Hashtbl.create 8 in
-      List.iter
-        (fun (src, key) ->
-          let tbl =
-            match Hashtbl.find_opt by_source src with
-            | Some tbl -> tbl
-            | None ->
-                let tbl = Hashtbl.create 4 in
-                Hashtbl.replace by_source src tbl;
-                tbl
-          in
-          Hashtbl.replace tbl key ())
-        cur.kills;
-      Hashtbl.iter
-        (fun src keys -> Keys.kill_full view ~full ~source:src ~keys)
-        by_source;
-      let view_delta =
-        Algebra.select_project view
-          { Partial.lo = 0; hi = View_def.n_sources view - 1; data = full }
-      in
-      (* Duplicate suppression: the keys make any already-present tuple a
-         duplicate derivation. *)
-      Delta.iter
-        (fun tup c -> if c > 0 && not (Bag.mem working tup) then
-            Bag.add working tup 1)
-        view_delta);
-  let delta = Bag.copy working in
-  Bag.diff_into ~into:delta contents;
+      Keys.kill_full t.ctx.view ~full cur.kills;
+      Keys.add_answer t.ctx.view ~working full);
   let entry = cur.entry in
   t.current <- None;
-  t.ctx.install delta ~txns:[ entry ];
+  Keys.install t.ctx ~working ~txns:[ entry ];
   Obs.finish t.ctx.obs cur.span;
   start_next t
 
@@ -221,15 +169,7 @@ and start_next t =
                 (Keys.view_deletion view ~contents:(t.ctx.view_contents ())
                    ~source:i ~key))
             deletes;
-          let span =
-            if Obs.active t.ctx.obs then
-              Obs.span t.ctx.obs "c-strobe.txn"
-                [ ("txn",
-                   Tracer.S
-                     (Format.asprintf "%a" Message.pp_txn_id
-                        entry.update.Message.txn)) ]
-            else Tracer.none
-          in
+          let span = Algorithm.txn_span t.ctx name [ entry ] in
           let cur =
             { entry; jobs = []; spawned = Hashtbl.create 32; answer = None;
               killed = Hashtbl.create 8; kills = []; finished = false;
@@ -242,13 +182,9 @@ and start_next t =
           end
           else begin
             let job =
-              make_job t ~pins:[ (i, inserts) ] ~pin_ids:[ entry.arrival ]
+              make_job t.ctx cur ~pins:[ (i, inserts) ]
+                ~pin_ids:[ entry.arrival ] ~compensating:false
             in
-            if Obs.active t.ctx.obs then
-              job.span <-
-                Obs.span t.ctx.obs ~parent:cur.span "job"
-                  [ ("qid", Tracer.I job.qid);
-                    ("pins", Tracer.I 1) ];
             Hashtbl.replace cur.spawned [ entry.arrival ] ();
             cur.jobs <- [ job ];
             advance t cur job
@@ -259,14 +195,14 @@ let on_update t (_ : Update_queue.entry) = start_next t
 let on_answer t msg =
   match (msg, t.current) with
   | Message.Answer { qid; source = j; partial }, Some cur -> (
-      match List.find_opt (fun job -> job.qid = qid) cur.jobs with
-      | Some job when job.outstanding = j ->
-          job.outstanding <- -1;
-          Obs.finish t.ctx.obs job.leg;
-          job.leg <- Tracer.none;
-          job.dv <- partial;
+      match
+        List.find_opt (fun job -> Sweep_leg.awaits job.leg ~qid ~source:j)
+          cur.jobs
+      with
+      | Some job ->
+          Sweep_leg.answer t.ctx job.leg ~source:j partial ~interfering:[];
           advance t cur job
-      | Some _ | None ->
+      | None ->
           invalid_arg
             (Printf.sprintf "C_strobe.on_answer: unexpected answer qid=%d" qid))
   | Message.Answer _, None ->
@@ -287,12 +223,11 @@ let snap_of_job job =
            (fun (src, d) ->
              Snap.List [ Snap.Int src; Snap.Delta (Delta.copy d) ])
            job.pins);
-      Snap.ints job.pin_ids; Snap.Partial (Partial.copy job.dv);
-      Snap.ints job.pending; Snap.Int job.outstanding; Snap.Int job.qid ]
+      Snap.ints job.pin_ids; Sweep_leg.snapshot job.leg ]
 
 let job_of_snap s =
   match Snap.to_list s with
-  | [ pins; pin_ids; dv; pending; outstanding; qid ] ->
+  | [ pins; pin_ids; leg ] ->
       { pins =
           List.map
             (fun p ->
@@ -300,9 +235,7 @@ let job_of_snap s =
               | [ src; d ] -> (Snap.to_int src, Snap.to_delta d)
               | _ -> invalid_arg "C_strobe: malformed pin snapshot")
             (Snap.to_list pins);
-        pin_ids = Snap.to_ints pin_ids; dv = Snap.to_partial dv;
-        pending = Snap.to_ints pending; outstanding = Snap.to_int outstanding;
-        qid = Snap.to_int qid; span = Tracer.none; leg = Tracer.none }
+        pin_ids = Snap.to_ints pin_ids; leg = Sweep_leg.restore leg }
   | _ -> invalid_arg "C_strobe: malformed job snapshot"
 
 (* Canonical hashtable dumps: spawned pin-id sets and killed arrivals

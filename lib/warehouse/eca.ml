@@ -1,5 +1,4 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
@@ -19,10 +18,6 @@ type pending = {
 type t = { ctx : Algorithm.ctx; mutable rev_pending : pending list }
 
 let create ctx = { ctx; rev_pending = [] }
-
-let trace t fmt =
-  Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-    ~who:"warehouse" fmt
 
 let on_update t (entry : Update_queue.entry) =
   (match Update_queue.pop t.ctx.queue with
@@ -45,17 +40,12 @@ let on_update t (entry : Update_queue.entry) =
   in
   let terms = [ (a, delta) ] :: compensations in
   let qid = t.ctx.fresh_qid () in
-  trace t "eca: query %d with %d terms for %a" qid (List.length terms)
-    Message.pp_txn_id entry.update.Message.txn;
+  Algorithm.trace t.ctx "eca: query %d with %d terms for %a" qid
+    (List.length terms) Message.pp_txn_id entry.update.Message.txn;
   let span =
-    if Obs.active t.ctx.obs then
-      Obs.span t.ctx.obs "eca.txn"
-        [ ("txn",
-           Tracer.S
-             (Format.asprintf "%a" Message.pp_txn_id entry.update.Message.txn));
-          ("terms", Tracer.I (List.length terms));
-          ("qid", Tracer.I qid) ]
-    else Tracer.none
+    Algorithm.txn_span t.ctx name
+      ~attrs:[ ("terms", Tracer.I (List.length terms)); ("qid", Tracer.I qid) ]
+      [ entry ]
   in
   t.rev_pending <- { entry; terms; qid; span } :: t.rev_pending;
   (* The centralized site is addressed as source 0 by convention. *)

@@ -21,16 +21,24 @@ let view_tuple_key view j tup =
   let positions = View_def.view_key_positions view j in
   Array.of_list (List.map (fun p -> tup.(p)) positions)
 
-let kill_full view ~full ~source ~keys =
-  let doomed =
-    Delta.fold
-      (fun tup c acc ->
-        if Hashtbl.mem keys (full_tuple_key view source tup) then
-          (tup, c) :: acc
-        else acc)
-      full []
-  in
-  List.iter (fun (tup, c) -> Delta.add full tup (-c)) doomed
+let kill_full view ~full = function
+  | [] -> ()
+  | kills ->
+      let keys = Hashtbl.create 8 in
+      List.iter (fun kill -> Hashtbl.replace keys kill ()) kills;
+      let sources = List.sort_uniq Int.compare (List.map fst kills) in
+      let doomed =
+        Delta.fold
+          (fun tup c acc ->
+            if
+              List.exists
+                (fun j -> Hashtbl.mem keys (j, full_tuple_key view j tup))
+                sources
+            then (tup, c) :: acc
+            else acc)
+          full []
+      in
+      List.iter (fun (tup, c) -> Delta.add full tup (-c)) doomed
 
 let view_deletion view ~contents ~source ~key =
   let out = Delta.empty () in
@@ -40,3 +48,15 @@ let view_deletion view ~contents ~source ~key =
         Delta.add out tup (-c))
     contents;
   out
+
+let add_answer view ~working full =
+  let last = View_def.n_sources view - 1 in
+  Delta.iter
+    (fun tup c ->
+      if c > 0 && not (Bag.mem working tup) then Bag.add working tup 1)
+    (Algebra.select_project view { Partial.lo = 0; hi = last; data = full })
+
+let install (ctx : Algorithm.ctx) ~working ~txns =
+  let delta = Bag.copy working in
+  Bag.diff_into ~into:delta (ctx.view_contents ());
+  ctx.install delta ~txns

@@ -1,5 +1,4 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
@@ -54,10 +53,6 @@ struct
   let create ctx =
     { ctx; max_depth = Cfg.max_depth; stack = []; rev_batch = [] }
 
-  let trace t fmt =
-    Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-      ~who:"warehouse" fmt
-
   (* A remote answer from [j] reflects installed state + the absorbed-
      but-uninstalled batch deltas from [j] (queued interference is
      compensated away, then absorbed as child frames). The aux
@@ -69,18 +64,19 @@ struct
     match t.stack with
     | [] -> start_next t
     | frame :: parents -> (
-        if
-          Sweep_leg.step t.ctx ~name ~overlay:(Sweep_leg.overlay t.rev_batch)
-            frame.leg
-        then
+        let hop =
+          Sweep_leg.aux_hop t.ctx ~name
+            ~overlay:(Sweep_leg.overlay t.rev_batch)
+        in
+        if Sweep_leg.step t.ctx ?hop frame.leg then
           match parents with
           | parent :: _ ->
               (* Recursive call returns: merge the child's view change
                  into the parent's and resume the parent. *)
               t.stack <- parents;
               parent.leg.dv <- Partial.add parent.leg.dv frame.leg.dv;
-              trace t "frame for src %d returns to src %d" frame.src
-                parent.src;
+              Algorithm.trace t.ctx "frame for src %d returns to src %d"
+                frame.src parent.src;
               Obs.finish t.ctx.obs frame.leg.span;
               advance t
           | [] ->
@@ -90,8 +86,8 @@ struct
               let txns = List.rev t.rev_batch in
               t.stack <- [];
               t.rev_batch <- [];
-              trace t "install batch of %d update(s): %a" (List.length txns)
-                Delta.pp view_delta;
+              Algorithm.trace t.ctx "install batch of %d update(s): %a"
+                (List.length txns) Delta.pp view_delta;
               t.ctx.install view_delta ~txns;
               Obs.finish t.ctx.obs frame.leg.span;
               start_next t)
@@ -109,17 +105,12 @@ struct
               make_frame t.ctx ~entries:[ entry ] ~left:0 ~src:i
                 ~right:(n - 1)
             in
-            trace t "ViewChange(%a, 0, %d, %d) begins" Message.pp_txn_id
-              entry.update.Message.txn i (n - 1);
-            if Obs.active t.ctx.obs then
-              frame.leg.span <-
-                Obs.span t.ctx.obs (name ^ ".txn")
-                  [ ("txn",
-                     Tracer.S
-                       (Format.asprintf "%a" Message.pp_txn_id
-                          entry.update.Message.txn)) ];
+            Algorithm.trace t.ctx "ViewChange(%a, 0, %d, %d) begins"
+              Message.pp_txn_id entry.update.Message.txn i (n - 1);
+            let batch = [ entry ] in
+            frame.leg.span <- Algorithm.txn_span t.ctx name batch;
             t.stack <- [ frame ];
-            t.rev_batch <- [ entry ];
+            t.rev_batch <- batch;
             advance t)
 
   let on_update t (_ : Update_queue.entry) = start_next t
@@ -139,7 +130,8 @@ struct
                  update stays queued for its own, later ViewChange. *)
               t.ctx.metrics.Metrics.fallbacks <-
                 t.ctx.metrics.Metrics.fallbacks + 1;
-              trace t "depth limit: leaving %d update(s) from %d queued"
+              Algorithm.trace t.ctx
+                "depth limit: leaving %d update(s) from %d queued"
                 (List.length interfering) j;
               if Obs.active t.ctx.obs then
                 Obs.event t.ctx.obs ~span:frame.leg.span "fallback"
@@ -165,8 +157,9 @@ struct
               let new_depth = depth + 1 in
               if new_depth > t.ctx.metrics.Metrics.max_depth then
                 t.ctx.metrics.Metrics.max_depth <- new_depth;
-              trace t "recurse: ViewChange(ΔR%d, %d, %d, %d) at depth %d" j
-                child.left child.src child.right new_depth;
+              Algorithm.trace t.ctx
+                "recurse: ViewChange(ΔR%d, %d, %d, %d) at depth %d" j child.left
+                child.src child.right new_depth;
               if Obs.active t.ctx.obs then
                 child.leg.span <-
                   Obs.span t.ctx.obs ~parent:frame.leg.span "frame"

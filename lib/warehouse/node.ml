@@ -34,7 +34,6 @@ type t = {
   mutable algo : Algorithm.packed option;
   mutable rev_installs : install_record list;
   mutable rev_deliveries : Message.update list;
-  mutable rev_listeners : (Delta.t -> unit) list;  (* newest first *)
   mutable rev_incorporate_listeners : (int -> unit) list;
   mutable rev_delivery_listeners : (Message.update -> unit) list;
   mutable rev_install_txn_listeners : (Message.txn_id list -> unit) list;
@@ -126,7 +125,6 @@ let wire t =
           { txns = List.map (fun e -> e.Update_queue.update.Message.txn) txns;
             delta = Delta.copy delta }
           :: t.rev_installs;
-      List.iter (fun f -> f delta) (List.rev t.rev_listeners);
       List.iter
         (fun f -> f (List.length txns))
         (List.rev t.rev_incorporate_listeners);
@@ -177,7 +175,7 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
       queue = Update_queue.create ?capacity:queue_capacity ();
       record_history; trace; obs; store = durability; breaker; aux; stall_cap;
       next_qid = 0; replaying = false; replay_installs = Queue.create ();
-      algo = None; rev_installs = []; rev_deliveries = []; rev_listeners = [];
+      algo = None; rev_installs = []; rev_deliveries = [];
       rev_incorporate_listeners = []; rev_delivery_listeners = [];
       rev_install_txn_listeners = [] }
   in
@@ -366,8 +364,6 @@ let checkpoint t ~wal_pos ~recv_expected ~senders : Checkpoint.t =
 
 (* prepend (O(1) per registration); install reverses so listeners still
    fire in registration order *)
-let add_install_listener t f = t.rev_listeners <- f :: t.rev_listeners
-
 let add_incorporate_listener t f =
   t.rev_incorporate_listeners <- f :: t.rev_incorporate_listeners
 

@@ -113,11 +113,6 @@ val checkpoint :
 
 (** {2 Observation} *)
 
-(** [add_install_listener t f] calls [f delta] after every install, with
-    the view-level delta just applied — the feed for downstream
-    derivations such as {!Aggregate}. Not fired during replay. *)
-val add_install_listener : t -> (Delta.t -> unit) -> unit
-
 (** [add_incorporate_listener t f] calls [f n] after every install that
     incorporated [n] update transactions — the backpressure layer's
     token-release hook. Not fired during replay. *)

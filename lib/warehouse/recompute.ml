@@ -28,14 +28,8 @@ let rec start_next t =
       | Some entry ->
           let n = View_def.n_sources t.ctx.view in
           let span =
-            if Obs.active t.ctx.obs then
-              Obs.span t.ctx.obs "recompute.txn"
-                [ ("txn",
-                   Tracer.S
-                     (Format.asprintf "%a" Message.pp_txn_id
-                        entry.update.Message.txn));
-                  ("sources", Tracer.I n) ]
-            else Tracer.none
+            Algorithm.txn_span t.ctx name ~attrs:[ ("sources", Tracer.I n) ]
+              [ entry ]
           in
           let job =
             { entry; snapshots = Array.make n None; missing = n;

@@ -1,5 +1,4 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
@@ -34,10 +33,6 @@ let create ctx =
   Keys.require_keys ~algorithm:"Strobe" ctx.Algorithm.view;
   { ctx; rev_uqs = []; rev_al = []; rev_batch = [] }
 
-let trace t fmt =
-  Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-    ~who:"warehouse" fmt
-
 (* Apply AL to the materialized view atomically: key deletes remove every
    matching view tuple; inserts are added with duplicate suppression (the
    view's keys make any duplicate an already-derived tuple). *)
@@ -45,37 +40,20 @@ let flush t =
   if t.rev_al <> [] || t.rev_batch <> [] then begin
     let working = Bag.copy (t.ctx.view_contents ()) in
     List.iter
-      (fun action ->
-        match action with
+      (function
         | Del { source; key } ->
-            let d =
-              Keys.view_deletion t.ctx.view ~contents:working ~source ~key
-            in
-            Bag.merge_into ~into:working d
-        | Ins { full } ->
-            let view_delta =
-              Algebra.select_project t.ctx.view
-                { Partial.lo = 0;
-                  hi = View_def.n_sources t.ctx.view - 1;
-                  data = full }
-            in
-            Delta.iter
-              (fun tup c ->
-                if c > 0 && not (Bag.mem working tup) then
-                  Bag.add working tup 1)
-              view_delta)
+            Bag.merge_into ~into:working
+              (Keys.view_deletion t.ctx.view ~contents:working ~source ~key)
+        | Ins { full } -> Keys.add_answer t.ctx.view ~working full)
       (List.rev t.rev_al);
-    (* Install the net difference as one state transition. *)
-    let delta = Bag.copy working in
-    Bag.diff_into ~into:delta (t.ctx.view_contents ());
     let txns = List.rev t.rev_batch in
     t.rev_al <- [];
     t.rev_batch <- [];
-    trace t "strobe: flush AL (%d txns)" (List.length txns);
+    Algorithm.trace t.ctx "strobe: flush AL (%d txns)" (List.length txns);
     if Obs.active t.ctx.obs then
       Obs.event t.ctx.obs "strobe.flush"
         [ ("txns", Tracer.I (List.length txns)) ];
-    t.ctx.install delta ~txns
+    Keys.install t.ctx ~working ~txns
   end
 
 let maybe_flush t = if t.rev_uqs = [] then flush t
@@ -85,17 +63,14 @@ let maybe_flush t = if t.rev_uqs = [] then flush t
    applied at [j] before it answered reached our mailbox first). The aux
    projection holds installed state only, so overlay the batch. *)
 let advance t q =
-  if Sweep_leg.step t.ctx ~name ~overlay:(Sweep_leg.overlay t.rev_batch) q.leg
-  then begin
+  let hop =
+    Sweep_leg.aux_hop t.ctx ~name ~overlay:(Sweep_leg.overlay t.rev_batch)
+  in
+  if Sweep_leg.step t.ctx ?hop q.leg then begin
     (* Query finished: apply the deletes seen during evaluation, then
        append the insert action. *)
     let full = q.leg.dv.Partial.data in
-    List.iter
-      (fun (source, key) ->
-        let keys = Hashtbl.create 4 in
-        Hashtbl.replace keys key ();
-        Keys.kill_full t.ctx.view ~full ~source ~keys)
-      q.kill_keys;
+    Keys.kill_full t.ctx.view ~full q.kill_keys;
     t.rev_uqs <- List.filter (fun q' -> q'.leg.qid <> q.leg.qid) t.rev_uqs;
     t.rev_al <- Ins { full } :: t.rev_al;
     Obs.finish t.ctx.obs q.leg.span;
@@ -123,19 +98,10 @@ let on_update t (entry : Update_queue.entry) =
   (* Inserts: launch a query over the other sources. *)
   if not (Delta.is_empty inserts) then begin
     let n = View_def.n_sources t.ctx.view in
-    let span =
-      if Obs.active t.ctx.obs then
-        Obs.span t.ctx.obs "strobe.txn"
-          [ ("txn",
-             Tracer.S
-               (Format.asprintf "%a" Message.pp_txn_id
-                  entry.update.Message.txn)) ]
-      else Tracer.none
-    in
     let q =
       { entry; kill_keys = [];
         leg =
-          Sweep_leg.create t.ctx ~span
+          Sweep_leg.create t.ctx ~span:(Algorithm.txn_span t.ctx name [ entry ])
             (Partial.of_source_delta t.ctx.view i inserts)
             ~pending:(Sweep_order.order ~n ~i) }
     in

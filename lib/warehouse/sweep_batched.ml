@@ -1,5 +1,4 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
@@ -91,12 +90,6 @@ let combined_deltas = function
 let next_leg combined ~after =
   List.find_opt (fun (i, d) -> i > after && not (Delta.is_empty d)) combined
 
-let pp_txns =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-    (fun ppf (e : Update_queue.entry) ->
-      Message.pp_txn_id ppf e.update.Message.txn)
-
 (* An update from source [i] sweeps every other source, so it is eligible
    only while all of them have closed breakers — or can be answered
    locally ([local], DESIGN.md §14): a leg that never leaves the
@@ -156,10 +149,6 @@ module Make (P : POLICY) = struct
     { ctx; extra = P.create_extra ctx; batch = None; aborted = [];
       stall_mark = -1 }
 
-  let trace t fmt =
-    Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-      ~who:"warehouse" fmt
-
   (* Legs answerable from the aux store need no remote round trip and no
      compensation: the projections advance at install time, so they
      equal exactly what a compensated remote answer reflects. *)
@@ -183,11 +172,12 @@ module Make (P : POLICY) = struct
       ~pending:(Sweep_order.order ~n ~i:src)
 
   let rec advance t b =
-    if
-      Sweep_leg.step t.ctx ~name
-        ?overlay:(if P.local_answers then Some (overlay b) else None)
-        b.leg
-    then begin
+    let hop =
+      if P.local_answers then
+        Sweep_leg.aux_hop t.ctx ~name ~overlay:(overlay b)
+      else None
+    in
+    if Sweep_leg.step t.ctx ?hop b.leg then begin
       let view_delta = Algebra.select_project t.ctx.view b.leg.dv in
       (match b.acc with
       | None -> b.acc <- Some view_delta
@@ -202,8 +192,8 @@ module Make (P : POLICY) = struct
 
   and install t entries acc span =
     let delta = match acc with Some d -> d | None -> Delta.empty () in
-    trace t "%s: ViewChange(%a) yields %a" name pp_txns entries Delta.pp
-      delta;
+    Algorithm.trace t.ctx "%s: ViewChange(%a) yields %a" name
+      Algorithm.pp_txns entries Delta.pp delta;
     t.batch <- None;
     P.install t.ctx t.extra delta entries;
     Obs.finish t.ctx.obs span;
@@ -236,12 +226,7 @@ module Make (P : POLICY) = struct
             let size = List.length entries in
             Metrics.note_batch t.ctx.metrics size;
             Obs.observe t.ctx.obs "batch_size" (float_of_int size);
-            let span =
-              if Obs.active t.ctx.obs then
-                Obs.span t.ctx.obs (name ^ ".txn")
-                  [ ("txn", Tracer.S (Format.asprintf "%a" pp_txns entries)) ]
-              else Tracer.none
-            in
+            let span = Algorithm.txn_span t.ctx name entries in
             let combined = combined_deltas entries in
             match next_leg combined ~after:(-1) with
             | None -> install t entries None span
@@ -274,8 +259,8 @@ module Make (P : POLICY) = struct
            as the recovery probe); the batch was pushed back and re-runs
            with fresh qids *)
         t.aborted <- List.filter (fun q -> q <> qid) t.aborted;
-        trace t "%s: dropped answer for aborted qid=%d from %d" name qid
-          source;
+        Algorithm.trace t.ctx "%s: dropped answer for aborted qid=%d from %d"
+          name qid source;
         start_next t
     | Message.Answer { qid; source = j; partial }, Some b
       when Sweep_leg.awaits b.leg ~qid ~source:j ->
@@ -315,8 +300,8 @@ module Make (P : POLICY) = struct
           (fun e -> Update_queue.push_front t.ctx.queue e)
           (List.rev b.entries);
         t.batch <- None;
-        trace t "%s: abort ViewChange(%a) — source %d tripped" name pp_txns
-          b.entries j;
+        Algorithm.trace t.ctx "%s: abort ViewChange(%a) — source %d tripped"
+          name Algorithm.pp_txns b.entries j;
         if Obs.active t.ctx.obs then
           Obs.event t.ctx.obs ~span:b.span (name ^ ".abort")
             [ ("source", Tracer.I j); ("qid", Tracer.I b.leg.qid) ];

@@ -1,5 +1,4 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
@@ -21,41 +20,43 @@ let create ctx ?(span = Tracer.none) dv ~pending =
 
 let finished leg = leg.pending = [] && leg.outstanding < 0
 
-let trace (ctx : Algorithm.ctx) fmt =
-  Trace.emit ctx.trace ~time:(Engine.now ctx.engine) ~who:"warehouse" fmt
+(* Answers from the aux store are counted, traced and evented like a
+   remote answer's compensation. With the store off there is no hook, so
+   a step allocates nothing for it. *)
+let aux_hop (ctx : Algorithm.ctx) ~name ~overlay =
+  match Aux_store.mode ctx.aux with
+  | Aux_store.Off -> None
+  | Aux_store.Keys_only | Aux_store.Full ->
+      Some
+        (fun leg j ->
+          if not (Aux_store.answers ctx.aux j) then None
+          else
+            match
+              Aux_store.local_answer ctx.aux ~target:j ~partial:leg.dv
+                ~overlay:(overlay j)
+            with
+            | None -> None
+            | Some _ as answer ->
+                ctx.metrics.Metrics.local_answers <-
+                  ctx.metrics.Metrics.local_answers + 1;
+                Algorithm.trace ctx
+                  "%s: leg %d answered locally from aux store" name j;
+                if Obs.active ctx.obs then
+                  Obs.event ctx.obs ~span:leg.span (name ^ ".local-answer")
+                    [ ("source", Tracer.I j) ];
+                answer)
 
-(* Answer hop [j] from the aux store when the caller allows it and the
-   store covers [j]; counted, traced and evented like a remote answer's
-   compensation. *)
-let local_answer (ctx : Algorithm.ctx) ~name ?overlay leg j =
-  match overlay with
-  | Some overlay when Aux_store.answers ctx.aux j -> (
-      match
-        Aux_store.local_answer ctx.aux ~target:j ~partial:leg.dv
-          ~overlay:(overlay j)
-      with
-      | None -> None
-      | Some dv ->
-          ctx.metrics.Metrics.local_answers <-
-            ctx.metrics.Metrics.local_answers + 1;
-          trace ctx "%s: leg %d answered locally from aux store" name j;
-          if Obs.active ctx.obs then
-            Obs.event ctx.obs ~span:leg.span (name ^ ".local-answer")
-              [ ("source", Tracer.I j) ];
-          Some dv)
-  | _ -> None
-
-let rec step (ctx : Algorithm.ctx) ~name ?overlay leg =
+let rec step (ctx : Algorithm.ctx) ?hop leg =
   match leg.pending with
   | [] -> leg.outstanding < 0
   | j :: rest -> (
-      match local_answer ctx ~name ?overlay leg j with
+      leg.pending <- rest;
+      let local = match hop with Some hop -> hop leg j | None -> None in
+      match local with
       | Some dv ->
-          leg.pending <- rest;
           leg.dv <- dv;
-          step ctx ~name ?overlay leg
+          step ctx ?hop leg
       | None ->
-          leg.pending <- rest;
           leg.outstanding <- j;
           leg.temp <- leg.dv;
           leg.query <-
@@ -79,8 +80,8 @@ let answer (ctx : Algorithm.ctx) leg ~source partial ~interfering =
   | _ :: _ ->
       let n = List.length interfering in
       ctx.metrics.Metrics.compensations <- ctx.metrics.Metrics.compensations + 1;
-      trace ctx "compensate answer from %d for %d interfering update(s)"
-        source n;
+      Algorithm.trace ctx
+        "compensate answer from %d for %d interfering update(s)" source n;
       if Obs.active ctx.obs then
         Obs.event ctx.obs ~span:leg.span "compensate"
           [ ("source", Tracer.I source); ("interfering", Tracer.I n) ];

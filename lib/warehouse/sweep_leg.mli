@@ -1,14 +1,15 @@
-(** One sweep: the ViewChange step of paper Fig. 4 that every
-    SWEEP-family state machine repeats.
+(** One sweep: the ViewChange step of paper Fig. 4 that every sweeping
+    algorithm repeats, and the only sender of sweep queries.
 
     A leg carries a partial view delta ΔV across the sources in
-    [pending], one hop at a time. Each hop is either answered from the
-    aux store (DESIGN.md §14) or sent as a [Sweep_query]; the answer is
-    then corrected locally against the interfering updates the caller
-    names (§4). What counts as interference, what happens when a leg
-    finishes, and how legs combine stay with the caller: the batched
-    engine, Nested SWEEP, the pipelined and parallel variants and
-    Strobe. *)
+    [pending], one hop at a time. Each hop is either answered locally by
+    the caller's hook — the aux store (DESIGN.md §14), or C-strobe's
+    pinned deltas — or sent to the source as a query; the answer is then
+    corrected locally against the interfering updates the caller names
+    (§4). What counts as interference, what happens when a leg finishes,
+    and how legs combine stay with the caller: the batched engine,
+    Nested SWEEP, the pipelined and parallel variants, Strobe and
+    C-strobe. *)
 
 open Repro_relational
 
@@ -36,15 +37,24 @@ val create :
 (** No hop left and no query outstanding. *)
 val finished : t -> bool
 
-(** Advance the leg: answer the next hops from the aux store while it
-    can, then send the next [Sweep_query]. With [overlay], hop [j] is
-    answered locally whenever the aux store covers [j], joined against
-    the installed projection plus [overlay j] (the caller's delivered
-    but uninstalled delta of [j]); without it every hop is remote.
-    Returns {!finished}. [name] labels the local-answer trace line and
-    ["<name>.local-answer"] event. *)
+(** Advance the leg: answer the next hops with [hop] while it can, then
+    query the next source. [hop leg j] answers hop [j] without a
+    message (the new ΔV), or returns [None]; without [hop] every hop is
+    remote. Returns {!finished}. *)
 val step :
-  Algorithm.ctx -> name:string -> ?overlay:(int -> Delta.t) -> t -> bool
+  Algorithm.ctx -> ?hop:(t -> int -> Partial.t option) -> t -> bool
+
+(** The aux-store hop (DESIGN.md §14), or [None] when the store is off:
+    hop [j] is answered locally whenever the store covers [j], joined
+    against the installed projection plus [overlay j] (the caller's
+    delivered but uninstalled delta of [j]). Each local answer counts
+    in [local_answers] and emits a trace line and a
+    ["<name>.local-answer"] event. *)
+val aux_hop :
+  Algorithm.ctx ->
+  name:string ->
+  overlay:(int -> Delta.t) ->
+  (t -> int -> Partial.t option) option
 
 (** Is [qid]/[source] the answer this leg waits for? *)
 val awaits : t -> qid:int -> source:int -> bool

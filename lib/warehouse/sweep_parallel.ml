@@ -1,5 +1,4 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
@@ -20,13 +19,9 @@ type t = { ctx : Algorithm.ctx; mutable current : view_change option }
 
 let create ctx = { ctx; current = None }
 
-let trace t fmt =
-  Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-    ~who:"warehouse" fmt
-
 (* Step one side; its span closes when the side finishes. *)
 let advance_side t side =
-  if Sweep_leg.step t.ctx ~name side then
+  if Sweep_leg.step t.ctx side then
     Obs.finish t.ctx.obs side.Sweep_leg.span
 
 let rec maybe_finish t =
@@ -39,7 +34,7 @@ let rec maybe_finish t =
           ~right:vc.right.dv
       in
       let view_delta = Algebra.select_project t.ctx.view merged in
-      trace t "parallel install for %a: %a" Message.pp_txn_id
+      Algorithm.trace t.ctx "parallel install for %a: %a" Message.pp_txn_id
         vc.entry.update.Message.txn Delta.pp view_delta;
       t.current <- None;
       t.ctx.install view_delta ~txns:[ vc.entry ];
@@ -67,18 +62,11 @@ and start_next t =
               (Partial.of_source_delta t.ctx.view i (Delta.distinct delta))
               ~pending:(List.init (n - 1 - i) (fun k -> i + 1 + k))
           in
-          trace t "parallel ViewChange(%a): left %d hops, right %d hops"
+          Algorithm.trace t.ctx
+            "parallel ViewChange(%a): left %d hops, right %d hops"
             Message.pp_txn_id entry.update.Message.txn i
             (n - 1 - i);
-          let span =
-            if Obs.active t.ctx.obs then
-              Obs.span t.ctx.obs "sweep-parallel.txn"
-                [ ("txn",
-                   Tracer.S
-                     (Format.asprintf "%a" Message.pp_txn_id
-                        entry.update.Message.txn)) ]
-            else Tracer.none
-          in
+          let span = Algorithm.txn_span t.ctx name [ entry ] in
           if Obs.active t.ctx.obs then begin
             left.span <-
               Obs.span t.ctx.obs ~parent:span "left"

@@ -1,5 +1,4 @@
 open Repro_relational
-open Repro_sim
 open Repro_protocol
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
@@ -46,10 +45,6 @@ struct
       t.rear <- []
     end
 
-  let trace t fmt =
-    Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-      ~who:"warehouse" fmt
-
   (* Install completed sweeps strictly in delivery order, then top the
      pipeline back up from the queue. *)
   let rec drain_and_refill t =
@@ -57,7 +52,7 @@ struct
     match t.front with
     | vc :: rest when Sweep_leg.finished vc.leg ->
         let view_delta = Algebra.select_project t.ctx.view vc.leg.dv in
-        trace t "pipelined install for %a" Message.pp_txn_id
+        Algorithm.trace t.ctx "pipelined install for %a" Message.pp_txn_id
           vc.entry.update.Message.txn;
         t.front <- rest;
         t.depth <- t.depth - 1;
@@ -74,14 +69,9 @@ struct
           let i = entry.update.Message.txn.source in
           let n = View_def.n_sources t.ctx.view in
           let span =
-            if Obs.active t.ctx.obs then
-              Obs.span t.ctx.obs (name ^ ".txn")
-                [ ("txn",
-                   Tracer.S
-                     (Format.asprintf "%a" Message.pp_txn_id
-                        entry.update.Message.txn));
-                  ("depth", Tracer.I (t.depth + 1)) ]
-            else Tracer.none
+            Algorithm.txn_span t.ctx name
+              ~attrs:[ ("depth", Tracer.I (t.depth + 1)) ]
+              [ entry ]
           in
           let vc =
             { entry;
@@ -91,10 +81,10 @@ struct
                      entry.update.Message.delta)
                   ~pending:(Sweep_order.order ~n ~i) }
           in
-          trace t "pipelined ViewChange(%a) begins (depth %d)"
+          Algorithm.trace t.ctx "pipelined ViewChange(%a) begins (depth %d)"
             Message.pp_txn_id entry.update.Message.txn (t.depth + 1);
           push t vc;
-          ignore (Sweep_leg.step t.ctx ~name vc.leg : bool);
+          ignore (Sweep_leg.step t.ctx vc.leg : bool);
           (* an n=1 view completes instantly; also keep filling *)
           drain_and_refill t
 
@@ -129,7 +119,7 @@ struct
         | Some vc ->
             Sweep_leg.answer t.ctx vc.leg ~source:j partial
               ~interfering:(interfering_deltas t vc j);
-            ignore (Sweep_leg.step t.ctx ~name vc.leg : bool);
+            ignore (Sweep_leg.step t.ctx vc.leg : bool);
             drain_and_refill t
         | None ->
             invalid_arg

@@ -1,7 +1,7 @@
 (* Behavioural tests for the comparison baselines: Strobe's quiescence
-   batching and free deletes, C-strobe's remote compensation blow-up,
-   ECA's O(1) round trips with growing query size, and recompute's
-   payload. *)
+   batching and free deletes, C-strobe's remote compensation blow-up
+   (pinned message-for-message), ECA's O(1) round trips with growing
+   query size, and recompute's payload. *)
 
 open Repro_relational
 open Repro_warehouse
@@ -100,6 +100,69 @@ let test_cstrobe_remote_compensation () =
   Alcotest.check Rig.verdict "complete" Checker.Complete
     (Rig.check outcome).Checker.verdict
 
+(* C-strobe pinned message-for-message, recorded from the implementation
+   that kept its own copy of the sweep leg: the query counts of E1b's
+   scripted blow-up (one insert at R0, K concurrent deletes at K distinct
+   sources during its evaluation, n = 8), and queries, answers, installs,
+   events, sim time and an MD5 of the final view (sorted, as Bag.pp
+   prints it) on the concurrent preset. *)
+let e1b_queries k =
+  let n = 8 in
+  let view = Chain.view ~n () in
+  let initial =
+    Array.init n (fun _ ->
+        Relation.of_tuples
+          [ Chain.tuple ~key:0 ~a:0 ~b:0; Chain.tuple ~key:1 ~a:0 ~b:0 ])
+  in
+  let updates =
+    (0.0, 0, Delta.insertion (Chain.tuple ~key:2 ~a:0 ~b:0))
+    :: List.init k (fun j ->
+           ( 1.2 +. (0.01 *. float_of_int j), j + 1,
+             Delta.deletion (Chain.tuple ~key:1 ~a:0 ~b:0) ))
+  in
+  let outcome =
+    Experiment.run_scripted ~trace_enabled:false
+      ~algorithm:(module C_strobe : Algorithm.S) ~view ~initial ~updates ()
+  in
+  (Node.metrics outcome.Experiment.node).Metrics.queries_sent
+
+let test_cstrobe_e1b_pins () =
+  Alcotest.(check (list int)) "queries sent for K = 0..5"
+    [ 7; 13; 24; 44; 80; 144 ]
+    (List.map e1b_queries [ 0; 1; 2; 3; 4; 5 ])
+
+let cstrobe_pins =
+  [ (3L, [ 11996; 11996; 120; 24233 ], 898.79055927055504,
+     "b4c8790f83f499b0a2567e32f04c798b");
+    (4L, [ 6975; 6975; 120; 14191 ], 943.5407616654918,
+     "2b22e9a8467cc79de6d513d793f93ce6");
+    (5L, [ 11821; 11821; 120; 23883 ], 987.24878177267283,
+     "bca2675c73a66898089945500ba642af") ]
+
+let test_cstrobe_concurrent_pins () =
+  let preset = Option.get (Scenario.find_preset "concurrent") in
+  List.iter
+    (fun (seed, counts, sim_time, digest) ->
+      let r =
+        Experiment.run { preset with Scenario.seed }
+          (module C_strobe : Algorithm.S)
+      in
+      let m = r.Experiment.metrics in
+      let what = Printf.sprintf "seed %Ld" seed in
+      Alcotest.(check (list int)) (what ^ " queries, answers, installs, events")
+        counts
+        [ m.Metrics.queries_sent; m.Metrics.answers_received;
+          m.Metrics.installs; r.Experiment.events ];
+      Alcotest.(check (float 0.)) (what ^ " sim time") sim_time
+        r.Experiment.sim_time;
+      Alcotest.(check string) (what ^ " final view") digest
+        (Digest.to_hex
+           (Digest.string
+              (Format.asprintf "%a" Bag.pp r.Experiment.final_view)));
+      Alcotest.check Rig.verdict (what ^ " complete") Checker.Complete
+        r.Experiment.verdict.Checker.verdict)
+    cstrobe_pins
+
 let test_eca_single_round_trip () =
   let sc =
     { Scenario.default with
@@ -186,6 +249,10 @@ let suite =
       test_strobe_batches_until_quiescence;
     Alcotest.test_case "c-strobe: remote compensation costs messages" `Quick
       test_cstrobe_remote_compensation;
+    Alcotest.test_case "c-strobe: E1b blow-up pinned" `Quick
+      test_cstrobe_e1b_pins;
+    Alcotest.test_case "c-strobe: concurrent preset pinned" `Quick
+      test_cstrobe_concurrent_pins;
     Alcotest.test_case "eca: one round trip per update" `Slow
       test_eca_single_round_trip;
     Alcotest.test_case "eca: query size grows with overlap" `Slow

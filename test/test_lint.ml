@@ -376,38 +376,6 @@ let test_sarif_round_trip () =
         (field "suppressions" props = Jsonw.Int 1)
   | _ -> Alcotest.fail "properties is not an object"
 
-(* ————— incremental planning (--changed) ————— *)
-
-let test_incremental_plan () =
-  let units =
-    [ ("lib/a.ml", "let one = 1\n");
-      ("lib/b.ml", "let two = A.one + 1\n");
-      ("lib/c.ml", "let three = 3\n") ]
-  in
-  let graph = Driver.graph_of_sources units in
-  let all_files = List.map fst units in
-  let plan changed = Driver.incremental_plan ~graph ~all_files ~changed in
-  (match plan [ "lib/c.ml" ] with
-  | `Subset [ "lib/c.ml" ] -> ()
-  | `Subset _ -> Alcotest.fail "leaf change selected the wrong subset"
-  | `Full r -> Alcotest.fail ("leaf change forced a full run: " ^ r));
-  (match plan [ "lib/a.ml" ] with
-  | `Full _ -> ()
-  | `Subset _ ->
-      Alcotest.fail "a change to a referenced unit must force a full run");
-  (match plan [ "lib/b.mli" ] with
-  | `Full _ -> ()
-  | `Subset _ ->
-      Alcotest.fail "an interface change must force a full run");
-  (match plan [ "README.md" ] with
-  | `Subset [] -> ()
-  | `Subset _ | `Full _ ->
-      Alcotest.fail "a non-OCaml change should lint nothing");
-  match plan [ "lib/other.mli" ] with
-  | `Subset [] -> ()
-  | `Subset _ | `Full _ ->
-      Alcotest.fail "an interface outside the graph should not force a run"
-
 (* ————— checkpoint determinism (the invariant behind L2) ————— *)
 
 module Checkpoint = Repro_durability.Checkpoint
@@ -474,7 +442,5 @@ let suite =
       test_json_report;
     Alcotest.test_case "SARIF 2.1.0 document round-trips through Jsonr"
       `Quick test_sarif_round_trip;
-    Alcotest.test_case "incremental --changed planning" `Quick
-      test_incremental_plan;
     Alcotest.test_case "checkpoints are byte-identical across runs" `Quick
       test_checkpoints_byte_identical ]

@@ -2,7 +2,6 @@
    Strobe family uses, and the report renderer. *)
 
 open Repro_relational
-open Repro_sim
 open Repro_warehouse
 open Repro_workload
 open Repro_harness
@@ -29,9 +28,7 @@ let test_kill_full () =
       [ (Tuple.ints [ 0; 0; 1; 5; 1; 2; 9; 2; 3 ], 1);
         (Tuple.ints [ 0; 0; 1; 6; 1; 2; 9; 2; 3 ], 2) ]
   in
-  let keys = Hashtbl.create 4 in
-  Hashtbl.replace keys (Tuple.ints [ 5 ]) ();
-  Keys.kill_full view3 ~full ~source:1 ~keys;
+  Keys.kill_full view3 ~full [ (1, Tuple.ints [ 5 ]) ];
   Alcotest.(check int) "killed tuple gone" 0
     (Delta.count full (Tuple.ints [ 0; 0; 1; 5; 1; 2; 9; 2; 3 ]));
   Alcotest.(check int) "other survives" 2
@@ -89,57 +86,6 @@ let test_node_accounting () =
   Alcotest.(check bool) "initial view preserved" true
     (Bag.equal (Node.initial_view node)
        (Bag.of_list [ (Tuple.ints [ 0; 0; 0; 0; 3 ], 1) ]))
-
-let test_install_listener_stream () =
-  let seen = ref [] in
-  let view = view3 in
-  let outcome =
-    let initial =
-      [| Relation.of_tuples [ Chain.tuple ~key:0 ~a:0 ~b:1 ];
-         Relation.of_tuples [ Chain.tuple ~key:0 ~a:1 ~b:2 ];
-         Relation.of_tuples [ Chain.tuple ~key:0 ~a:2 ~b:3 ] |]
-    in
-    let engine = Engine.create () in
-    let rng = Engine.rng engine in
-    let node = ref None in
-    let deliver msg = Node.deliver (Option.get !node) msg in
-    let up =
-      Array.init 3 (fun _ ->
-          Channel.create engine ~latency:(Latency.Fixed 1.0)
-            ~rng:(Rng.split rng) ~deliver)
-    in
-    let sources =
-      Array.init 3 (fun i ->
-          Repro_source.Source_node.create engine ~view ~id:i
-            ~init:initial.(i)
-            ~send:(fun m -> Channel.send up.(i) m)
-            ~trace:(Trace.create ()))
-    in
-    let down =
-      Array.init 3 (fun i ->
-          Channel.create engine ~latency:(Latency.Fixed 1.0)
-            ~rng:(Rng.split rng)
-            ~deliver:(fun m -> Repro_source.Source_node.handle sources.(i) m))
-    in
-    let wh =
-      Node.create engine ~view ~algorithm:(module Sweep : Algorithm.S)
-        ~send:(fun i m -> Channel.send down.(i) m)
-        ~init:(Algebra.eval view (fun i -> initial.(i)))
-        ()
-    in
-    Node.add_install_listener wh (fun d -> seen := Delta.copy d :: !seen);
-    node := Some wh;
-    Engine.at engine ~time:0.0 (fun () ->
-        ignore
-          (Repro_source.Source_node.local_update sources.(1)
-             (Delta.insertion (Chain.tuple ~key:1 ~a:1 ~b:2))));
-    ignore (Engine.run engine);
-    wh
-  in
-  ignore outcome;
-  Alcotest.(check int) "listener saw one install" 1 (List.length !seen)
-
-(* --- report renderer ------------------------------------------------ *)
 
 let test_table_render () =
   let s =
@@ -213,8 +159,6 @@ let suite =
     Alcotest.test_case "view_deletion" `Quick test_view_deletion;
     Alcotest.test_case "require_keys" `Quick test_require_keys;
     Alcotest.test_case "node accounting" `Quick test_node_accounting;
-    Alcotest.test_case "install listener stream" `Quick
-      test_install_listener_stream;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table utf8 widths" `Quick test_table_utf8_width;
     Alcotest.test_case "csv escaping" `Quick test_csv;

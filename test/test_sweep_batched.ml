@@ -48,14 +48,13 @@ let test_scripted_burst_batches () =
    engine that preceded the batched one: sweep and sweep-batched(k=1)
    must both reproduce them exactly. The digest is MD5 over the sorted
    final view as Bag.pp prints it. *)
-let concurrent_scenario ?(batch_max = 16) seed =
+let concurrent_scenario seed =
   { Scenario.default with
     Scenario.name = "batched-concurrent";
     n_sources = 4;
     init_size = 20;
     domain = 6;
     stream = { Update_gen.default with n_updates = 60; mean_gap = 0.3 };
-    batch_max;
     seed }
 
 type pin = {
@@ -77,7 +76,7 @@ let test_batch_max_one_is_sweep () =
     (fun (seed, pin) ->
       List.iter
         (fun algorithm ->
-          let r = Experiment.run (concurrent_scenario ~batch_max:1 seed) algorithm in
+          let r = Experiment.run (concurrent_scenario seed) algorithm in
           let m = r.Experiment.metrics in
           let what = Printf.sprintf "%s seed %Ld" r.Experiment.algorithm seed in
           Alcotest.(check (list int)) (what ^ " queries, answers, installs, events")
@@ -103,7 +102,7 @@ let qcheck_batched_equals_sweep_final =
   QCheck.Test.make ~name:"batched ≡ sweep final views" ~count:15
     (QCheck.pair (QCheck.int_range 1 4) (QCheck.int_range 1 10_000))
     (fun (batch_max, seed) ->
-      let sc = concurrent_scenario ~batch_max (Int64.of_int seed) in
+      let sc = concurrent_scenario (Int64.of_int seed) in
       let batched =
         Experiment.run sc (Sweep_batched.with_batch_max batch_max)
       in
