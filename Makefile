@@ -1,4 +1,4 @@
-.PHONY: all build test loc lint lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
+.PHONY: all build test experiments-golden loc lint lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
 
 all: build
 
@@ -7,6 +7,16 @@ build:
 
 test:
 	dune runtest
+
+# Rewrite every golden page test/experiments/<id>.txt from `bench/main.exe
+# <id>`; `dune runtest` (test_paper_claims.ml) compares each experiment's
+# rendered page with its file byte for byte. A new experiment needs an
+# empty test/experiments/<id>.txt first.
+experiments-golden:
+	dune build bench/main.exe
+	for f in test/experiments/*.txt; do \
+	  ./_build/default/bench/main.exe $$(basename $$f .txt) > $$f || exit 1; \
+	done
 
 # Line delta of the working tree against BASE, per area (files staged
 # or committed since BASE; *.md counts as docs wherever it lives):

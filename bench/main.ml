@@ -1,9 +1,10 @@
 (* Benchmark / experiment driver.
 
    With no arguments it regenerates every table and figure of the paper
-   (T1, F5, F2, E1–E6; see DESIGN.md §4) and then runs the Bechamel
-   micro-benchmarks of the hot paths. A single argument selects one
-   experiment ("t1", "f5", "f2", "e1".."e6", "micro").
+   (every id of Paper_experiments.registry: T1, F5, F2, E1–E9, A1–A3; see
+   DESIGN.md §4) and then runs the Bechamel micro-benchmarks of the hot
+   paths. A single argument selects one of them ("t1", "f5", "f2",
+   "e1".."e9", "a1".."a3", "micro").
 
    With --json-out FILE it instead emits the machine-readable BENCH.json
    (schema "repro-bench/1"): micro-benchmark estimates plus one registry
@@ -269,18 +270,22 @@ let run_bench_json ~scale path =
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let known = [ "t1"; "f5"; "f2"; "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "a1"; "a2"; "a3"; "micro" ]
+let known =
+  List.map (fun (Paper_experiments.Any e) -> e.id) Paper_experiments.registry
+  @ [ "micro" ]
 
 let run_one id =
-  match id with
-  | "micro" -> run_micro ()
-  | _ -> (
-      match Paper_experiments.by_id id with
-      | Some f -> print_string (f ())
-      | None ->
-          Printf.eprintf "unknown experiment %S; known: %s\n" id
-            (String.concat ", " known);
-          exit 2)
+  match
+    List.find_opt
+      (fun (Paper_experiments.Any e) -> e.id = id)
+      Paper_experiments.registry
+  with
+  | Some (Any e) -> print_string (Report.render (e.page (e.rows ())))
+  | None when id = "micro" -> run_micro ()
+  | None ->
+      Printf.eprintf "unknown experiment %S; known: %s\n" id
+        (String.concat ", " known);
+      exit 2
 
 let usage () =
   Printf.eprintf "usage: main.exe [%s] [--json-out FILE] [--scale F]\n"

@@ -72,19 +72,25 @@ let table ?aligns ~title ~headers ~rows () =
   rule ();
   Buffer.contents buf
 
-let csv ~headers ~rows =
-  let escape cell =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-    else cell
-  in
-  String.concat "\n"
-    (List.map (fun r -> String.concat "," (List.map escape r))
-       (headers :: rows))
+type block =
+  | Text of string list
+  | Table of {
+      aligns : align list option;
+      headers : string list;
+      rows : string list list;
+    }
+
+let render page =
+  String.concat ""
+    (List.map
+       (function
+         | Text lines -> String.concat "" (List.map (fun l -> l ^ "\n") lines)
+         | Table { aligns; headers; rows } ->
+             table ?aligns ~title:"" ~headers ~rows ())
+       page)
 
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
-let f3 x = Printf.sprintf "%.3f" x
 
 let write_json path json =
   let oc = open_out path in

@@ -106,30 +106,17 @@ let test_cstrobe_remote_compensation () =
    sources during its evaluation, n = 8), and queries, answers, installs,
    events, sim time and an MD5 of the final view (sorted, as Bag.pp
    prints it) on the concurrent preset. *)
-let e1b_queries k =
-  let n = 8 in
-  let view = Chain.view ~n () in
-  let initial =
-    Array.init n (fun _ ->
-        Relation.of_tuples
-          [ Chain.tuple ~key:0 ~a:0 ~b:0; Chain.tuple ~key:1 ~a:0 ~b:0 ])
-  in
-  let updates =
-    (0.0, 0, Delta.insertion (Chain.tuple ~key:2 ~a:0 ~b:0))
-    :: List.init k (fun j ->
-           ( 1.2 +. (0.01 *. float_of_int j), j + 1,
-             Delta.deletion (Chain.tuple ~key:1 ~a:0 ~b:0) ))
-  in
-  let outcome =
-    Experiment.run_scripted ~trace_enabled:false
-      ~algorithm:(module C_strobe : Algorithm.S) ~view ~initial ~updates ()
-  in
-  (Node.metrics outcome.Experiment.node).Metrics.queries_sent
-
 let test_cstrobe_e1b_pins () =
+  let cstrobe =
+    List.find
+      (fun (r : Paper_experiments.E1b.row) -> r.algorithm = "c-strobe")
+      (Paper_experiments.E1b.rows ())
+  in
   Alcotest.(check (list int)) "queries sent for K = 0..5"
     [ 7; 13; 24; 44; 80; 144 ]
-    (List.map e1b_queries [ 0; 1; 2; 3; 4; 5 ])
+    (List.map
+       (fun (c : Paper_experiments.E1b.cell) -> c.queries)
+       cstrobe.cells)
 
 let cstrobe_pins =
   [ (3L, [ 11996; 11996; 120; 24233 ], 898.79055927055504,

@@ -131,14 +131,6 @@ let test_table_utf8_width () =
   Alcotest.(check bool) "uniform display width" true
     (List.for_all (fun w -> w = List.hd widths) widths)
 
-let test_csv () =
-  let s =
-    Report.csv ~headers:[ "a"; "b" ]
-      ~rows:[ [ "1"; "x,y" ]; [ "q\"t"; "2" ] ]
-  in
-  Alcotest.(check string) "escaping"
-    "a,b\n1,\"x,y\"\n\"q\"\"t\",2" s
-
 let test_scenario_presets () =
   Alcotest.(check bool) "all presets resolvable" true
     (List.for_all
@@ -161,5 +153,4 @@ let suite =
     Alcotest.test_case "node accounting" `Quick test_node_accounting;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table utf8 widths" `Quick test_table_utf8_width;
-    Alcotest.test_case "csv escaping" `Quick test_csv;
     Alcotest.test_case "scenario presets" `Quick test_scenario_presets ]
