@@ -1,4 +1,4 @@
-.PHONY: all build test experiments-golden loc lint lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare perf perf-one perf-pairs examples doc clean
+.PHONY: all build test experiments-golden loc lint lint-json lint-sarif faults recover chaos serve aux joins bench perf perf-one perf-pairs examples doc clean
 
 all: build
 
@@ -91,28 +91,10 @@ aux:
 joins:
 	JOIN_SEEDS=100 dune exec test/test_main.exe -- test join-strategies
 
-# Regenerate every table and figure of the paper (see EXPERIMENTS.md).
+# Regenerate every table and figure of the paper, the P1 preset-counter
+# page and the micro-benchmarks (see EXPERIMENTS.md).
 bench:
 	dune exec bench/main.exe
-
-# Machine-readable benchmark document at reduced scale, then the CI
-# perf gate: re-read BENCH.json and fail on any missing/malformed field.
-bench-json:
-	dune exec bench/main.exe -- micro --json-out BENCH.json --scale 0.2
-	dune exec bin/bench_check.exe -- BENCH.json
-
-# Like bench-json, but additionally compare against the most recent
-# committed BENCH_<n>.json and fail on a >25% regression in
-# messages-per-update, staleness p99 or read-staleness p99 (all
-# deterministic per seed; wall-clock figures are never gated).
-bench-compare:
-	dune exec bench/main.exe -- micro --json-out BENCH.json --scale 0.2
-	baseline=$$(ls BENCH_[0-9]*.json 2>/dev/null | sort -V | tail -1); \
-	if [ -n "$$baseline" ]; then \
-	  dune exec bin/bench_check.exe -- BENCH.json --against $$baseline; \
-	else \
-	  dune exec bin/bench_check.exe -- BENCH.json; \
-	fi
 
 # Wall-clock benchmark (bench/perf/README.md): the command
 # BENCHMARK.json declares, i.e. every workload, five timed repeats each.

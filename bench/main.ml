@@ -1,18 +1,11 @@
 (* Benchmark / experiment driver.
 
-   With no arguments it regenerates every table and figure of the paper
-   (every id of Paper_experiments.registry: T1, F5, F2, E1–E9, A1–A3; see
-   DESIGN.md §4) and then runs the Bechamel micro-benchmarks of the hot
-   paths. A single argument selects one of them ("t1", "f5", "f2",
-   "e1".."e9", "a1".."a3", "micro").
-
-   With --json-out FILE it instead emits the machine-readable BENCH.json
-   (schema "repro-bench/1"): micro-benchmark estimates plus one registry
-   entry (counters + latency histograms) per algorithm on the concurrent
-   and centralized presets. --scale F shrinks both the workloads and the
-   Bechamel quota, for the CI perf gate:
-
-     dune exec bench/main.exe -- micro --json-out BENCH.json --scale 0.2 *)
+   With no arguments it prints every page of Paper_experiments.registry
+   (T1, F5, F2, E1–E9, A1–A3 regenerate the paper's tables, figures and
+   claims, see DESIGN.md §4; P1 is the preset-counter regression page)
+   and then runs the Bechamel micro-benchmarks of the hot paths. A single
+   argument selects one of them: a registry id ("t1", "f5", "f2",
+   "e1".."e9", "a1".."a3", "p1") or "micro". *)
 
 open Repro_relational
 open Repro_sim
@@ -183,16 +176,17 @@ let micro_tests () =
     bench_checkpoint; bench_parser; bench_sim_round;
     bench_sim_round_batched ]
 
-(* Run the micro-benchmarks and return (name, ns-per-run) estimates;
-   tests whose OLS fit fails are dropped. *)
-let micro_estimates ?(quota = 0.5) () =
+(* Run the micro-benchmarks and return (name, ns-per-run, r²) estimates;
+   tests whose OLS fit fails are dropped. r² is None when the fit has no
+   spread to explain (e.g. a single sample). *)
+let micro_estimates () =
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
   List.concat_map
     (fun test ->
@@ -201,7 +195,12 @@ let micro_estimates ?(quota = 0.5) () =
       Hashtbl.fold
         (fun name ols acc ->
           match Analyze.OLS.estimates ols with
-          | Some [ est ] when Float.is_finite est -> (name, est) :: acc
+          | Some [ est ] when Float.is_finite est ->
+              let r2 =
+                Option.bind (Analyze.OLS.r_square ols) (fun r ->
+                    if Float.is_finite r then Some r else None)
+              in
+              (name, est, r2) :: acc
           | _ -> acc)
         analyzed []
       |> List.sort compare)
@@ -212,59 +211,13 @@ let run_micro () =
     "MICRO. Bechamel micro-benchmarks of the hot paths (monotonic clock).";
   let rows =
     List.map
-      (fun (name, ns) -> [ name; Printf.sprintf "%.0f" ns ])
+      (fun (name, ns, r2) ->
+        [ name; Printf.sprintf "%.0f" ns;
+          Option.fold ~none:"-" ~some:(Printf.sprintf "%.4f") r2 ])
       (micro_estimates ())
   in
   print_string
-    (Report.table ~title:"" ~headers:[ "benchmark"; "ns/run" ] ~rows ())
-
-(* ------------------------------------------------------------------ *)
-(* BENCH.json emission (the machine-readable document; see Bench_doc)   *)
-(* ------------------------------------------------------------------ *)
-
-let run_bench_json ~scale path =
-  let module Obs = Repro_observability.Obs in
-  let registry = Repro_observability.Registry.create () in
-  let scaled sc =
-    let stream = sc.Scenario.stream in
-    let n_updates =
-      max 5
-        (int_of_float (float_of_int stream.Update_gen.n_updates *. scale))
-    in
-    { sc with Scenario.stream = { stream with Update_gen.n_updates } }
-  in
-  let scenarios =
-    List.filter_map
-      (fun name -> Option.map scaled (Scenario.find_preset name))
-      (* chaos exercises the resilience counters (query_timeouts,
-         breaker_trips, stalled_updates, degraded_time) so the perf gate
-         validates them against a run where they are live, not zero *)
-      (* read-heavy and flash-crowd exercise the serving counters
-         (reads_served/stale/shed, read staleness quantiles) the same
-         way *)
-      (* self-maint exercises the self-maintenance counters
-         (local_answers, aux_bytes, aux_hit_rate) with full aux
-         projections — the gate checks messages/update < 1 there *)
-      [ "concurrent"; "centralized"; "chaos"; "read-heavy"; "flash-crowd";
-        "self-maint" ]
-  in
-  let experiments =
-    List.concat_map
-      (fun sc ->
-        List.map
-          (fun (name, alg) ->
-            let obs = Obs.create () in
-            let r = Experiment.run ~check:false ~obs sc alg in
-            ignore (Bench_doc.register registry ~obs r);
-            ( Printf.sprintf "%s/%s" name sc.Scenario.name,
-              r.Experiment.wall_seconds ))
-          (Experiment.algorithms_for sc))
-      scenarios
-  in
-  let micro = micro_estimates ~quota:(Float.max 0.05 (0.5 *. scale)) () in
-  Report.write_json path (Bench_doc.make ~scale ~experiments ~micro registry);
-  Printf.printf "wrote %s (%d algorithm entries, %d micro rows)\n" path
-    (List.length experiments) (List.length micro)
+    (Report.table ~title:"" ~headers:[ "benchmark"; "ns/run"; "r²" ] ~rows ())
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
@@ -288,33 +241,12 @@ let run_one id =
       exit 2
 
 let usage () =
-  Printf.eprintf "usage: main.exe [%s] [--json-out FILE] [--scale F]\n"
-    (String.concat "|" known);
+  Printf.eprintf "usage: main.exe [%s]\n" (String.concat "|" known);
   exit 2
 
 let () =
-  let rec parse ids scale json = function
-    | [] -> (List.rev ids, scale, json)
-    | "--json-out" :: file :: rest -> parse ids scale (Some file) rest
-    | "--scale" :: f :: rest -> (
-        match float_of_string_opt f with
-        | Some s when s > 0. && Float.is_finite s -> parse ids s json rest
-        | _ ->
-            Printf.eprintf "bad --scale %S (want a positive float)\n" f;
-            exit 2)
-    | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
-        usage ()
-    | id :: rest -> parse (id :: ids) scale json rest
-  in
-  let ids, scale, json =
-    parse [] 1.0 None (List.tl (Array.to_list Sys.argv))
-  in
-  match (json, ids) with
-  | Some path, ([] | [ "micro" ]) -> run_bench_json ~scale path
-  | Some _, _ ->
-      prerr_endline "--json-out only applies to the micro/default mode";
-      exit 2
-  | None, [] ->
+  match List.tl (Array.to_list Sys.argv) with
+  | [] ->
       print_endline
         "Reproduction benchmarks: Efficient View Maintenance at Data \
          Warehouses (SIGMOD'97)";
@@ -326,5 +258,5 @@ let () =
           run_one id;
           print_newline ())
         known
-  | None, [ id ] -> run_one id
-  | None, _ -> usage ()
+  | [ id ] when not (String.starts_with ~prefix:"--" id) -> run_one id
+  | _ -> usage ()

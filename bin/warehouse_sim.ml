@@ -233,10 +233,8 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
   (match json_out with
   | None -> ()
   | Some path ->
-      let registry = Repro_observability.Registry.create () in
-      let entry = Bench_doc.register registry ~obs result in
       Report.write_json path
-        (Repro_observability.Registry.entry_json ~spans:trace_spans entry);
+        (Experiment.to_json ~spans:trace_spans ~obs result);
       Format.printf "wrote %s@." path);
   Format.printf "%a@." Experiment.pp_result result;
   if not result.Experiment.completed then

@@ -621,3 +621,20 @@ let pp_result ppf r =
   match r.sessions with
   | Some s -> Format.fprintf ppf "@,  sessions: %a" Checker.pp_session_report s
   | None -> ()
+
+let to_json ?spans ?obs r =
+  let counters =
+    List.map
+      (fun (k, v) -> (k, (v :> Repro_observability.Registry.counter)))
+      (Metrics.fields r.metrics)
+    @ [ ("sim_time", `Float r.sim_time);
+        ("wall_seconds", `Float r.wall_seconds);
+        ("events", `Int r.events);
+        ("final_view_tuples", `Int r.final_view_tuples);
+        ("completed", `Str (if r.completed then "true" else "false"));
+        ("verdict",
+         `Str (Format.asprintf "%a" Checker.pp_verdict r.verdict.Checker.verdict))
+      ]
+  in
+  Repro_observability.Registry.entry_json ?spans ?obs ~algorithm:r.algorithm
+    ~scenario:r.scenario.Scenario.name counters

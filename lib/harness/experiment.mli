@@ -109,3 +109,11 @@ val algorithms_for : Scenario.t -> (string * (module Algorithm.S)) list
 val algorithm_by_name : ?batch_max:int -> string -> (module Algorithm.S) option
 
 val pp_result : Format.formatter -> result -> unit
+
+(** The run's JSON export, as [warehouse_sim --json-out] writes it: every
+    {!Metrics.fields} counter, then [sim_time], [wall_seconds], [events],
+    [final_view_tuples], [completed] and [verdict]; with [obs], the run's
+    histograms and span count ({!Repro_observability.Registry.entry_json}). *)
+val to_json :
+  ?spans:bool -> ?obs:Repro_observability.Obs.t -> result ->
+  Repro_observability.Jsonw.t

@@ -845,9 +845,81 @@ module A3 = struct
   let experiment = { id = "a3"; rows; page }
 end
 
+module P1 = struct
+  type row = { scenario : string; algorithm : string;
+      verdict : Checker.verdict; completed : bool; metrics : Metrics.t;
+      sim_time : float; events : int; final_view_tuples : int;
+      staleness_p50 : float; staleness_p99 : float }
+
+  let presets =
+    [ "concurrent"; "centralized"; "chaos"; "read-heavy"; "flash-crowd";
+      "self-maint" ]
+
+  let shrink (sc : Scenario.t) =
+    let stream = sc.stream in
+    { sc with
+      stream =
+        { stream with n_updates = max 5 (stream.Update_gen.n_updates / 5) } }
+
+  let rows () =
+    let module Obs = Repro_observability.Obs in
+    List.concat_map
+      (fun preset ->
+        let sc = shrink (Option.get (Scenario.find_preset preset)) in
+        List.map
+          (fun (_, alg) ->
+            let obs = Obs.create () in
+            let r = Experiment.run ~obs sc alg in
+            let staleness = Obs.histogram obs "staleness" in
+            { scenario = preset; algorithm = r.Experiment.algorithm;
+              verdict = verdict r; completed = r.Experiment.completed;
+              metrics = r.Experiment.metrics; sim_time = r.Experiment.sim_time;
+              events = r.Experiment.events;
+              final_view_tuples = r.Experiment.final_view_tuples;
+              staleness_p50 = Repro_observability.Histogram.p50 staleness;
+              staleness_p99 = Repro_observability.Histogram.p99 staleness })
+          (Experiment.algorithms_for sc))
+      presets
+
+  let number = function
+    | `Int i -> string_of_int i
+    | `Float f -> Printf.sprintf "%.6g" f
+
+  let line r =
+    String.concat " "
+      (Printf.sprintf "%s/%s %s" r.scenario r.algorithm
+         (verdict_cell ~completed:r.completed r.verdict)
+      :: List.map
+           (fun (k, v) -> k ^ "=" ^ number v)
+           (List.filter
+              (fun (k, _) -> k <> "recovery_seconds")
+              (Metrics.fields r.metrics)
+           @ [ ("sim_time", `Float r.sim_time); ("events", `Int r.events);
+               ("final_view_tuples", `Int r.final_view_tuples);
+               ("staleness.p50", `Float r.staleness_p50);
+               ("staleness.p99", `Float r.staleness_p99) ]))
+
+  let page rows =
+    Report.Text
+      [ "P1. Preset counters — a regression page, not a paper figure. Every algorithm on the";
+        "    concurrent, centralized, chaos, read-heavy, flash-crowd and self-maint presets at";
+        "    one fifth of their updates (at least 5), checker on. One line per run: verdict,";
+        "    every Metrics counter except wall-clock recovery_seconds, sim time, events, final";
+        "    view size and the staleness histogram's p50/p99 — all deterministic under virtual";
+        "    time, so the golden page pins each exactly (floats to 6 significant digits)." ]
+    :: List.map
+         (fun preset ->
+           Report.Text
+             ("" :: List.map line (List.filter (fun r -> r.scenario = preset) rows)))
+         presets
+
+  let experiment = { id = "p1"; rows; page }
+end
+
 let registry =
   [ Any T1.experiment; Any F5.experiment; Any F2.experiment;
     Any E1.experiment; Any E2.experiment; Any E3.experiment;
     Any E4.experiment; Any E5.experiment; Any E6.experiment;
     Any E7.experiment; Any E8.experiment; Any E9.experiment;
-    Any A1.experiment; Any A2.experiment; Any A3.experiment ]
+    Any A1.experiment; Any A2.experiment; Any A3.experiment;
+    Any P1.experiment ]

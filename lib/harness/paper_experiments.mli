@@ -1,6 +1,7 @@
 (** Regeneration of every table and figure in the paper, plus the
     quantitative claims its prose makes (see DESIGN.md §4 for the
-    experiment index and EXPERIMENTS.md for the claims).
+    experiment index and EXPERIMENTS.md for the claims), and the P1
+    preset-counter regression page.
 
     Each experiment runs once into typed rows — the numbers, verdicts and
     cut-off flags its page prints, plus any unprinted field a claim
@@ -262,6 +263,29 @@ module A3 : sig
     installs : int;
     updates_per_install : float;
     msgs_per_update : float;
+  }
+
+  val experiment : row list experiment
+end
+
+(** P1 — preset counters, a regression page rather than a paper figure:
+    every algorithm of {!Experiment.algorithms_for} on the concurrent,
+    centralized, chaos, read-heavy, flash-crowd and self-maint presets at
+    one fifth of their updates (at least 5), with observability attached
+    and the checker on. Every value is deterministic under virtual time,
+    so the page's golden file pins them exactly. *)
+module P1 : sig
+  type row = {
+    scenario : string;  (** the preset *)
+    algorithm : string;
+    verdict : Checker.verdict;
+    completed : bool;
+    metrics : Repro_warehouse.Metrics.t;
+    sim_time : float;
+    events : int;
+    final_view_tuples : int;
+    staleness_p50 : float;  (** of the run's [staleness] histogram *)
+    staleness_p99 : float;
   }
 
   val experiment : row list experiment

@@ -1,7 +1,8 @@
 (* Minimal recursive-descent JSON reader, independent of the writer in
-   {!Jsonw} (shared value type, separate code path). Used by the BENCH.json
-   CI gate and by round-trip tests. Accepts RFC 8259 documents; numbers
-   without '.', 'e' or 'E' that fit an OCaml int parse as [Int]. *)
+   {!Jsonw} (shared value type, separate code path). Used by the
+   round-trip tests and the wall-clock benchmark (bench/perf). Accepts
+   RFC 8259 documents; numbers without '.', 'e' or 'E' that fit an
+   OCaml int parse as [Int]. *)
 
 type state = { src : string; mutable pos : int }
 

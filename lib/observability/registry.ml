@@ -1,54 +1,23 @@
-(* Aggregation point for a batch of runs: one entry per
-   (algorithm, scenario) pair carrying flat counters and the run's
-   {!Obs} handle. [to_json] is the canonical per-algorithm section of
-   BENCH.json: entries in registration order, counters in insertion
-   order, histograms in observation order. *)
+(* The JSON export of one run: flat counters plus the run's {!Obs}
+   histograms and span count, in a fixed key order. *)
 
 type counter = [ `Int of int | `Float of float | `Str of string ]
-
-type entry = {
-  algorithm : string;
-  scenario : string;
-  mutable counters : (string * counter) list;
-  obs : Obs.t option;
-}
-
-type t = { mutable rev_entries : entry list }
-
-let create () = { rev_entries = [] }
-
-let add t ~algorithm ~scenario ?obs ~counters () =
-  let e = { algorithm; scenario; counters; obs } in
-  t.rev_entries <- e :: t.rev_entries;
-  e
-
-let set_counter e name v =
-  e.counters <-
-    (if List.mem_assoc name e.counters then
-       List.map (fun (k, old) -> (k, if k = name then v else old)) e.counters
-     else
-       (* lint: allow L3 counters stay tiny (a handful of keys per entry) and insertion order is the report order *)
-       e.counters @ [ (name, v) ])
-
-let entries t = List.rev t.rev_entries
 
 let counter_json : counter -> Jsonw.t = function
   | `Int i -> Jsonw.Int i
   | `Float f -> Jsonw.Float f
   | `Str s -> Jsonw.String s
 
-let entry_json ?(spans = false) e =
+let entry_json ?(spans = false) ?obs ~algorithm ~scenario counters =
   Jsonw.obj
-    ([ ("algorithm", Jsonw.str e.algorithm);
-       ("scenario", Jsonw.str e.scenario);
+    ([ ("algorithm", Jsonw.str algorithm);
+       ("scenario", Jsonw.str scenario);
        ("counters",
-        Jsonw.Obj (List.map (fun (k, v) -> (k, counter_json v)) e.counters)) ]
+        Jsonw.Obj (List.map (fun (k, v) -> (k, counter_json v)) counters)) ]
     @
-    match e.obs with
+    match obs with
     | None -> []
     | Some obs ->
         [ ("histograms", Obs.histograms_json obs);
           ("span_count", Jsonw.int (Tracer.span_count (Obs.tracer obs))) ]
         @ if spans then [ ("trace", Tracer.to_json (Obs.tracer obs)) ] else [])
-
-let to_json ?spans t = Jsonw.list (List.map (entry_json ?spans) (entries t))

@@ -1,33 +1,15 @@
-(** Aggregates counters + histograms per (algorithm, scenario) run and
-    exports the canonical per-algorithm JSON section of BENCH.json.
+(** The JSON export of one run: its flat counters and, when the run had
+    an {!Obs} handle, its histograms and span count. [warehouse_sim
+    --json-out] writes it.
 
-    Deterministic: entries render in registration order, counters in
-    insertion order, histograms in first-observation order. *)
+    Deterministic: counters in list order, histograms in
+    first-observation order. *)
 
 type counter = [ `Int of int | `Float of float | `Str of string ]
 
-type entry = {
-  algorithm : string;
-  scenario : string;
-  mutable counters : (string * counter) list;
-  obs : Obs.t option;
-}
-
-type t
-
-val create : unit -> t
-
-val add :
-  t -> algorithm:string -> scenario:string -> ?obs:Obs.t ->
-  counters:(string * counter) list -> unit -> entry
-
-(** Upsert one counter (appends on first write, preserving order). *)
-val set_counter : entry -> string -> counter -> unit
-
-(** Entries in registration order. *)
-val entries : t -> entry list
-
-val entry_json : ?spans:bool -> entry -> Jsonw.t
-
-(** The canonical array; [spans] embeds full span trees (large). *)
-val to_json : ?spans:bool -> t -> Jsonw.t
+(** [{"algorithm", "scenario", "counters", "histograms", "span_count"}],
+    the last two only with [obs]; [spans] also embeds the full span
+    trees (large). *)
+val entry_json :
+  ?spans:bool -> ?obs:Obs.t -> algorithm:string -> scenario:string ->
+  (string * counter) list -> Jsonw.t

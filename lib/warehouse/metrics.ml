@@ -96,7 +96,7 @@ let aux_hit_rate t =
   let legs = t.local_answers + t.queries_sent in
   if legs = 0 then 0. else float_of_int t.local_answers /. float_of_int legs
 
-(* Canonical flat export for the observability registry / BENCH.json.
+(* Canonical flat export for a run's JSON export and the P1 page.
    Order is the declaration order above; derived means go last. *)
 let fields t : (string * [ `Int of int | `Float of float ]) list =
   [ ("updates_received", `Int t.updates_received);

@@ -85,7 +85,7 @@ val messages_per_update : t -> float
 val aux_hit_rate : t -> float
 
 (** Canonical flat export (declaration order, derived means last) for
-    the observability registry and BENCH.json. *)
+    a run's JSON export and the P1 preset-counter page. *)
 val fields : t -> (string * [ `Int of int | `Float of float ]) list
 
 val pp : Format.formatter -> t -> unit

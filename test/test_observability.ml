@@ -1,8 +1,8 @@
 (* The observability layer: histogram quantile accuracy and merge
    algebra, the pinned Figure 5 span tree, the zero-overhead contract
    (enabling observability cannot change a run; disabling it reproduces
-   the pre-instrumentation goldens), the JSON writer, and the BENCH.json
-   schema validator (the CI perf gate). *)
+   the pre-instrumentation goldens), the JSON writer and reader, and a
+   run's JSON export. *)
 
 open Repro_observability
 open Repro_warehouse
@@ -279,37 +279,28 @@ let test_registry_round_trip () =
   t := 2.5;
   Obs.finish obs s;
   List.iter (Obs.observe obs "staleness") [ 0.5; 1.5; 2.5 ];
-  let registry = Registry.create () in
-  let _entry =
-    Registry.add registry ~algorithm:"sweep" ~scenario:"golden \"quoted\""
-      ~obs
-      ~counters:
-        [ ("installs", `Int 3); ("sim_time", `Float 2.5);
-          ("verdict", `Str "complete") ]
-      ()
+  let doc =
+    Registry.entry_json ~spans:true ~obs ~algorithm:"sweep"
+      ~scenario:"golden \"quoted\""
+      [ ("installs", `Int 3); ("sim_time", `Float 2.5);
+        ("verdict", `Str "complete") ]
   in
-  let doc = Registry.to_json ~spans:true registry in
   let reread = Jsonr.parse_exn (Jsonw.to_string ~indent:2 doc) in
   Alcotest.(check bool) "writer → reader round-trip" true
     (json_equiv doc reread);
   (* spot-check through the decoder's eyes *)
-  match reread with
-  | Jsonw.List [ entry ] ->
-      Alcotest.(check (option string)) "scenario survives escaping"
-        (Some "golden \"quoted\"")
-        (match Jsonw.member "scenario" entry with
-        | Some (Jsonw.String s) -> Some s
-        | _ -> None);
-      let hist =
-        Option.bind
-          (Jsonw.member "histograms" entry)
-          (Jsonw.member "staleness")
-      in
-      Alcotest.(check (option int)) "histogram count survives" (Some 3)
-        (match Option.bind hist (Jsonw.member "count") with
-        | Some (Jsonw.Int n) -> Some n
-        | _ -> None)
-  | _ -> Alcotest.fail "expected a one-entry list"
+  Alcotest.(check (option string)) "scenario survives escaping"
+    (Some "golden \"quoted\"")
+    (match Jsonw.member "scenario" reread with
+    | Some (Jsonw.String s) -> Some s
+    | _ -> None);
+  let hist =
+    Option.bind (Jsonw.member "histograms" reread) (Jsonw.member "staleness")
+  in
+  Alcotest.(check (option int)) "histogram count survives" (Some 3)
+    (match Option.bind hist (Jsonw.member "count") with
+    | Some (Jsonw.Int n) -> Some n
+    | _ -> None)
 
 let test_jsonr_rejects_garbage () =
   List.iter
@@ -319,146 +310,32 @@ let test_jsonr_rejects_garbage () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\" 1}"; "nul"; "\"unterminated"; "1 2" ]
 
-(* ------------------------------------------------------------------ *)
-(* Bench_doc.validate: the CI perf gate                                 *)
-(* ------------------------------------------------------------------ *)
-
-let small_scenario =
-  { Scenario.default with
-    Scenario.name = "gate";
-    stream =
-      { Scenario.default.Scenario.stream with
-        Repro_workload.Update_gen.n_updates = 10 } }
-
-let make_doc () =
-  let registry = Registry.create () in
+let test_run_export () =
+  (* A real run's export (what warehouse_sim --json-out writes), re-read
+     by the independent decoder: every Metrics counter and the verdict. *)
   let obs = Obs.create () in
-  let r = Experiment.run ~obs ~check:false small_scenario (module Sweep : Algorithm.S) in
-  let _ = Bench_doc.register registry ~obs r in
-  Bench_doc.make ~scale:0.1
-    ~experiments:[ ("sweep/gate", r.Experiment.wall_seconds) ]
-    ~micro:[ ("hash join", 812.5) ]
-    registry
-
-let reject name doc =
-  match Bench_doc.validate doc with
-  | Ok () -> Alcotest.failf "%s: accepted" name
-  | Error _ -> ()
-
-let test_validate_accepts () =
-  let doc = make_doc () in
-  (match Bench_doc.validate doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "valid document rejected: %s" e);
-  (* and it still validates after a render → parse cycle, which is the
-     actual CI pipeline *)
-  match Bench_doc.validate (Jsonr.parse_exn (Jsonw.to_string ~indent:2 doc)) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "re-read document rejected: %s" e
-
-let map_obj f = function Jsonw.Obj kvs -> Jsonw.Obj (f kvs) | j -> j
-
-let set_field k v = map_obj (List.map (fun (k', v') -> (k', if k = k' then v else v')))
-let drop_field k = map_obj (List.filter (fun (k', _) -> k' <> k))
-
-let test_validate_rejects () =
-  let doc () = make_doc () in
-  reject "wrong schema tag" (set_field "schema" (Jsonw.str "repro-bench/0") (doc ()));
-  reject "missing schema" (drop_field "schema" (doc ()));
-  reject "empty algorithms" (set_field "algorithms" (Jsonw.list []) (doc ()));
-  reject "non-finite scale" (set_field "scale" (Jsonw.Float Float.nan) (doc ()));
-  reject "experiment without timing"
-    (set_field "experiments"
-       (Jsonw.list [ Jsonw.obj [ ("id", Jsonw.str "e1") ] ])
-       (doc ()));
-  reject "micro without estimate"
-    (set_field "micro"
-       (Jsonw.list [ Jsonw.obj [ ("name", Jsonw.str "m") ] ])
-       (doc ()));
-  (* surgical damage inside the algorithm entry *)
-  let damage f = map_obj (List.map (fun (k, v) ->
-      (k, if k = "algorithms" then
-            (match v with
-            | Jsonw.List [ entry ] -> Jsonw.List [ f entry ]
-            | j -> j)
-          else v)))
+  let r =
+    Experiment.run ~obs
+      { Scenario.default with
+        Scenario.stream =
+          { Scenario.default.Scenario.stream with
+            Repro_workload.Update_gen.n_updates = 10 } }
+      (module Sweep : Algorithm.S)
   in
-  reject "missing required counter"
-    (damage (fun e ->
-         set_field "counters" (drop_field "installs"
-           (Option.get (Jsonw.member "counters" e))) e)
-       (doc ()));
-  reject "histogram without p99"
-    (damage (fun e ->
-         set_field "histograms"
-           (map_obj (List.map (fun (name, h) -> (name, drop_field "p99" h)))
-              (Option.get (Jsonw.member "histograms" e)))
-           e)
-       (doc ()))
-
-(* Lenient validation tolerates a baseline missing newer counters, but
-   must name every counter it waved through — one warning line each —
-   and still fail on a missing core counter. *)
-let test_validate_lenient_warns () =
-  let damage f = map_obj (List.map (fun (k, v) ->
-      (k, if k = "algorithms" then
-            (match v with
-            | Jsonw.List [ entry ] -> Jsonw.List [ f entry ]
-            | j -> j)
-          else v)))
-  in
-  let drop_counters names doc =
-    damage (fun e ->
-        set_field "counters"
-          (List.fold_left (fun c n -> drop_field n c)
-             (Option.get (Jsonw.member "counters" e))
-             names)
-          e)
-      doc
-  in
-  let old_doc =
-    drop_counters [ "unindexed_scans"; "aux_hit_rate"; "local_answers" ]
-      (make_doc ())
-  in
-  reject "strict validation still fails" old_doc;
-  let warnings = ref [] in
-  (match
-     Bench_doc.validate ~lenient:true ~warn:(fun m -> warnings := m :: !warnings)
-       old_doc
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "lenient validation rejected: %s" e);
-  Alcotest.(check int) "one warning per missing counter" 3
-    (List.length !warnings);
+  let doc = Experiment.to_json ~obs r in
+  let reread = Jsonr.parse_exn (Jsonw.to_string ~indent:2 doc) in
+  Alcotest.(check bool) "writer → reader round-trip" true
+    (json_equiv doc reread);
+  let counters = Option.get (Jsonw.member "counters" reread) in
   List.iter
-    (fun c ->
-      Alcotest.(check bool) (Printf.sprintf "a warning names %S" c) true
-        (List.exists
-           (fun m ->
-             let n = String.length c in
-             let rec go i =
-               i + n <= String.length m
-               && (String.sub m i n = c || go (i + 1))
-             in
-             go 0)
-           !warnings))
-    [ "unindexed_scans"; "aux_hit_rate"; "local_answers" ];
-  (* a complete document warns about nothing *)
-  warnings := [];
-  (match
-     Bench_doc.validate ~lenient:true ~warn:(fun m -> warnings := m :: !warnings)
-       (make_doc ())
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "complete document rejected leniently: %s" e);
-  Alcotest.(check int) "no warnings on a complete document" 0
-    (List.length !warnings);
-  (* missing a core counter fails even leniently *)
-  match
-    Bench_doc.validate ~lenient:true (drop_counters [ "installs" ] (make_doc ()))
-  with
-  | Ok () -> Alcotest.fail "lenient must still require core counters"
-  | Error _ -> ()
+    (fun key ->
+      Alcotest.(check bool) (key ^ " exported") true
+        (Jsonw.member key counters <> None))
+    ("verdict" :: List.map fst (Metrics.fields r.Experiment.metrics));
+  Alcotest.(check (option string)) "verdict" (Some "complete")
+    (match Jsonw.member "verdict" counters with
+    | Some (Jsonw.String s) -> Some s
+    | _ -> None)
 
 let suite =
   [ Alcotest.test_case "histogram: p50/p90/p99 within one bucket of exact (50 seeds)"
@@ -488,9 +365,5 @@ let suite =
       `Quick test_registry_round_trip;
     Alcotest.test_case "jsonr: malformed documents rejected" `Quick
       test_jsonr_rejects_garbage;
-    Alcotest.test_case "bench gate: valid document accepted" `Quick
-      test_validate_accepts;
-    Alcotest.test_case "bench gate: damaged documents rejected" `Quick
-      test_validate_rejects;
-    Alcotest.test_case "bench gate: lenient pass warns per missing counter"
-      `Quick test_validate_lenient_warns ]
+    Alcotest.test_case "run export: every counter and the verdict round-trip"
+      `Quick test_run_export ]

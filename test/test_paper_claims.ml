@@ -1,6 +1,6 @@
-(* Every claim EXPERIMENTS.md makes about the paper, as one declarative
-   row checked against the typed rows of the experiment that measures
-   it. Each experiment runs once per test run; its rendered page must
+(* Every claim EXPERIMENTS.md makes, as one declarative row checked
+   against the typed rows of the experiment that measures it: the
+   paper's claims, and P1's statements about its preset counters. Each experiment runs once per test run; its rendered page must
    also match test/experiments/<id>.txt byte for byte (regenerate with
    `make experiments-golden` when a change to a page is intended).
 
@@ -362,7 +362,68 @@ let a3 =
             | [ sweep; global ] -> global.installs < sweep.installs
             | _ -> false) ] )
 
-let groups = [ t1; f5; f2; e1; e2; e3; e4; e5; e6; e7; e8; e9; a1; a2; a3 ]
+(* P1 is a regression page: its golden file pins every counter, and
+   these rows say which of them matter and why. *)
+let p1 =
+  let open P.P1 in
+  let module M = Repro_warehouse.Metrics in
+  let on preset rows = List.filter (fun r -> r.scenario = preset) rows in
+  let run preset alg rows =
+    List.find_opt (fun r -> r.algorithm = alg) (on preset rows)
+  in
+  let every preset ok rows =
+    on preset rows <> [] && List.for_all ok (on preset rows)
+  in
+  Group
+    ( experiment,
+      [ claim "P1.scans" "DESIGN.md §15"
+          "no probe degrades to an unindexed scan in any of the 55 runs"
+          (fun rows ->
+            List.length rows = 55
+            && List.for_all (fun r -> r.metrics.M.unindexed_scans = 0) rows);
+        claim "P1.self-maint" "DESIGN.md §14"
+          "on self-maint, sweep, sweep-batched, nested-sweep and strobe \
+           answer legs locally at < 1 msg/upd"
+          (fun rows ->
+            List.for_all
+              (fun alg ->
+                match run "self-maint" alg rows with
+                | Some r ->
+                    r.metrics.M.local_answers > 0
+                    && M.messages_per_update r.metrics < 1.
+                | None -> false)
+              [ "sweep"; "sweep-batched"; "nested-sweep"; "strobe" ]);
+        claim "P1.chaos-live" "DESIGN.md §12"
+          "every chaos run has one warehouse crash, query timeouts and \
+           breaker trips"
+          (every "chaos" (fun r ->
+               r.metrics.M.wh_crashes = 1
+               && r.metrics.M.query_timeouts > 0
+               && r.metrics.M.breaker_trips > 0));
+        claim "P1.serving-live" "DESIGN.md §13"
+          "reads are served on read-heavy and flash-crowd, and shed on \
+           flash-crowd"
+          (fun rows ->
+            every "read-heavy" (fun r -> r.metrics.M.reads_served > 0) rows
+            && every "flash-crowd"
+                 (fun r ->
+                   r.metrics.M.reads_served > 0 && r.metrics.M.reads_shed > 0)
+                 rows);
+        claim "P1.floors" "Table 1, §4"
+          "naive is INCONSISTENT on all 6 presets; every other run but \
+           recompute and eca is at least strong"
+          (fun rows ->
+            List.length (List.filter (fun r -> r.algorithm = "naive") rows) = 6
+            && List.for_all
+                 (fun r ->
+                   match r.algorithm with
+                   | "naive" -> r.completed && r.verdict = Checker.Inconsistent
+                   | "recompute" | "eca" -> true
+                   | _ -> r.completed && at_least_strong r.verdict)
+                 rows) ] )
+
+let groups =
+  [ t1; f5; f2; e1; e2; e3; e4; e5; e6; e7; e8; e9; a1; a2; a3; p1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cases                                                                *)
