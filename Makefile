@@ -110,7 +110,9 @@ perf-one:
 
 # Paired comparison of a base revision against the working tree
 # (scripts/perf-pairs.sh): N alternating pairs of perf-one's command,
-# then each side's median and quartiles and the pairs the change won:
+# then each side's median and quartiles, the pairs the change won, and
+# the change/base median of every BENCHMARK.json end-to-end metric,
+# flagged REGRESSED past its bound:
 #   make perf-pairs W=nested-crash-reads BASE=HEAD~1 [N=10] [SEED=42]
 BASE ?= HEAD
 N ?= 10

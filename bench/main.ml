@@ -163,6 +163,26 @@ let micro_tests () =
            done;
            Durable.Store.checkpoint_now store))
   in
+  let bench_bag_add =
+    let fresh =
+      Array.init 1000 (fun k -> Chain.tuple ~key:k ~a:(k mod 64) ~b:k)
+    in
+    Test.make ~name:"Bag.add, 1k fresh tuples"
+      (Staged.stage (fun () ->
+           let b = Bag.create () in
+           Array.iter (fun tup -> Bag.add b tup 1) fresh))
+  in
+  let bench_recompute =
+    (* one Recompute.finish on recompute-full's data: eval a 4-chain of
+       500-tuple relations over domain 500, then diff the view into it *)
+    let view4 = Chain.view ~n:4 () in
+    let rels4 = Chain.populate view4 ~size:500 ~domain:500 (Rng.create 42L) in
+    let current = Relation.as_bag (Algebra.eval view4 (fun i -> rels4.(i))) in
+    Test.make ~name:"recompute 4 × 500, recompute-full's shape"
+      (Staged.stage (fun () ->
+           let fresh = Algebra.eval view4 (fun i -> rels4.(i)) in
+           Bag.diff_into ~into:(Relation.as_bag fresh) current))
+  in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
       (Staged.stage (fun () ->
@@ -174,50 +194,82 @@ let micro_tests () =
   [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_compensate;
     bench_full_eval; bench_delta_apply; bench_queue_churn; bench_stream_step;
     bench_checkpoint; bench_parser; bench_sim_round;
-    bench_sim_round_batched ]
+    bench_sim_round_batched; bench_bag_add; bench_recompute ]
 
-(* Run the micro-benchmarks and return (name, ns-per-run, r²) estimates;
-   tests whose OLS fit fails are dropped. r² is None when the fit has no
-   spread to explain (e.g. a single sample). *)
+(* Minor-heap words, read from [Gc.minor_words]. Bechamel's own
+   [minor_allocated] reads [Gc.quick_stat], which OCaml 5 brings up to
+   date only at a minor collection, so short runs would read 0. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+  let unit () = "words"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
+
+let minor_words =
+  Bechamel.Measure.(
+    instance (module Minor_words) (register (module Minor_words)))
+
+(* Run the micro-benchmarks and return (name, ns/run, r², words/run)
+   estimates; tests whose time fit fails are dropped. r² is None when
+   the fit has no spread to explain (e.g. a single sample); words/run,
+   the minor-heap allocation, is None when its fit fails. *)
 let micro_estimates () =
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
+  let clock = Toolkit.Instance.monotonic_clock in
+  let alloc = minor_words in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
+  let finite = function
+    | Some r when Float.is_finite r -> Some r
+    | _ -> None
+  in
+  let estimate ols =
+    match Analyze.OLS.estimates ols with
+    | Some [ est ] -> finite (Some est)
+    | _ -> None
+  in
   List.concat_map
     (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols (List.hd instances) results in
+      let results = Benchmark.all cfg [ clock; alloc ] test in
+      let times = Analyze.all ols clock results in
+      let words = Analyze.all ols alloc results in
       Hashtbl.fold
         (fun name ols acc ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] when Float.is_finite est ->
-              let r2 =
-                Option.bind (Analyze.OLS.r_square ols) (fun r ->
-                    if Float.is_finite r then Some r else None)
-              in
-              (name, est, r2) :: acc
-          | _ -> acc)
-        analyzed []
+          match estimate ols with
+          | Some est ->
+              let r2 = finite (Analyze.OLS.r_square ols) in
+              let w = Option.bind (Hashtbl.find_opt words name) estimate in
+              (name, est, r2, w) :: acc
+          | None -> acc)
+        times []
       |> List.sort compare)
     (micro_tests ())
 
 let run_micro () =
   print_endline
-    "MICRO. Bechamel micro-benchmarks of the hot paths (monotonic clock).";
+    "MICRO. Bechamel micro-benchmarks of the hot paths (monotonic clock, \
+     minor-heap words).";
   let rows =
     List.map
-      (fun (name, ns, r2) ->
+      (fun (name, ns, r2, words) ->
         [ name; Printf.sprintf "%.0f" ns;
-          Option.fold ~none:"-" ~some:(Printf.sprintf "%.4f") r2 ])
+          Option.fold ~none:"-" ~some:(Printf.sprintf "%.4f") r2;
+          Option.fold ~none:"-" ~some:(Printf.sprintf "%.0f") words ])
       (micro_estimates ())
   in
   print_string
-    (Report.table ~title:"" ~headers:[ "benchmark"; "ns/run"; "r²" ] ~rows ())
+    (Report.table ~title:""
+       ~headers:[ "benchmark"; "ns/run"; "r²"; "words/run" ]
+       ~rows ())
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)

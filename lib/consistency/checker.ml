@@ -61,7 +61,7 @@ let apply_txn view rels into (u : Message.update) =
       invalid_arg "Checker: delivery log contains a delete of absent tuples"
 
 let initial_expected view initial =
-  Bag.copy (Relation.as_bag (Algebra.eval view (fun i -> initial.(i))))
+  Relation.as_bag (Algebra.eval view (fun i -> initial.(i)))
 
 let expected_states view ~initial ~deliveries =
   let rels = Array.map Relation.copy initial in

@@ -660,7 +660,8 @@ let mutator_target = function
   | [ "Array"; ("set" | "fill" | "blit" | "sort" | "unsafe_set") ]
   | [ "Bytes"; ("set" | "fill" | "blit" | "unsafe_set") ]
   | [ "Atomic"; ("set" | "incr" | "decr") ]
-  | [ "Bag"; ("add" | "remove" | "merge_into" | "diff_into") ]
+  | [ "Bag"; ("add" | "add_new" | "remove" | "merge_into" | "diff_into") ]
+  | [ "Column_index"; "add" ]
   | [ "Delta"; "add" ]
   | [ "Relation"; "apply" ]
   | [ ("Base_table" | "Aux_store" | "Eca_site"); "apply" ] ->

@@ -1,16 +1,34 @@
-(* The hash join indexes the smaller operand. Keys are the tuples of values
-   named by the join equalities; an empty equality list degenerates to a
-   cross product (single shared key). *)
+(* The hash join indexes the smaller operand on its join columns and
+   probes it with the larger one's. An empty equality list degenerates to
+   a cross product (one shared empty key). Operands are read in place and
+   never mutated. The index and the result grow from the default size:
+   [Index.create n] makes n buckets where growth stops at n/2, so
+   presizing to an operand's cardinality doubles the heap a large join
+   holds. *)
+module Index = Hashtbl.Make (Tuple)
 
-let key_of_side offset tup eqs side =
-  Array.of_list
-    (List.map
-       (fun (l, r) ->
-         let g = match side with `L -> l | `R -> r in
-         tup.(g - offset))
-       eqs)
+(* [data]'s entries grouped by [key tup]. *)
+let index data key =
+  let idx = Index.create 16 in
+  Delta.iter
+    (fun tup c ->
+      let k = key tup in
+      match Index.find idx k with
+      | matches -> Index.replace idx k ((tup, c) :: matches)
+      | exception Not_found -> Index.add idx k [ (tup, c) ])
+    data;
+  idx
 
-let join view (left : Partial.t) (right : Partial.t) : Partial.t =
+let rec emit_matches emit build_left ptup pc = function
+  | [] -> ()
+  | (btup, bc) :: rest ->
+      if build_left then emit btup bc ptup pc else emit ptup pc btup bc;
+      emit_matches emit build_left ptup pc rest
+
+(* [join_with view left right f] calls [f] on every joined tuple with
+   its count. Each is the concatenation of a distinct pair of operand
+   tuples, so [f] never sees a tuple twice. *)
+let join_with view (left : Partial.t) (right : Partial.t) f =
   if left.hi + 1 <> right.lo then
     invalid_arg
       (Printf.sprintf "Algebra.join: partials [%d..%d] and [%d..%d] not adjacent"
@@ -19,49 +37,43 @@ let join view (left : Partial.t) (right : Partial.t) : Partial.t =
   let eqs = spec.Join_spec.equalities in
   let lofs = View_def.offset view left.lo in
   let rofs = View_def.offset view right.lo in
-  let result = Delta.empty () in
-  let residual_ok ltup rtup =
+  let lcols = Array.of_list (List.map (fun (l, _) -> l - lofs) eqs) in
+  let rcols = Array.of_list (List.map (fun (_, r) -> r - rofs) eqs) in
+  let emit =
     match spec.Join_spec.residual with
-    | None -> true
+    | None -> fun ltup lc rtup rc -> f (Tuple.concat ltup rtup) (lc * rc)
     | Some p ->
-        let lookup g = if g < rofs then ltup.(g - lofs) else rtup.(g - rofs) in
-        Predicate.eval ~lookup p
+        fun ltup lc rtup rc ->
+          let lookup g =
+            if g < rofs then ltup.(g - lofs) else rtup.(g - rofs)
+          in
+          if Predicate.eval ~lookup p then f (Tuple.concat ltup rtup) (lc * rc)
   in
-  let emit ltup lc rtup rc =
-    if residual_ok ltup rtup then
-      Delta.add result (Tuple.concat ltup rtup) (lc * rc)
+  let build_left = Delta.cardinal left.data <= Delta.cardinal right.data in
+  let build, bcols, probe, pcols =
+    if build_left then (left.data, lcols, right.data, rcols)
+    else (right.data, rcols, left.data, lcols)
   in
-  (* Index the smaller side; probe with the larger. *)
-  if Delta.cardinal left.data <= Delta.cardinal right.data then begin
-    let idx = Hashtbl.create (max 16 (Delta.cardinal left.data * 2)) in
-    Delta.iter
-      (fun tup c -> Hashtbl.add idx (key_of_side lofs tup eqs `L) (tup, c))
-      left.data;
-    Delta.iter
-      (fun rtup rc ->
-        List.iter
-          (fun (ltup, lc) -> emit ltup lc rtup rc)
-          (Hashtbl.find_all idx (key_of_side rofs rtup eqs `R)))
-      right.data
-  end
-  else begin
-    let idx = Hashtbl.create (max 16 (Delta.cardinal right.data * 2)) in
-    Delta.iter
-      (fun tup c -> Hashtbl.add idx (key_of_side rofs tup eqs `R) (tup, c))
-      right.data;
-    Delta.iter
-      (fun ltup lc ->
-        List.iter
-          (fun (rtup, rc) -> emit ltup lc rtup rc)
-          (Hashtbl.find_all idx (key_of_side lofs ltup eqs `L)))
-      left.data
-  end;
+  let idx = index build (fun tup -> Tuple.project tup bcols) in
+  Delta.iter
+    (fun ptup pc ->
+      match Index.find idx (Tuple.project ptup pcols) with
+      | matches -> emit_matches emit build_left ptup pc matches
+      | exception Not_found -> ())
+    probe
+
+let join view (left : Partial.t) (right : Partial.t) : Partial.t =
+  let result = Delta.empty () in
+  join_with view left right (Bag.add_new result);
   { Partial.lo = left.lo; hi = right.hi; data = result }
 
+(* Source [j]'s relation as a partial, sharing its bag: joins only read
+   it. *)
+let leaf j r = { Partial.lo = j; hi = j; data = Relation.as_bag r }
+
 let extend view (p : Partial.t) ~with_relation:(j, r) =
-  let rp = Partial.of_relation view j r in
-  if j = p.lo - 1 then join view rp p
-  else if j = p.hi + 1 then join view p rp
+  if j = p.lo - 1 then join view (leaf j r) p
+  else if j = p.hi + 1 then join view p (leaf j r)
   else
     invalid_arg
       (Printf.sprintf "Algebra.extend: source %d not adjacent to [%d..%d]" j
@@ -133,7 +145,7 @@ let extend_with_probe view (p : Partial.t) ~source ~probe =
             (fun (stup, sc) ->
               if
                 List.for_all
-                  (fun (sc', pc') -> stup.(sc') = ptup.(pc'))
+                  (fun (sc', pc') -> Value.equal stup.(sc') ptup.(pc'))
                   rest
                 && residual_ok stup ptup
               then
@@ -163,45 +175,50 @@ let merge_overlap view ~at ~(left : Partial.t) ~(right : Partial.t) =
   let result = Delta.empty () in
   (* Index right tuples by their leading (at)-slice, probe with left's
      trailing slice. *)
-  let idx = Hashtbl.create (max 16 (Delta.cardinal right.data * 2)) in
-  Delta.iter
-    (fun tup c -> Hashtbl.add idx (Tuple.slice tup 0 w) (tup, c))
-    right.data;
+  let idx = index right.data (fun tup -> Tuple.slice tup 0 w) in
   Delta.iter
     (fun ltup lc ->
-      let key = Tuple.slice ltup (left_width - w) w in
-      List.iter
-        (fun (rtup, rc) ->
-          let tail = Tuple.slice rtup w (Tuple.arity rtup - w) in
-          Delta.add result (Tuple.concat ltup tail) (lc * rc))
-        (Hashtbl.find_all idx key))
+      match Index.find idx (Tuple.slice ltup (left_width - w) w) with
+      | matches ->
+          List.iter
+            (fun (rtup, rc) ->
+              let tail = Tuple.slice rtup w (Tuple.arity rtup - w) in
+              Bag.add_new result (Tuple.concat ltup tail) (lc * rc))
+            matches
+      | exception Not_found -> ())
     left.data;
   { Partial.lo = left.lo; hi = right.hi; data = result }
+
+(* [select_into view out] adds a full-width tuple's view tuple to [out]
+   when it passes the selection. *)
+let select_into view out =
+  let proj = View_def.projection view in
+  match View_def.selection view with
+  | Predicate.True -> fun tup c -> Delta.add out (Tuple.project tup proj) c
+  | sel ->
+      fun tup c ->
+        if Predicate.eval ~lookup:(Array.get tup) sel then
+          Delta.add out (Tuple.project tup proj) c
 
 let select_project view (full : Partial.t) : Delta.t =
   if not (Partial.covers_all view full) then
     invalid_arg "Algebra.select_project: partial does not span all sources";
-  let sel = View_def.selection view in
-  let proj = View_def.projection view in
   let out = Delta.empty () in
-  Delta.iter
-    (fun tup c ->
-      let lookup g = tup.(g) in
-      if Predicate.eval ~lookup sel then
-        Delta.add out (Tuple.project tup proj) c)
-    full.data;
+  Delta.iter (select_into view out) full.data;
   out
 
+(* The last join selects and projects as it emits, so the full-width
+   join result is never built. The projection is a fresh bag, so it
+   becomes the relation without a copy: its counts are sums of products
+   of the relations' positive counts, so they are positive. *)
 let eval view fetch =
   let n = View_def.n_sources view in
-  let acc = ref (Partial.of_relation view 0 (fetch 0)) in
-  for j = 1 to n - 1 do
-    acc := extend view !acc ~with_relation:(j, fetch j)
+  let out = Delta.empty () in
+  let acc = ref (leaf 0 (fetch 0)) in
+  for j = 1 to n - 2 do
+    acc := join view !acc (leaf j (fetch j))
   done;
-  let d = select_project view !acc in
-  (* A recomputation of a view from positive relations yields only positive
-     counts, so the conversion below cannot fail. *)
-  let r = Relation.create () in
-  match Relation.apply r d with
-  | Ok () -> r
-  | Error _ -> assert false
+  let emit = select_into view out in
+  if n = 1 then Delta.iter emit !acc.data
+  else join_with view !acc (leaf (n - 1) (fetch (n - 1))) emit;
+  Relation.adopt out

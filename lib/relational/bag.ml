@@ -1,26 +1,28 @@
-type t = (Tuple.t, int) Hashtbl.t
+module H = Hashtbl.Make (Tuple)
 
-let create ?(initial_size = 16) () : t = Hashtbl.create initial_size
+type t = int H.t
 
-let copy : t -> t = Hashtbl.copy
+let create ?(initial_size = 16) () : t = H.create initial_size
+let copy : t -> t = H.copy
 
 let add b tup n =
   if n <> 0 then
-    match Hashtbl.find_opt b tup with
-    | None -> Hashtbl.replace b tup n
-    | Some c ->
+    match H.find b tup with
+    | c ->
         let c' = c + n in
-        if c' = 0 then Hashtbl.remove b tup else Hashtbl.replace b tup c'
+        if c' = 0 then H.remove b tup else H.replace b tup c'
+    | exception Not_found -> H.add b tup n
 
-let count b tup = Option.value ~default:0 (Hashtbl.find_opt b tup)
-let mem b tup = Hashtbl.mem b tup
-let is_empty b = Hashtbl.length b = 0
-let cardinal b = Hashtbl.length b
-let total b = Hashtbl.fold (fun _ c acc -> acc + c) b 0
-let weight b = Hashtbl.fold (fun _ c acc -> acc + abs c) b 0
-let has_negative b = Hashtbl.fold (fun _ c acc -> acc || c < 0) b false
-let iter f b = Hashtbl.iter f b
-let fold f b init = Hashtbl.fold f b init
+let add_new b tup n = H.add b tup n
+let count b tup = match H.find b tup with c -> c | exception Not_found -> 0
+let mem b tup = H.mem b tup
+let is_empty b = H.length b = 0
+let cardinal b = H.length b
+let total b = H.fold (fun _ c acc -> acc + c) b 0
+let weight b = H.fold (fun _ c acc -> acc + abs c) b 0
+let has_negative b = H.fold (fun _ c acc -> acc || c < 0) b false
+let iter f b = H.iter f b
+let fold f b init = H.fold f b init
 (* Iterating over [src] while [add] mutates [into] is undefined when the
    two are the same table — snapshot first. Self-merge doubles every
    count; self-diff empties the bag. *)

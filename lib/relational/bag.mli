@@ -7,7 +7,9 @@
     unique-key assumption the Strobe family needs.
 
     A bag never stores a zero count: inserting an opposite count removes
-    the entry. *)
+    the entry. Tuples hash and compare with {!Tuple.hash} and
+    {!Tuple.equal}, not the polymorphic runtime; iteration order is
+    unspecified. *)
 
 type t
 
@@ -17,6 +19,12 @@ val copy : t -> t
 (** [add b tup n] adds [n] (possibly negative) to the multiplicity of
     [tup]. Adding zero is a no-op. *)
 val add : t -> Tuple.t -> int -> unit
+
+(** [add_new b tup n] is [add b tup n] with one hash and no lookup, for
+    a [tup] that [b] does not hold and an [n <> 0]. Neither is checked:
+    the caller is a join, whose outputs are distinct concatenations of
+    distinct inputs. *)
+val add_new : t -> Tuple.t -> int -> unit
 
 (** [count b tup] is the multiplicity of [tup] (0 when absent). *)
 val count : t -> Tuple.t -> int

@@ -33,6 +33,7 @@ let of_tuples l = of_list (List.map (fun tup -> (tup, 1)) l)
 let equal = Bag.equal
 let pp = Bag.pp
 let as_bag r = r
+let adopt b = b
 
 let apply r delta =
   let bad =

@@ -39,8 +39,13 @@ val of_tuples : Tuple.t list -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** Read-only view of the underlying bag (shared, do not mutate). *)
+(** The underlying bag, shared. Mutate it only when the relation is
+    yours alone, as {!Algebra.eval}'s fresh result is. *)
 val as_bag : t -> Bag.t
+
+(** [adopt b] is [b] as a relation, without a copy. The caller gives [b]
+    up, and every count in it must be positive (unchecked). *)
+val adopt : Bag.t -> t
 
 (** [apply r delta] adds the signed [delta] to [r].
     Returns [Error tuples] listing tuples whose count would go negative —

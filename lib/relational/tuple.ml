@@ -5,22 +5,57 @@ let ints l = Array.of_list (List.map Value.int l)
 let arity = Array.length
 let get t i = t.(i)
 
+(* A tuple is compared and hashed on every bag probe. So the loops below
+   are toplevel functions, not local closures, and allocate nothing, and
+   [equal] and [hash] inline the [Int] cases of {!Value.equal} and
+   {!Value.hash}. *)
+let rec compare_from a b i n =
+  if i = n then 0
+  else
+    let c = Value.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b (i + 1) n
+
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i = la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if la <> lb then Int.compare la lb else compare_from a b 0 la
 
-let equal a b = compare a b = 0
-let hash = Hashtbl.hash
+let rec equal_from a b i n =
+  i = n
+  || (match (Array.unsafe_get a i, Array.unsafe_get b i) with
+     | Value.Int x, Value.Int y -> x = y
+     | x, y -> Value.compare x y = 0)
+     && equal_from a b (i + 1) n
+
+let equal a b =
+  let n = Array.length a in
+  n = Array.length b && equal_from a b 0 n
+
+(* Each column's hash is {!Value.hash}'s before its spread. *)
+let rec hash_from t i n h =
+  if i = n then h
+  else
+    let x =
+      match Array.unsafe_get t i with Value.Int x -> x | v -> Hashtbl.hash v
+    in
+    hash_from t (i + 1) n ((h * 0x100000001b3) + x)
+
+let hash t =
+  let n = Array.length t in
+  Value.spread (hash_from t 0 n n)
+
 let concat = Array.append
-let project t indices = Array.map (fun i -> t.(i)) indices
+
+let project t indices =
+  let n = Array.length indices in
+  if n = 0 then [||]
+  else begin
+    let r = Array.make n t.(indices.(0)) in
+    for i = 1 to n - 1 do
+      r.(i) <- t.(indices.(i))
+    done;
+    r
+  end
+
 let slice = Array.sub
 
 let pp ppf t =

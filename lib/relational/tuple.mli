@@ -13,7 +13,13 @@ val ints : int list -> t
 val arity : t -> int
 val get : t -> int -> Value.t
 val compare : t -> t -> int
+
+(** [equal a b] holds exactly when [compare a b = 0]. *)
 val equal : t -> t -> bool
+
+(** [hash t] mixes every column, however wide the tuple (ints inline,
+    without the polymorphic hash), and spreads the result for
+    [Hashtbl.Make]. [equal a b] implies [hash a = hash b]. *)
 val hash : t -> int
 
 (** [concat a b] is the juxtaposition of [a] and [b] — the tuple of the

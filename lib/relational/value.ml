@@ -25,8 +25,22 @@ let compare a b =
   | Str x, Str y -> String.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
-let equal a b = compare a b = 0
-let hash = Hashtbl.hash
+let equal a b =
+  match (a, b) with Int x, Int y -> x = y | _ -> compare a b = 0
+
+(* The MurmurHash3 finaliser, its constants cut to 62 bits. [Hashtbl.Make]
+   picks a bucket by the low bits, and an [Int] hashes as itself, so
+   without it keys that agree in their low bits would share a bucket. *)
+let spread h =
+  let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
+  (h lxor (h lsr 33)) land max_int
+
+(* Ints, nearly every column, hash inline. Other values go through
+   [Hashtbl.hash], which maps 0.0/-0.0 and every NaN together exactly as
+   [Float.compare] equates them; hashing float bits would split equal
+   values. [Tuple.hash] inlines the same match. *)
+let hash v = spread (match v with Int i -> i | v -> Hashtbl.hash v)
 
 let type_of = function
   | Null -> None

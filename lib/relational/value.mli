@@ -16,7 +16,17 @@ type t =
 type ty = T_bool | T_int | T_float | T_str
 
 val compare : t -> t -> int
+
+(** [equal a b] holds exactly when [compare a b = 0]. *)
 val equal : t -> t -> bool
+
+(** [spread h] is a non-negative hash whose low bits depend on every bit
+    of [h], as the bucket index of a [Hashtbl.Make] table needs. *)
+val spread : int -> int
+
+(** [hash v] is consistent with {!equal}: [Float 0.0] and [Float (-0.0)]
+    hash alike, and so do all NaNs. An [Int] hashes without the
+    polymorphic hash. *)
 val hash : t -> int
 
 (** [type_of v] is the type of [v]; [Null] has no type. *)

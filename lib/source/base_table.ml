@@ -1,14 +1,12 @@
 open Repro_relational
 open Repro_protocol
 
-(* A per-column hash index: join value -> (tuple -> multiplicity). Kept
-   exactly in sync with the relation by [apply]. *)
-type index = (Value.t, (Tuple.t, int) Hashtbl.t) Hashtbl.t
-
 type t = {
   src : int;
   rel : Relation.t;
-  indexes : (int * index) list;
+  indexes : Column_index.t list;
+      (* one per indexed column, kept exactly in sync with [rel] by
+         [apply] *)
   mutable next_seq : int;
   mutable rev_log : (Message.txn_id * Delta.t) list;
   mutable scans : int;
@@ -18,23 +16,6 @@ type t = {
          Metrics.unindexed_scans and the indexed-leg suites assert the
          sum stays 0 *)
 }
-
-let index_add (idx : index) tup col count =
-  let v = Tuple.get tup col in
-  let bucket =
-    match Hashtbl.find_opt idx v with
-    | Some b -> b
-    | None ->
-        let b = Hashtbl.create 4 in
-        Hashtbl.replace idx v b;
-        b
-  in
-  let c = Option.value ~default:0 (Hashtbl.find_opt bucket tup) + count in
-  if c = 0 then begin
-    Hashtbl.remove bucket tup;
-    if Hashtbl.length bucket = 0 then Hashtbl.remove idx v
-  end
-  else Hashtbl.replace bucket tup c
 
 (* The local columns of source [id] named by the chain's join
    conditions: those get persistent hash indexes so sweep queries probe
@@ -58,24 +39,26 @@ let create ~source ?(indexes = []) ?view rel =
   in
   let indexes =
     List.map
-      (fun col ->
-        let idx : index = Hashtbl.create 64 in
-        Relation.iter (fun tup c -> index_add idx tup col c) rel;
-        (col, idx))
+      (fun col -> Column_index.of_bag ~col (Relation.as_bag rel))
       (List.sort_uniq Int.compare indexes)
   in
   { src = source; rel; indexes; next_seq = 0; rev_log = []; scans = 0 }
 
 let source t = t.src
 let relation t = t.rel
-let indexed_columns t = List.map fst t.indexes
+let indexed_columns t = List.map Column_index.col t.indexes
+
+let rec find_index col = function
+  | [] -> None
+  | idx :: rest ->
+      if Column_index.col idx = col then Some idx else find_index col rest
+
+let index t ~col = find_index col t.indexes
 
 let probe t ~col ~value =
-  match List.assoc_opt col t.indexes with
-  | Some idx -> (
-      match Hashtbl.find_opt idx value with
-      | None -> []
-      | Some bucket -> Hashtbl.fold (fun tup c acc -> (tup, c) :: acc) bucket [])
+  match index t ~col with
+  | Some idx ->
+      Column_index.fold idx value (fun tup c acc -> (tup, c) :: acc) []
   | None ->
       (* No index: degrade to a counted O(n) scan rather than fail the
          query — the indexed-leg suites assert the counter stays 0,
@@ -83,7 +66,8 @@ let probe t ~col ~value =
       t.scans <- t.scans + 1;
       let acc = ref [] in
       Relation.iter
-        (fun tup c -> if Tuple.get tup col = value then acc := (tup, c) :: !acc)
+        (fun tup c ->
+          if Value.equal (Tuple.get tup col) value then acc := (tup, c) :: !acc)
         t.rel;
       !acc
 
@@ -106,10 +90,7 @@ let apply t delta =
         (Printf.sprintf "Base_table.apply: delete of absent tuple(s) %s at source %d"
            (String.concat ", " (List.map Tuple.to_string tuples))
            t.src));
-  List.iter
-    (fun (col, idx) ->
-      Delta.iter (fun tup c -> index_add idx tup col c) delta)
-    t.indexes;
+  List.iter (fun idx -> Delta.iter (Column_index.add idx) delta) t.indexes;
   let txn = { Message.source = t.src; seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
   t.rev_log <- (txn, Delta.copy delta) :: t.rev_log;

@@ -26,6 +26,9 @@ val join_columns : View_def.t -> int -> int list
 (** Columns with a live index. *)
 val indexed_columns : t -> int list
 
+(** [index t ~col] is the live index on [col], if it has one. *)
+val index : t -> col:int -> Column_index.t option
+
 (** [probe t ~col ~value] — all tuples whose [col] equals [value], with
     multiplicities. Served by the persistent index when [col] is
     indexed; otherwise degrades to an O(n) relation scan counted in

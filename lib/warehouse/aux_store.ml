@@ -15,12 +15,6 @@ let mode_of_string s =
   | "full" -> Some Full
   | _ -> None
 
-(* A per-column hash index over a source's projection: join value ->
-   (projected tuple -> multiplicity). Same shape as Base_table's source
-   indexes, maintained alongside [projs] so a local answer probes
-   instead of copying and hashing the whole projection per leg. *)
-type index = (Value.t, (Tuple.t, int) Hashtbl.t) Hashtbl.t
-
 type t = {
   mode : mode;
   view : View_def.t option;
@@ -31,11 +25,12 @@ type t = {
   widths : int array;
   projs : Bag.t array;
   genesis : Bag.t array;
-  (* per source: (local join column, its position in [tracked], index) —
-     derived from [projs], maintained by [apply], rebuilt by
-     [restore]/[reset]. Join columns are always tracked (both modes), so
-     every probe an answerable leg issues hits an index. *)
-  indexes : (int * int * index) list array;
+  (* per source: (local join column, an index of [projs] on that
+     column's position in [tracked]) — maintained by [apply], rebuilt by
+     [restore]/[reset], so a local answer probes instead of copying the
+     whole projection per leg. Join columns are always tracked (both
+     modes), so every probe an answerable leg issues hits an index. *)
+  indexes : (int * Column_index.t) list array;
   (* [projs] in canonical order with cached encodings, for checkpoints;
      built at the first {!image}, then kept in step by [apply] *)
   mutable images : Canon.t array option;
@@ -45,23 +40,6 @@ let off () =
   { mode = Off; view = None; tracked = [||];
     answerable = [||]; widths = [||]; projs = [||]; genesis = [||];
     indexes = [||]; images = None }
-
-let index_add (idx : index) pt pos count =
-  let v = Tuple.get pt pos in
-  let bucket =
-    match Hashtbl.find_opt idx v with
-    | Some b -> b
-    | None ->
-        let b = Hashtbl.create 4 in
-        Hashtbl.replace idx v b;
-        b
-  in
-  let c = Option.value ~default:0 (Hashtbl.find_opt bucket pt) + count in
-  if c = 0 then begin
-    Hashtbl.remove bucket pt;
-    if Hashtbl.length bucket = 0 then Hashtbl.remove idx v
-  end
-  else Hashtbl.replace bucket pt c
 
 (* Local columns of source [j] among a list of global attribute
    indices. *)
@@ -111,11 +89,11 @@ let project_relation rel cols =
   b
 
 let rebuild_index t j =
-  List.iter
-    (fun (_, pos, idx) ->
-      Hashtbl.reset idx;
-      Bag.iter (fun pt c -> index_add idx pt pos c) t.projs.(j))
-    t.indexes.(j)
+  t.indexes.(j) <-
+    List.map
+      (fun (col, idx) ->
+        (col, Column_index.of_bag ~col:(Column_index.col idx) t.projs.(j)))
+      t.indexes.(j)
 
 let create ~view ~mode ~initial () =
   match mode with
@@ -146,6 +124,9 @@ let create ~view ~mode ~initial () =
               required.(j))
       in
       let widths = Array.init n (View_def.width view) in
+      let projs =
+        Array.init n (fun j -> project_relation initial.(j) tracked.(j))
+      in
       let indexes =
         Array.init n (fun j ->
             List.filter_map
@@ -155,25 +136,20 @@ let create ~view ~mode ~initial () =
                   (fun k c -> if c = col then pos := k)
                   tracked.(j);
                 if !pos < 0 then None
-                else Some (col, !pos, (Hashtbl.create 64 : index)))
+                else Some (col, Column_index.of_bag ~col:!pos projs.(j)))
               (List.sort_uniq compare (localize view j jcols)))
       in
-      let t =
-        { mode; view = Some view; tracked; answerable; widths;
-          projs =
-            Array.init n (fun j -> project_relation initial.(j) tracked.(j));
-          genesis =
-            Array.init n (fun j -> project_relation initial.(j) tracked.(j));
-          indexes; images = None }
-      in
-      for j = 0 to n - 1 do
-        rebuild_index t j
-      done;
-      t
+      { mode; view = Some view; tracked; answerable; widths; projs;
+        genesis =
+          Array.init n (fun j -> project_relation initial.(j) tracked.(j));
+        indexes; images = None }
 
 let mode t = t.mode
 let tracked t j = if t.mode = Off then [||] else t.tracked.(j)
 let answers t j = t.mode <> Off && t.answerable.(j)
+
+let index t j ~col =
+  if t.mode = Off then None else List.assoc_opt col t.indexes.(j)
 
 let apply t ~source delta =
   if t.mode <> Off then
@@ -183,7 +159,7 @@ let apply t ~source delta =
         Bag.add t.projs.(source) pt c;
         Option.iter (fun images -> Canon.add images.(source) pt c) t.images;
         List.iter
-          (fun (_, pos, idx) -> index_add idx pt pos c)
+          (fun (_, idx) -> Column_index.add idx pt c)
           t.indexes.(source))
       delta
 
@@ -220,12 +196,11 @@ let cross_product_answer t view j ~partial ~overlay =
    path would (cancellations included). *)
 let indexed_probe t j ~overlay ~col ~value =
   let rows =
-    match List.find_opt (fun (c, _, _) -> c = col) t.indexes.(j) with
-    | Some (_, _, idx) -> (
-        match Hashtbl.find_opt idx value with
-        | None -> []
-        | Some bucket ->
-            Hashtbl.fold (fun pt c acc -> (lift_one t j pt, c) :: acc) bucket [])
+    match index t j ~col with
+    | Some idx ->
+        Column_index.fold idx value
+          (fun pt c acc -> (lift_one t j pt, c) :: acc)
+          []
     | None ->
         (* every column an answerable leg probes is a join column, and
            join columns are tracked and indexed in every mode *)
@@ -236,7 +211,7 @@ let indexed_probe t j ~overlay ~col ~value =
   let acc = ref rows in
   Delta.iter
     (fun tup c ->
-      if Tuple.get tup col = value then
+      if Value.equal (Tuple.get tup col) value then
         acc := (lift_one t j (Tuple.project tup t.tracked.(j)), c) :: !acc)
     overlay;
   !acc

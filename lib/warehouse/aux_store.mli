@@ -61,6 +61,12 @@ val tracked : t -> int -> int array
 (** Whether legs against source [j] can be answered locally. *)
 val answers : t -> int -> bool
 
+(** [index t j ~col] is the live index of source [j]'s projection on
+    its local join column [col]; the index's own column is [col]'s
+    position in {!tracked}. [None] when off or [col] is no tracked join
+    column. *)
+val index : t -> int -> col:int -> Column_index.t option
+
 (** Advance source [j]'s projection by an installed delta. Must be
     called exactly once per installed update, in install order —
     {!Node} does this from its install path (live and replaying). *)

@@ -47,12 +47,11 @@ and finish t job =
   let fetch i =
     match job.snapshots.(i) with Some r -> r | None -> assert false
   in
-  let recomputed = Algebra.eval t.ctx.view fetch in
   (* Install the difference between the recomputed view and the current
-     contents, so the node's single install path applies. *)
-  let current = t.ctx.view_contents () in
-  let delta = Delta.of_relation recomputed in
-  Bag.diff_into ~into:delta current;
+     contents, so the node's single install path applies. [eval]'s result
+     is fresh, so the difference is taken in it, in place. *)
+  let delta = Relation.as_bag (Algebra.eval t.ctx.view fetch) in
+  Bag.diff_into ~into:delta (t.ctx.view_contents ());
   t.current <- None;
   t.ctx.install delta ~txns:[ job.entry ];
   Obs.finish t.ctx.obs job.span;

@@ -15,7 +15,10 @@
 # directory). It prints both sides' median and quartiles of every
 # reported metric, and for updates_per_s the number of pairs the change
 # won. A gain counts when the change wins at least 9 pairs in 10 and the
-# medians differ by more than the base's interquartile range.
+# medians differ by more than the base's interquartile range. Last, for
+# every end_to_end metric that BENCHMARK.json lists, it prints the
+# change/base ratio of the medians, flagged REGRESSED when the change's
+# median is worse than the base's by more than the metric's bound.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -58,6 +61,9 @@ while [ "$i" -le "$pairs" ]; do
 done
 
 echo "$workload, seed $seed, $pairs pairs of 20 s runs; base $base; results in $out"
+# "name better bound", one line per end_to_end metric of BENCHMARK.json.
+specs=$(sed -n '/"end_to_end"/,/]/p' "$root/BENCHMARK.json" |
+  sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/p')
 wrong=$(cat "$out"/*.json | grep -vc '"correct":true' || true)
 [ "$wrong" -eq 0 ] || echo "WARNING: $wrong runs failed their correctness checks"
 # One "side pair metric value" line per number, then per-metric summaries.
@@ -66,7 +72,7 @@ for f in "$out"/base-*.json "$out"/change-*.json; do
   grep -o '"[a-z0-9_.]*":{"value":[^,}]*' "$f" |
     sed 's/^"\([^"]*\)":{"value":/\1 /' |
     sed "s/^/${name%-*} ${name##*-} /"
-done | awk -v pairs="$pairs" '
+done | awk -v pairs="$pairs" -v specs="$specs" '
   function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
   # Python statistics.quantiles(n=4), the exclusive method perf.exe uses
   function quart(a, n, i,   m, j, d) {
@@ -97,4 +103,16 @@ done | awk -v pairs="$pairs" '
         n++; if (v["change", "updates_per_s", i] > v["base", "updates_per_s", i]) wins++
       }
     printf "updates_per_s: change won %d of %d pairs; median gain %.6g vs base IQR %.6g\n", wins, n, gain, iqr
+    printf "\n%-40s %12s %12s %8s\n", "end-to-end metric (BENCHMARK.json)", "change/base", "better", "bound"
+    ns = split(specs, spec, "\n")
+    for (k = 1; k <= ns; k++) {
+      split(spec[k], f, " "); key = f[1]; better = f[2]; bound = f[3]
+      if (!(key in seen)) { printf "%-40s %12s\n", key, "missing"; continue }
+      n = sorted("base", key); bm = median(s, n)
+      n = sorted("change", key); cm = median(s, n)
+      if (better == "higher") worse = cm < bm * (1 - bound)
+      else worse = cm > bm * (1 + bound)
+      ratio = bm != 0 ? sprintf("%.4f", cm / bm) : (cm == 0 ? "1" : "-")
+      printf "%-40s %12s %12s %8s%s\n", key, ratio, better, bound, worse ? "  REGRESSED" : ""
+    }
   }'

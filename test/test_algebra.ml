@@ -145,6 +145,122 @@ let incremental_matches_recompute view n =
       Bag.diff_into ~into:expected (Relation.as_bag before);
       Delta.equal dv expected)
 
+(* ————— ownership: joins read their inputs in place ————— *)
+
+let view1 = Chain.view ~n:1 ()
+
+(* Joins never mutate what they read: every input relation and partial
+   equals the copy taken before the call. *)
+let qcheck_inputs_untouched =
+  QCheck.Test.make ~name:"join, extend and eval leave their inputs intact"
+    ~count:200
+    (QCheck.triple gen_relation gen_relation gen_relation)
+    (fun (r0, r1, r2) ->
+      let rels = [| r0; r1; r2 |] in
+      let before = Array.map Relation.copy rels in
+      let p1 = Partial.of_relation view3 1 r1 in
+      let p1_before = Partial.copy p1 in
+      let p0 = { Partial.lo = 0; hi = 0; data = Relation.as_bag r0 } in
+      let joined = Algebra.join view3 p0 p1 in
+      let joined_before = Partial.copy joined in
+      ignore (Algebra.extend view3 p1 ~with_relation:(2, r2));
+      ignore (Algebra.extend view3 joined ~with_relation:(2, r2));
+      ignore (Algebra.eval view3 (fun j -> rels.(j)));
+      ignore (Algebra.eval view1 (fun _ -> r0));
+      Array.for_all2 Relation.equal rels before
+      && Partial.equal p1 p1_before
+      && Partial.equal joined joined_before)
+
+(* [eval]'s result is fresh: mutating it, even for a single-source view
+   whose projection keeps every column, leaves every fetched relation
+   unchanged. *)
+let test_eval_result_is_fresh () =
+  let r0 = Relation.of_tuples [ Chain.tuple ~key:0 ~a:1 ~b:2 ] in
+  let r1 = Relation.of_tuples [ Chain.tuple ~key:5 ~a:2 ~b:3 ] in
+  let rels = [| r0; r1 |] in
+  let before = Array.map Relation.copy rels in
+  List.iter
+    (fun (name, view) ->
+      let v = Algebra.eval view (fun j -> rels.(j)) in
+      Relation.to_sorted_list v
+      |> List.iter (fun (tup, c) -> Relation.delete v tup c);
+      Relation.insert v (Chain.tuple ~key:9 ~a:9 ~b:9) 1;
+      Array.iteri
+        (fun j r ->
+          Alcotest.check Rig.relation
+            (Printf.sprintf "%s: relation %d unchanged" name j)
+            before.(j) r)
+        rels)
+    [ ("n=2", view2); ("n=1, every column", view1) ]
+
+(* Recompute diffs the current view into [eval]'s fresh result, never
+   into a snapshot it was sent, and leaves both the snapshots and the
+   view it read unchanged. *)
+let test_recompute_diffs_into_fresh_bag () =
+  let open Repro_warehouse in
+  let open Repro_protocol in
+  let rels =
+    [| Relation.of_tuples [ Chain.tuple ~key:0 ~a:1 ~b:2 ];
+       Relation.of_tuples
+         [ Chain.tuple ~key:0 ~a:2 ~b:3; Chain.tuple ~key:1 ~a:2 ~b:4 ];
+       Relation.of_tuples [ Chain.tuple ~key:0 ~a:3 ~b:5 ] |]
+  in
+  let snapshots = Array.map Relation.copy rels in
+  let snapshots_before = Array.map Relation.copy rels in
+  let stale = Tuple.ints [ 9; 9; 9; 9; 9 ] in
+  let current = Delta.of_list [ (stale, 1) ] in
+  let installs = ref [] and fetches = ref [] in
+  let queue = Update_queue.create () in
+  let ctx =
+    { Algorithm.engine = Repro_sim.Engine.create (); view = view3;
+      trace = Repro_sim.Trace.create ();
+      obs = Repro_observability.Obs.disabled (); metrics = Metrics.create ();
+      aux = Aux_store.off (); queue;
+      send =
+        (fun _ msg ->
+          match msg with
+          | Message.Fetch { qid; _ } -> fetches := qid :: !fetches
+          | _ -> ());
+      install = (fun d ~txns:_ -> installs := d :: !installs);
+      view_contents = (fun () -> current);
+      fresh_qid = (fun () -> 7);
+      source_ok = (fun _ -> true);
+      stall_cap = 0 }
+  in
+  let t = Recompute.create ctx in
+  let update =
+    { Message.txn = { Message.source = 1; seq = 0 };
+      delta = Delta.insertion (Chain.tuple ~key:1 ~a:2 ~b:4);
+      occurred_at = 0.; global = None }
+  in
+  Recompute.on_update t (Update_queue.append queue update ~arrived_at:0.);
+  Alcotest.(check (list int)) "one fetch per source" [ 7; 7; 7 ] !fetches;
+  Array.iteri
+    (fun source relation ->
+      Recompute.on_answer t (Message.Snapshot { qid = 7; source; relation }))
+    snapshots;
+  match !installs with
+  | [ d ] ->
+      Array.iteri
+        (fun j r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "install is not snapshot %d's bag" j)
+            false
+            (d == Relation.as_bag r);
+          Alcotest.check Rig.relation
+            (Printf.sprintf "snapshot %d unchanged" j)
+            snapshots_before.(j) r)
+        snapshots;
+      Alcotest.check Rig.delta "the view it read is unchanged"
+        (Delta.of_list [ (stale, 1) ])
+        current;
+      let expected = Relation.as_bag (Algebra.eval view3 (fun j -> rels.(j))) in
+      Bag.add expected stale (-1);
+      Alcotest.check Rig.bag "the install is the recomputed view minus the \
+                              current one"
+        expected d
+  | l -> Alcotest.failf "expected one install, got %d" (List.length l)
+
 let suite =
   [ Alcotest.test_case "join multiplies counts" `Quick
       test_join_counts_multiply;
@@ -157,4 +273,9 @@ let suite =
     Alcotest.test_case "compensation (paper example)" `Quick
       test_compensate_example;
     QCheck_alcotest.to_alcotest (incremental_matches_recompute view2 2);
-    QCheck_alcotest.to_alcotest (incremental_matches_recompute view3 3) ]
+    QCheck_alcotest.to_alcotest (incremental_matches_recompute view3 3);
+    QCheck_alcotest.to_alcotest qcheck_inputs_untouched;
+    Alcotest.test_case "eval's result is fresh" `Quick
+      test_eval_result_is_fresh;
+    Alcotest.test_case "recompute diffs into a fresh bag" `Quick
+      test_recompute_diffs_into_fresh_bag ]

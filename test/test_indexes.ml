@@ -193,6 +193,83 @@ let test_cross_product_fallback () =
   | None -> Alcotest.fail "Full mode must answer the cross-product leg"
   | Some got -> check "Aux_store.local_answer" got
 
+(* ————— Column_index: incremental = rebuilt ————— *)
+
+(* Random update transactions over a tiny domain, so that tuples repeat,
+   counts cancel within and across transactions, and buckets empty.
+   Each (key, a, b, n) adds [n] copies (negative: deletes); a
+   transaction that would drive a count below zero is skipped. *)
+let gen_txns =
+  QCheck.(
+    small_list
+      (small_list
+         (quad (int_range 0 3) (int_range 0 2) (int_range 0 2)
+            (int_range (-2) 2))))
+
+let delta_of txn =
+  Delta.of_list
+    (List.map (fun (key, a, b, n) -> (Chain.tuple ~key ~a ~b, n)) txn)
+
+(* Runs [txns] against [mirror], calling [apply] with every delta it
+   accepts. *)
+let replay mirror txns apply =
+  List.iter
+    (fun txn ->
+      let d = delta_of txn in
+      match Relation.applied mirror d with
+      | Ok _ ->
+          ignore (Relation.apply mirror d);
+          apply d
+      | Error _ -> ())
+    txns
+
+let qcheck_column_index_base_table =
+  QCheck.Test.make ~name:"Column_index: Base_table's indexes equal rebuilt ones"
+    ~count:300 gen_txns (fun txns ->
+      let cols = [ 0; 1; 2 ] in
+      let tbl =
+        Base_table.create ~source:1 ~indexes:cols (Relation.create ())
+      in
+      let mirror = Relation.create () in
+      replay mirror txns (fun d -> ignore (Base_table.apply tbl d));
+      List.for_all
+        (fun col ->
+          match Base_table.index tbl ~col with
+          | Some idx ->
+              Column_index.equal idx
+                (Column_index.of_bag ~col (Relation.as_bag mirror))
+          | None -> false)
+        cols)
+
+(* The Aux_store use indexes projected tuples: in keys-only mode source 0
+   of a 2-chain tracks (k, b), so tuples that differ only in [a] project
+   alike and their counts cancel in the projection. *)
+let qcheck_column_index_aux_store =
+  QCheck.Test.make ~name:"Column_index: Aux_store's indexes equal rebuilt ones"
+    ~count:300 gen_txns (fun txns ->
+      let view = Chain.view ~n:2 () in
+      let aux =
+        Aux_store.create ~view ~mode:Aux_store.Keys_only
+          ~initial:[| Relation.create (); Relation.create () |]
+          ()
+      in
+      let mirror = Relation.create () in
+      replay mirror txns (fun d -> Aux_store.apply aux ~source:0 d);
+      let tracked = Aux_store.tracked aux 0 in
+      let projected = Bag.create () in
+      Relation.iter
+        (fun tup c -> Bag.add projected (Tuple.project tup tracked) c)
+        mirror;
+      List.for_all
+        (fun col ->
+          match Aux_store.index aux 0 ~col with
+          | Some idx ->
+              let pos = ref (-1) in
+              Array.iteri (fun k c -> if c = col then pos := k) tracked;
+              Column_index.equal idx (Column_index.of_bag ~col:!pos projected)
+          | None -> false)
+        (Base_table.join_columns view 0))
+
 let suite =
   [ Alcotest.test_case "index maintenance under updates" `Quick
       test_index_maintenance;
@@ -202,4 +279,6 @@ let suite =
     Alcotest.test_case "sources auto-index join columns" `Quick
       test_source_auto_indexes;
     Alcotest.test_case "cross-product fallback through its callers" `Quick
-      test_cross_product_fallback ]
+      test_cross_product_fallback;
+    QCheck_alcotest.to_alcotest qcheck_column_index_base_table;
+    QCheck_alcotest.to_alcotest qcheck_column_index_aux_store ]

@@ -67,10 +67,91 @@ let qcheck_project_concat =
       Tuple.equal (Tuple.project c left_idx) a
       && Tuple.equal (Tuple.project c right_idx) b)
 
+(* ————— the hash/equality contract of Tuple (and so of Bag) ————— *)
+
+(* Every constructor, with the floats that [Float.compare] equates but
+   whose bits differ: 0.0/-0.0 and NaNs of several payloads. *)
+let other_nan = Int64.float_of_bits 0x7FF0000000000001L
+
+let gen_value =
+  let open QCheck.Gen in
+  frequency
+    [ (1, return Value.Null);
+      (1, map Value.bool bool);
+      (4, map Value.int (int_range (-3) 3));
+      (1, map Value.int int);
+      ( 3,
+        map Value.float
+          (oneofl
+             [ 0.0; -0.0; Float.nan; -.Float.nan; other_nan; 1.5; -1.5 ]) );
+      (2, map Value.str (oneofl [ ""; "a"; "b"; "ab" ])) ]
+
+(* A value [Value.compare] equates with [v], with other bits where
+   there is one: the other zero, or a NaN of another payload. *)
+let equivalent = function
+  | Value.Float f when Float.is_nan f ->
+      let bits = Int64.bits_of_float in
+      let is_other = Int64.equal (bits f) (bits other_nan) in
+      Value.Float (if is_other then Float.nan else other_nan)
+  | Value.Float f when f = 0.0 -> Value.Float (-.f)
+  | v -> v
+
+let gen_tuple =
+  QCheck.Gen.(map Array.of_list (list_size (int_range 0 4) gen_value))
+
+(* Pairs that are often equal: [b] is [a] with each column kept, swapped
+   for an equivalent, or redrawn; or a tuple of any arity. *)
+let gen_pair =
+  let open QCheck.Gen in
+  let column v =
+    frequency [ (3, return v); (3, return (equivalent v)); (1, gen_value) ]
+  in
+  gen_tuple >>= fun a ->
+  frequency
+    [ (4, map Array.of_list (flatten_l (List.map column (Array.to_list a))));
+      (1, gen_tuple) ]
+  >|= fun b -> (a, b)
+
+let arb_pair =
+  QCheck.make gen_pair ~print:(fun (a, b) ->
+      Tuple.to_string a ^ " vs " ^ Tuple.to_string b)
+
+let qcheck_equal_is_compare =
+  QCheck.Test.make ~name:"Tuple.equal a b iff Tuple.compare a b = 0"
+    ~count:1000 arb_pair (fun (a, b) ->
+      Tuple.equal a b = (Tuple.compare a b = 0))
+
+let qcheck_equal_hash =
+  QCheck.Test.make ~name:"Tuple.equal a b implies equal hashes" ~count:1000
+    arb_pair (fun (a, b) ->
+      (not (Tuple.equal a b)) || Tuple.hash a = Tuple.hash b)
+
+(* The polymorphic hash stops after about 10 values, so wide tuples that
+   differ only in a late column used to share a hash. *)
+let qcheck_wide_hash =
+  QCheck.Test.make ~name:"wide tuples differing in the last column hash apart"
+    ~count:200
+    QCheck.(
+      triple (int_range 11 18) (small_list small_signed_int)
+        (pair small_signed_int small_signed_int))
+    (fun (width, prefix, (x, y)) ->
+      QCheck.assume (x <> y);
+      let col i =
+        Value.int (Option.value (List.nth_opt prefix i) ~default:i)
+      in
+      let with_last v =
+        Array.init width (fun i -> if i = width - 1 then v else col i)
+      in
+      Tuple.hash (with_last (Value.int x))
+      <> Tuple.hash (with_last (Value.int y)))
+
 let suite =
   [ Alcotest.test_case "schema basics" `Quick test_schema_basics;
     Alcotest.test_case "schema validation" `Quick test_schema_validation;
     Alcotest.test_case "schema conformance" `Quick test_schema_conforms;
     Alcotest.test_case "tuple operations" `Quick test_tuple_ops;
     Alcotest.test_case "tuple ordering" `Quick test_tuple_compare;
-    QCheck_alcotest.to_alcotest qcheck_project_concat ]
+    QCheck_alcotest.to_alcotest qcheck_project_concat;
+    QCheck_alcotest.to_alcotest qcheck_equal_is_compare;
+    QCheck_alcotest.to_alcotest qcheck_equal_hash;
+    QCheck_alcotest.to_alcotest qcheck_wide_hash ]
