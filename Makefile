@@ -1,4 +1,4 @@
-.PHONY: all build test experiments-golden loc lint lint-json lint-sarif faults recover chaos serve aux joins bench perf perf-one perf-pairs examples doc clean
+.PHONY: all build test experiments-golden loc lint lint-json lint-sarif faults recover chaos serve aux joins bench perf perf-one perf-pairs profile examples doc clean
 
 all: build
 
@@ -118,6 +118,16 @@ BASE ?= HEAD
 N ?= 10
 perf-pairs:
 	sh scripts/perf-pairs.sh $(W) $(BASE) $(N) $(SEED)
+
+# Where one workload's CPU time goes, by call stack
+# (bench/profile/profile.ml): five full-size runs under a 1 ms SIGPROF
+# sampler, then the top TOP frames by self and inclusive samples and
+# the callers of each frame named in FRAMES. Advisory; not a test:
+#   make profile W=nested-crash-reads [TOP=15] [FRAMES="Bag.total Delta.sum"]
+TOP ?= 15
+FRAMES ?=
+profile:
+	dune exec bench/profile/profile.exe -- $(W) $(TOP) $(FRAMES)
 
 # Every example program, in order; stops at the first one that fails.
 examples:

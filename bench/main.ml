@@ -183,6 +183,47 @@ let micro_tests () =
            let fresh = Algebra.eval view4 (fun i -> rels4.(i)) in
            Bag.diff_into ~into:(Relation.as_bag fresh) current))
   in
+  let bench_aggregate_read =
+    (* the serving tier's aggregate read right after an install moved
+       the view: one of 3000 view tuples changes (count 1 <-> 2, so the
+       view keeps its size), then the read takes the view's total *)
+    let view = Bag.create () in
+    for k = 0 to 2999 do
+      Bag.add view (Chain.tuple ~key:k ~a:(k mod 64) ~b:k) 1
+    done;
+    let arng = Rng.create 3L in
+    Test.make ~name:"aggregate read, 3k-tuple view, after one install"
+      (Staged.stage (fun () ->
+           let k = Rng.int arng 3000 in
+           let tup = Chain.tuple ~key:k ~a:(k mod 64) ~b:k in
+           Bag.add view tup (if Bag.count view tup = 1 then 1 else -1);
+           ignore (Bag.total view)))
+  in
+  let bench_queued_compensation =
+    (* an answer from source 0 compensated against the 64 updates from
+       source 0 still queued: each run, one more update arrives and the
+       oldest leaves, so the queue holds 64 *)
+    let module Q = Repro_warehouse.Update_queue in
+    let temp = Partial.of_source_delta view3 1 delta in
+    let answer = Algebra.extend view3 temp ~with_relation:(0, rels.(0)) in
+    let upd seq =
+      { Repro_protocol.Message.txn = { Repro_protocol.Message.source = 0; seq };
+        delta = Delta.insertion (Chain.tuple ~key:(20_000 + seq) ~a:seq ~b:7);
+        occurred_at = 0.; global = None }
+    in
+    let q = Q.create () in
+    for seq = 0 to 63 do
+      ignore (Q.append q (upd seq) ~arrived_at:0.)
+    done;
+    let next = ref 64 in
+    Test.make ~name:"compensation against 64 queued updates from one source"
+      (Staged.stage (fun () ->
+           ignore (Q.append q (upd !next) ~arrived_at:0.);
+           incr next;
+           ignore (Q.pop q);
+           let _, interfering = Q.interference q 0 in
+           ignore (Algebra.compensate view3 ~answer ~interfering ~temp)))
+  in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
       (Staged.stage (fun () ->
@@ -194,7 +235,8 @@ let micro_tests () =
   [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_compensate;
     bench_full_eval; bench_delta_apply; bench_queue_churn; bench_stream_step;
     bench_checkpoint; bench_parser; bench_sim_round;
-    bench_sim_round_batched; bench_bag_add; bench_recompute ]
+    bench_sim_round_batched; bench_bag_add; bench_recompute;
+    bench_aggregate_read; bench_queued_compensation ]
 
 (* Minor-heap words, read from [Gc.minor_words]. Bechamel's own
    [minor_allocated] reads [Gc.quick_stat], which OCaml 5 brings up to

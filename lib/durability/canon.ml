@@ -1,6 +1,12 @@
 open Repro_relational
 
-let page_size = 64
+(* A checkpoint re-encodes every page dirtied since the previous one.
+   The few tuples an interval's installs change scatter over the key
+   space, one page each, so the bytes re-encoded per checkpoint grow
+   with the page size, while the per-page costs (a fence, a list cell,
+   a cached string) shrink with it. 32 halves the re-encoding of 64 and
+   keeps a page's overhead small next to its entries. *)
+let page_size = 32
 
 (* Entries [0, len) of [keys]/[counts] are live and strictly ascending. *)
 type page = {

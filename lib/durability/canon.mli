@@ -5,7 +5,7 @@
     [Tuple.compare] order. Producing that from a hash-table {!Bag.t}
     means sorting and re-encoding the whole view at every checkpoint.
     An image instead holds the same entries already sorted, split into
-    pages of at most 64 entries, and caches each page's encoded bytes.
+    pages of at most 32 entries, and caches each page's encoded bytes.
     {!add} dirties one page; {!pieces} re-encodes only dirty pages and
     hands out the cached strings of the rest, so a checkpoint costs what
     changed since the last one, and consecutive checkpoints share the

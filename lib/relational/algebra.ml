@@ -89,7 +89,9 @@ let compensate view ~answer ~(interfering : Delta.t) ~(temp : Partial.t) =
            "Algebra.compensate: answer [%d..%d] does not extend temp [%d..%d]"
            answer.Partial.lo answer.Partial.hi temp.lo temp.hi)
   in
-  let dp = Partial.of_source_delta view j interfering in
+  (* [interfering] may be the update queue's running L_j: the join reads
+     it in place and the error term is a fresh bag. *)
+  let dp = { Partial.lo = j; hi = j; data = interfering } in
   let error = if j < temp.lo then join view dp temp else join view temp dp in
   Partial.sub answer error
 

@@ -22,7 +22,7 @@ val extend : View_def.t -> Partial.t -> with_relation:int * Relation.t -> Partia
     from a sweep answer (paper §4): [answer − interfering ⋈ temp], where
     [interfering] is the (merged) concurrent ΔRj and [temp] the partial ΔV
     that was sent to source [j]. The join side is inferred from the
-    ranges. *)
+    ranges. All three are read in place and never mutated. *)
 val compensate :
   View_def.t -> answer:Partial.t -> interfering:Delta.t -> temp:Partial.t ->
   Partial.t

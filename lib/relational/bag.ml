@@ -1,28 +1,38 @@
 module H = Hashtbl.Make (Tuple)
 
-type t = int H.t
+(* [total] is the signed sum of the counts in [tbl]. Every mutation adds
+   its [n] to it, so reading it costs nothing — an aggregate read of the
+   view would otherwise fold the whole table. *)
+type t = { tbl : int H.t; mutable total : int }
 
-let create ?(initial_size = 16) () : t = H.create initial_size
-let copy : t -> t = H.copy
+let create ?(initial_size = 16) () = { tbl = H.create initial_size; total = 0 }
+let copy b = { tbl = H.copy b.tbl; total = b.total }
 
+(* A count that reaches zero leaves the table, but [n] still moves the
+   total: the entry's old count was [-n]. *)
 let add b tup n =
-  if n <> 0 then
-    match H.find b tup with
+  if n <> 0 then begin
+    b.total <- b.total + n;
+    match H.find b.tbl tup with
     | c ->
         let c' = c + n in
-        if c' = 0 then H.remove b tup else H.replace b tup c'
-    | exception Not_found -> H.add b tup n
+        if c' = 0 then H.remove b.tbl tup else H.replace b.tbl tup c'
+    | exception Not_found -> H.add b.tbl tup n
+  end
 
-let add_new b tup n = H.add b tup n
-let count b tup = match H.find b tup with c -> c | exception Not_found -> 0
-let mem b tup = H.mem b tup
-let is_empty b = H.length b = 0
-let cardinal b = H.length b
-let total b = H.fold (fun _ c acc -> acc + c) b 0
-let weight b = H.fold (fun _ c acc -> acc + abs c) b 0
-let has_negative b = H.fold (fun _ c acc -> acc || c < 0) b false
-let iter f b = H.iter f b
-let fold f b init = H.fold f b init
+let add_new b tup n =
+  b.total <- b.total + n;
+  H.add b.tbl tup n
+
+let count b tup = match H.find b.tbl tup with c -> c | exception Not_found -> 0
+let mem b tup = H.mem b.tbl tup
+let is_empty b = H.length b.tbl = 0
+let cardinal b = H.length b.tbl
+let total b = b.total
+let weight b = H.fold (fun _ c acc -> acc + abs c) b.tbl 0
+let has_negative b = H.fold (fun _ c acc -> acc || c < 0) b.tbl false
+let iter f b = H.iter f b.tbl
+let fold f b init = H.fold f b.tbl init
 (* Iterating over [src] while [add] mutates [into] is undefined when the
    two are the same table — snapshot first. Self-merge doubles every
    count; self-diff empties the bag. *)

@@ -35,7 +35,8 @@ val is_empty : t -> bool
 (** Number of distinct tuples. *)
 val cardinal : t -> int
 
-(** Sum of multiplicities (signed). *)
+(** Sum of multiplicities (signed). O(1): the bag keeps it beside its
+    entries, and every mutation updates it. *)
 val total : t -> int
 
 (** Sum of absolute multiplicities — the "size" of a bag when used as a

@@ -42,9 +42,6 @@ type t = {
   acked : int array;  (* per-source deliveries acknowledged *)
   incorporated : int array;  (* per-source updates reflected in the view *)
   mutable version : int;  (* installs observed *)
-  mutable total : (Bag.t * int * int) option;
-      (* [Bag.total] of the view, keyed by the view bag itself (recovery
-         installs a fresh one) and the [version] it was taken at *)
   mutable fresh : int;
   mutable stale : int;
   mutable shed_cap : int;
@@ -67,7 +64,7 @@ let create ?(config = default_config) ~engine ~rng ~obs ~n_sources ~view () =
     pending = Queue.create (); installed = Hashtbl.create 64;
     seen = Hashtbl.create 64;
     acked = Array.make n_sources 0; incorporated = Array.make n_sources 0;
-    version = 0; total = None; fresh = 0; stale = 0; shed_cap = 0;
+    version = 0; fresh = 0; stale = 0; shed_cap = 0;
     shed_ceiling = 0;
     log = []; session_log = [];
     h_staleness = Histogram.create (); h_latency = Histogram.create () }
@@ -110,17 +107,12 @@ let staleness t =
   | None -> 0.
   | Some (_, arrived) -> Engine.now t.engine -. arrived
 
+(* Both reads are O(1): the view bag keeps its own total. *)
 let answer t kind =
   let bag = t.view () in
   match (kind : Read_gen.kind) with
   | Point tup -> Bag.count bag tup
-  | Aggregate -> (
-      match t.total with
-      | Some (b, version, total) when b == bag && version = t.version -> total
-      | _ ->
-          let total = Bag.total bag in
-          t.total <- Some (bag, t.version, total);
-          total)
+  | Aggregate -> Bag.total bag
 
 let record t r = t.log <- r :: t.log
 

@@ -200,7 +200,7 @@ let on_answer t msg =
           cur.jobs
       with
       | Some job ->
-          Sweep_leg.answer t.ctx job.leg ~source:j partial ~interfering:[];
+          Sweep_leg.answer t.ctx job.leg ~source:j partial;
           advance t cur job
       | None ->
           invalid_arg

@@ -120,10 +120,10 @@ struct
     | Message.Answer { qid; source = j; partial }, frame :: _
       when Sweep_leg.awaits frame.leg ~qid ~source:j ->
         let interfering = Sweep_leg.queued t.ctx j in
-        Sweep_leg.answer t.ctx frame.leg ~source:j partial ~interfering;
+        Sweep_leg.answer t.ctx frame.leg ~source:j ~interfering partial;
         (match interfering with
-        | [] -> ()
-        | _ :: _ ->
+        | 0, _ -> ()
+        | n_interfering, _ ->
             let depth = List.length t.stack in
             if depth >= t.max_depth then begin
               (* Forced termination (paper §6.2): behave like SWEEP — the
@@ -132,7 +132,7 @@ struct
                 t.ctx.metrics.Metrics.fallbacks + 1;
               Algorithm.trace t.ctx
                 "depth limit: leaving %d update(s) from %d queued"
-                (List.length interfering) j;
+                n_interfering j;
               if Obs.active t.ctx.obs then
                 Obs.event t.ctx.obs ~span:frame.leg.span "fallback"
                   [ ("source", Tracer.I j); ("depth", Tracer.I depth) ]

@@ -115,7 +115,7 @@ let on_answer t msg =
   | Message.Answer { qid; source = j; partial } -> (
       match List.find_opt (fun q -> q.leg.Sweep_leg.qid = qid) t.rev_uqs with
       | Some q when Sweep_leg.awaits q.leg ~qid ~source:j ->
-          Sweep_leg.answer t.ctx q.leg ~source:j partial ~interfering:[];
+          Sweep_leg.answer t.ctx q.leg ~source:j partial;
           advance t q
       | Some _ | None ->
           invalid_arg

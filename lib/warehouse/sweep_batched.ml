@@ -247,10 +247,11 @@ module Make (P : POLICY) = struct
      L_j is, by the FIFO argument of §4, exactly the queued updates from
      j. *)
   let interference t b j =
-    let queued = Sweep_leg.queued t.ctx j in
+    let n, queued = Sweep_leg.queued t.ctx j in
     match List.assoc_opt j b.combined with
-    | Some d when j > b.src && not (Delta.is_empty d) -> d :: queued
-    | _ -> queued
+    | Some d when j > b.src && not (Delta.is_empty d) ->
+        (n + 1, Delta.sum [ d; queued ])
+    | _ -> (n, queued)
 
   let on_answer t msg =
     match (msg, t.batch) with
@@ -264,8 +265,10 @@ module Make (P : POLICY) = struct
         start_next t
     | Message.Answer { qid; source = j; partial }, Some b
       when Sweep_leg.awaits b.leg ~qid ~source:j ->
-        Sweep_leg.answer t.ctx b.leg ~source:j partial
-          ~interfering:(if P.compensate then interference t b j else []);
+        let interfering =
+          if P.compensate then Some (interference t b j) else None
+        in
+        Sweep_leg.answer t.ctx b.leg ~source:j ?interfering partial;
         advance t b
     | Message.Answer { qid; source; _ }, _ ->
         invalid_arg

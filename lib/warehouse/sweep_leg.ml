@@ -71,14 +71,13 @@ let rec step (ctx : Algorithm.ctx) ?hop leg =
 
 let awaits leg ~qid ~source = qid = leg.qid && source = leg.outstanding
 
-let answer (ctx : Algorithm.ctx) leg ~source partial ~interfering =
+let answer (ctx : Algorithm.ctx) leg ~source ?interfering partial =
   leg.outstanding <- -1;
   Obs.finish ctx.obs leg.query;
   leg.query <- Tracer.none;
   match interfering with
-  | [] -> leg.dv <- partial
-  | _ :: _ ->
-      let n = List.length interfering in
+  | None | Some (0, _) -> leg.dv <- partial
+  | Some (n, sum) ->
       ctx.metrics.Metrics.compensations <- ctx.metrics.Metrics.compensations + 1;
       Algorithm.trace ctx
         "compensate answer from %d for %d interfering update(s)" source n;
@@ -86,13 +85,10 @@ let answer (ctx : Algorithm.ctx) leg ~source partial ~interfering =
         Obs.event ctx.obs ~span:leg.span "compensate"
           [ ("source", Tracer.I source); ("interfering", Tracer.I n) ];
       leg.dv <-
-        Algebra.compensate ctx.view ~answer:partial
-          ~interfering:(Delta.sum interfering) ~temp:leg.temp
+        Algebra.compensate ctx.view ~answer:partial ~interfering:sum
+          ~temp:leg.temp
 
-let queued (ctx : Algorithm.ctx) j =
-  List.map
-    (fun (e : Update_queue.entry) -> e.update.Message.delta)
-    (Update_queue.from_source ctx.queue j)
+let queued (ctx : Algorithm.ctx) j = Update_queue.interference ctx.queue j
 
 let overlay entries j =
   Delta.sum

@@ -60,22 +60,26 @@ val aux_hop :
 val awaits : t -> qid:int -> source:int -> bool
 
 (** Take the awaited answer from [source]: close the query span, then
-    apply on-line error correction (paper §4) — subtract each
-    [interfering] delta of [source] joined with TempView, counting one
-    compensation and emitting a ["compensate"] event. With no
-    interference the answer is taken as is. Does not advance the leg. *)
+    apply on-line error correction (paper §4). [interfering] is [(n, d)]:
+    [n] interfering updates of [source] whose deltas sum to [d]. When
+    [n > 0] the answer loses [d] joined with TempView, counting one
+    compensation and emitting a ["compensate"] event that names [n]. With
+    no interference the answer is taken as is. [d] is only read. Does not
+    advance the leg. *)
 val answer :
   Algorithm.ctx ->
   t ->
   source:int ->
+  ?interfering:int * Delta.t ->
   Partial.t ->
-  interfering:Delta.t list ->
   unit
 
-(** Deltas of the updates from source [j] still in the update queue —
-    by the FIFO argument of §4, exactly the updates that interfered with
-    an answer from [j] arriving now. *)
-val queued : Algorithm.ctx -> int -> Delta.t list
+(** The updates from source [j] still in the update queue — by the FIFO
+    argument of §4, exactly the updates that interfered with an answer
+    from [j] arriving now — as their number and summed delta
+    ({!Update_queue.interference}: the sum is the queue's, read it in
+    place before the queue next changes). *)
+val queued : Algorithm.ctx -> int -> int * Delta.t
 
 (** Σ of the deltas from source [j] among [entries]: what a live answer
     from [j] reflects beyond the installed state when [entries] were

@@ -88,8 +88,8 @@ let on_answer t msg =
     when Sweep_leg.awaits vc.left ~qid ~source:j
          || Sweep_leg.awaits vc.right ~qid ~source:j ->
       let side = if qid = vc.left.qid then vc.left else vc.right in
-      Sweep_leg.answer t.ctx side ~source:j partial
-        ~interfering:(Sweep_leg.queued t.ctx j);
+      Sweep_leg.answer t.ctx side ~source:j
+        ~interfering:(Sweep_leg.queued t.ctx j) partial;
       advance_side t side;
       maybe_finish t
   | Message.Answer { qid; source; _ }, _ ->

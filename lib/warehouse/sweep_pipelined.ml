@@ -106,7 +106,10 @@ struct
           else None)
         (pipeline t)
     in
-    in_pipeline @ Sweep_leg.queued t.ctx j
+    let n, queued = Sweep_leg.queued t.ctx j in
+    match in_pipeline with
+    | [] -> (n, queued)
+    | _ :: _ -> (List.length in_pipeline + n, Delta.sum (queued :: in_pipeline))
 
   let on_answer t msg =
     match msg with
@@ -117,8 +120,8 @@ struct
             (pipeline t)
         with
         | Some vc ->
-            Sweep_leg.answer t.ctx vc.leg ~source:j partial
-              ~interfering:(interfering_deltas t vc j);
+            Sweep_leg.answer t.ctx vc.leg ~source:j
+              ~interfering:(interfering_deltas t vc j) partial;
             ignore (Sweep_leg.step t.ctx vc.leg : bool);
             drain_and_refill t
         | None ->

@@ -1,3 +1,4 @@
+open Repro_relational
 open Repro_protocol
 
 type entry = { update : Message.update; arrival : int; arrived_at : float }
@@ -9,16 +10,29 @@ type entry = { update : Message.update; arrival : int; arrived_at : float }
    algorithms need for absorption) rebuilds both lists — it was O(n)
    before and stays O(n).
 
-   Beside it, [by_source.(j)] is a deque of the same shape holding
-   exactly the entries from source [j], in queue order. [append], [pop]
-   and [push_front] keep it in step in O(1); the O(n) removals rebuild
-   it. So the interference lookup [from_source j] costs O(|L_j|), not
-   O(queue). *)
+   Beside it, [by_source.(j)] is a lane: a deque of the same shape
+   holding exactly the entries from source [j], in queue order, and
+   their count. [append], [pop] and [push_front] keep it in step in
+   O(1); the O(n) removals rebuild it. So the interference lookup
+   [from_source j] costs O(|L_j|), not O(queue).
+
+   A lane also keeps, once [interference] has asked for it, the running
+   sum of its entries' deltas: [append] and [push_front] add the entry's
+   delta, [pop] subtracts it, and a rebuild drops the sum for the next
+   request to recompute. Bag addition commutes and a count that reaches
+   zero leaves the bag, so the running sum equals [Delta.sum] of the
+   lane's deltas as a bag. It is derived state, never checkpointed. *)
 type deque = { mutable front : entry list; mutable rear : entry list }
+
+type lane = {
+  q : deque;
+  mutable count : int;
+  mutable sum : Delta.t option;
+}
 
 type t = {
   all : deque;
-  mutable by_source : deque array;
+  mutable by_source : lane array;
   mutable len : int;
   mutable next_arrival : int;
   capacity : int option;
@@ -34,6 +48,7 @@ let create ?capacity () =
 let capacity t = t.capacity
 
 let source_of e = e.update.Message.txn.source
+let delta_of e = e.update.Message.delta
 
 let normalize d =
   if d.front = [] then begin
@@ -43,14 +58,27 @@ let normalize d =
 
 let to_list d = d.front @ List.rev d.rear
 
-(* The per-source deque of [j], growing the index on first sight. *)
-let source_deque t j =
+let new_lane () = { q = { front = []; rear = [] }; count = 0; sum = None }
+
+(* The lane of source [j], growing the index on first sight. *)
+let lane t j =
   let have = Array.length t.by_source in
   if j >= have then
     t.by_source <-
       Array.init (max (j + 1) (2 * have)) (fun i ->
-          if i < have then t.by_source.(i) else { front = []; rear = [] });
+          if i < have then t.by_source.(i) else new_lane ());
   t.by_source.(j)
+
+(* [e] joins the front ([`Front]) or rear of its lane. *)
+let lane_push t e side =
+  let l = lane t (source_of e) in
+  (match side with
+  | `Front -> l.q.front <- e :: l.q.front
+  | `Rear -> l.q.rear <- e :: l.q.rear);
+  l.count <- l.count + 1;
+  match l.sum with
+  | Some sum -> Bag.merge_into ~into:sum (delta_of e)
+  | None -> ()
 
 (* Make [entries] (oldest first) the whole queue and re-derive the
    index from it. *)
@@ -59,15 +87,13 @@ let reset t entries =
   t.all.rear <- [];
   t.len <- List.length entries;
   Array.iter
-    (fun d ->
-      d.front <- [];
-      d.rear <- [])
+    (fun l ->
+      l.q.front <- [];
+      l.q.rear <- [];
+      l.count <- 0;
+      l.sum <- None)
     t.by_source;
-  List.iter
-    (fun e ->
-      let d = source_deque t (source_of e) in
-      d.rear <- e :: d.rear)
-    entries
+  List.iter (fun e -> lane_push t e `Rear) entries
 
 let append t update ~arrived_at =
   (match t.capacity with
@@ -79,8 +105,7 @@ let append t update ~arrived_at =
   let entry = { update; arrival = t.next_arrival; arrived_at } in
   t.next_arrival <- t.next_arrival + 1;
   t.all.rear <- entry :: t.all.rear;
-  let d = source_deque t (source_of entry) in
-  d.rear <- entry :: d.rear;
+  lane_push t entry `Rear;
   t.len <- t.len + 1;
   entry
 
@@ -100,9 +125,13 @@ let pop t =
   | [] -> None
   | e :: rest ->
       t.all.front <- rest;
-      let d = t.by_source.(source_of e) in
-      normalize d;
-      d.front <- List.tl d.front;
+      let l = t.by_source.(source_of e) in
+      normalize l.q;
+      l.q.front <- List.tl l.q.front;
+      l.count <- l.count - 1;
+      (match l.sum with
+      | Some sum -> Bag.diff_into ~into:sum (delta_of e)
+      | None -> ());
       t.len <- t.len - 1;
       Some e
 
@@ -113,8 +142,7 @@ let push_front t e =
   | Some c when t.len >= c -> invalid_arg "Update_queue.push_front: over capacity"
   | _ -> ());
   t.all.front <- e :: t.all.front;
-  let d = source_deque t (source_of e) in
-  d.front <- e :: d.front;
+  lane_push t e `Front;
   t.len <- t.len + 1
 
 let peek t =
@@ -152,13 +180,22 @@ let take_eligible t ~max ~eligible =
 let from_source t j =
   if j < 0 || j >= Array.length t.by_source then []
   else begin
-    let d = t.by_source.(j) in
+    let d = t.by_source.(j).q in
     if d.rear <> [] then begin
       d.front <- to_list d;
       d.rear <- []
     end;
     d.front
   end
+
+let interference t j =
+  let l = lane t j in
+  match l.sum with
+  | Some sum -> (l.count, sum)
+  | None ->
+      let sum = Delta.sum (List.map delta_of (from_source t j)) in
+      l.sum <- Some sum;
+      (l.count, sum)
 
 let take_from_source t j =
   let mine = from_source t j in

@@ -58,6 +58,15 @@ val length : t -> int
     per-source index, so it costs O(entries from [j]), not O(queue). *)
 val from_source : t -> int -> entry list
 
+(** [interference t j] is L_j of §4: the number of entries from source
+    [j] and the sum of their deltas. The sum is kept running —
+    {!append}, {!pop} and {!push_front} move it by one delta — and is
+    built on the first request for [j], so a queue nobody asks pays
+    nothing; the O(n) removals drop it for the next request to rebuild.
+    The bag belongs to the queue: read it in place before the next
+    queue operation; never mutate, send or store it. *)
+val interference : t -> int -> int * Repro_relational.Delta.t
+
 (** Remove and return all entries from source [j], oldest first — Nested
     SWEEP's absorption of concurrent updates. *)
 val take_from_source : t -> int -> entry list

@@ -95,6 +95,42 @@ let qcheck_merge_diff_roundtrip =
       Bag.diff_into ~into:x b;
       Bag.equal x a)
 
+(* Property: the running total is the signed sum of the entries after
+   every kind of mutation, over three bags that the operations alias —
+   a merge or diff of a bag into itself, a copy that is then mutated on
+   its own. Op codes: 0 add, 1 add_new (a fresh tuple), 2 merge_into,
+   3 diff_into, 4 copy, 5 of_list. *)
+let qcheck_total_is_sum =
+  let op =
+    QCheck.(
+      pair
+        (triple (int_range 0 5) (int_range 0 2) (int_range 0 2))
+        (pair (int_range 0 4) (int_range (-3) 3)))
+  in
+  QCheck.Test.make ~name:"bag total = sum of counts under every mutation"
+    ~count:300 (QCheck.small_list op)
+    (fun ops ->
+      let bags = Array.init 3 (fun _ -> Bag.create ()) in
+      let fresh = ref 100 in
+      let summed b = Bag.fold (fun _ c acc -> acc + c) b 0 in
+      List.for_all
+        (fun ((code, i, k), (key, n)) ->
+          (match code with
+          | 0 -> Bag.add bags.(i) (Tuple.ints [ key ]) n
+          | 1 ->
+              incr fresh;
+              if n <> 0 then Bag.add_new bags.(i) (Tuple.ints [ !fresh ]) n
+          | 2 -> Bag.merge_into ~into:bags.(i) bags.(k)
+          | 3 -> Bag.diff_into ~into:bags.(i) bags.(k)
+          | 4 -> bags.(i) <- Bag.copy bags.(k)
+          | _ ->
+              bags.(i) <-
+                Bag.of_list
+                  [ (Tuple.ints [ key ], n); (Tuple.ints [ k ], -n);
+                    (Tuple.ints [ key ], 1) ]);
+          Array.for_all (fun b -> Bag.total b = summed b) bags)
+        ops)
+
 let suite =
   [ Alcotest.test_case "add cancels to empty" `Quick test_add_cancel;
     Alcotest.test_case "counts and sizes" `Quick test_counts;
@@ -106,4 +142,5 @@ let suite =
     Alcotest.test_case "equality is content-based" `Quick
       test_equal_ignores_structure;
     QCheck_alcotest.to_alcotest qcheck_of_list_sums;
-    QCheck_alcotest.to_alcotest qcheck_merge_diff_roundtrip ]
+    QCheck_alcotest.to_alcotest qcheck_merge_diff_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_total_is_sum ]

@@ -138,7 +138,13 @@ let qcheck_fifo_model =
    filter of [entries] for every source (and one never used), [length]
    must agree, and [entries] must hold exactly the modelled arrivals in
    increasing order — a push_front only ever returns the most recently
-   popped entry, which is older than everything still queued. *)
+   popped entry, which is older than everything still queued.
+
+   The running L_j sums are checked at the same points: [interference j]
+   must count the entries of [from_source j] and sum their deltas
+   exactly as [Delta.sum] does, while every queued delta stays as it was
+   appended and is never the sum bag itself. Deltas insert and delete
+   four shared tuples, so sums cancel to zero and lose entries. *)
 let qcheck_per_source_index =
   QCheck.Test.make ~name:"from_source ≡ filter over entries under every op"
     ~count:300
@@ -148,7 +154,9 @@ let qcheck_per_source_index =
       let model = ref [] (* arrival numbers queued, any order *) in
       let popped = ref [] (* most recent first, for push_front *) in
       let seq = ref 0 in
+      let appended = Hashtbl.create 16 (* arrival -> copy of its delta *) in
       let source_of e = e.Update_queue.update.Message.txn.Message.source in
+      let delta_of e = e.Update_queue.update.Message.delta in
       let arrivals es = List.map (fun e -> e.Update_queue.arrival) es in
       let remove taken =
         let gone = arrivals taken in
@@ -163,15 +171,35 @@ let qcheck_per_source_index =
                arrivals (Update_queue.from_source !q j)
                = arrivals (List.filter (fun e -> source_of e = j) all))
              [ 0; 1; 2; 3; 4 ]
+        && List.for_all
+             (fun j ->
+               let mine = Update_queue.from_source !q j in
+               let n, sum = Update_queue.interference !q j in
+               n = List.length mine
+               && Delta.equal sum (Delta.sum (List.map delta_of mine))
+               && List.for_all
+                    (fun e ->
+                      delta_of e != sum
+                      && Delta.equal (delta_of e)
+                           (Hashtbl.find appended e.Update_queue.arrival))
+                    mine)
+             [ 0; 1; 2; 3; 4 ]
       in
       List.for_all
         (fun (op, k) ->
           (match op with
           | 0 | 1 ->
               incr seq;
-              let e =
-                Update_queue.append !q (upd ~source:k ~seq:!seq) ~arrived_at:0.
+              let tup = Tuple.ints [ !seq mod 4 ] in
+              let u =
+                { (upd ~source:k ~seq:!seq) with
+                  Message.delta =
+                    (if !seq mod 3 = 0 then Delta.deletion tup
+                     else Delta.insertion tup) }
               in
+              let e = Update_queue.append !q u ~arrived_at:0. in
+              Hashtbl.replace appended e.Update_queue.arrival
+                (Delta.copy u.Message.delta);
               model := e.Update_queue.arrival :: !model
           | 2 ->
               Option.iter

@@ -230,9 +230,9 @@ let test_outcome_classification () =
           r.Server.answer)
     (Server.log srv)
 
-(* The aggregate total is cached per install version and per view bag:
-   an install must refresh it, and so must a recovered node's fresh bag,
-   which arrives without an install. *)
+(* The aggregate total belongs to the view bag, which keeps it in step
+   with every add: an install must move it, and a recovered node's fresh
+   bag, which arrives without an install, must answer with its own. *)
 let test_aggregate_cache_invalidation () =
   let engine = Engine.create ~seed:1L () in
   let view = ref (Bag.of_list [ (Tuple.ints [ 1 ], 3) ]) in
