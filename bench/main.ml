@@ -105,7 +105,7 @@ let micro_tests () =
     in
     Test.make ~name:"update queue churn (1k append + batch drain)"
       (Staged.stage (fun () ->
-           let q = Repro_warehouse.Update_queue.create () in
+           let q = Repro_warehouse.Update_queue.create ~view:view3 () in
            for seq = 0 to 999 do
              ignore
                (Repro_warehouse.Update_queue.append q (upd seq) ~arrived_at:0.)
@@ -199,30 +199,51 @@ let micro_tests () =
            Bag.add view tup (if Bag.count view tup = 1 then 1 else -1);
            ignore (Bag.total view)))
   in
-  let bench_queued_compensation =
+  let queued_compensation ~name ~b ~extras =
     (* an answer from source 0 compensated against the 64 updates from
-       source 0 still queued: each run, one more update arrives and the
-       oldest leaves, so the queue holds 64 *)
+       source 0 still queued, probing the queue's index on their join
+       column [b] (TempView's [a] is 7): each run, one more update
+       arrives and the oldest leaves, so the queue holds 64 *)
     let module Q = Repro_warehouse.Update_queue in
     let temp = Partial.of_source_delta view3 1 delta in
     let answer = Algebra.extend view3 temp ~with_relation:(0, rels.(0)) in
     let upd seq =
       { Repro_protocol.Message.txn = { Repro_protocol.Message.source = 0; seq };
-        delta = Delta.insertion (Chain.tuple ~key:(20_000 + seq) ~a:seq ~b:7);
+        delta =
+          Delta.insertion (Chain.tuple ~key:(20_000 + seq) ~a:seq ~b:(b seq));
         occurred_at = 0.; global = None }
     in
-    let q = Q.create () in
+    let q = Q.create ~view:view3 () in
     for seq = 0 to 63 do
       ignore (Q.append q (upd seq) ~arrived_at:0.)
     done;
     let next = ref 64 in
-    Test.make ~name:"compensation against 64 queued updates from one source"
+    Test.make ~name
       (Staged.stage (fun () ->
            ignore (Q.append q (upd !next) ~arrived_at:0.);
            incr next;
            ignore (Q.pop q);
-           let _, interfering = Q.interference q 0 in
-           ignore (Algebra.compensate view3 ~answer ~interfering ~temp)))
+           let lj = Q.interference q 0 in
+           ignore
+             (Algebra.compensate ~index:lj.Q.index ~extras view3 ~answer
+                ~interfering:lj.Q.sum ~temp)))
+  in
+  let bench_queued_compensation =
+    queued_compensation ~b:(fun _ -> 7) ~extras:[]
+      ~name:"compensation against 64 queued updates from one source"
+  in
+  let bench_right_leg_compensation =
+    (* the batched engine's right leg: the batch's own delta D_j of the
+       source is a further term of the error, beside L_j *)
+    queued_compensation ~b:(fun _ -> 7)
+      ~extras:[ Delta.insertion (Chain.tuple ~key:30_000 ~a:1 ~b:7) ]
+      ~name:"right-leg compensation, D_j + 64 queued updates"
+  in
+  let bench_unjoined_compensation =
+    (* at fan-out 1, as on batched-backlog, the queued updates rarely
+       join TempView: here none does, and the error term is empty *)
+    queued_compensation ~b:(fun seq -> 100 + seq) ~extras:[]
+      ~name:"compensation against 64 queued updates, none joining"
   in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
@@ -236,7 +257,8 @@ let micro_tests () =
     bench_full_eval; bench_delta_apply; bench_queue_churn; bench_stream_step;
     bench_checkpoint; bench_parser; bench_sim_round;
     bench_sim_round_batched; bench_bag_add; bench_recompute;
-    bench_aggregate_read; bench_queued_compensation ]
+    bench_aggregate_read; bench_queued_compensation;
+    bench_right_leg_compensation; bench_unjoined_compensation ]
 
 (* Minor-heap words, read from [Gc.minor_words]. Bechamel's own
    [minor_allocated] reads [Gc.quick_stat], which OCaml 5 brings up to

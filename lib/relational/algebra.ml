@@ -79,23 +79,15 @@ let extend view (p : Partial.t) ~with_relation:(j, r) =
       (Printf.sprintf "Algebra.extend: source %d not adjacent to [%d..%d]" j
          p.lo p.hi)
 
-let compensate view ~answer ~(interfering : Delta.t) ~(temp : Partial.t) =
-  let j =
-    if answer.Partial.lo = temp.lo - 1 then answer.Partial.lo
-    else if answer.Partial.hi = temp.hi + 1 then answer.Partial.hi
-    else
-      invalid_arg
-        (Printf.sprintf
-           "Algebra.compensate: answer [%d..%d] does not extend temp [%d..%d]"
-           answer.Partial.lo answer.Partial.hi temp.lo temp.hi)
-  in
-  (* [interfering] may be the update queue's running L_j: the join reads
-     it in place and the error term is a fresh bag. *)
-  let dp = { Partial.lo = j; hi = j; data = interfering } in
-  let error = if j < temp.lo then join view dp temp else join view temp dp in
-  Partial.sub answer error
-
-let extend_with_probe view (p : Partial.t) ~source ~probe =
+(* [probe_into view p ~source ~covers ~probe emit] calls [emit] on
+   every tuple of [p] joined with source [source]'s tuples, with its
+   count. Each partial tuple probes on the junction's first equality
+   column [col]: [probe ~col ~value] lists the tuples of [source] whose
+   [col] equals [value], with their counts. Any further equalities and
+   the residual predicate filter the candidates. Returns [false],
+   emitting nothing, when there is no column to probe: a cross-product
+   junction, or one whose [col] fails [covers]. *)
+let probe_into view (p : Partial.t) ~source ~covers ~probe emit =
   let dir =
     if source = p.lo - 1 then `Left
     else if source = p.hi + 1 then `Right
@@ -110,23 +102,19 @@ let extend_with_probe view (p : Partial.t) ~source ~probe =
     | `Left -> View_def.join_between view source
     | `Right -> View_def.join_between view p.hi
   in
-  match spec.Join_spec.equalities with
-  | [] -> None (* cross-product junction: no column to probe on *)
-  | eqs ->
-      let src_ofs = View_def.offset view source in
-      let p_ofs = View_def.offset view p.lo in
-      (* each equality names one attribute in [source] and one inside
-         [p]; the first drives the probe, the rest filter candidates *)
-      let local (lg, rg) =
-        match dir with
-        | `Left -> (lg - src_ofs, rg - p_ofs)
-        | `Right -> (rg - src_ofs, lg - p_ofs)
-      in
-      let (src_col, p_col), rest =
-        match List.map local eqs with
-        | first :: rest -> (first, rest)
-        | [] -> assert false
-      in
+  let src_ofs = View_def.offset view source in
+  let p_ofs = View_def.offset view p.lo in
+  (* each equality names one attribute in [source] and one inside [p];
+     the first drives the probe, the rest filter candidates *)
+  let local (lg, rg) =
+    match dir with
+    | `Left -> (lg - src_ofs, rg - p_ofs)
+    | `Right -> (rg - src_ofs, lg - p_ofs)
+  in
+  match List.map local spec.Join_spec.equalities with
+  | [] -> false (* cross-product junction: no column to probe on *)
+  | (src_col, _) :: _ when not (covers src_col) -> false
+  | (src_col, p_col) :: rest ->
       let residual_ok stup ptup =
         match spec.Join_spec.residual with
         | None -> true
@@ -140,7 +128,6 @@ let extend_with_probe view (p : Partial.t) ~source ~probe =
             in
             Predicate.eval ~lookup pr
       in
-      let result = Delta.empty () in
       Delta.iter
         (fun ptup pc ->
           List.iter
@@ -156,15 +143,64 @@ let extend_with_probe view (p : Partial.t) ~source ~probe =
                   | `Left -> Tuple.concat stup ptup
                   | `Right -> Tuple.concat ptup stup
                 in
-                Delta.add result combined (pc * sc))
+                emit combined (pc * sc))
             (probe ~col:src_col ~value:(Tuple.get ptup p_col)))
         p.data;
-      let lo, hi =
-        match dir with
-        | `Left -> (source, p.hi)
-        | `Right -> (p.lo, source)
-      in
-      Some { Partial.lo; hi; data = result }
+      true
+
+let extend_with_probe view (p : Partial.t) ~source ~probe =
+  let result = Delta.empty () in
+  if probe_into view p ~source ~covers:(fun _ -> true) ~probe (Delta.add result)
+  then
+    Some
+      { Partial.lo = min source p.lo; hi = max source p.hi; data = result }
+  else None
+
+(* The error term is linear in the interfering deltas, so each is joined
+   with TempView on its own into one bag: [interfering] by probing its
+   index when one covers the junction's probe column, the same probe
+   join a source answers a sweep query with, and every other term by
+   the hash join. All are read in place. Nearly every error term is
+   empty, so its bag is made at its first tuple. *)
+let compensate ?(index = []) ?(extras = []) view ~answer ~interfering
+    ~(temp : Partial.t) =
+  let j =
+    if answer.Partial.lo = temp.lo - 1 && answer.Partial.hi = temp.hi then
+      answer.Partial.lo
+    else if answer.Partial.hi = temp.hi + 1 && answer.Partial.lo = temp.lo then
+      answer.Partial.hi
+    else
+      invalid_arg
+        (Printf.sprintf
+           "Algebra.compensate: answer [%d..%d] does not extend temp [%d..%d]"
+           answer.Partial.lo answer.Partial.hi temp.lo temp.hi)
+  in
+  let error = ref None in
+  let emit tup c =
+    match !error with
+    | Some e -> Delta.add e tup c
+    | None ->
+        let e = Delta.empty () in
+        Delta.add e tup c;
+        error := Some e
+  in
+  let hash_join d =
+    let dp = { Partial.lo = j; hi = j; data = d } in
+    if j < temp.lo then join_with view dp temp emit
+    else join_with view temp dp emit
+  in
+  let covers col = List.exists (fun idx -> Column_index.col idx = col) index in
+  let probe ~col ~value =
+    let idx = List.find (fun idx -> Column_index.col idx = col) index in
+    Column_index.fold idx value (fun tup c acc -> (tup, c) :: acc) []
+  in
+  if not (probe_into view temp ~source:j ~covers ~probe emit) then
+    hash_join interfering;
+  List.iter hash_join extras;
+  match !error with
+  | Some e when not (Delta.is_empty e) ->
+      Partial.sub answer { answer with data = e }
+  | Some _ | None -> answer
 
 let merge_overlap view ~at ~(left : Partial.t) ~(right : Partial.t) =
   if left.hi <> at || right.lo <> at then

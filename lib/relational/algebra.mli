@@ -18,12 +18,23 @@ val join : View_def.t -> Partial.t -> Partial.t -> Partial.t
     source-side step of the sweep. *)
 val extend : View_def.t -> Partial.t -> with_relation:int * Relation.t -> Partial.t
 
-(** [compensate view ~answer ~interfering ~temp] removes the error term
-    from a sweep answer (paper §4): [answer − interfering ⋈ temp], where
-    [interfering] is the (merged) concurrent ΔRj and [temp] the partial ΔV
-    that was sent to source [j]. The join side is inferred from the
-    ranges. All three are read in place and never mutated. *)
+(** [compensate ?index ?extras view ~answer ~interfering ~temp] removes
+    the error term from a sweep answer (paper §4):
+    [answer − (interfering + Σ extras) ⋈ temp], where [interfering] is
+    the (merged) concurrent ΔRj, [extras] further deltas of source [j]
+    that the answer also reflects, and [temp] the partial ΔV that was
+    sent to source [j]. The join side is inferred from the ranges.
+
+    The error term is linear, so each delta is joined with [temp] on its
+    own. [index] lists indexes on columns of [interfering], kept in step
+    with it: when one covers the junction's first equality column,
+    [temp] probes it as {!extend_with_probe} probes a source, costing
+    O(|temp| × fan-out) rather than O(|interfering|). Otherwise, and for
+    every extra, the hash join runs. The result is bag for bag the same
+    either way. When the error term is empty the result is [answer]
+    itself; otherwise it is fresh. Nothing is mutated. *)
 val compensate :
+  ?index:Column_index.t list -> ?extras:Delta.t list ->
   View_def.t -> answer:Partial.t -> interfering:Delta.t -> temp:Partial.t ->
   Partial.t
 

@@ -1,21 +1,36 @@
 module Values = Hashtbl.Make (Value)
 
-type t = { col : int; buckets : Bag.t Values.t }
+(* Most values of a join column carry one tuple: at fan-out 1 every
+   bucket does. Such a bucket holds its tuple inline; a second distinct
+   tuple makes it a [Bag], and cancelling back to one tuple makes it
+   inline again. So a bucket is [One] exactly when it holds one tuple,
+   and two indexes with the same contents have the same buckets. *)
+type bucket = One of Tuple.t * int | Many of Bag.t
+type t = { col : int; buckets : bucket Values.t }
 
 let col t = t.col
 
+let only b = Bag.fold (fun tup c _ -> One (tup, c)) b (Many b)
+
 let add t tup n =
-  let v = Tuple.get tup t.col in
-  match Values.find t.buckets v with
-  | bucket ->
-      Bag.add bucket tup n;
-      if Bag.is_empty bucket then Values.remove t.buckets v
-  | exception Not_found ->
-      if n <> 0 then begin
-        let bucket = Bag.create () in
-        Bag.add bucket tup n;
-        Values.add t.buckets v bucket
-      end
+  if n <> 0 then
+    let v = Tuple.get tup t.col in
+    match Values.find t.buckets v with
+    | One (u, c) when Tuple.equal u tup ->
+        if c + n = 0 then Values.remove t.buckets v
+        else Values.replace t.buckets v (One (u, c + n))
+    | One (u, c) ->
+        let b = Bag.create () in
+        Bag.add_new b u c;
+        Bag.add_new b tup n;
+        Values.replace t.buckets v (Many b)
+    | Many b -> (
+        Bag.add b tup n;
+        match Bag.cardinal b with
+        | 0 -> Values.remove t.buckets v
+        | 1 -> Values.replace t.buckets v (only b)
+        | _ -> ())
+    | exception Not_found -> Values.add t.buckets v (One (tup, n))
 
 let of_bag ~col b =
   let t = { col; buckets = Values.create 64 } in
@@ -24,8 +39,15 @@ let of_bag ~col b =
 
 let fold t v f init =
   match Values.find t.buckets v with
-  | bucket -> Bag.fold f bucket init
+  | One (tup, c) -> f tup c init
+  | Many b -> Bag.fold f b init
   | exception Not_found -> init
+
+let bucket_equal a b =
+  match (a, b) with
+  | One (u, c), One (u', c') -> c = c' && Tuple.equal u u'
+  | Many b, Many b' -> Bag.equal b b'
+  | One _, Many _ | Many _, One _ -> false
 
 let equal a b =
   a.col = b.col
@@ -35,6 +57,6 @@ let equal a b =
          ok
          &&
          match Values.find b.buckets v with
-         | other -> Bag.equal bucket other
+         | other -> bucket_equal bucket other
          | exception Not_found -> false)
        a.buckets true

@@ -1,10 +1,13 @@
 (** A persistent hash index on one column of a counted bag: each value
-    of the column maps to the bag of tuples that carry it. The index
-    holds no empty bucket: a bucket whose last tuple cancels is removed.
+    of the column maps to the tuples that carry it, with their counts.
+    A value carried by one tuple holds it inline; only a second distinct
+    tuple makes its bucket a {!Bag}. The index holds no empty bucket: a
+    bucket whose last tuple cancels is removed.
 
-    Source tables index their join columns with it ([Base_table]), and
-    so do the warehouse's auxiliary projections ([Aux_store]), so that a
-    sweep leg probes instead of scanning. *)
+    Source tables index their join columns with it ([Base_table]), so do
+    the warehouse's auxiliary projections ([Aux_store]) and the update
+    queue's running L_j ([Update_queue]), so that a sweep leg or a
+    compensation probes instead of scanning. *)
 
 type t
 
@@ -23,6 +26,6 @@ val add : t -> Tuple.t -> int -> unit
     equals [v], with their multiplicities, in no particular order. *)
 val fold : t -> Value.t -> (Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
 
-(** Same column and the same buckets, bucket for bucket: an empty
-    bucket differs from an absent one. *)
+(** Same column and the same tuples with the same counts under every
+    value. *)
 val equal : t -> t -> bool

@@ -70,6 +70,15 @@ let source_of_global v g =
   go 0
 
 let global v i a = v.offsets.(i) + a
+
+let join_columns v id =
+  let ofs = v.offsets.(id) in
+  let of_joins i pick =
+    if i < 0 || i >= Array.length v.joins then []
+    else List.map (fun eq -> pick eq - ofs) v.joins.(i).Join_spec.equalities
+  in
+  of_joins (id - 1) snd @ of_joins id fst
+
 let global_by_name v i name = global v i (Schema.index_of v.schemas.(i) name)
 
 let view_key_positions v i =

@@ -52,6 +52,14 @@ val source_of_global : t -> int -> int
     [i]. *)
 val global : t -> int -> int -> int
 
+(** The local columns of source [id] that the chain's join equalities
+    name: its right-hand columns in the junction with [id - 1], then its
+    left-hand columns in the junction with [id + 1]. Each may repeat.
+    Sources index these so that a sweep leg probes instead of scanning
+    ([Base_table]), and so does the update queue's running L_j
+    ([Update_queue.interference]). *)
+val join_columns : t -> int -> int list
+
 (** [global_by_name v i name] resolves a source-local attribute name. *)
 val global_by_name : t -> int -> string -> int
 

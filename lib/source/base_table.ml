@@ -17,25 +17,11 @@ type t = {
          sum stays 0 *)
 }
 
-(* The local columns of source [id] named by the chain's join
-   conditions: those get persistent hash indexes so sweep queries probe
-   instead of scanning. *)
-let join_columns view id =
-  let ofs = View_def.offset view id in
-  let of_joins i pick =
-    if i < 0 || i >= View_def.n_sources view - 1 then []
-    else
-      List.map
-        (fun eq -> pick eq - ofs)
-        (View_def.join_between view i).Join_spec.equalities
-  in
-  of_joins (id - 1) snd @ of_joins id fst
-
 let create ~source ?(indexes = []) ?view rel =
   let indexes =
     match view with
     | None -> indexes
-    | Some v -> indexes @ join_columns v source
+    | Some v -> indexes @ View_def.join_columns v source
   in
   let indexes =
     List.map

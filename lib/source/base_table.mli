@@ -11,17 +11,13 @@ type t
 (** [create ~source ?indexes ?view rel] — [indexes] lists local columns
     to keep persistent hash indexes on; [view] additionally derives this
     source's join columns from the chain's join conditions
-    ({!join_columns}) so every delta join leg probes ({!extend}).
+    ({!View_def.join_columns}) so every delta join leg probes ({!extend}).
     Indexes are maintained incrementally by {!apply} and served by
     {!probe}. *)
 val create : source:int -> ?indexes:int list -> ?view:View_def.t ->
   Relation.t -> t
 
 val source : t -> int
-
-(** The local columns of source [id] named by [view]'s join equalities —
-    the columns {!create} auto-indexes when given [?view]. *)
-val join_columns : View_def.t -> int -> int list
 
 (** Columns with a live index. *)
 val indexed_columns : t -> int list

@@ -121,9 +121,9 @@ struct
       when Sweep_leg.awaits frame.leg ~qid ~source:j ->
         let interfering = Sweep_leg.queued t.ctx j in
         Sweep_leg.answer t.ctx frame.leg ~source:j ~interfering partial;
-        (match interfering with
-        | 0, _ -> ()
-        | n_interfering, _ ->
+        (match interfering.Update_queue.count with
+        | 0 -> ()
+        | n_interfering ->
             let depth = List.length t.stack in
             if depth >= t.max_depth then begin
               (* Forced termination (paper §6.2): behave like SWEEP — the

@@ -172,7 +172,7 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
   let t =
     { engine; view; algorithm; send; data; image = None;
       initial = Bag.copy data; metrics;
-      queue = Update_queue.create ?capacity:queue_capacity ();
+      queue = Update_queue.create ?capacity:queue_capacity ~view ();
       record_history; trace; obs; store = durability; breaker; aux; stall_cap;
       next_qid = 0; replaying = false; replay_installs = Queue.create ();
       algo = None; rev_installs = []; rev_deliveries = [];
@@ -207,12 +207,13 @@ let recover ~prev ?checkpoint () =
           Some c.view,
           Update_queue.of_entries
             ?capacity:(Update_queue.capacity prev.queue)
-            entries ~next_arrival:c.queue_next_arrival,
+            ~view:prev.view entries ~next_arrival:c.queue_next_arrival,
           c.next_qid )
     | None ->
         ( Bag.copy prev.initial,
           None,
-          Update_queue.create ?capacity:(Update_queue.capacity prev.queue) (),
+          Update_queue.create ?capacity:(Update_queue.capacity prev.queue)
+            ~view:prev.view (),
           0 )
   in
   let t =

@@ -243,15 +243,13 @@ module Make (P : POLICY) = struct
   (* On-line error correction against the combined deltas (§4): the
      answer from [j] reflects R_j + D_j + L_j. A left-leg source
      (j < src) must contribute its new state R_j + D_j — subtract L_j; a
-     right-leg source (j > src) its old state R_j — subtract D_j + L_j.
-     L_j is, by the FIFO argument of §4, exactly the queued updates from
-     j. *)
-  let interference t b j =
-    let n, queued = Sweep_leg.queued t.ctx j in
+     right-leg source (j > src) its old state R_j — subtract D_j + L_j,
+     D_j as its own term of the error. L_j is, by the FIFO argument of
+     §4, exactly the queued updates from j. *)
+  let right_leg_delta b j =
     match List.assoc_opt j b.combined with
-    | Some d when j > b.src && not (Delta.is_empty d) ->
-        (n + 1, Delta.sum [ d; queued ])
-    | _ -> (n, queued)
+    | Some d when j > b.src && not (Delta.is_empty d) -> [ d ]
+    | _ -> []
 
   let on_answer t msg =
     match (msg, t.batch) with
@@ -265,10 +263,11 @@ module Make (P : POLICY) = struct
         start_next t
     | Message.Answer { qid; source = j; partial }, Some b
       when Sweep_leg.awaits b.leg ~qid ~source:j ->
-        let interfering =
-          if P.compensate then Some (interference t b j) else None
-        in
-        Sweep_leg.answer t.ctx b.leg ~source:j ?interfering partial;
+        (if P.compensate then
+           Sweep_leg.answer t.ctx b.leg ~source:j
+             ~interfering:(Sweep_leg.queued t.ctx j)
+             ~extras:(right_leg_delta b j) partial
+         else Sweep_leg.answer t.ctx b.leg ~source:j partial);
         advance t b
     | Message.Answer { qid; source; _ }, _ ->
         invalid_arg

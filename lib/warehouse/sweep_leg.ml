@@ -71,22 +71,28 @@ let rec step (ctx : Algorithm.ctx) ?hop leg =
 
 let awaits leg ~qid ~source = qid = leg.qid && source = leg.outstanding
 
-let answer (ctx : Algorithm.ctx) leg ~source ?interfering partial =
+let answer (ctx : Algorithm.ctx) leg ~source ?interfering ?(extras = [])
+    partial =
   leg.outstanding <- -1;
   Obs.finish ctx.obs leg.query;
   leg.query <- Tracer.none;
   match interfering with
-  | None | Some (0, _) -> leg.dv <- partial
-  | Some (n, sum) ->
-      ctx.metrics.Metrics.compensations <- ctx.metrics.Metrics.compensations + 1;
-      Algorithm.trace ctx
-        "compensate answer from %d for %d interfering update(s)" source n;
-      if Obs.active ctx.obs then
-        Obs.event ctx.obs ~span:leg.span "compensate"
-          [ ("source", Tracer.I source); ("interfering", Tracer.I n) ];
-      leg.dv <-
-        Algebra.compensate ctx.view ~answer:partial ~interfering:sum
-          ~temp:leg.temp
+  | None -> leg.dv <- partial
+  | Some (i : Update_queue.interference) ->
+      let n = i.count + List.length extras in
+      if n = 0 then leg.dv <- partial
+      else begin
+        ctx.metrics.Metrics.compensations <-
+          ctx.metrics.Metrics.compensations + 1;
+        Algorithm.trace ctx
+          "compensate answer from %d for %d interfering update(s)" source n;
+        if Obs.active ctx.obs then
+          Obs.event ctx.obs ~span:leg.span "compensate"
+            [ ("source", Tracer.I source); ("interfering", Tracer.I n) ];
+        leg.dv <-
+          Algebra.compensate ~index:i.index ~extras ctx.view ~answer:partial
+            ~interfering:i.sum ~temp:leg.temp
+      end
 
 let queued (ctx : Algorithm.ctx) j = Update_queue.interference ctx.queue j
 

@@ -60,26 +60,31 @@ val aux_hop :
 val awaits : t -> qid:int -> source:int -> bool
 
 (** Take the awaited answer from [source]: close the query span, then
-    apply on-line error correction (paper §4). [interfering] is [(n, d)]:
-    [n] interfering updates of [source] whose deltas sum to [d]. When
-    [n > 0] the answer loses [d] joined with TempView, counting one
-    compensation and emitting a ["compensate"] event that names [n]. With
-    no interference the answer is taken as is. [d] is only read. Does not
-    advance the leg. *)
+    apply on-line error correction (paper §4). [interfering] is L_j,
+    the [count] queued updates of [source]; [extras] are further deltas
+    of [source] that the answer reflects and must lose, one update each
+    (the batched engine's D_j, the pipelined variant's deltas still in
+    its pipeline), and are read only with [interfering]. When these are
+    [n > 0] updates in all, the answer loses L_j and every extra joined
+    with TempView ({!Algebra.compensate}, probing L_j's indexes),
+    counting one compensation and emitting a ["compensate"] event that
+    names [n]. With no interference the answer is taken as is. Nothing
+    passed in is mutated. Does not advance the leg. *)
 val answer :
   Algorithm.ctx ->
   t ->
   source:int ->
-  ?interfering:int * Delta.t ->
+  ?interfering:Update_queue.interference ->
+  ?extras:Delta.t list ->
   Partial.t ->
   unit
 
 (** The updates from source [j] still in the update queue — by the FIFO
     argument of §4, exactly the updates that interfered with an answer
-    from [j] arriving now — as their number and summed delta
-    ({!Update_queue.interference}: the sum is the queue's, read it in
+    from [j] arriving now — with their summed delta and its indexes
+    ({!Update_queue.interference}: they are the queue's, read them in
     place before the queue next changes). *)
-val queued : Algorithm.ctx -> int -> int * Delta.t
+val queued : Algorithm.ctx -> int -> Update_queue.interference
 
 (** Σ of the deltas from source [j] among [entries]: what a live answer
     from [j] reflects beyond the installed state when [entries] were

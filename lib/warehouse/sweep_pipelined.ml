@@ -94,22 +94,18 @@ struct
      for this sweep, the interfering updates from source [j] are those
      *delivered after* the update being swept — in the queue, or already
      being swept further down the pipeline. Earlier-delivered updates
-     serialize before this one and are meant to be in the answer. *)
-  let interfering_deltas t vc j =
-    let in_pipeline =
-      List.filter_map
-        (fun other ->
-          if
-            other.entry.Update_queue.arrival > vc.entry.Update_queue.arrival
-            && other.entry.update.Message.txn.source = j
-          then Some other.entry.update.Message.delta
-          else None)
-        (pipeline t)
-    in
-    let n, queued = Sweep_leg.queued t.ctx j in
-    match in_pipeline with
-    | [] -> (n, queued)
-    | _ :: _ -> (List.length in_pipeline + n, Delta.sum (queued :: in_pipeline))
+     serialize before this one and are meant to be in the answer. The
+     queued ones are L_j; the ones in the pipeline are returned here, a
+     term each of the error. *)
+  let in_pipeline t vc j =
+    List.filter_map
+      (fun other ->
+        if
+          other.entry.Update_queue.arrival > vc.entry.Update_queue.arrival
+          && other.entry.update.Message.txn.source = j
+        then Some other.entry.update.Message.delta
+        else None)
+      (pipeline t)
 
   let on_answer t msg =
     match msg with
@@ -121,7 +117,8 @@ struct
         with
         | Some vc ->
             Sweep_leg.answer t.ctx vc.leg ~source:j
-              ~interfering:(interfering_deltas t vc j) partial;
+              ~interfering:(Sweep_leg.queued t.ctx j)
+              ~extras:(in_pipeline t vc j) partial;
             ignore (Sweep_leg.step t.ctx vc.leg : bool);
             drain_and_refill t
         | None ->

@@ -18,16 +18,27 @@ type entry = { update : Message.update; arrival : int; arrived_at : float }
 
    A lane also keeps, once [interference] has asked for it, the running
    sum of its entries' deltas: [append] and [push_front] add the entry's
-   delta, [pop] subtracts it, and a rebuild drops the sum for the next
-   request to recompute. Bag addition commutes and a count that reaches
-   zero leaves the bag, so the running sum equals [Delta.sum] of the
-   lane's deltas as a bag. It is derived state, never checkpointed. *)
+   delta, [pop] and the O(n) removals subtract each delta that leaves.
+   Bag addition commutes and a count that reaches zero leaves the bag,
+   so the running sum equals [Delta.sum] of the lane's deltas as a bag.
+   Built with the sum, on the same request, come one [Column_index] per
+   join column of source [j] in the view; every delta that moves the
+   sum moves them too, so each equals [Column_index.of_bag] of the sum.
+   All of it is derived state, never checkpointed: a queue rebuilt from
+   entries builds it again on the first request. *)
 type deque = { mutable front : entry list; mutable rear : entry list }
 
 type lane = {
   q : deque;
   mutable count : int;
   mutable sum : Delta.t option;
+  mutable index : Column_index.t list;
+}
+
+type interference = {
+  count : int;
+  sum : Delta.t;
+  index : Column_index.t list;
 }
 
 type t = {
@@ -36,14 +47,15 @@ type t = {
   mutable len : int;
   mutable next_arrival : int;
   capacity : int option;
+  view : View_def.t;
 }
 
-let create ?capacity () =
+let create ?capacity ~view () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Update_queue.create: capacity <= 0"
   | _ -> ());
   { all = { front = []; rear = [] }; by_source = [||]; len = 0;
-    next_arrival = 0; capacity }
+    next_arrival = 0; capacity; view }
 
 let capacity t = t.capacity
 
@@ -58,7 +70,20 @@ let normalize d =
 
 let to_list d = d.front @ List.rev d.rear
 
-let new_lane () = { q = { front = []; rear = [] }; count = 0; sum = None }
+let new_lane () =
+  { q = { front = []; rear = [] }; count = 0; sum = None; index = [] }
+
+(* [d] moves the lane's sum and indexes by [sign]. *)
+let lane_move (l : lane) sign d =
+  match l.sum with
+  | None -> ()
+  | Some sum ->
+      if sign > 0 then Bag.merge_into ~into:sum d
+      else Bag.diff_into ~into:sum d;
+      List.iter
+        (fun idx ->
+          Delta.iter (fun tup c -> Column_index.add idx tup (sign * c)) d)
+        l.index
 
 (* The lane of source [j], growing the index on first sight. *)
 let lane t j =
@@ -69,31 +94,32 @@ let lane t j =
           if i < have then t.by_source.(i) else new_lane ());
   t.by_source.(j)
 
-(* [e] joins the front ([`Front]) or rear of its lane. *)
-let lane_push t e side =
+(* [e] joins the front ([`Front]) or rear of its lane's deque. *)
+let lane_enqueue t e side =
   let l = lane t (source_of e) in
   (match side with
   | `Front -> l.q.front <- e :: l.q.front
   | `Rear -> l.q.rear <- e :: l.q.rear);
   l.count <- l.count + 1;
-  match l.sum with
-  | Some sum -> Bag.merge_into ~into:sum (delta_of e)
-  | None -> ()
+  l
 
-(* Make [entries] (oldest first) the whole queue and re-derive the
-   index from it. *)
-let reset t entries =
-  t.all.front <- entries;
+let lane_push t e side = lane_move (lane_enqueue t e side) 1 (delta_of e)
+
+(* Make [kept] (oldest first) the whole queue once [taken] has left it:
+   the lanes' deques are refilled from [kept], and their sums and
+   indexes lose the taken deltas. *)
+let reset t kept ~taken =
+  t.all.front <- kept;
   t.all.rear <- [];
-  t.len <- List.length entries;
+  t.len <- List.length kept;
   Array.iter
     (fun l ->
       l.q.front <- [];
       l.q.rear <- [];
-      l.count <- 0;
-      l.sum <- None)
+      l.count <- 0)
     t.by_source;
-  List.iter (fun e -> lane_push t e `Rear) entries
+  List.iter (fun e -> ignore (lane_enqueue t e `Rear : lane)) kept;
+  List.iter (fun e -> lane_move (lane t (source_of e)) (-1) (delta_of e)) taken
 
 let append t update ~arrived_at =
   (match t.capacity with
@@ -111,9 +137,9 @@ let append t update ~arrived_at =
 
 (* Crash recovery: rebuild a queue from checkpointed entries, preserving
    their original arrival numbers and the next number to assign. *)
-let of_entries ?capacity entries ~next_arrival =
-  let t = create ?capacity () in
-  reset t entries;
+let of_entries ?capacity ~view entries ~next_arrival =
+  let t = create ?capacity ~view () in
+  reset t entries ~taken:[];
   t.next_arrival <- next_arrival;
   t
 
@@ -129,9 +155,7 @@ let pop t =
       normalize l.q;
       l.q.front <- List.tl l.q.front;
       l.count <- l.count - 1;
-      (match l.sum with
-      | Some sum -> Bag.diff_into ~into:sum (delta_of e)
-      | None -> ());
+      lane_move l (-1) (delta_of e);
       t.len <- t.len - 1;
       Some e
 
@@ -172,7 +196,7 @@ let take_eligible t ~max ~eligible =
         else go k taken (e :: kept) rest
   in
   let taken, kept = go max [] [] (entries t) in
-  reset t kept;
+  reset t kept ~taken;
   taken
 
 (* Folds the per-source rear into the front in place, so repeated
@@ -190,16 +214,23 @@ let from_source t j =
 
 let interference t j =
   let l = lane t j in
-  match l.sum with
-  | Some sum -> (l.count, sum)
-  | None ->
-      let sum = Delta.sum (List.map delta_of (from_source t j)) in
-      l.sum <- Some sum;
-      (l.count, sum)
+  let sum =
+    match l.sum with
+    | Some sum -> sum
+    | None ->
+        let sum = Delta.sum (List.map delta_of (from_source t j)) in
+        l.sum <- Some sum;
+        l.index <-
+          List.map
+            (fun col -> Column_index.of_bag ~col sum)
+            (List.sort_uniq Int.compare (View_def.join_columns t.view j));
+        sum
+  in
+  { count = l.count; sum; index = l.index }
 
 let take_from_source t j =
   let mine = from_source t j in
-  reset t (List.filter (fun e -> source_of e <> j) (entries t));
+  reset t (List.filter (fun e -> source_of e <> j) (entries t)) ~taken:mine;
   mine
 
 let last_arrival t = t.next_arrival - 1

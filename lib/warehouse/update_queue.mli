@@ -16,11 +16,12 @@ type entry = {
 
 type t
 
-(** [capacity] bounds the queue length; admission control (the harness's
-    backpressure layer) must defer or shed before delivery, so an
-    over-capacity {!append} is a wiring bug and raises. Unbounded when
+(** [create ?capacity ~view ()] is an empty queue of updates to [view]'s
+    sources. [capacity] bounds the queue length; admission control (the
+    harness's backpressure layer) must defer or shed before delivery, so
+    an over-capacity {!append} is a wiring bug and raises. Unbounded when
     omitted. *)
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> view:Repro_relational.View_def.t -> unit -> t
 
 val capacity : t -> int option
 
@@ -30,7 +31,9 @@ val append : t -> Message.update -> arrived_at:float -> entry
 
 (** Rebuild a queue from checkpointed entries (crash recovery),
     preserving original arrival numbers. *)
-val of_entries : ?capacity:int -> entry list -> next_arrival:int -> t
+val of_entries :
+  ?capacity:int -> view:Repro_relational.View_def.t -> entry list ->
+  next_arrival:int -> t
 
 (** Oldest entry, removed / not removed. *)
 val pop : t -> entry option
@@ -58,14 +61,23 @@ val length : t -> int
     per-source index, so it costs O(entries from [j]), not O(queue). *)
 val from_source : t -> int -> entry list
 
-(** [interference t j] is L_j of §4: the number of entries from source
-    [j] and the sum of their deltas. The sum is kept running —
-    {!append}, {!pop} and {!push_front} move it by one delta — and is
-    built on the first request for [j], so a queue nobody asks pays
-    nothing; the O(n) removals drop it for the next request to rebuild.
-    The bag belongs to the queue: read it in place before the next
-    queue operation; never mutate, send or store it. *)
-val interference : t -> int -> int * Repro_relational.Delta.t
+(** L_j of §4, the queued updates from source [j]: [count] entries
+    whose deltas sum to [sum], and [index], one index on [sum] per join
+    column of [j] in the view
+    ({!Repro_relational.View_def.join_columns}). *)
+type interference = {
+  count : int;
+  sum : Repro_relational.Delta.t;
+  index : Repro_relational.Column_index.t list;
+}
+
+(** [interference t j] is L_j. Its sum and indexes are built on the
+    first request for [j], so a queue nobody asks pays nothing, and are
+    kept running from then on: {!append} and {!push_front} add one
+    delta, and {!pop} and the other removals subtract each delta that
+    leaves. They belong to the queue: read them in place before the next
+    queue operation; never mutate, send or store them. *)
+val interference : t -> int -> interference
 
 (** Remove and return all entries from source [j], oldest first — Nested
     SWEEP's absorption of concurrent updates. *)

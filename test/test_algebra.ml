@@ -210,7 +210,7 @@ let test_recompute_diffs_into_fresh_bag () =
   let stale = Tuple.ints [ 9; 9; 9; 9; 9 ] in
   let current = Delta.of_list [ (stale, 1) ] in
   let installs = ref [] and fetches = ref [] in
-  let queue = Update_queue.create () in
+  let queue = Update_queue.create ~view:view3 () in
   let ctx =
     { Algorithm.engine = Repro_sim.Engine.create (); view = view3;
       trace = Repro_sim.Trace.create ();

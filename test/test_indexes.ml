@@ -268,7 +268,116 @@ let qcheck_column_index_aux_store =
               Array.iteri (fun k c -> if c = col then pos := k) tracked;
               Column_index.equal idx (Column_index.of_bag ~col:!pos projected)
           | None -> false)
-        (Base_table.join_columns view 0))
+        (View_def.join_columns view 0))
+
+(* ————— Compensation probes the queued L_j ————— *)
+
+(* [Algebra.compensate ~index ~extras] joins TempView with L_j by
+   probing L_j's column indexes and with each extra by the hash join,
+   all into one error term. It must equal subtracting the join of the
+   summed interference, over 2-chains whose junction is one equality, two
+   equalities, an equality with a residual, or a cross product, with L_j
+   on either side of TempView. Counts are signed and, when [cancel]
+   holds, one extra is −L_j, so the summed interference cancels. When the
+   error term is empty the answer itself comes back. *)
+let qcheck_probe_compensation =
+  let schemas = Chain.schemas ~n:2 in
+  let junctions =
+    [| Join_spec.make [ (2, 4) ];
+       Join_spec.make [ (2, 4); (1, 5) ];
+       Join_spec.make
+         ~residual:
+           (Predicate.Cmp (Predicate.Ge, Predicate.Attr 0, Predicate.Attr 3))
+         [ (2, 4) ];
+       Join_spec.make [] |]
+  in
+  let views =
+    Array.mapi
+      (fun i js ->
+        View_def.make ~name:(Printf.sprintf "junction-%d" i) ~schemas
+          ~joins:[| js |] ~projection:[| 0; 3 |] ())
+      junctions
+  in
+  let gen_delta =
+    QCheck.(
+      small_list
+        (pair (triple (int_range 0 2) (int_range 0 2) (int_range 0 2))
+           (int_range (-2) 2)))
+  in
+  let delta_of l =
+    Delta.of_list
+      (List.map (fun ((k, a, b), c) -> (Chain.tuple ~key:k ~a ~b, c)) l)
+  in
+  QCheck.Test.make ~name:"probe compensation ≡ subtracting the summed join"
+    ~count:300
+    QCheck.(
+      pair
+        (triple (int_range 0 3) bool bool)
+        (quad gen_delta gen_delta (small_list gen_delta) gen_delta))
+    (fun ((v, left, cancel), (temp_l, lj_l, extras_l, r_l)) ->
+      let view = views.(v) in
+      let j, t = if left then (0, 1) else (1, 0) in
+      let temp = { Partial.lo = t; hi = t; data = delta_of temp_l } in
+      let lj = delta_of lj_l in
+      let extras =
+        List.map delta_of extras_l @ if cancel then [ Delta.negate lj ] else []
+      in
+      let join_with_temp d =
+        let dp = { Partial.lo = j; hi = j; data = d } in
+        if left then Algebra.join view dp temp else Algebra.join view temp dp
+      in
+      let answer = join_with_temp (Delta.sum (delta_of r_l :: lj :: extras)) in
+      let error = join_with_temp (Delta.sum (lj :: extras)) in
+      let index =
+        List.map
+          (fun col -> Column_index.of_bag ~col lj)
+          (List.sort_uniq compare (View_def.join_columns view j))
+      in
+      let lj_before = Delta.copy lj and answer_before = Partial.copy answer in
+      let got =
+        Algebra.compensate ~index ~extras view ~answer ~interfering:lj ~temp
+      in
+      Partial.equal got (Partial.sub answer error)
+      && (Partial.is_empty error = (got == answer))
+      && Delta.equal lj lj_before
+      && Partial.equal answer answer_before
+      && List.for_all
+           (fun idx ->
+             Column_index.equal idx
+               (Column_index.of_bag ~col:(Column_index.col idx) lj))
+           index)
+
+(* A bucket holds a lone tuple inline and a [Bag] from the second
+   distinct tuple on; it must read the same through every transition:
+   one tuple, two, back to one, then none. *)
+let test_inline_bucket_transitions () =
+  let col = 1 in
+  let idx = Column_index.of_bag ~col (Bag.create ()) in
+  let mirror = Bag.create () in
+  let u = Chain.tuple ~key:0 ~a:5 ~b:1 and w = Chain.tuple ~key:1 ~a:5 ~b:2 in
+  let under_5 () =
+    List.sort compare
+      (Column_index.fold idx (Value.int 5)
+         (fun tup c acc -> (tup, c) :: acc)
+         [])
+  in
+  let step name tup n expected =
+    Column_index.add idx tup n;
+    Bag.add mirror tup n;
+    Alcotest.(check bool) (name ^ ": bucket contents") true
+      (under_5 () = List.sort compare expected);
+    Alcotest.(check bool) (name ^ ": equals the rebuilt index") true
+      (Column_index.equal idx (Column_index.of_bag ~col mirror))
+  in
+  step "one tuple" u 1 [ (u, 1) ];
+  step "same tuple again" u 2 [ (u, 3) ];
+  step "two tuples" w (-1) [ (u, 3); (w, -1) ];
+  step "back to one" u (-3) [ (w, -1) ];
+  step "two again" u 1 [ (u, 1); (w, -1) ];
+  step "one again" u (-1) [ (w, -1) ];
+  step "empty" w 1 [];
+  Alcotest.(check bool) "an emptied index equals an empty one" true
+    (Column_index.equal idx (Column_index.of_bag ~col (Bag.create ())))
 
 let suite =
   [ Alcotest.test_case "index maintenance under updates" `Quick
@@ -281,4 +390,7 @@ let suite =
     Alcotest.test_case "cross-product fallback through its callers" `Quick
       test_cross_product_fallback;
     QCheck_alcotest.to_alcotest qcheck_column_index_base_table;
-    QCheck_alcotest.to_alcotest qcheck_column_index_aux_store ]
+    QCheck_alcotest.to_alcotest qcheck_column_index_aux_store;
+    Alcotest.test_case "Column_index: inline buckets through every transition"
+      `Quick test_inline_bucket_transitions;
+    QCheck_alcotest.to_alcotest qcheck_probe_compensation ]

@@ -162,7 +162,7 @@ let qcheck_queue_take_preserves_order =
     (QCheck.small_list (QCheck.int_range 0 3))
     (fun sources ->
       let open Repro_warehouse in
-      let q = Update_queue.create () in
+      let q = Update_queue.create ~view:(Chain.view ~n:4 ()) () in
       List.iteri
         (fun i s ->
           ignore

@@ -2,12 +2,14 @@ open Repro_relational
 open Repro_protocol
 open Repro_warehouse
 
+let view = Repro_workload.Chain.view ~n:5 ()
+
 let upd ~source ~seq =
   { Message.txn = { Message.source; seq };
     delta = Delta.insertion (Tuple.ints [ seq ]); occurred_at = 0.; global = None }
 
 let test_fifo () =
-  let q = Update_queue.create () in
+  let q = Update_queue.create ~view () in
   let _ = Update_queue.append q (upd ~source:0 ~seq:0) ~arrived_at:1. in
   let _ = Update_queue.append q (upd ~source:1 ~seq:0) ~arrived_at:2. in
   Alcotest.(check int) "length" 2 (Update_queue.length q);
@@ -20,7 +22,7 @@ let test_fifo () =
   Alcotest.(check int) "one left" 1 (Update_queue.length q)
 
 let test_arrival_numbers_monotonic () =
-  let q = Update_queue.create () in
+  let q = Update_queue.create ~view () in
   Alcotest.(check int) "initially -1" (-1) (Update_queue.last_arrival q);
   let e1 = Update_queue.append q (upd ~source:0 ~seq:0) ~arrived_at:0. in
   ignore (Update_queue.pop q);
@@ -31,7 +33,7 @@ let test_arrival_numbers_monotonic () =
     (Update_queue.last_arrival q)
 
 let test_from_source () =
-  let q = Update_queue.create () in
+  let q = Update_queue.create ~view () in
   let _ = Update_queue.append q (upd ~source:0 ~seq:0) ~arrived_at:0. in
   let _ = Update_queue.append q (upd ~source:1 ~seq:0) ~arrived_at:0. in
   let _ = Update_queue.append q (upd ~source:0 ~seq:1) ~arrived_at:0. in
@@ -50,7 +52,7 @@ let test_from_source () =
   | None -> Alcotest.fail "expected entry")
 
 let test_capacity () =
-  let q = Update_queue.create ~capacity:2 () in
+  let q = Update_queue.create ~capacity:2 ~view () in
   let _ = Update_queue.append q (upd ~source:0 ~seq:0) ~arrived_at:0. in
   let _ = Update_queue.append q (upd ~source:0 ~seq:1) ~arrived_at:0. in
   Alcotest.(check bool) "third append raises" true
@@ -63,7 +65,7 @@ let test_capacity () =
   Alcotest.(check int) "back at capacity" 2 (Update_queue.length q)
 
 let test_take () =
-  let q = Update_queue.create () in
+  let q = Update_queue.create ~view () in
   for seq = 0 to 4 do
     ignore (Update_queue.append q (upd ~source:0 ~seq) ~arrived_at:0.)
   done;
@@ -85,7 +87,7 @@ let test_take () =
 let test_from_source_after_wraparound () =
   (* exercise the rear→front normalization: pop past the initial front,
      then interrogate per-source views that span both internal lists *)
-  let q = Update_queue.create () in
+  let q = Update_queue.create ~view () in
   let _ = Update_queue.append q (upd ~source:0 ~seq:0) ~arrived_at:0. in
   let _ = Update_queue.append q (upd ~source:1 ~seq:0) ~arrived_at:0. in
   ignore (Update_queue.pop q);
@@ -109,7 +111,7 @@ let qcheck_fifo_model =
     QCheck.(small_list (option (int_range 0 3)))
     (fun ops ->
       (* Some src = append from that source, None = pop *)
-      let q = Update_queue.create () in
+      let q = Update_queue.create ~view () in
       let model = ref [] (* newest-first *) and popped_ok = ref true in
       let seq = ref 0 in
       List.iter
@@ -143,14 +145,18 @@ let qcheck_fifo_model =
    The running L_j sums are checked at the same points: [interference j]
    must count the entries of [from_source j] and sum their deltas
    exactly as [Delta.sum] does, while every queued delta stays as it was
-   appended and is never the sum bag itself. Deltas insert and delete
-   four shared tuples, so sums cancel to zero and lose entries. *)
+   appended and is never the sum bag itself. Each lane also indexes its
+   sum on the source's join columns in the 5-chain [view], and every
+   index must equal [Column_index.of_bag] of that [Delta.sum].
+   Deltas insert and delete four shared tuples, two under each value of
+   either join column, so sums cancel to zero and lose entries and
+   buckets go from one tuple to two and back. *)
 let qcheck_per_source_index =
   QCheck.Test.make ~name:"from_source ≡ filter over entries under every op"
     ~count:300
     QCheck.(small_list (pair (int_range 0 7) (int_range 0 3)))
     (fun ops ->
-      let q = ref (Update_queue.create ()) in
+      let q = ref (Update_queue.create ~view ()) in
       let model = ref [] (* arrival numbers queued, any order *) in
       let popped = ref [] (* most recent first, for push_front *) in
       let seq = ref 0 in
@@ -174,9 +180,19 @@ let qcheck_per_source_index =
         && List.for_all
              (fun j ->
                let mine = Update_queue.from_source !q j in
-               let n, sum = Update_queue.interference !q j in
-               n = List.length mine
-               && Delta.equal sum (Delta.sum (List.map delta_of mine))
+               let lj = Update_queue.interference !q j in
+               let sum = lj.Update_queue.sum in
+               let expected = Delta.sum (List.map delta_of mine) in
+               lj.Update_queue.count = List.length mine
+               && Delta.equal sum expected
+               && List.map Column_index.col lj.Update_queue.index
+                  = List.sort_uniq compare (View_def.join_columns view j)
+               && List.for_all
+                    (fun idx ->
+                      Column_index.equal idx
+                        (Column_index.of_bag ~col:(Column_index.col idx)
+                           expected))
+                    lj.Update_queue.index
                && List.for_all
                     (fun e ->
                       delta_of e != sum
@@ -190,7 +206,10 @@ let qcheck_per_source_index =
           (match op with
           | 0 | 1 ->
               incr seq;
-              let tup = Tuple.ints [ !seq mod 4 ] in
+              let tup =
+                Repro_workload.Chain.tuple ~key:(!seq mod 4) ~a:(!seq mod 2)
+                  ~b:(!seq mod 4 / 2)
+              in
               let u =
                 { (upd ~source:k ~seq:!seq) with
                   Message.delta =
@@ -227,7 +246,7 @@ let qcheck_per_source_index =
               else remove (Update_queue.take_from_source !q k)
           | _ ->
               q :=
-                Update_queue.of_entries (Update_queue.entries !q)
+                Update_queue.of_entries ~view (Update_queue.entries !q)
                   ~next_arrival:(Update_queue.last_arrival !q + 1));
           consistent ())
         ops)

@@ -446,7 +446,7 @@ let test_wal_truncation () =
 (* ————— backpressure + bounded queue units ————— *)
 
 let test_update_queue_capacity () =
-  let q = Update_queue.create ~capacity:2 () in
+  let q = Update_queue.create ~capacity:2 ~view:(Chain.view ~n:2 ()) () in
   let u seq =
     { Message.txn = { Message.source = 0; seq }; delta = Delta.empty ();
       occurred_at = 0.; global = None }
@@ -458,7 +458,7 @@ let test_update_queue_capacity () =
     | exception Invalid_argument _ -> true
     | _ -> false);
   Alcotest.(check bool) "capacity <= 0 rejected" true
-    (match Update_queue.create ~capacity:0 () with
+    (match Update_queue.create ~capacity:0 ~view:(Chain.view ~n:2 ()) () with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
