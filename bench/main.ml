@@ -245,6 +245,34 @@ let micro_tests () =
     queued_compensation ~b:(fun seq -> 100 + seq) ~extras:[]
       ~name:"compensation against 64 queued updates, none joining"
   in
+  let bench_view_probe =
+    (* a view of sweep-fanout's size: each run looks up one tuple it
+       holds and one it does not, both fresh arrays, so every probe
+       compares tuples rather than pointers *)
+    let n = 1 lsl 17 in
+    let tup k = Chain.tuple ~key:k ~a:(k mod 250) ~b:(k * 7 mod 250) in
+    let view = Bag.create () in
+    for k = 0 to n - 1 do
+      Bag.add view (tup k) 1
+    done;
+    let hits = Array.init 1024 (fun i -> tup (i * 127 mod n)) in
+    let misses = Array.init 1024 (fun i -> tup (n + i)) in
+    let i = ref 0 in
+    Test.make ~name:"probe a 128k-tuple view (hit and miss)"
+      (Staged.stage (fun () ->
+           i := (!i + 1) land 1023;
+           ignore (Bag.count view hits.(!i) + Bag.count view misses.(!i))))
+  in
+  let bench_copy_add =
+    (* a snapshot that then changes: the copy, then the first add *)
+    let rel =
+      Relation.of_tuples
+        (List.init 4000 (fun k -> Chain.tuple ~key:k ~a:(k mod 64) ~b:k))
+    in
+    let fresh = Chain.tuple ~key:4000 ~a:1 ~b:1 in
+    Test.make ~name:"Relation.copy of a 4k-tuple relation, then one add"
+      (Staged.stage (fun () -> Relation.insert (Relation.copy rel) fresh 1))
+  in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
       (Staged.stage (fun () ->
@@ -258,37 +286,45 @@ let micro_tests () =
     bench_checkpoint; bench_parser; bench_sim_round;
     bench_sim_round_batched; bench_bag_add; bench_recompute;
     bench_aggregate_read; bench_queued_compensation;
-    bench_right_leg_compensation; bench_unjoined_compensation ]
+    bench_right_leg_compensation; bench_unjoined_compensation;
+    bench_view_probe; bench_copy_add ]
 
-(* Minor-heap words, read from [Gc.minor_words]. Bechamel's own
-   [minor_allocated] reads [Gc.quick_stat], which OCaml 5 brings up to
-   date only at a minor collection, so short runs would read 0. *)
-module Minor_words = struct
+(* Words allocated on either heap: [Gc.minor_words], plus the words
+   allocated directly on the major heap, which is where an array of
+   more than 256 words goes. [Gc.counters] counts those at once, and
+   the words promoted out of the minor heap are subtracted, because
+   the major count includes them and the minor count already has them.
+   Bechamel's own [minor_allocated] reads [Gc.quick_stat], which OCaml
+   5 brings up to date only at a minor collection, so short runs would
+   read 0. *)
+module Words = struct
   type witness = unit
 
-  let label () = "minor-words"
+  let label () = "words"
   let unit () = "words"
   let make () = ()
   let load () = ()
   let unload () = ()
-  let get () = Gc.minor_words ()
+
+  let get () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
 end
 
-let minor_words =
-  Bechamel.Measure.(
-    instance (module Minor_words) (register (module Minor_words)))
+let words =
+  Bechamel.Measure.(instance (module Words) (register (module Words)))
 
 (* Run the micro-benchmarks and return (name, ns/run, r², words/run)
    estimates; tests whose time fit fails are dropped. r² is None when
    the fit has no spread to explain (e.g. a single sample); words/run,
-   the minor-heap allocation, is None when its fit fails. *)
+   the allocation on both heaps, is None when its fit fails. *)
 let micro_estimates () =
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let clock = Toolkit.Instance.monotonic_clock in
-  let alloc = minor_words in
+  let alloc = words in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
@@ -321,7 +357,7 @@ let micro_estimates () =
 let run_micro () =
   print_endline
     "MICRO. Bechamel micro-benchmarks of the hot paths (monotonic clock, \
-     minor-heap words).";
+     words allocated on both heaps).";
   let rows =
     List.map
       (fun (name, ns, r2, words) ->

@@ -660,7 +660,7 @@ let mutator_target = function
   | [ "Array"; ("set" | "fill" | "blit" | "sort" | "unsafe_set") ]
   | [ "Bytes"; ("set" | "fill" | "blit" | "unsafe_set") ]
   | [ "Atomic"; ("set" | "incr" | "decr") ]
-  | [ "Bag"; ("add" | "add_new" | "remove" | "merge_into" | "diff_into") ]
+  | [ "Bag"; ("add" | "remove" | "merge_into" | "merge_checked" | "diff_into") ]
   | [ "Column_index"; "add" ]
   | [ "Delta"; "add" ]
   | [ "Relation"; "apply" ]

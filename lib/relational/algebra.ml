@@ -1,10 +1,12 @@
 (* The hash join indexes the smaller operand on its join columns and
    probes it with the larger one's. An empty equality list degenerates to
    a cross product (one shared empty key). Operands are read in place and
-   never mutated. The index and the result grow from the default size:
-   [Index.create n] makes n buckets where growth stops at n/2, so
-   presizing to an operand's cardinality doubles the heap a large join
-   holds. *)
+   never mutated. The index grows from the default size: [Index.create n]
+   makes n buckets where growth stops at n/2, so presizing it to an
+   operand's cardinality would double the heap a large join holds. A
+   result [Bag] is sized for the smaller operand's cardinality instead:
+   a bag sized for n tuples has the slots that growth would reach at n,
+   and at fan-out 1 a join has about that many tuples. *)
 module Index = Hashtbl.Make (Tuple)
 
 (* [data]'s entries grouped by [key tup]. *)
@@ -63,8 +65,12 @@ let join_with view (left : Partial.t) (right : Partial.t) f =
     probe
 
 let join view (left : Partial.t) (right : Partial.t) : Partial.t =
-  let result = Delta.empty () in
-  join_with view left right (Bag.add_new result);
+  let result =
+    Bag.create
+      ~initial_size:(min (Delta.cardinal left.data) (Delta.cardinal right.data))
+      ()
+  in
+  join_with view left right (Delta.add result);
   { Partial.lo = left.lo; hi = right.hi; data = result }
 
 (* Source [j]'s relation as a partial, sharing its bag: joins only read
@@ -79,14 +85,21 @@ let extend view (p : Partial.t) ~with_relation:(j, r) =
       (Printf.sprintf "Algebra.extend: source %d not adjacent to [%d..%d]" j
          p.lo p.hi)
 
+(* [agree stup ptup eqs] holds when every (source column, partial
+   column) pair of [eqs] carries equal values. A toplevel loop: a
+   closure here would be allocated once per probe match. *)
+let rec agree stup ptup = function
+  | [] -> true
+  | (sc, pc) :: rest -> Value.equal stup.(sc) ptup.(pc) && agree stup ptup rest
+
 (* [probe_into view p ~source ~covers ~probe emit] calls [emit] on
    every tuple of [p] joined with source [source]'s tuples, with its
    count. Each partial tuple probes on the junction's first equality
-   column [col]: [probe ~col ~value] lists the tuples of [source] whose
-   [col] equals [value], with their counts. Any further equalities and
-   the residual predicate filter the candidates. Returns [false],
-   emitting nothing, when there is no column to probe: a cross-product
-   junction, or one whose [col] fails [covers]. *)
+   column [col]: [probe ~col ~value f] calls [f] on the tuples of
+   [source] whose [col] equals [value], with their counts. Any further
+   equalities and the residual predicate filter the candidates. Returns
+   [false], emitting nothing, when there is no column to probe: a
+   cross-product junction, or one whose [col] fails [covers]. *)
 let probe_into view (p : Partial.t) ~source ~covers ~probe emit =
   let dir =
     if source = p.lo - 1 then `Left
@@ -130,21 +143,14 @@ let probe_into view (p : Partial.t) ~source ~covers ~probe emit =
       in
       Delta.iter
         (fun ptup pc ->
-          List.iter
-            (fun (stup, sc) ->
-              if
-                List.for_all
-                  (fun (sc', pc') -> Value.equal stup.(sc') ptup.(pc'))
-                  rest
-                && residual_ok stup ptup
-              then
+          probe ~col:src_col ~value:(Tuple.get ptup p_col) (fun stup sc ->
+              if agree stup ptup rest && residual_ok stup ptup then
                 let combined =
                   match dir with
                   | `Left -> Tuple.concat stup ptup
                   | `Right -> Tuple.concat ptup stup
                 in
-                emit combined (pc * sc))
-            (probe ~col:src_col ~value:(Tuple.get ptup p_col)))
+                emit combined (pc * sc)))
         p.data;
       true
 
@@ -161,7 +167,9 @@ let extend_with_probe view (p : Partial.t) ~source ~probe =
    index when one covers the junction's probe column, the same probe
    join a source answers a sweep query with, and every other term by
    the hash join. All are read in place. Nearly every error term is
-   empty, so its bag is made at its first tuple. *)
+   empty, so its bag is made at its first tuple. The bag collects the
+   error negated, and the answer is then added into it, so the result
+   takes no further bag. *)
 let compensate ?(index = []) ?(extras = []) view ~answer ~interfering
     ~(temp : Partial.t) =
   let j =
@@ -178,10 +186,10 @@ let compensate ?(index = []) ?(extras = []) view ~answer ~interfering
   let error = ref None in
   let emit tup c =
     match !error with
-    | Some e -> Delta.add e tup c
+    | Some e -> Delta.add e tup (-c)
     | None ->
         let e = Delta.empty () in
-        Delta.add e tup c;
+        Delta.add e tup (-c);
         error := Some e
   in
   let hash_join d =
@@ -191,15 +199,15 @@ let compensate ?(index = []) ?(extras = []) view ~answer ~interfering
   in
   let covers col = List.exists (fun idx -> Column_index.col idx = col) index in
   let probe ~col ~value =
-    let idx = List.find (fun idx -> Column_index.col idx = col) index in
-    Column_index.fold idx value (fun tup c acc -> (tup, c) :: acc) []
+    Column_index.iter (List.find (fun idx -> Column_index.col idx = col) index) value
   in
   if not (probe_into view temp ~source:j ~covers ~probe emit) then
     hash_join interfering;
   List.iter hash_join extras;
   match !error with
   | Some e when not (Delta.is_empty e) ->
-      Partial.sub answer { answer with data = e }
+      Bag.merge_into ~into:e answer.data;
+      { answer with data = e }
   | Some _ | None -> answer
 
 let merge_overlap view ~at ~(left : Partial.t) ~(right : Partial.t) =
@@ -221,7 +229,7 @@ let merge_overlap view ~at ~(left : Partial.t) ~(right : Partial.t) =
           List.iter
             (fun (rtup, rc) ->
               let tail = Tuple.slice rtup w (Tuple.arity rtup - w) in
-              Bag.add_new result (Tuple.concat ltup tail) (lc * rc))
+              Delta.add result (Tuple.concat ltup tail) (lc * rc))
             matches
       | exception Not_found -> ())
     left.data;
@@ -241,7 +249,7 @@ let select_into view out =
 let select_project view (full : Partial.t) : Delta.t =
   if not (Partial.covers_all view full) then
     invalid_arg "Algebra.select_project: partial does not span all sources";
-  let out = Delta.empty () in
+  let out = Bag.create ~initial_size:(Delta.cardinal full.data) () in
   Delta.iter (select_into view out) full.data;
   out
 
@@ -251,12 +259,16 @@ let select_project view (full : Partial.t) : Delta.t =
    of the relations' positive counts, so they are positive. *)
 let eval view fetch =
   let n = View_def.n_sources view in
-  let out = Delta.empty () in
   let acc = ref (leaf 0 (fetch 0)) in
   for j = 1 to n - 2 do
     acc := join view !acc (leaf j (fetch j))
   done;
+  let last = if n = 1 then !acc else leaf (n - 1) (fetch (n - 1)) in
+  let out =
+    Bag.create
+      ~initial_size:(min (Partial.cardinal !acc) (Partial.cardinal last))
+      ()
+  in
   let emit = select_into view out in
-  if n = 1 then Delta.iter emit !acc.data
-  else join_with view !acc (leaf (n - 1) (fetch (n - 1))) emit;
+  if n = 1 then Delta.iter emit last.data else join_with view !acc last emit;
   Relation.adopt out

@@ -41,15 +41,15 @@ val compensate :
 (** [extend_with_probe view p ~source ~probe] is {!extend} served by a
     persistent per-column index instead of an ad-hoc hash build: each
     partial tuple probes the source's index on the junction's first
-    equality column ([probe ~col ~value] returns the matching source
-    tuples with multiplicities, [col] being source-local); any further
-    equalities and any residual predicate filter the candidates. Returns
+    equality column ([probe ~col ~value f] calls [f] on each matching
+    source tuple with its multiplicity, [col] being source-local); any
+    further equalities and any residual predicate filter the candidates. Returns
     [None] only for a cross-product junction (no equality to probe on) —
     the caller falls back to {!extend}. Results are always identical to
     {!extend}'s (asserted by the test suite). *)
 val extend_with_probe :
   View_def.t -> Partial.t -> source:int ->
-  probe:(col:int -> value:Value.t -> (Tuple.t * int) list) ->
+  probe:(col:int -> value:Value.t -> (Tuple.t -> int -> unit) -> unit) ->
   Partial.t option
 
 (** [merge_overlap view ~at ~left ~right] glues two partials that both end

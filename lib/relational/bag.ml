@@ -1,44 +1,179 @@
-module H = Hashtbl.Make (Tuple)
+(* An open-addressed table over three parallel arrays. Slot [i] holds
+   the tuple [keys.(i)], its count [counts.(i)] and its cached
+   [Tuple.hash] [hashes.(i)], or is empty: hash [-1] ([Tuple.hash] is
+   never negative), count 0, key [[||]]. A tuple lives in the first
+   slot of the run of occupied slots from its home slot, the hash's low
+   bits, onwards (linear probing). A probe rejects a slot by comparing
+   ints and follows the key only when the hashes agree. Removing an
+   entry shifts back the entries behind it that may move (backward-shift
+   deletion), so there are no tombstones and a probe stops at the first
+   empty slot.
 
-(* [total] is the signed sum of the counts in [tbl]. Every mutation adds
-   its [n] to it, so reading it costs nothing — an aggregate read of the
-   view would otherwise fold the whole table. *)
-type t = { tbl : int H.t; mutable total : int }
+   [copy] shares the three arrays and marks both bags [shared]; the
+   first mutation of a shared bag copies them. [total] is the signed sum
+   of the counts: every mutation adds its [n] to it, so reading it costs
+   nothing. *)
+type t = {
+  mutable hashes : int array;
+  mutable keys : Tuple.t array;
+  mutable counts : int array;
+  mutable size : int;
+  mutable total : int;
+  mutable shared : bool;
+}
 
-let create ?(initial_size = 16) () = { tbl = H.create initial_size; total = 0 }
-let copy b = { tbl = H.copy b.tbl; total = b.total }
+let no_key : Tuple.t = [||]
 
-(* A count that reaches zero leaves the table, but [n] still moves the
-   total: the entry's old count was [-n]. *)
-let add b tup n =
-  if n <> 0 then begin
-    b.total <- b.total + n;
-    match H.find b.tbl tup with
-    | c ->
-        let c' = c + n in
-        if c' = 0 then H.remove b.tbl tup else H.replace b.tbl tup c'
-    | exception Not_found -> H.add b.tbl tup n
+(* A table of [cap] slots holds [cap * 7 / 8] entries; past that it
+   grows ×4 while small, ×2 from 64 slots up. *)
+let limit cap = cap * 7 / 8
+let grown cap = if cap < 64 then cap * 4 else cap * 2
+
+let make cap =
+  { hashes = Array.make cap (-1); keys = Array.make cap no_key;
+    counts = Array.make cap 0; size = 0; total = 0; shared = false }
+
+let rec capacity cap n = if limit cap >= n then cap else capacity (cap * 2) n
+let create ?(initial_size = 14) () = make (capacity 2 initial_size)
+
+let copy b =
+  b.shared <- true;
+  { b with shared = true }
+
+let unshare b =
+  if b.shared then begin
+    b.hashes <- Array.copy b.hashes;
+    b.keys <- Array.copy b.keys;
+    b.counts <- Array.copy b.counts;
+    b.shared <- false
   end
 
-let add_new b tup n =
-  b.total <- b.total + n;
-  H.add b.tbl tup n
+(* The slot holding [tup], or the empty slot ending its run. *)
+let rec slot hashes keys mask h tup i =
+  let h' = Array.unsafe_get hashes i in
+  if h' < 0 || (h' = h && Tuple.equal (Array.unsafe_get keys i) tup) then i
+  else slot hashes keys mask h tup ((i + 1) land mask)
 
-let count b tup = match H.find b.tbl tup with c -> c | exception Not_found -> 0
-let mem b tup = H.mem b.tbl tup
-let is_empty b = H.length b.tbl = 0
-let cardinal b = H.length b.tbl
+let rec free hashes mask i =
+  if Array.unsafe_get hashes i < 0 then i else free hashes mask ((i + 1) land mask)
+
+let place b i h tup n =
+  b.hashes.(i) <- h;
+  b.keys.(i) <- tup;
+  b.counts.(i) <- n;
+  b.size <- b.size + 1
+
+(* Rehashing into fresh arrays also unshares. *)
+let grow b =
+  let hashes = b.hashes and keys = b.keys and counts = b.counts in
+  let cap = grown (Array.length hashes) in
+  let mask = cap - 1 in
+  let hashes' = Array.make cap (-1) in
+  let keys' = Array.make cap no_key and counts' = Array.make cap 0 in
+  for i = 0 to Array.length hashes - 1 do
+    let h = hashes.(i) in
+    if h >= 0 then begin
+      let j = free hashes' mask (h land mask) in
+      hashes'.(j) <- h;
+      keys'.(j) <- keys.(i);
+      counts'.(j) <- counts.(i)
+    end
+  done;
+  b.hashes <- hashes';
+  b.keys <- keys';
+  b.counts <- counts';
+  b.shared <- false
+
+(* Empty slot [hole], then walk the run after it: an entry whose home
+   slot lies cyclically in [hole, j) moves back into the hole, whose
+   place becomes the new hole. *)
+let remove_at b hole =
+  let hashes = b.hashes and keys = b.keys and counts = b.counts in
+  let mask = Array.length hashes - 1 in
+  let rec shift hole j =
+    let h = hashes.(j) in
+    if h < 0 then hole
+    else if (j - h) land mask >= (j - hole) land mask then begin
+      hashes.(hole) <- h;
+      keys.(hole) <- keys.(j);
+      counts.(hole) <- counts.(j);
+      shift j ((j + 1) land mask)
+    end
+    else shift hole ((j + 1) land mask)
+  in
+  let hole = shift hole ((hole + 1) land mask) in
+  hashes.(hole) <- -1;
+  keys.(hole) <- no_key;
+  counts.(hole) <- 0;
+  b.size <- b.size - 1
+
+(* [bump b tup n] adds [n <> 0] and returns the new count. A count that
+   reaches zero leaves the table, but [n] still moves the total: the
+   entry's old count was [-n]. *)
+let bump b tup n =
+  let h = Tuple.hash tup in
+  let mask = Array.length b.hashes - 1 in
+  let i = slot b.hashes b.keys mask h tup (h land mask) in
+  b.total <- b.total + n;
+  if b.hashes.(i) >= 0 then begin
+    unshare b;
+    let c = b.counts.(i) + n in
+    if c = 0 then remove_at b i else b.counts.(i) <- c;
+    c
+  end
+  else begin
+    if b.size >= limit (Array.length b.hashes) then begin
+      grow b;
+      let mask = Array.length b.hashes - 1 in
+      place b (free b.hashes mask (h land mask)) h tup n
+    end
+    else begin
+      unshare b;
+      place b i h tup n
+    end;
+    n
+  end
+
+let add b tup n = if n <> 0 then ignore (bump b tup n)
+
+(* An empty slot's count is 0. *)
+let count b tup =
+  if b.size = 0 then 0
+  else
+    let h = Tuple.hash tup in
+    let mask = Array.length b.hashes - 1 in
+    b.counts.(slot b.hashes b.keys mask h tup (h land mask))
+
+let mem b tup = count b tup <> 0
+let is_empty b = b.size = 0
+let cardinal b = b.size
 let total b = b.total
-let weight b = H.fold (fun _ c acc -> acc + abs c) b.tbl 0
-let has_negative b = H.fold (fun _ c acc -> acc || c < 0) b.tbl false
-let iter f b = H.iter f b.tbl
-let fold f b init = H.fold f b.tbl init
+let weight b = Array.fold_left (fun acc c -> acc + abs c) 0 b.counts
+let has_negative b = Array.exists (fun c -> c < 0) b.counts
+
+let iter f b =
+  let hashes = b.hashes and keys = b.keys and counts = b.counts in
+  for i = 0 to Array.length hashes - 1 do
+    if Array.unsafe_get hashes i >= 0 then f keys.(i) counts.(i)
+  done
+
+let fold f b init =
+  let hashes = b.hashes and keys = b.keys and counts = b.counts in
+  let acc = ref init in
+  for i = 0 to Array.length hashes - 1 do
+    if Array.unsafe_get hashes i >= 0 then acc := f keys.(i) counts.(i) !acc
+  done;
+  !acc
+
 (* Iterating over [src] while [add] mutates [into] is undefined when the
-   two are the same table — snapshot first. Self-merge doubles every
-   count; self-diff empties the bag. *)
-let merge_into ~into src =
+   two are the same bag, so take a copy, which costs nothing until
+   [into] first changes. Self-merge doubles every count; self-diff
+   empties the bag. *)
+let merge_checked ~into src =
   let src = if into == src then copy src else src in
-  iter (fun tup c -> add into tup c) src
+  fold (fun tup c neg -> bump into tup c < 0 || neg) src false
+
+let merge_into ~into src = ignore (merge_checked ~into src)
 
 let diff_into ~into src =
   let src = if into == src then copy src else src in
@@ -49,7 +184,7 @@ let to_sorted_list b =
   List.sort (fun (a, _) (b, _) -> Tuple.compare a b) l
 
 let of_list l =
-  let b = create ~initial_size:(List.length l * 2) () in
+  let b = create ~initial_size:(List.length l) () in
   List.iter (fun (tup, c) -> add b tup c) l;
   b
 

@@ -13,18 +13,17 @@
 
 type t
 
+(** [create ~initial_size ()] holds [initial_size] tuples (default 14)
+    before it first grows. *)
 val create : ?initial_size:int -> unit -> t
+
+(** [copy b] costs O(1): the two bags share their entries until either
+    is first mutated, which then copies them. *)
 val copy : t -> t
 
 (** [add b tup n] adds [n] (possibly negative) to the multiplicity of
     [tup]. Adding zero is a no-op. *)
 val add : t -> Tuple.t -> int -> unit
-
-(** [add_new b tup n] is [add b tup n] with one hash and no lookup, for
-    a [tup] that [b] does not hold and an [n <> 0]. Neither is checked:
-    the caller is a join, whose outputs are distinct concatenations of
-    distinct inputs. *)
-val add_new : t -> Tuple.t -> int -> unit
 
 (** [count b tup] is the multiplicity of [tup] (0 when absent). *)
 val count : t -> Tuple.t -> int
@@ -52,6 +51,10 @@ val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [merge_into ~into src] adds every entry of [src] into [into].
     Aliasing is safe: [merge_into ~into b b] doubles every count. *)
 val merge_into : into:t -> t -> unit
+
+(** [merge_checked ~into src] is [merge_into ~into src], and tells
+    whether any count it left in [into] is negative. *)
+val merge_checked : into:t -> t -> bool
 
 (** [diff_into ~into src] subtracts every entry of [src] from [into].
     Aliasing is safe: [diff_into ~into b b] empties the bag. *)

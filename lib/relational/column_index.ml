@@ -20,9 +20,9 @@ let add t tup n =
         if c + n = 0 then Values.remove t.buckets v
         else Values.replace t.buckets v (One (u, c + n))
     | One (u, c) ->
-        let b = Bag.create () in
-        Bag.add_new b u c;
-        Bag.add_new b tup n;
+        let b = Bag.create ~initial_size:3 () in
+        Bag.add b u c;
+        Bag.add b tup n;
         Values.replace t.buckets v (Many b)
     | Many b -> (
         Bag.add b tup n;
@@ -37,11 +37,11 @@ let of_bag ~col b =
   Bag.iter (add t) b;
   t
 
-let fold t v f init =
+let iter t v f =
   match Values.find t.buckets v with
-  | One (tup, c) -> f tup c init
-  | Many b -> Bag.fold f b init
-  | exception Not_found -> init
+  | One (tup, c) -> f tup c
+  | Many b -> Bag.iter f b
+  | exception Not_found -> ()
 
 let bucket_equal a b =
   match (a, b) with

@@ -22,9 +22,9 @@ val col : t -> int
     the same [Bag.add]. *)
 val add : t -> Tuple.t -> int -> unit
 
-(** [fold t v f init] folds [f] over the tuples whose indexed column
-    equals [v], with their multiplicities, in no particular order. *)
-val fold : t -> Value.t -> (Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
+(** [iter t v f] calls [f] on the tuples whose indexed column equals
+    [v], with their multiplicities, in no particular order. *)
+val iter : t -> Value.t -> (Tuple.t -> int -> unit) -> unit
 
 (** Same column and the same tuples with the same counts under every
     value. *)

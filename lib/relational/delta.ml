@@ -1,6 +1,6 @@
 type t = Bag.t
 
-let empty () = Bag.create ~initial_size:4 ()
+let empty () = Bag.create ~initial_size:3 ()
 let copy = Bag.copy
 
 let insertion tup =
@@ -16,7 +16,7 @@ let deletion tup =
 let of_list = Bag.of_list
 
 let of_relation ?(sign = 1) r =
-  let d = Bag.create ~initial_size:(Relation.cardinal r * 2) () in
+  let d = Bag.create ~initial_size:(Relation.cardinal r) () in
   Relation.iter (fun tup c -> Bag.add d tup (sign * c)) r;
   d
 
@@ -26,7 +26,7 @@ let sum ds =
   acc
 
 let negate d =
-  let acc = Bag.create ~initial_size:(Bag.cardinal d * 2) () in
+  let acc = Bag.create ~initial_size:(Bag.cardinal d) () in
   Bag.iter (fun tup c -> Bag.add acc tup (-c)) d;
   acc
 

@@ -41,29 +41,24 @@ let rec find_index col = function
 
 let index t ~col = find_index col t.indexes
 
-let probe t ~col ~value =
+let probe t ~col ~value f =
   match index t ~col with
-  | Some idx ->
-      Column_index.fold idx value (fun tup c acc -> (tup, c) :: acc) []
+  | Some idx -> Column_index.iter idx value f
   | None ->
       (* No index: degrade to a counted O(n) scan rather than fail the
          query — the indexed-leg suites assert the counter stays 0,
          so a call-site regression surfaces in tests, not in latency. *)
       t.scans <- t.scans + 1;
-      let acc = ref [] in
       Relation.iter
-        (fun tup c ->
-          if Value.equal (Tuple.get tup col) value then acc := (tup, c) :: !acc)
-        t.rel;
-      !acc
+        (fun tup c -> if Value.equal (Tuple.get tup col) value then f tup c)
+        t.rel
 
 (* The one way a delta join leg runs: probe the persistent indexes.
    Only a cross-product junction (no equality to probe on) scans, via
    the generic hash join over the whole relation. *)
 let extend t view partial =
   match
-    Algebra.extend_with_probe view partial ~source:t.src
-      ~probe:(fun ~col ~value -> probe t ~col ~value)
+    Algebra.extend_with_probe view partial ~source:t.src ~probe:(probe t)
   with
   | Some answer -> answer
   | None -> Algebra.extend view partial ~with_relation:(t.src, t.rel)

@@ -25,13 +25,13 @@ val indexed_columns : t -> int list
 (** [index t ~col] is the live index on [col], if it has one. *)
 val index : t -> col:int -> Column_index.t option
 
-(** [probe t ~col ~value] — all tuples whose [col] equals [value], with
-    multiplicities. Served by the persistent index when [col] is
-    indexed; otherwise degrades to an O(n) relation scan counted in
+(** [probe t ~col ~value f] calls [f] on every tuple whose [col] equals
+    [value], with its multiplicity. Served by the persistent index when
+    [col] is indexed; otherwise degrades to an O(n) relation scan counted in
     {!scan_count} (the indexed-leg suites assert that counter
     stays 0, so a regression to the scan path fails tests instead of
     silently costing 27×). *)
-val probe : t -> col:int -> value:Value.t -> (Tuple.t * int) list
+val probe : t -> col:int -> value:Value.t -> (Tuple.t -> int -> unit) -> unit
 
 (** Probes on this table that found no index and degraded to a scan.
     Per table — no process-global state — so the harness sums the

@@ -194,27 +194,20 @@ let cross_product_answer t view j ~partial ~overlay =
    overlay, lifting only the matching rows. Counts from the two sides
    accumulate in the caller's result delta exactly as the merged-bag
    path would (cancellations included). *)
-let indexed_probe t j ~overlay ~col ~value =
-  let rows =
-    match index t j ~col with
-    | Some idx ->
-        Column_index.fold idx value
-          (fun pt c acc -> (lift_one t j pt, c) :: acc)
-          []
-    | None ->
-        (* every column an answerable leg probes is a join column, and
-           join columns are tracked and indexed in every mode *)
-        invalid_arg
-          (Printf.sprintf "Aux_store: probe on unindexed column %d of source %d"
-             col j)
-  in
-  let acc = ref rows in
+let indexed_probe t j ~overlay ~col ~value f =
+  (match index t j ~col with
+  | Some idx -> Column_index.iter idx value (fun pt c -> f (lift_one t j pt) c)
+  | None ->
+      (* every column an answerable leg probes is a join column, and
+         join columns are tracked and indexed in every mode *)
+      invalid_arg
+        (Printf.sprintf "Aux_store: probe on unindexed column %d of source %d"
+           col j));
   Delta.iter
     (fun tup c ->
       if Value.equal (Tuple.get tup col) value then
-        acc := (lift_one t j (Tuple.project tup t.tracked.(j)), c) :: !acc)
-    overlay;
-  !acc
+        f (lift_one t j (Tuple.project tup t.tracked.(j))) c)
+    overlay
 
 let local_answer t ~target ~partial ~overlay =
   if not (answers t target) then None

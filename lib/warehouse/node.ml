@@ -72,15 +72,17 @@ let wire t =
           e.update.Message.delta)
       txns
   in
+  (* [merge delta] tells whether the install left a count negative. *)
   let merge delta =
-    Bag.merge_into ~into:t.data delta;
-    match t.image with
+    let negative = Bag.merge_checked ~into:t.data delta in
+    (match t.image with
     | Some image -> Delta.iter (Canon.add image) delta
-    | None -> ()
+    | None -> ());
+    negative
   in
   let install delta ~txns =
     if t.replaying then begin
-      merge delta;
+      ignore (merge delta);
       apply_aux txns;
       Queue.push (Delta.copy delta) t.replay_installs
     end
@@ -95,12 +97,7 @@ let wire t =
                      (fun e -> e.Update_queue.update.Message.txn)
                      txns })
       | None -> ());
-      let negative =
-        Delta.fold
-          (fun tup c neg -> neg || Bag.count t.data tup + c < 0)
-          delta false
-      in
-      merge delta;
+      let negative = merge delta in
       apply_aux txns;
       t.metrics.Metrics.installs <- t.metrics.Metrics.installs + 1;
       t.metrics.Metrics.updates_incorporated <-

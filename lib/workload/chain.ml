@@ -31,7 +31,7 @@ let tuple ~key ~a ~b = Tuple.ints [ key; a; b ]
 let populate view ~size ~domain rng =
   let n = View_def.n_sources view in
   Array.init n (fun _ ->
-      let rel = Relation.create ~initial_size:(size * 2) () in
+      let rel = Relation.create ~initial_size:size () in
       for key = 0 to size - 1 do
         Relation.insert rel
           (tuple ~key ~a:(Repro_sim.Rng.int rng domain)

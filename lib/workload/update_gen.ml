@@ -37,21 +37,20 @@ module Mirror = struct
   }
 
   (* A mirror whose first [n] slots are live (the caller fills them);
-     capacity at least 16. *)
-  let create n ~filler ~next_key =
+     capacity at least 16. Free slots hold the empty tuple, a static
+     atom: [Array.make] of a large array first promotes a young filler
+     with a minor collection, and at set-up the relation's tuples are
+     young until the first one. *)
+  let create n ~next_key =
     let cap = max 16 (n + (n / 2)) in
-    { slots = Array.make cap filler;
+    { slots = Array.make cap [||];
       tree = Array.init (cap + 1) (fun i -> max 0 (min i n - (i - (i land -i))));
       used = n; live = n; next_key }
 
   let of_relation rel =
     let sorted = Relation.to_sorted_list rel in
     let n = List.length sorted in
-    (* Spare slots hold a tuple of the relation rather than a fresh
-       one, which [Array.make] would first promote with a minor
-       collection. *)
-    let filler = match sorted with (tup, _) :: _ -> tup | [] -> Tuple.ints [] in
-    let t = create n ~filler ~next_key:0 in
+    let t = create n ~next_key:0 in
     List.iteri
       (fun i (tup, _) ->
         t.slots.(n - 1 - i) <- tup;
@@ -88,7 +87,7 @@ module Mirror = struct
     !pos
 
   let compact t =
-    let c = create t.live ~filler:t.slots.(0) ~next_key:t.next_key in
+    let c = create t.live ~next_key:t.next_key in
     for r = 0 to t.live - 1 do
       c.slots.(r) <- t.slots.(select t r)
     done;

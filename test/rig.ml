@@ -27,6 +27,12 @@ let relation = Alcotest.testable Relation.pp Relation.equal
 let tuple = Alcotest.testable Tuple.pp Tuple.equal
 let value = Alcotest.testable Value.pp Value.equal
 
+(* The matches a streaming probe calls back with, as a list. *)
+let matches probe =
+  let acc = ref [] in
+  probe (fun tup c -> acc := (tup, c) :: !acc);
+  !acc
+
 let verdict =
   Alcotest.testable Checker.pp_verdict (fun a b ->
       Checker.compare_verdict a b = 0)

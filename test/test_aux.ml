@@ -163,10 +163,10 @@ let test_probe_scan_fallback () =
   let rel = Relation.of_tuples [ Tuple.ints [ 1; 2; 3 ]; Tuple.ints [ 4; 2; 5 ] ] in
   let bt = Base_table.create ~source:2 ~indexes:[ 0; 2 ] rel in
   Alcotest.(check bool) "indexed probe answers" true
-    (Base_table.probe bt ~col:0 ~value:(Value.int 1) <> []);
+    (Rig.matches (Base_table.probe bt ~col:0 ~value:(Value.int 1)) <> []);
   Alcotest.(check int) "indexed probes are not counted" 0
     (Base_table.scan_count bt);
-  let hits = Base_table.probe bt ~col:1 ~value:(Value.int 2) in
+  let hits = Rig.matches (Base_table.probe bt ~col:1 ~value:(Value.int 2)) in
   Alcotest.(check int) "scan fallback finds both matches" 2
     (List.length hits);
   Alcotest.(check int) "the degraded probe is counted" 1
@@ -175,7 +175,7 @@ let test_probe_scan_fallback () =
     Base_table.create ~source:0 (Relation.of_tuples [ Tuple.ints [ 7 ] ])
   in
   Alcotest.(check bool) "index-free table still answers" true
-    (Base_table.probe bare ~col:0 ~value:(Value.int 7) <> []);
+    (Rig.matches (Base_table.probe bare ~col:0 ~value:(Value.int 7)) <> []);
   Alcotest.(check int) "and is counted on its own table" 1
     (Base_table.scan_count bare);
   Alcotest.(check int) "without touching the first table" 1

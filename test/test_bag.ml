@@ -98,7 +98,7 @@ let qcheck_merge_diff_roundtrip =
 (* Property: the running total is the signed sum of the entries after
    every kind of mutation, over three bags that the operations alias —
    a merge or diff of a bag into itself, a copy that is then mutated on
-   its own. Op codes: 0 add, 1 add_new (a fresh tuple), 2 merge_into,
+   its own. Op codes: 0 add, 1 add of a fresh tuple, 2 merge_into,
    3 diff_into, 4 copy, 5 of_list. *)
 let qcheck_total_is_sum =
   let op =
@@ -119,7 +119,7 @@ let qcheck_total_is_sum =
           | 0 -> Bag.add bags.(i) (Tuple.ints [ key ]) n
           | 1 ->
               incr fresh;
-              if n <> 0 then Bag.add_new bags.(i) (Tuple.ints [ !fresh ]) n
+              Bag.add bags.(i) (Tuple.ints [ !fresh ]) n
           | 2 -> Bag.merge_into ~into:bags.(i) bags.(k)
           | 3 -> Bag.diff_into ~into:bags.(i) bags.(k)
           | 4 -> bags.(i) <- Bag.copy bags.(k)
@@ -130,6 +130,134 @@ let qcheck_total_is_sum =
                     (Tuple.ints [ key ], 1) ]);
           Array.for_all (fun b -> Bag.total b = summed b) bags)
         ops)
+
+(* Model test: three bags against three [Map]s under random operation
+   sequences, checked after every step. [Add] draws from a few keys so
+   counts cancel; [Copy] then mutating either side exercises
+   copy-on-write both ways round; [Merge]/[Diff] alias a bag with
+   itself when [i = k]; [Bulk] adds or cancels a run of up to 150 keys,
+   so tables grow ×4 while small and ×2 from 64 slots; [Wrap] fills a
+   full 8-slot table with keys whose home is one of its last two slots
+   (the hash's low bits), so their run wraps past the last slot, then
+   deletes some of them in the given order. *)
+module M = Map.Make (Int)
+
+type op =
+  | Add of int * int * int
+  | Copy of int * int
+  | Merge of int * int
+  | Diff of int * int
+  | Bulk of int * int * int
+  | Wrap of int * int list
+
+let key k = Tuple.ints [ k ]
+
+let wrap_keys =
+  let rec find k n acc =
+    if n = 7 then Array.of_list (List.rev acc)
+    else if Tuple.hash (key k) land 7 >= 6 then find (k + 1) (n + 1) (k :: acc)
+    else find (k + 1) n acc
+  in
+  find 2000 0 []
+
+let pp_op = function
+  | Add (i, k, n) -> Printf.sprintf "Add(%d,%d,%d)" i k n
+  | Copy (i, k) -> Printf.sprintf "Copy(%d<-%d)" i k
+  | Merge (i, k) -> Printf.sprintf "Merge(%d<-%d)" i k
+  | Diff (i, k) -> Printf.sprintf "Diff(%d<-%d)" i k
+  | Bulk (i, len, n) -> Printf.sprintf "Bulk(%d,%d,%d)" i len n
+  | Wrap (i, order) ->
+      Printf.sprintf "Wrap(%d,[%s])" i
+        (String.concat ";" (List.map string_of_int order))
+
+let gen_op =
+  let open QCheck.Gen in
+  let bag = int_range 0 2 in
+  let small = oneof [ int_range 0 5; oneofa wrap_keys ] in
+  let order =
+    shuffle_l [ 0; 1; 2; 3; 4; 5; 6 ] >>= fun l ->
+    int_range 0 7 >|= fun n -> List.filteri (fun i _ -> i < n) l
+  in
+  frequency
+    [ (6, map3 (fun i k n -> Add (i, k, n)) bag small (int_range (-3) 3));
+      (2, map2 (fun i k -> Copy (i, k)) bag bag);
+      (2, map2 (fun i k -> Merge (i, k)) bag bag);
+      (2, map2 (fun i k -> Diff (i, k)) bag bag);
+      (1, map3 (fun i len n -> Bulk (i, len, n)) bag (int_range 0 150)
+            (oneofl [ 1; -1 ]));
+      (1, map2 (fun i order -> Wrap (i, order)) bag order) ]
+
+let model_add m k n =
+  let c = Option.value ~default:0 (M.find_opt k m) + n in
+  if c = 0 then M.remove k m else M.add k c m
+
+let agrees b m =
+  Bag.cardinal b = M.cardinal m
+  && Bag.total b = M.fold (fun _ c acc -> acc + c) m 0
+  && Bag.to_sorted_list b = List.map (fun (k, c) -> (key k, c)) (M.bindings m)
+  && M.for_all (fun k c -> Bag.count b (key k) = c) m
+  && Array.for_all
+       (fun k -> Bag.count b (key k) = Option.value ~default:0 (M.find_opt k m))
+       (Array.append [| 0; 1; 2; 3; 4; 5; 1000; 1149 |] wrap_keys)
+
+let qcheck_model =
+  QCheck.Test.make ~name:"bag ≡ Map model under every operation" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 0 40) gen_op))
+    (fun ops ->
+      let bags = Array.init 3 (fun _ -> Bag.create ()) in
+      let models = Array.make 3 M.empty in
+      let ok = ref true in
+      let check () =
+        ok :=
+          !ok
+          && Array.for_all2 agrees bags models
+          && List.for_all
+               (fun (i, j) ->
+                 Bag.equal bags.(i) bags.(j) = M.equal Int.equal models.(i) models.(j))
+               [ (0, 1); (1, 0); (0, 2); (2, 0); (1, 2); (2, 1) ]
+      in
+      let add i k n =
+        Bag.add bags.(i) (key k) n;
+        models.(i) <- model_add models.(i) k n;
+        check ()
+      in
+      List.iter
+        (function
+          | Add (i, k, n) -> add i k n
+          | Copy (i, k) ->
+              bags.(i) <- Bag.copy bags.(k);
+              models.(i) <- models.(k);
+              check ()
+          | Merge (i, k) ->
+              let src = models.(k) in
+              let negative = Bag.merge_checked ~into:bags.(i) bags.(k) in
+              models.(i) <- M.fold (fun k c m -> model_add m k c) src models.(i);
+              ok :=
+                !ok
+                && negative
+                   = M.exists
+                       (fun k _ ->
+                         Option.value ~default:0 (M.find_opt k models.(i)) < 0)
+                       src;
+              check ()
+          | Diff (i, k) ->
+              let src = models.(k) in
+              Bag.diff_into ~into:bags.(i) bags.(k);
+              models.(i) <- M.fold (fun k c m -> model_add m k (-c)) src models.(i);
+              check ()
+          | Bulk (i, len, n) ->
+              for k = 1000 to 1000 + len - 1 do
+                add i k n
+              done
+          | Wrap (i, order) ->
+              bags.(i) <- Bag.create ~initial_size:7 ();
+              models.(i) <- M.empty;
+              Array.iter (fun k -> add i k 1) wrap_keys;
+              List.iter (fun j -> add i wrap_keys.(j) (-1)) order)
+        ops;
+      !ok)
 
 let suite =
   [ Alcotest.test_case "add cancels to empty" `Quick test_add_cancel;
@@ -143,4 +271,5 @@ let suite =
       test_equal_ignores_structure;
     QCheck_alcotest.to_alcotest qcheck_of_list_sums;
     QCheck_alcotest.to_alcotest qcheck_merge_diff_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_total_is_sum ]
+    QCheck_alcotest.to_alcotest qcheck_total_is_sum;
+    QCheck_alcotest.to_alcotest qcheck_model ]

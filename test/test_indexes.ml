@@ -20,25 +20,25 @@ let test_index_maintenance () =
   Alcotest.(check (list int)) "indexed columns" [ 1; 2 ]
     (Base_table.indexed_columns tbl);
   Alcotest.(check int) "probe a=5 finds both" 2
-    (List.length (Base_table.probe tbl ~col:1 ~value:(Value.int 5)));
+    (List.length (Rig.matches (Base_table.probe tbl ~col:1 ~value:(Value.int 5))));
   Alcotest.(check int) "probe b=7 finds one" 1
-    (List.length (Base_table.probe tbl ~col:2 ~value:(Value.int 7)));
+    (List.length (Rig.matches (Base_table.probe tbl ~col:2 ~value:(Value.int 7))));
   (* updates keep the index exact *)
   ignore (Base_table.apply tbl (Delta.deletion (Chain.tuple ~key:0 ~a:5 ~b:7)));
   Alcotest.(check int) "after delete" 1
-    (List.length (Base_table.probe tbl ~col:1 ~value:(Value.int 5)));
+    (List.length (Rig.matches (Base_table.probe tbl ~col:1 ~value:(Value.int 5))));
   Alcotest.(check int) "emptied bucket" 0
-    (List.length (Base_table.probe tbl ~col:2 ~value:(Value.int 7)));
+    (List.length (Rig.matches (Base_table.probe tbl ~col:2 ~value:(Value.int 7))));
   ignore
     (Base_table.apply tbl
        (Delta.of_list [ (Chain.tuple ~key:2 ~a:5 ~b:7, 3) ]));
-  (match Base_table.probe tbl ~col:2 ~value:(Value.int 7) with
+  (match Rig.matches (Base_table.probe tbl ~col:2 ~value:(Value.int 7)) with
   | [ (_, 3) ] -> ()
   | _ -> Alcotest.fail "expected multiplicity 3 via index");
   (* an unindexed column degrades to a counted scan with the same answer *)
   let before = Base_table.scan_count tbl in
   Alcotest.(check int) "unindexed probe scans to the same answer" 1
-    (List.length (Base_table.probe tbl ~col:0 ~value:(Value.int 2)));
+    (List.length (Rig.matches (Base_table.probe tbl ~col:0 ~value:(Value.int 2))));
   Alcotest.(check int) "and the degradation is counted" (before + 1)
     (Base_table.scan_count tbl)
 
@@ -115,7 +115,7 @@ let test_probe_serves_residuals_declines_cross () =
   in
   Alcotest.(check bool) "cross-product junction declines" true
     (Algebra.extend_with_probe cross partial ~source:0
-       ~probe:(fun ~col:_ ~value:_ -> [])
+       ~probe:(fun ~col:_ ~value:_ _ -> ())
     = None)
 
 let test_source_auto_indexes () =
@@ -356,10 +356,7 @@ let test_inline_bucket_transitions () =
   let mirror = Bag.create () in
   let u = Chain.tuple ~key:0 ~a:5 ~b:1 and w = Chain.tuple ~key:1 ~a:5 ~b:2 in
   let under_5 () =
-    List.sort compare
-      (Column_index.fold idx (Value.int 5)
-         (fun tup c acc -> (tup, c) :: acc)
-         [])
+    List.sort compare (Rig.matches (Column_index.iter idx (Value.int 5)))
   in
   let step name tup n expected =
     Column_index.add idx tup n;
