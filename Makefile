@@ -81,13 +81,14 @@ serve:
 aux:
 	AUX_SEEDS=100 dune exec test/test_main.exe -- test aux
 
-# Indexed-leg join suite at full depth: the probe leg
-# (Base_table.extend) against the Algebra.extend reference on edge
-# cases and 100 randomized frontiers, then 100 seeded plain, crash and
-# outage storms per algorithm (sweep, sweep-batched, nested-sweep,
-# strobe), each draining at its consistency floor with no probe
-# degraded to an unindexed scan. `dune runtest` runs the same suite at
-# 5 seeds.
+# Join suite at full depth: the probe leg (Base_table.extend) against
+# the nested-loop reference (test/nested_loop.ml) on edge cases and 100
+# randomized frontiers; Algebra's join, extend, merge_overlap, eval and
+# compensate against the same reference on 2,000 random chains each;
+# then 100 seeded plain, crash and outage storms per algorithm (sweep,
+# sweep-batched, nested-sweep, strobe), each draining at its
+# consistency floor with no probe degraded to an unindexed scan. `dune
+# runtest` runs the same suite at 5 seeds (100 chains each).
 joins:
 	JOIN_SEEDS=100 dune exec test/test_main.exe -- test join-strategies
 

@@ -49,6 +49,34 @@ let micro_tests () =
     Test.make ~name:"full view recompute (3 x 1k)"
       (Staged.stage (fun () -> ignore (Algebra.eval view3 (fun i -> rels.(i)))))
   in
+  let bench_one_key_build =
+    (* the worst build for the join index: all 4000 tuples of source 1
+       under one join value, probed by the one tuple of source 0 *)
+    let view2 = Chain.view ~n:2 () in
+    let rels2 =
+      [| Relation.of_tuples [ Chain.tuple ~key:0 ~a:0 ~b:7 ];
+         Relation.of_tuples
+           (List.init 4000 (fun k -> Chain.tuple ~key:k ~a:7 ~b:k)) |]
+    in
+    Test.make ~name:"eval, 4k-tuple build under one join value, 1 probe"
+      (Staged.stage (fun () -> ignore (Algebra.eval view2 (Array.get rels2))))
+  in
+  let bench_cross_product =
+    (* a junction without equalities: the 8 tuples are one key *)
+    let view =
+      View_def.make ~name:"cross" ~schemas:(Chain.schemas ~n:2)
+        ~joins:[| Join_spec.make [] |] ~projection:[| 0; 3 |] ()
+    in
+    let left = Partial.of_relation view 0 rels.(0) in
+    let right =
+      { Partial.lo = 1; hi = 1;
+        data =
+          Delta.of_list
+            (List.init 8 (fun k -> (Chain.tuple ~key:k ~a:k ~b:k, 1))) }
+    in
+    Test.make ~name:"hash join 1k x 8, cross-product junction"
+      (Staged.stage (fun () -> ignore (Algebra.join view left right)))
+  in
   let bench_delta_apply =
     Test.make ~name:"delta apply to 1k-tuple bag"
       (Staged.stage (fun () ->
@@ -282,7 +310,8 @@ let micro_tests () =
                  R3(E int, F int) WHERE R1.B = R2.C AND R2.D = R3.E")))
   in
   [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_compensate;
-    bench_full_eval; bench_delta_apply; bench_queue_churn; bench_stream_step;
+    bench_full_eval; bench_one_key_build; bench_cross_product;
+    bench_delta_apply; bench_queue_churn; bench_stream_step;
     bench_checkpoint; bench_parser; bench_sim_round;
     bench_sim_round_batched; bench_bag_add; bench_recompute;
     bench_aggregate_read; bench_queued_compensation;

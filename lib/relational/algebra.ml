@@ -1,77 +1,143 @@
-(* The hash join indexes the smaller operand on its join columns and
-   probes it with the larger one's. An empty equality list degenerates to
-   a cross product (one shared empty key). Operands are read in place and
-   never mutated. The index grows from the default size: [Index.create n]
-   makes n buckets where growth stops at n/2, so presizing it to an
-   operand's cardinality would double the heap a large join holds. A
-   result [Bag] is sized for the smaller operand's cardinality instead:
-   a bag sized for n tuples has the slots that growth would reach at n,
-   and at fan-out 1 a join has about that many tuples. *)
-module Index = Hashtbl.Make (Tuple)
+(* The hash join indexes one operand on its key columns and probes it
+   with the other's. An index is built once, from a bag read in place,
+   and never changes. Its entries sit in three arrays of the build's
+   cardinality: tuple, count, and the next entry with the same key
+   (-1 ends a chain). Distinct keys sit in an open-addressed table, the
+   linear probing of [Bag]: slot [i] holds a key's [Tuple.hash_cols]
+   ([-1] when empty) and the first entry of its chain, whose tuple is
+   the key read in place. The table has at least twice as many slots as
+   entries, so a miss stops within a few slots. A build adds each entry
+   at the head of its key's chain, so it is O(n) at any fan-out: a
+   cross-product junction, no key columns, is one key with one chain.
+   A probe hashes its own key columns in place, finds the key's slot and
+   walks that key's chain only. No key tuple is built on either side. *)
+type index = {
+  cols : int array;
+  hashes : int array;
+  heads : int array;
+  next : int array;
+  tuples : Tuple.t array;
+  counts : int array;
+}
 
-(* [data]'s entries grouped by [key tup]. *)
-let index data key =
-  let idx = Index.create 16 in
+(* The slot holding the key of [ptup]'s [pcols], hashed [h], or the
+   empty slot ending its run. *)
+let rec find_slot idx mask h ptup pcols i =
+  let h' = Array.unsafe_get idx.hashes i in
+  if
+    h' < 0
+    || h' = h
+       && Tuple.equal_cols idx.tuples.(idx.heads.(i)) idx.cols ptup pcols
+  then i
+  else find_slot idx mask h ptup pcols ((i + 1) land mask)
+
+(* The first entry whose key equals [ptup]'s [pcols], or -1. *)
+let first idx ptup pcols =
+  let h = Tuple.hash_cols ptup pcols in
+  let mask = Array.length idx.hashes - 1 in
+  let i = find_slot idx mask h ptup pcols (h land mask) in
+  if idx.hashes.(i) < 0 then -1 else idx.heads.(i)
+
+let rec slots cap n = if cap >= 2 * n then cap else slots (cap * 2) n
+
+(* [data]'s entries grouped by their [cols]. *)
+let index data cols =
+  let n = Delta.cardinal data in
+  let cap = slots 2 n in
+  let idx =
+    { cols; hashes = Array.make cap (-1); heads = Array.make cap 0;
+      next = Array.make n (-1); tuples = Array.make n [||];
+      counts = Array.make n 0 }
+  in
+  let mask = cap - 1 in
+  let e = ref 0 in
   Delta.iter
     (fun tup c ->
-      let k = key tup in
-      match Index.find idx k with
-      | matches -> Index.replace idx k ((tup, c) :: matches)
-      | exception Not_found -> Index.add idx k [ (tup, c) ])
+      let h = Tuple.hash_cols tup cols in
+      let i = find_slot idx mask h tup cols (h land mask) in
+      if idx.hashes.(i) < 0 then idx.hashes.(i) <- h
+      else idx.next.(!e) <- idx.heads.(i);
+      idx.heads.(i) <- !e;
+      idx.tuples.(!e) <- tup;
+      idx.counts.(!e) <- c;
+      incr e)
     data;
   idx
 
-let rec emit_matches emit build_left ptup pc = function
-  | [] -> ()
-  | (btup, bc) :: rest ->
-      if build_left then emit btup bc ptup pc else emit ptup pc btup bc;
-      emit_matches emit build_left ptup pc rest
+(* [iter_matches idx probe pcols f] calls [f ptup pc btup bc] on every
+   entry of [probe] and every index entry with the same key. *)
+let iter_matches idx probe pcols f =
+  Delta.iter
+    (fun ptup pc ->
+      let e = ref (first idx ptup pcols) in
+      while !e >= 0 do
+        f ptup pc (Array.unsafe_get idx.tuples !e) idx.counts.(!e);
+        e := idx.next.(!e)
+      done)
+    probe
 
-(* [join_with view left right f] calls [f] on every joined tuple with
-   its count. Each is the concatenation of a distinct pair of operand
-   tuples, so [f] never sees a tuple twice. *)
-let join_with view (left : Partial.t) (right : Partial.t) f =
+let rec chain_length next e n =
+  if e < 0 then n else chain_length next next.(e) (n + 1)
+
+(* The number of (probe entry, index entry) pairs with equal keys, found
+   by walking their chains without building anything. *)
+let count_matches idx probe pcols =
+  Delta.fold
+    (fun ptup _ n -> chain_length idx.next (first idx ptup pcols) n)
+    probe 0
+
+(* [hash_join view left right] prepares the join of two adjacent
+   partials: it indexes the smaller operand and returns [(size, run)].
+   [run f] calls [f] on every joined tuple with its count. Each is the
+   concatenation of a distinct pair of operand tuples, so [f] never sees
+   a tuple twice. [size ()] counts the pairs whose keys match: a bound
+   on the result's cardinality, since a residual only drops pairs. An
+   empty operand builds nothing. *)
+let hash_join view (left : Partial.t) (right : Partial.t) =
   if left.hi + 1 <> right.lo then
     invalid_arg
       (Printf.sprintf "Algebra.join: partials [%d..%d] and [%d..%d] not adjacent"
          left.lo left.hi right.lo right.hi);
-  let spec = View_def.join_between view left.hi in
-  let eqs = spec.Join_spec.equalities in
-  let lofs = View_def.offset view left.lo in
-  let rofs = View_def.offset view right.lo in
-  let lcols = Array.of_list (List.map (fun (l, _) -> l - lofs) eqs) in
-  let rcols = Array.of_list (List.map (fun (_, r) -> r - rofs) eqs) in
-  let emit =
-    match spec.Join_spec.residual with
-    | None -> fun ltup lc rtup rc -> f (Tuple.concat ltup rtup) (lc * rc)
-    | Some p ->
-        fun ltup lc rtup rc ->
-          let lookup g =
-            if g < rofs then ltup.(g - lofs) else rtup.(g - rofs)
-          in
-          if Predicate.eval ~lookup p then f (Tuple.concat ltup rtup) (lc * rc)
-  in
-  let build_left = Delta.cardinal left.data <= Delta.cardinal right.data in
-  let build, bcols, probe, pcols =
-    if build_left then (left.data, lcols, right.data, rcols)
-    else (right.data, rcols, left.data, lcols)
-  in
-  let idx = index build (fun tup -> Tuple.project tup bcols) in
-  Delta.iter
-    (fun ptup pc ->
-      match Index.find idx (Tuple.project ptup pcols) with
-      | matches -> emit_matches emit build_left ptup pc matches
-      | exception Not_found -> ())
-    probe
+  let nl = Delta.cardinal left.data and nr = Delta.cardinal right.data in
+  if nl = 0 || nr = 0 then ((fun () -> 0), fun _ -> ())
+  else begin
+    let spec = View_def.join_between view left.hi in
+    let eqs = spec.Join_spec.equalities in
+    let lofs = View_def.offset view left.lo in
+    let rofs = View_def.offset view right.lo in
+    let lcols = Array.of_list (List.map (fun (l, _) -> l - lofs) eqs) in
+    let rcols = Array.of_list (List.map (fun (_, r) -> r - rofs) eqs) in
+    let emit f =
+      match spec.Join_spec.residual with
+      | None -> fun ltup lc rtup rc -> f (Tuple.concat ltup rtup) (lc * rc)
+      | Some p ->
+          fun ltup lc rtup rc ->
+            let lookup g =
+              if g < rofs then ltup.(g - lofs) else rtup.(g - rofs)
+            in
+            if Predicate.eval ~lookup p then
+              f (Tuple.concat ltup rtup) (lc * rc)
+    in
+    if nl <= nr then
+      let idx = index left.data lcols in
+      ( (fun () -> count_matches idx right.data rcols),
+        fun f ->
+          let emit = emit f in
+          iter_matches idx right.data rcols (fun rtup rc ltup lc ->
+              emit ltup lc rtup rc) )
+    else
+      let idx = index right.data rcols in
+      ( (fun () -> count_matches idx left.data lcols),
+        fun f -> iter_matches idx left.data lcols (emit f) )
+  end
+
+let join_with view left right f = snd (hash_join view left right) f
 
 let join view (left : Partial.t) (right : Partial.t) : Partial.t =
-  let result =
-    Bag.create
-      ~initial_size:(min (Delta.cardinal left.data) (Delta.cardinal right.data))
-      ()
-  in
-  join_with view left right (Delta.add result);
-  { Partial.lo = left.lo; hi = right.hi; data = result }
+  let size, run = hash_join view left right in
+  let data = Bag.create ~initial_size:(size ()) () in
+  run (Delta.add data);
+  { Partial.lo = left.lo; hi = right.hi; data }
 
 (* Source [j]'s relation as a partial, sharing its bag: joins only read
    it. *)
@@ -217,58 +283,117 @@ let merge_overlap view ~at ~(left : Partial.t) ~(right : Partial.t) =
          "Algebra.merge_overlap: [%d..%d] and [%d..%d] do not overlap at %d"
          left.lo left.hi right.lo right.hi at);
   let w = View_def.width view at in
-  let left_width = Partial.arity view ~lo:left.lo ~hi:left.hi in
+  let lw = Partial.arity view ~lo:left.lo ~hi:left.hi in
+  let rw = Partial.arity view ~lo:right.lo ~hi:right.hi in
   let result = Delta.empty () in
-  (* Index right tuples by their leading (at)-slice, probe with left's
-     trailing slice. *)
-  let idx = index right.data (fun tup -> Tuple.slice tup 0 w) in
-  Delta.iter
-    (fun ltup lc ->
-      match Index.find idx (Tuple.slice ltup (left_width - w) w) with
-      | matches ->
-          List.iter
-            (fun (rtup, rc) ->
-              let tail = Tuple.slice rtup w (Tuple.arity rtup - w) in
-              Delta.add result (Tuple.concat ltup tail) (lc * rc))
-            matches
-      | exception Not_found -> ())
-    left.data;
+  (* Index right tuples by their leading (at)-columns, probe with left's
+     trailing ones. *)
+  let idx = index right.data (Array.init w Fun.id) in
+  iter_matches idx left.data
+    (Array.init w (fun i -> lw - w + i))
+    (fun ltup lc rtup rc ->
+      let tup = Array.make (lw + rw - w) Value.Null in
+      Array.blit ltup 0 tup 0 lw;
+      Array.blit rtup w tup lw (rw - w);
+      Delta.add result tup (lc * rc));
   { Partial.lo = left.lo; hi = right.hi; data = result }
-
-(* [select_into view out] adds a full-width tuple's view tuple to [out]
-   when it passes the selection. *)
-let select_into view out =
-  let proj = View_def.projection view in
-  match View_def.selection view with
-  | Predicate.True -> fun tup c -> Delta.add out (Tuple.project tup proj) c
-  | sel ->
-      fun tup c ->
-        if Predicate.eval ~lookup:(Array.get tup) sel then
-          Delta.add out (Tuple.project tup proj) c
 
 let select_project view (full : Partial.t) : Delta.t =
   if not (Partial.covers_all view full) then
     invalid_arg "Algebra.select_project: partial does not span all sources";
+  let proj = View_def.projection view in
   let out = Bag.create ~initial_size:(Delta.cardinal full.data) () in
-  Delta.iter (select_into view out) full.data;
+  (match View_def.selection view with
+  | Predicate.True ->
+      Delta.iter (fun tup c -> Delta.add out (Tuple.project tup proj) c) full.data
+  | sel ->
+      Delta.iter
+        (fun tup c ->
+          if Predicate.eval ~lookup:(Array.get tup) sel then
+            Delta.add out (Tuple.project tup proj) c)
+        full.data);
   out
 
-(* The last join selects and projects as it emits, so the full-width
-   join result is never built. The projection is a fresh bag, so it
-   becomes the relation without a copy: its counts are sums of products
-   of the relations' positive counts, so they are positive. *)
+(* [gather parts srcs locs] is the tuple whose column [i] is column
+   [locs.(i)] of [parts.(srcs.(i))]. *)
+let gather parts srcs locs =
+  let t = Array.make (Array.length srcs) Value.Null in
+  for i = 0 to Array.length srcs - 1 do
+    t.(i) <- parts.(srcs.(i)).(locs.(i))
+  done;
+  t
+
+(* One pipelined probe chain: source 0 streams through indexes of
+   sources 1..n-1, each read in place. [parts.(j)] holds the tuple
+   matched at source j, so the full-width tuple is never built: a
+   residual or the selection reads global attribute g as column
+   [loc.(g)] of [parts.(src.(g))], and the only tuple made is the view
+   tuple of a match that passes the selection. The view is sized for the smallest source, as a chain at
+   fan-out 1 yields about that many tuples. It is a fresh bag, so it
+   becomes the relation without a copy: its counts are products of the
+   relations' positive counts, so they are positive. *)
 let eval view fetch =
   let n = View_def.n_sources view in
-  let acc = ref (leaf 0 (fetch 0)) in
-  for j = 1 to n - 2 do
-    acc := join view !acc (leaf j (fetch j))
+  let rels = Array.init n (fun j -> Relation.as_bag (fetch j)) in
+  let src = Array.make (View_def.total_width view) 0 in
+  let loc = Array.make (View_def.total_width view) 0 in
+  for j = 0 to n - 1 do
+    for a = 0 to View_def.width view j - 1 do
+      src.(View_def.offset view j + a) <- j;
+      loc.(View_def.offset view j + a) <- a
+    done
   done;
-  let last = if n = 1 then !acc else leaf (n - 1) (fetch (n - 1)) in
+  let parts = Array.make n [||] in
+  let lookup g = parts.(src.(g)).(loc.(g)) in
+  (* Junction k joins source k to source k + 1: [idxs.(k)] indexes
+     source k + 1 on its columns, and source k's columns [pcols.(k)]
+     probe it. *)
+  let junction k = View_def.join_between view k in
+  let cols k side =
+    Array.of_list
+      (List.map (fun eq -> loc.(side eq)) (junction k).Join_spec.equalities)
+  in
+  let idxs = Array.init (n - 1) (fun k -> index rels.(k + 1) (cols k snd)) in
+  let pcols = Array.init (n - 1) (fun k -> cols k fst) in
+  let residuals =
+    Array.init (n - 1) (fun k -> (junction k).Join_spec.residual)
+  in
   let out =
     Bag.create
-      ~initial_size:(min (Partial.cardinal !acc) (Partial.cardinal last))
+      ~initial_size:
+        (Array.fold_left (fun m r -> min m (Bag.cardinal r)) max_int rels)
       ()
   in
-  let emit = select_into view out in
-  if n = 1 then Delta.iter emit last.data else join_with view !acc last emit;
+  let proj = View_def.projection view in
+  let psrc = Array.map (Array.get src) proj in
+  let ploc = Array.map (Array.get loc) proj in
+  let emit =
+    match View_def.selection view with
+    | Predicate.True -> fun c -> Delta.add out (gather parts psrc ploc) c
+    | sel ->
+        fun c ->
+          if Predicate.eval ~lookup sel then
+            Delta.add out (gather parts psrc ploc) c
+  in
+  (* [descend k c]: [parts] holds a match for sources 0..k; extend it
+     through junction k *)
+  let rec descend k c =
+    if k = n - 1 then emit c
+    else begin
+      let idx = idxs.(k) in
+      let e = ref (first idx parts.(k) pcols.(k)) in
+      while !e >= 0 do
+        parts.(k + 1) <- idx.tuples.(!e);
+        (match residuals.(k) with
+        | Some p when not (Predicate.eval ~lookup p) -> ()
+        | _ -> descend (k + 1) (c * idx.counts.(!e)));
+        e := idx.next.(!e)
+      done
+    end
+  in
+  Bag.iter
+    (fun tup c ->
+      parts.(0) <- tup;
+      descend 0 c)
+    rels.(0);
   Relation.adopt out

@@ -9,7 +9,9 @@
 (** [join view left right] joins two adjacent partials
     ([left.hi + 1 = right.lo]) using the chain's join condition between
     them. Counts multiply, so deletions (negative counts) propagate with
-    the correct sign. Raises [Invalid_argument] when the partials are not
+    the correct sign. The smaller operand is indexed on its key
+    columns, read in place, and the result is sized by the pairs whose
+    keys match. Raises [Invalid_argument] when the partials are not
     adjacent. *)
 val join : View_def.t -> Partial.t -> Partial.t -> Partial.t
 
@@ -70,5 +72,7 @@ val select_project : View_def.t -> Partial.t -> Delta.t
 
 (** [eval view fetch] recomputes the view from scratch: [fetch i] must
     return source [i]'s current relation. Ground truth for tests and the
-    recompute baseline. *)
+    recompute baseline. Source 0 streams through indexes of sources
+    1..n−1 in one probe chain, so no intermediate join result is built;
+    the result is fresh. *)
 val eval : View_def.t -> (int -> Relation.t) -> Relation.t

@@ -16,12 +16,10 @@ let delete r tup n =
   Bag.add r tup (-n)
 
 let count = Bag.count
-let mem = Bag.mem
 let is_empty = Bag.is_empty
 let cardinal = Bag.cardinal
 let total = Bag.total
 let iter = Bag.iter
-let fold = Bag.fold
 let to_sorted_list = Bag.to_sorted_list
 
 let of_list l =

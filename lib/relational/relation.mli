@@ -18,7 +18,6 @@ val insert : t -> Tuple.t -> int -> unit
 val delete : t -> Tuple.t -> int -> unit
 
 val count : t -> Tuple.t -> int
-val mem : t -> Tuple.t -> bool
 val is_empty : t -> bool
 val cardinal : t -> int
 
@@ -26,7 +25,6 @@ val cardinal : t -> int
 val total : t -> int
 
 val iter : (Tuple.t -> int -> unit) -> t -> unit
-val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_sorted_list : t -> (Tuple.t * int) list
 
 (** [of_list l] builds a relation; entries may repeat (counts accumulate).

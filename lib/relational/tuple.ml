@@ -1,6 +1,5 @@
 type t = Value.t array
 
-let of_list = Array.of_list
 let ints l = Array.of_list (List.map Value.int l)
 let arity = Array.length
 let get t i = t.(i)
@@ -43,6 +42,32 @@ let hash t =
   let n = Array.length t in
   Value.spread (hash_from t 0 n n)
 
+(* [hash] and [equal] of the columns [cols], read in place. *)
+let rec hash_cols_from t cols i n h =
+  if i = n then h
+  else
+    let x =
+      match t.(Array.unsafe_get cols i) with
+      | Value.Int x -> x
+      | v -> Hashtbl.hash v
+    in
+    hash_cols_from t cols (i + 1) n ((h * 0x100000001b3) + x)
+
+let hash_cols t cols =
+  let n = Array.length cols in
+  Value.spread (hash_cols_from t cols 0 n n)
+
+let rec equal_cols_from a acols b bcols i n =
+  i = n
+  || (match (a.(Array.unsafe_get acols i), b.(Array.unsafe_get bcols i)) with
+     | Value.Int x, Value.Int y -> x = y
+     | x, y -> Value.compare x y = 0)
+     && equal_cols_from a acols b bcols (i + 1) n
+
+let equal_cols a acols b bcols =
+  let n = Array.length acols in
+  n = Array.length bcols && equal_cols_from a acols b bcols 0 n
+
 let concat = Array.append
 
 let project t indices =
@@ -55,8 +80,6 @@ let project t indices =
     done;
     r
   end
-
-let slice = Array.sub
 
 let pp ppf t =
   Format.pp_print_char ppf '(';

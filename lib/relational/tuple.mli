@@ -5,8 +5,6 @@
 
 type t = Value.t array
 
-val of_list : Value.t list -> t
-
 (** [ints [1;2]] builds an all-integer tuple; the common case in tests. *)
 val ints : int list -> t
 
@@ -22,15 +20,21 @@ val equal : t -> t -> bool
     [Hashtbl.Make]. [equal a b] implies [hash a = hash b]. *)
 val hash : t -> int
 
+(** [hash_cols t cols] is [hash (project t cols)], without building the
+    projection. *)
+val hash_cols : t -> int array -> int
+
+(** [equal_cols a acols b bcols] is
+    [equal (project a acols) (project b bcols)], without building
+    either projection. *)
+val equal_cols : t -> int array -> t -> int array -> bool
+
 (** [concat a b] is the juxtaposition of [a] and [b] — the tuple of the
     joined relation. *)
 val concat : t -> t -> t
 
 (** [project t indices] keeps the values at [indices], in that order. *)
 val project : t -> int array -> t
-
-(** [slice t pos len] is the contiguous sub-tuple starting at [pos]. *)
-val slice : t -> int -> int -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

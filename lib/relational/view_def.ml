@@ -34,7 +34,17 @@ let make ~name ~schemas ~joins ?(selection = Predicate.True) ~projection () =
               (Printf.sprintf
                  "View_def.make: join %d must connect sources %d and %d" i i
                  (i + 1)))
-        spec.Join_spec.equalities)
+        spec.Join_spec.equalities;
+      let adjacent g = in_range g && (source_of g = i || source_of g = i + 1) in
+      Option.iter
+        (fun p ->
+          if not (List.for_all adjacent (Predicate.attrs_used p)) then
+            invalid_arg
+              (Printf.sprintf
+                 "View_def.make: join %d's residual must read sources %d and \
+                  %d only"
+                 i i (i + 1)))
+        spec.Join_spec.residual)
     joins;
   Array.iter
     (fun g ->

@@ -13,7 +13,7 @@ type t
     builds a view definition:
     - [Array.length joins = Array.length schemas - 1];
     - [joins.(i)]'s equalities connect attributes of source [i] (left) and
-      source [i+1] (right);
+      source [i+1] (right), and its residual reads only those two sources;
     - projection and selection indices fall inside the global width.
 
     Raises [Invalid_argument] otherwise. *)
@@ -47,10 +47,6 @@ val total_width : t -> int
 (** [source_of_global v g] is the source whose relation holds global
     attribute [g]. *)
 val source_of_global : t -> int -> int
-
-(** [global v i a] is the global index of local attribute [a] of source
-    [i]. *)
-val global : t -> int -> int -> int
 
 (** The local columns of source [id] that the chain's join equalities
     name: its right-hand columns in the junction with [id - 1], then its

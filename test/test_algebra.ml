@@ -261,6 +261,42 @@ let test_recompute_diffs_into_fresh_bag () =
         expected d
   | l -> Alcotest.failf "expected one install, got %d" (List.length l)
 
+(* ————— the worst build shapes of the join index ————— *)
+
+(* The shapes of the micro rows that would show a quadratic build: 4000
+   source-1 tuples under one join value, probed by one source-0 tuple;
+   and a cross-product junction between 1000 and 8 tuples, which
+   indexes the 8 under one empty key. Both must equal the nested-loop
+   reference. *)
+let test_one_key_build () =
+  let rels =
+    [| Relation.of_tuples [ Chain.tuple ~key:0 ~a:0 ~b:7 ];
+       Relation.of_tuples
+         (List.init 4000 (fun k -> Chain.tuple ~key:k ~a:7 ~b:k)) |]
+  in
+  let got = Relation.as_bag (Algebra.eval view2 (Array.get rels)) in
+  Alcotest.(check int) "one view tuple per build tuple" 4000
+    (Bag.cardinal got);
+  Alcotest.check Rig.bag "equals the nested-loop join"
+    (Nested_loop.eval view2 rels) got
+
+let test_cross_product_junction () =
+  let view =
+    View_def.make ~name:"cross" ~schemas:(Chain.schemas ~n:2)
+      ~joins:[| Join_spec.make [] |] ~projection:[| 0; 3 |] ()
+  in
+  let side lo n =
+    { Partial.lo; hi = lo;
+      data =
+        Delta.of_list
+          (List.init n (fun k -> (Chain.tuple ~key:k ~a:(k mod 5) ~b:k, 1))) }
+  in
+  let left = side 0 1000 and right = side 1 8 in
+  let got = Algebra.join view left right in
+  Alcotest.(check int) "every pair joins" 8000 (Partial.cardinal got);
+  Alcotest.(check bool) "equals the nested-loop join" true
+    (Partial.equal got (Nested_loop.join view left right))
+
 let suite =
   [ Alcotest.test_case "join multiplies counts" `Quick
       test_join_counts_multiply;
@@ -278,4 +314,8 @@ let suite =
     Alcotest.test_case "eval's result is fresh" `Quick
       test_eval_result_is_fresh;
     Alcotest.test_case "recompute diffs into a fresh bag" `Quick
-      test_recompute_diffs_into_fresh_bag ]
+      test_recompute_diffs_into_fresh_bag;
+    Alcotest.test_case "a 4k-tuple build under one join value" `Quick
+      test_one_key_build;
+    Alcotest.test_case "a 1k x 8 cross-product junction" `Quick
+      test_cross_product_junction ]

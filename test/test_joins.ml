@@ -1,22 +1,28 @@
-(* Indexed-leg suite (DESIGN.md §15).
+(* Join-strategy suite (DESIGN.md §15, §18).
 
    A delta join leg runs one way: [Base_table.extend] probes the
    persistent per-column indexes and falls back to the generic hash
    join only on a cross-product junction. The suite proves the leg
-   bag-identical to the [Algebra.extend] reference over the edge cases
-   (empty deltas, Null join columns, self-join-shaped specs, residuals)
-   and randomized frontiers, then runs seeded storms over the
+   bag-identical to the nested-loop reference ([Nested_loop]) over the
+   edge cases (empty deltas, Null join columns, self-join-shaped specs,
+   residuals) and randomized frontiers, then runs seeded storms over the
    sweep-family algorithms, including crash and outage schedules: each
    run must drain and meet its algorithm's Table 1 floor, which the
-   checker decides by replaying every install against the same
-   reference.
+   checker decides by replaying every install against [Algebra].
+
+   The kernel itself ([Algebra.join], [extend], [merge_overlap], [eval]
+   and [compensate], whose hash-join terms stream through the join's
+   [join_with]) is checked against the same reference on random chains: multi-equality, residual and
+   cross-product junctions, signed counts, empty operands, and Str,
+   Null, ±0.0 and NaN values.
 
    It also pins the indexed-by-default contract: every run ends with
    [unindexed_scans = 0] — a probe that silently degraded to an O(n)
    scan fails the suite instead of costing 27×.
 
    Seed count comes from JOIN_SEEDS (default 5 so `dune runtest` stays
-   fast; `make joins` raises it to 100). *)
+   fast; `make joins` raises it to 100); each kernel property runs 20
+   cases per seed. *)
 
 open Repro_relational
 open Repro_sim
@@ -28,7 +34,7 @@ module Base_table = Repro_source.Base_table
 
 let join_seeds = Rig.seeds_env ~var:"JOIN_SEEDS" ~default:5
 
-(* ————— leg equivalence: Base_table.extend ≡ Algebra.extend ————— *)
+(* ————— leg equivalence: Base_table.extend ≡ the nested-loop join ————— *)
 
 let view3 = Chain.view ~n:3 ()
 
@@ -39,7 +45,7 @@ let check_leg_equivalence ~ctx view partial ~source r_src =
   Alcotest.(check bool) (ctx ^ ": probe ≡ reference") true
     (Partial.equal
        (Base_table.extend tbl view partial)
-       (Algebra.extend view partial ~with_relation:(source, r_src)));
+       (Nested_loop.extend view partial ~with_relation:(source, r_src)));
   Alcotest.(check int) (ctx ^ ": equality junction never scans") 0
     (Base_table.scan_count tbl)
 
@@ -209,10 +215,249 @@ let test_presets_never_scan () =
       end)
     [ "sequential"; "concurrent"; "centralized"; "self-maint" ]
 
+(* ————— the kernel against the nested-loop reference ————— *)
+
+(* Small ints so that keys meet, and the values whose equality is not
+   their bits: 0.0 = -0.0, and NaN equals NaN under [Value.compare]. *)
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [ (6, map Value.int (int_range 0 2));
+        (1, return Value.Null);
+        (1, oneofl [ Value.Str "a"; Value.Str "b" ]);
+        ( 2,
+          oneofl
+            [ Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan ] )
+      ])
+
+let gen_tuple width =
+  QCheck.Gen.(map Array.of_list (list_repeat width gen_value))
+
+(* Up to 5 entries with signed counts, or with counts 1..2 when
+   [positive]; about one operand in six is empty. *)
+let gen_bag ?(positive = false) width =
+  let open QCheck.Gen in
+  let count = if positive then int_range 1 2 else oneofl [ -2; -1; 1; 2 ] in
+  map Bag.of_list (list_size (int_range 0 5) (pair (gen_tuple width) count))
+
+let gen_cmp = QCheck.Gen.oneofl Predicate.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* A chain of [n] sources of width 1..3. Each junction has zero (a
+   cross product), one or two equalities, repeats allowed, and maybe a
+   residual over its two sources; the selection compares one attribute
+   with a constant, and the projection keeps one to four attributes. *)
+let gen_view n =
+  let open QCheck.Gen in
+  array_repeat n (int_range 1 3) >>= fun widths ->
+  let offsets = Array.make n 0 in
+  for j = 1 to n - 1 do
+    offsets.(j) <- offsets.(j - 1) + widths.(j - 1)
+  done;
+  let total = offsets.(n - 1) + widths.(n - 1) in
+  let attr j = map (fun a -> offsets.(j) + a) (int_range 0 (widths.(j) - 1)) in
+  let junction k =
+    let eq = pair (attr k) (attr (k + 1)) in
+    let residual =
+      map3
+        (fun op l r -> Some (Predicate.Cmp (op, Predicate.Attr l, r)))
+        gen_cmp (attr k)
+        (oneof
+           [ map (fun g -> Predicate.Attr g) (attr (k + 1));
+             map (fun v -> Predicate.Const v) gen_value ])
+    in
+    map2
+      (fun eqs residual -> Join_spec.make ?residual eqs)
+      (list_size (frequency [ (1, return 0); (3, return 1); (2, return 2) ]) eq)
+      (frequency [ (2, return None); (1, residual) ])
+  in
+  map3
+    (fun joins selection projection ->
+      View_def.make ~name:"random"
+        ~schemas:
+          (Array.mapi
+             (fun j w ->
+               Schema.make (Printf.sprintf "R%d" j)
+                 (List.init w (fun a ->
+                      Schema.attr (Printf.sprintf "c%d" a) Value.T_int)))
+             widths)
+        ~joins:(Array.of_list joins) ~selection
+        ~projection:(Array.of_list projection) ())
+    (flatten_l (List.init (n - 1) junction))
+    (frequency
+       [ (2, return Predicate.True);
+         ( 1,
+           map3
+             (fun op g v -> Predicate.cmp_const op g v)
+             gen_cmp (int_range 0 (total - 1)) gen_value ) ])
+    (list_size (int_range 1 4) (int_range 0 (total - 1)))
+
+let gen_partial ?positive view lo hi =
+  QCheck.Gen.map
+    (fun data -> { Partial.lo; hi; data })
+    (gen_bag ?positive (Partial.arity view ~lo ~hi))
+
+(* The sources next to [lo..hi] in a chain of [n]. *)
+let neighbours n (lo, hi) =
+  (if lo > 0 then [ lo - 1 ] else []) @ if hi < n - 1 then [ hi + 1 ] else []
+
+(* [lo..hi] inside [0, n) that leaves a source out, so that it has a
+   neighbour; n >= 2. *)
+let gen_short_range n =
+  QCheck.Gen.(
+    int_range 0 (n - 1) >>= fun lo ->
+    map
+      (fun hi -> if lo = 0 && hi = n - 1 then (1, hi) else (lo, hi))
+      (int_range lo (n - 1)))
+
+let kernel_property name gen print prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:(20 * join_seeds) (QCheck.make ~print gen)
+       prop)
+
+let show pp x = Format.asprintf "%a" pp x
+let show_case view parts =
+  String.concat "\n" (show View_def.pp view :: List.map (show Partial.pp) parts)
+
+let kernel_join =
+  let gen =
+    let open QCheck.Gen in
+    int_range 2 4 >>= fun n ->
+    gen_view n >>= fun view ->
+    int_range 0 (n - 2) >>= fun k ->
+    pair (int_range 0 k) (int_range (k + 1) (n - 1)) >>= fun (lo, hi) ->
+    map2 (fun l r -> (view, l, r)) (gen_partial view lo k)
+      (gen_partial view (k + 1) hi)
+  in
+  kernel_property "nested-loop oracle: join" gen
+    (fun (v, l, r) -> show_case v [ l; r ])
+    (fun (view, left, right) ->
+      Partial.equal
+        (Algebra.join view left right)
+        (Nested_loop.join view left right))
+
+let kernel_extend =
+  let gen =
+    let open QCheck.Gen in
+    int_range 2 4 >>= fun n ->
+    gen_view n >>= fun view ->
+    gen_short_range n >>= fun (lo, hi) ->
+    oneofl (neighbours n (lo, hi)) >>= fun j ->
+    map2
+      (fun p r -> (view, p, j, r))
+      (gen_partial view lo hi)
+      (gen_partial ~positive:true view j j)
+  in
+  kernel_property "nested-loop oracle: extend" gen
+    (fun (v, p, _, r) -> show_case v [ p; r ])
+    (fun (view, p, j, r) ->
+      let rel = Relation.adopt r.Partial.data in
+      Partial.equal
+        (Algebra.extend view p ~with_relation:(j, rel))
+        (Nested_loop.extend view p ~with_relation:(j, rel)))
+
+(* Right tuples whose leading [at]-columns are often a left tuple's
+   trailing ones, so that the overlap joins. *)
+let kernel_merge_overlap =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 4 >>= fun n ->
+    gen_view n >>= fun view ->
+    int_range 0 (n - 1) >>= fun at ->
+    pair (int_range 0 at) (int_range at (n - 1)) >>= fun (lo, hi) ->
+    gen_partial view lo at >>= fun left ->
+    gen_partial view at hi >>= fun right ->
+    let w = View_def.width view at in
+    let lw = Partial.arity view ~lo ~hi:at in
+    let lefts = List.map fst (Bag.to_sorted_list left.Partial.data) in
+    let graft (rtup, c) =
+      if lefts = [] then return (rtup, c)
+      else
+        map2
+          (fun ltup keep ->
+            if keep then (rtup, c)
+            else
+              let t = Array.copy rtup in
+              Array.blit ltup (lw - w) t 0 w;
+              (t, c))
+          (oneofl lefts) bool
+    in
+    map
+      (fun entries ->
+        (view, at, left, { right with Partial.data = Bag.of_list entries }))
+      (flatten_l (List.map graft (Bag.to_sorted_list right.Partial.data)))
+  in
+  kernel_property "nested-loop oracle: merge_overlap" gen
+    (fun (v, _, l, r) -> show_case v [ l; r ])
+    (fun (view, at, left, right) ->
+      Partial.equal
+        (Algebra.merge_overlap view ~at ~left ~right)
+        (Nested_loop.merge_overlap view ~at ~left ~right))
+
+let kernel_eval =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 4 >>= fun n ->
+    gen_view n >>= fun view ->
+    map
+      (fun rels -> (view, Array.of_list rels))
+      (flatten_l
+         (List.init n (fun j ->
+              map
+                (fun b -> Relation.adopt b)
+                (gen_bag ~positive:true (View_def.width view j)))))
+  in
+  kernel_property "nested-loop oracle: eval" gen
+    (fun (v, rels) ->
+      String.concat "\n"
+        (show View_def.pp v
+        :: Array.to_list (Array.map (show Relation.pp) rels)))
+    (fun (view, rels) ->
+      Bag.equal
+        (Relation.as_bag (Algebra.eval view (Array.get rels)))
+        (Nested_loop.eval view rels))
+
+(* TempView over [lo..hi], the answer over it and source [j], and L_j
+   indexed on some of [j]'s columns, so that both the probe and the hash
+   join serve the error term. *)
+let kernel_compensate =
+  let gen =
+    let open QCheck.Gen in
+    int_range 2 4 >>= fun n ->
+    gen_view n >>= fun view ->
+    gen_short_range n >>= fun (lo, hi) ->
+    oneofl (neighbours n (lo, hi)) >>= fun j ->
+    let w = View_def.width view j in
+    gen_partial view lo hi >>= fun temp ->
+    gen_partial view (min j lo) (max j hi) >>= fun answer ->
+    gen_bag w >>= fun interfering ->
+    list_size (int_range 0 2) (gen_bag w) >>= fun extras ->
+    map
+      (fun cols ->
+        (view, temp, answer, interfering, extras, List.sort_uniq compare cols))
+      (list_size (int_range 0 2) (int_range 0 (w - 1)))
+  in
+  kernel_property "nested-loop oracle: compensate" gen
+    (fun (v, t, a, i, e, _) ->
+      show_case v
+        (t :: a
+        :: List.map (fun d -> { a with Partial.data = d }) (i :: e)))
+    (fun (view, temp, answer, interfering, extras, cols) ->
+      let index =
+        List.map (fun col -> Column_index.of_bag ~col interfering) cols
+      in
+      Partial.equal
+        (Algebra.compensate ~index ~extras view ~answer ~interfering ~temp)
+        (Nested_loop.compensate ~extras view ~answer ~interfering ~temp))
+
 let suite =
   [ Alcotest.test_case "leg equivalence: edge cases" `Quick
       test_leg_edge_cases;
     Alcotest.test_case "leg equivalence: randomized" `Slow leg_random_case;
+    kernel_join;
+    kernel_extend;
+    kernel_merge_overlap;
+    kernel_eval;
+    kernel_compensate;
     Alcotest.test_case "presets: probes never scan" `Slow
       test_presets_never_scan;
     (* "differential": the checker replays every install of a storm

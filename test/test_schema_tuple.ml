@@ -44,7 +44,8 @@ let test_tuple_ops () =
   Alcotest.check Rig.tuple "project"
     (Tuple.ints [ 3; 1 ])
     (Tuple.project t [| 2; 0 |]);
-  Alcotest.check Rig.tuple "slice" (Tuple.ints [ 2; 3 ]) (Tuple.slice t 1 2);
+  Alcotest.(check bool) "equal_cols" true
+    (Tuple.equal_cols t [| 1; 2 |] (Tuple.ints [ 2; 3 ]) [| 0; 1 |]);
   Alcotest.(check string) "pp" "(1, 2, 3)" (Tuple.to_string t)
 
 let test_tuple_compare () =
@@ -145,6 +146,54 @@ let qcheck_wide_hash =
       Tuple.hash (with_last (Value.int x))
       <> Tuple.hash (with_last (Value.int y)))
 
+(* Column lists into a tuple of arity [n]: repeats allowed, none when
+   [n = 0]. *)
+let gen_cols n =
+  let open QCheck.Gen in
+  if n = 0 then return [||]
+  else map Array.of_list (list_size (int_range 0 4) (int_range 0 (n - 1)))
+
+let show_cols cols =
+  String.concat ";" (Array.to_list (Array.map string_of_int cols))
+
+let qcheck_hash_cols =
+  QCheck.Test.make ~name:"Tuple.hash_cols t cols = hash (project t cols)"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (t, cols) -> Tuple.to_string t ^ " at " ^ show_cols cols)
+       QCheck.Gen.(
+         gen_tuple >>= fun t ->
+         map (fun c -> (t, c)) (gen_cols (Array.length t))))
+    (fun (t, cols) ->
+      Tuple.hash_cols t cols = Tuple.hash (Tuple.project t cols))
+
+(* Usually the same columns of a pair that is often equal column by
+   column, so that both outcomes occur; sometimes unrelated columns. *)
+let qcheck_equal_cols =
+  let gen =
+    let open QCheck.Gen in
+    gen_pair >>= fun (a, b) ->
+    gen_cols (min (Array.length a) (Array.length b)) >>= fun same ->
+    frequency
+      [ (3, return (a, same, b, same));
+        ( 1,
+          map2
+            (fun ac bc -> (a, ac, b, bc))
+            (gen_cols (Array.length a))
+            (gen_cols (Array.length b)) ) ]
+  in
+  QCheck.Test.make
+    ~name:"Tuple.equal_cols a ac b bc iff equal (project a ac) (project b bc)"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, ac, b, bc) ->
+         Printf.sprintf "%s at %s vs %s at %s" (Tuple.to_string a)
+           (show_cols ac) (Tuple.to_string b) (show_cols bc))
+       gen)
+    (fun (a, ac, b, bc) ->
+      Tuple.equal_cols a ac b bc
+      = Tuple.equal (Tuple.project a ac) (Tuple.project b bc))
+
 let suite =
   [ Alcotest.test_case "schema basics" `Quick test_schema_basics;
     Alcotest.test_case "schema validation" `Quick test_schema_validation;
@@ -154,4 +203,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_project_concat;
     QCheck_alcotest.to_alcotest qcheck_equal_is_compare;
     QCheck_alcotest.to_alcotest qcheck_equal_hash;
-    QCheck_alcotest.to_alcotest qcheck_wide_hash ]
+    QCheck_alcotest.to_alcotest qcheck_wide_hash;
+    QCheck_alcotest.to_alcotest qcheck_hash_cols;
+    QCheck_alcotest.to_alcotest qcheck_equal_cols ]

@@ -55,6 +55,21 @@ let test_validation () =
     ignore
       (View_def.make ~name:"bad" ~schemas ~joins:[||] ~projection:[| 0 |] ())
   in
+  let far_residual () =
+    ignore
+      (View_def.make ~name:"bad" ~schemas:(Chain.schemas ~n:3)
+         ~joins:
+           [| Join_spec.make
+                ~residual:(Predicate.eq_attr 0 6)
+                [ (2, 4) ];
+              Join_spec.natural ~left_attr:5 ~right_attr:7 |]
+         ~projection:[| 0 |] ())
+  in
+  Alcotest.(check bool) "residual reading a non-adjacent source rejected"
+    true
+    (match far_residual () with
+    | exception Invalid_argument _ -> true
+    | () -> false);
   Alcotest.(check bool) "join count enforced" true
     (match wrong_join_count () with
     | exception Invalid_argument _ -> true
