@@ -211,6 +211,28 @@ let micro_tests () =
            let fresh = Algebra.eval view4 (fun i -> rels4.(i)) in
            Bag.diff_into ~into:(Relation.as_bag fresh) current))
   in
+  let bench_recompute_one_changed =
+    (* the same recompute through one evaluator, as Recompute keeps it:
+       each run toggles one tuple of the next source in turn, then every
+       source answers with a Relation.copy of its table, as Source_node
+       does, so at most one of the three join indexes is rebuilt *)
+    let view4 = Chain.view ~n:4 () in
+    let tables = Chain.populate view4 ~size:500 ~domain:500 (Rng.create 42L) in
+    let eval = Algebra.evaluator view4 in
+    let current = Relation.as_bag (eval (Array.get tables)) in
+    let run = ref 0 in
+    Test.make ~name:"recompute 4 × 500, one source changed per run"
+      (Staged.stage (fun () ->
+           let j = !run land 3 in
+           incr run;
+           let tup = Chain.tuple ~key:(100_000 + j) ~a:7 ~b:7 in
+           if Relation.count tables.(j) tup = 0 then
+             Relation.insert tables.(j) tup 1
+           else Relation.delete tables.(j) tup 1;
+           let snapshots = Array.map Relation.copy tables in
+           let fresh = eval (Array.get snapshots) in
+           Bag.diff_into ~into:(Relation.as_bag fresh) current))
+  in
   let bench_aggregate_read =
     (* the serving tier's aggregate read right after an install moved
        the view: one of 3000 view tuples changes (count 1 <-> 2, so the
@@ -314,6 +336,7 @@ let micro_tests () =
     bench_delta_apply; bench_queue_churn; bench_stream_step;
     bench_checkpoint; bench_parser; bench_sim_round;
     bench_sim_round_batched; bench_bag_add; bench_recompute;
+    bench_recompute_one_changed;
     bench_aggregate_read; bench_queued_compensation;
     bench_right_leg_compensation; bench_unjoined_compensation;
     bench_view_probe; bench_copy_add ]

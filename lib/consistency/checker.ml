@@ -63,18 +63,6 @@ let apply_txn view rels into (u : Message.update) =
 let initial_expected view initial =
   Relation.as_bag (Algebra.eval view (fun i -> initial.(i)))
 
-let expected_states view ~initial ~deliveries =
-  let rels = Array.map Relation.copy initial in
-  let expected = initial_expected view initial in
-  let states = Array.make (List.length deliveries + 1) expected in
-  states.(0) <- Bag.copy expected;
-  List.iteri
-    (fun k u ->
-      apply_txn view rels expected u;
-      states.(k + 1) <- Bag.copy expected)
-    deliveries;
-  states
-
 (* ————— session guarantees over the read path ————— *)
 
 type read_view = {

@@ -79,14 +79,6 @@ val pp_deviation : Format.formatter -> deviation -> unit
     {!Degraded} instead of grading it {!Inconsistent}. *)
 val check : ?degraded:bool -> View_def.t -> observation -> result
 
-(** [expected_states view ~initial ~deliveries] — the ground-truth view
-    after each delivery prefix (element 0 = initial view), computed by
-    in-memory incremental maintenance. One copy of the view per
-    delivery: for tests only, {!check} does not use it. *)
-val expected_states :
-  View_def.t -> initial:Relation.t array -> deliveries:Message.update list ->
-  Bag.t array
-
 (** {2 Session guarantees over the read path}
 
     The serving tier ({!Repro_serving.Server}) answers reads from the

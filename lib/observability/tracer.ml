@@ -70,7 +70,6 @@ let event t ~time ?(span = none) ~name ?(attrs = []) () =
   | Some s -> s.rev_events <- ev :: s.rev_events
   | None -> t.rev_root_events <- ev :: t.rev_root_events
 
-let find t id = Hashtbl.find_opt t.spans id
 let roots t = List.rev t.rev_roots
 
 (* ————— rendering ————— *)

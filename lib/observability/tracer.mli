@@ -50,7 +50,6 @@ val event :
   t -> time:float -> ?span:id -> name:string ->
   ?attrs:(string * attr) list -> unit -> unit
 
-val find : t -> id -> span option
 val roots : t -> id list
 
 (** ASCII span tree: one line per span ("[start..end] name k=v …", 3

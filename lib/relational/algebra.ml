@@ -328,13 +328,22 @@ let gather parts srcs locs =
    matched at source j, so the full-width tuple is never built: a
    residual or the selection reads global attribute g as column
    [loc.(g)] of [parts.(src.(g))], and the only tuple made is the view
-   tuple of a match that passes the selection. The view is sized for the smallest source, as a chain at
-   fan-out 1 yields about that many tuples. It is a fresh bag, so it
-   becomes the relation without a copy: its counts are products of the
-   relations' positive counts, so they are positive. *)
-let eval view fetch =
+   tuple of a match that passes the selection. The view is sized for
+   the smallest source, as a chain at fan-out 1 yields about that many
+   tuples. It is a fresh bag, so it becomes the relation without a
+   copy: its counts are products of the relations' positive counts, so
+   they are positive.
+
+   The plan, every map above, is made once per chain. With [keep],
+   junction k also keeps the index it built with an O(1) copy of the
+   bag it was built from, and reuses it while the next bag fetched for
+   source k + 1 still [Bag.shares] that copy's entries. Copy-on-write
+   never writes a shared bag's arrays again, so equal arrays mean equal
+   contents. The chain holds a copy, never the fetched bag itself: a
+   caller that then changes its relation in place unshares it first,
+   so the next call sees fresh arrays and rebuilds. *)
+let chain ~keep view =
   let n = View_def.n_sources view in
-  let rels = Array.init n (fun j -> Relation.as_bag (fetch j)) in
   let src = Array.make (View_def.total_width view) 0 in
   let loc = Array.make (View_def.total_width view) 0 in
   for j = 0 to n - 1 do
@@ -345,55 +354,72 @@ let eval view fetch =
   done;
   let parts = Array.make n [||] in
   let lookup g = parts.(src.(g)).(loc.(g)) in
-  (* Junction k joins source k to source k + 1: [idxs.(k)] indexes
-     source k + 1 on its columns, and source k's columns [pcols.(k)]
+  (* Junction k joins source k to source k + 1: its index holds source
+     k + 1 keyed on [bcols.(k)], and source k's columns [pcols.(k)]
      probe it. *)
   let junction k = View_def.join_between view k in
   let cols k side =
     Array.of_list
       (List.map (fun eq -> loc.(side eq)) (junction k).Join_spec.equalities)
   in
-  let idxs = Array.init (n - 1) (fun k -> index rels.(k + 1) (cols k snd)) in
+  let bcols = Array.init (n - 1) (fun k -> cols k snd) in
   let pcols = Array.init (n - 1) (fun k -> cols k fst) in
   let residuals =
     Array.init (n - 1) (fun k -> (junction k).Join_spec.residual)
   in
-  let out =
-    Bag.create
-      ~initial_size:
-        (Array.fold_left (fun m r -> min m (Bag.cardinal r)) max_int rels)
-      ()
-  in
   let proj = View_def.projection view in
   let psrc = Array.map (Array.get src) proj in
   let ploc = Array.map (Array.get loc) proj in
-  let emit =
-    match View_def.selection view with
-    | Predicate.True -> fun c -> Delta.add out (gather parts psrc ploc) c
-    | sel ->
-        fun c ->
-          if Predicate.eval ~lookup sel then
-            Delta.add out (gather parts psrc ploc) c
-  in
-  (* [descend k c]: [parts] holds a match for sources 0..k; extend it
-     through junction k *)
-  let rec descend k c =
-    if k = n - 1 then emit c
-    else begin
-      let idx = idxs.(k) in
-      let e = ref (first idx parts.(k) pcols.(k)) in
-      while !e >= 0 do
-        parts.(k + 1) <- idx.tuples.(!e);
-        (match residuals.(k) with
-        | Some p when not (Predicate.eval ~lookup p) -> ()
-        | _ -> descend (k + 1) (c * idx.counts.(!e)));
-        e := idx.next.(!e)
-      done
-    end
-  in
-  Bag.iter
-    (fun tup c ->
-      parts.(0) <- tup;
-      descend 0 c)
-    rels.(0);
-  Relation.adopt out
+  let selection = View_def.selection view in
+  let built = Array.make (n - 1) None in
+  fun fetch ->
+    let rels = Array.init n (fun j -> Relation.as_bag (fetch j)) in
+    let idxs =
+      Array.init (n - 1) (fun k ->
+          let r = rels.(k + 1) in
+          match built.(k) with
+          | Some (b, idx) when Bag.shares b r -> idx
+          | _ ->
+              let idx = index r bcols.(k) in
+              if keep then built.(k) <- Some (Bag.copy r, idx);
+              idx)
+    in
+    let out =
+      Bag.create
+        ~initial_size:
+          (Array.fold_left (fun m r -> min m (Bag.cardinal r)) max_int rels)
+        ()
+    in
+    let emit =
+      match selection with
+      | Predicate.True -> fun c -> Delta.add out (gather parts psrc ploc) c
+      | sel ->
+          fun c ->
+            if Predicate.eval ~lookup sel then
+              Delta.add out (gather parts psrc ploc) c
+    in
+    (* [descend k c]: [parts] holds a match for sources 0..k; extend it
+       through junction k *)
+    let rec descend k c =
+      if k = n - 1 then emit c
+      else begin
+        let idx = idxs.(k) in
+        let e = ref (first idx parts.(k) pcols.(k)) in
+        while !e >= 0 do
+          parts.(k + 1) <- idx.tuples.(!e);
+          (match residuals.(k) with
+          | Some p when not (Predicate.eval ~lookup p) -> ()
+          | _ -> descend (k + 1) (c * idx.counts.(!e)));
+          e := idx.next.(!e)
+        done
+      end
+    in
+    Bag.iter
+      (fun tup c ->
+        parts.(0) <- tup;
+        descend 0 c)
+      rels.(0);
+    Relation.adopt out
+
+let eval view = chain ~keep:false view
+let evaluator view = chain ~keep:true view

@@ -72,7 +72,20 @@ val select_project : View_def.t -> Partial.t -> Delta.t
 
 (** [eval view fetch] recomputes the view from scratch: [fetch i] must
     return source [i]'s current relation. Ground truth for tests and the
-    recompute baseline. Source 0 streams through indexes of sources
-    1..n−1 in one probe chain, so no intermediate join result is built;
-    the result is fresh. *)
+    initial view. Source 0 streams through indexes of sources 1..n−1 in
+    one probe chain, so no intermediate join result is built; the result
+    is fresh. It keeps nothing and leaves every relation as it was, not
+    even marked shared. *)
 val eval : View_def.t -> (int -> Relation.t) -> Relation.t
+
+(** [evaluator view] is {!eval} [view] for repeated recomputes, as the
+    recompute baseline makes one per update. The plan (column maps,
+    probe columns, residuals, projection) is made once. Junction k keeps
+    the index it built over source k + 1 with an O(1) {!Relation.copy}
+    of that relation, and the next call reuses the index while the
+    relation fetched for source k + 1 still {!Bag.shares} that copy's
+    entries. So a source that answers with a [Relation.copy] of an
+    unchanged table costs no build, and any change, even in place to the
+    very relation fetched before, rebuilds that junction only. Each call
+    equals [eval view fetch] bag for bag. *)
+val evaluator : View_def.t -> (int -> Relation.t) -> Relation.t

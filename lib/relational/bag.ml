@@ -40,6 +40,11 @@ let copy b =
   b.shared <- true;
   { b with shared = true }
 
+(* Only [copy] puts one set of arrays in two bags, and it marks both
+   shared; a shared bag, and a bag that grows, takes fresh arrays before
+   it writes. So arrays two bags share are never written again. *)
+let shares a b = a.keys == b.keys
+
 let unshare b =
   if b.shared then begin
     b.hashes <- Array.copy b.hashes;

@@ -21,6 +21,13 @@ val create : ?initial_size:int -> unit -> t
     is first mutated, which then copies them. *)
 val copy : t -> t
 
+(** [shares a b] holds when [a] and [b] hold the same entries, which
+    only {!copy} brings about. Neither has changed since, as a bag that
+    changes first copies the entries it shares, so [equal a b]: an O(1)
+    test that a copy still matches its bag. It is false for equal bags
+    built apart, or once either side changes. *)
+val shares : t -> t -> bool
+
 (** [add b tup n] adds [n] (possibly negative) to the multiplicity of
     [tup]. Adding zero is a no-op. *)
 val add : t -> Tuple.t -> int -> unit

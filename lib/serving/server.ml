@@ -179,8 +179,3 @@ let latency_histogram t = t.h_latency
 
 let log t = List.rev t.log
 let read_log t = List.rev t.session_log
-
-let pp_outcome ppf = function
-  | Fresh -> Format.pp_print_string ppf "fresh"
-  | Stale s -> Format.fprintf ppf "stale(%.3f)" s
-  | Shed -> Format.pp_print_string ppf "shed"

@@ -106,5 +106,3 @@ val log : t -> record list
 (** Served reads as {!Repro_consistency.Checker.read_view}s, ready for
     {!Repro_consistency.Checker.check_sessions}. *)
 val read_log : t -> Repro_consistency.Checker.read_view list
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -24,7 +24,6 @@ let schedule t ~delay f =
   at t ~time:(t.clock +. delay) f
 
 let executed t = t.executed
-let pending t = Event_queue.length t.queue
 
 let run ?until ?max_events t =
   let stop = ref None in

@@ -29,9 +29,6 @@ val at : t -> time:float -> (unit -> unit) -> unit
 (** Number of events executed so far. *)
 val executed : t -> int
 
-(** Pending events. *)
-val pending : t -> int
-
 (** [run ?until ?max_events t] executes events until the queue drains, the
     next event is past [until], or [max_events] have run. Returns the
     reason it stopped. *)

@@ -15,9 +15,16 @@ type job = {
   mutable span : Tracer.id;
 }
 
-type t = { ctx : Algorithm.ctx; mutable current : job option }
+(* [eval] keeps the join index of each source whose snapshot did not
+   change since the last recompute; it is derived, so a restore starts
+   a fresh one and the checkpoint does not hold it. *)
+type t = {
+  ctx : Algorithm.ctx;
+  mutable current : job option;
+  eval : (int -> Relation.t) -> Relation.t;
+}
 
-let create ctx = { ctx; current = None }
+let create ctx = { ctx; current = None; eval = Algebra.evaluator ctx.view }
 
 let rec start_next t =
   match t.current with
@@ -50,7 +57,7 @@ and finish t job =
   (* Install the difference between the recomputed view and the current
      contents, so the node's single install path applies. [eval]'s result
      is fresh, so the difference is taken in it, in place. *)
-  let delta = Relation.as_bag (Algebra.eval t.ctx.view fetch) in
+  let delta = Relation.as_bag (t.eval fetch) in
   Bag.diff_into ~into:delta (t.ctx.view_contents ());
   t.current <- None;
   t.ctx.install delta ~txns:[ job.entry ];
@@ -114,4 +121,5 @@ let job_of_snap s =
   | _ -> invalid_arg "Recompute: malformed job snapshot"
 
 let snapshot t = Snap.option snap_of_job t.current
-let restore ctx s = { ctx; current = Snap.to_option job_of_snap s }
+let restore ctx s =
+  { (create ctx) with current = Snap.to_option job_of_snap s }

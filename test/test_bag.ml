@@ -200,6 +200,11 @@ let agrees b m =
        (fun k -> Bag.count b (key k) = Option.value ~default:0 (M.find_opt k m))
        (Array.append [| 0; 1; 2; 3; 4; 5; 1000; 1149 |] wrap_keys)
 
+(* Beside the three bags, [held] keeps a copy taken at every [Copy],
+   never mutated, with its model, as a cached snapshot would be. After
+   every step, two bags that [Bag.shares] must be equal; a copy shares
+   its bag right after [copy]; and a bag that changes shares with
+   nothing it shared before. *)
 let qcheck_model =
   QCheck.Test.make ~name:"bag ≡ Map model under every operation" ~count:300
     (QCheck.make
@@ -208,18 +213,40 @@ let qcheck_model =
     (fun ops ->
       let bags = Array.init 3 (fun _ -> Bag.create ()) in
       let models = Array.make 3 M.empty in
+      let held = ref [] in
       let ok = ref true in
+      let every () = Array.to_list bags @ List.map fst !held in
       let check () =
+        let every = every () in
         ok :=
           !ok
           && Array.for_all2 agrees bags models
+          && List.for_all (fun (h, m) -> agrees h m) !held
           && List.for_all
                (fun (i, j) ->
                  Bag.equal bags.(i) bags.(j) = M.equal Int.equal models.(i) models.(j))
                [ (0, 1); (1, 0); (0, 2); (2, 0); (1, 2); (2, 1) ]
+          && List.for_all
+               (fun x ->
+                 List.for_all
+                   (fun y -> (not (Bag.shares x y)) || Bag.equal x y)
+                   every)
+               every
+      in
+      (* [mutate i changes f] runs [f], which changes bag [i] when
+         [changes] *)
+      let mutate i changes f =
+        let sharing =
+          List.filter
+            (fun x -> x != bags.(i) && Bag.shares x bags.(i))
+            (every ())
+        in
+        f ();
+        if changes then
+          ok := !ok && not (List.exists (Bag.shares bags.(i)) sharing)
       in
       let add i k n =
-        Bag.add bags.(i) (key k) n;
+        mutate i (n <> 0) (fun () -> Bag.add bags.(i) (key k) n);
         models.(i) <- model_add models.(i) k n;
         check ()
       in
@@ -227,16 +254,23 @@ let qcheck_model =
         (function
           | Add (i, k, n) -> add i k n
           | Copy (i, k) ->
-              bags.(i) <- Bag.copy bags.(k);
+              let b = Bag.copy bags.(k) in
+              ok := !ok && Bag.shares b bags.(k) && Bag.shares bags.(k) b;
+              let h = Bag.copy b in
+              held := (h, models.(k)) :: !held;
+              bags.(i) <- b;
               models.(i) <- models.(k);
+              ok := !ok && Bag.shares h b;
               check ()
           | Merge (i, k) ->
               let src = models.(k) in
-              let negative = Bag.merge_checked ~into:bags.(i) bags.(k) in
+              let negative = ref false in
+              mutate i (not (Bag.is_empty bags.(k))) (fun () ->
+                  negative := Bag.merge_checked ~into:bags.(i) bags.(k));
               models.(i) <- M.fold (fun k c m -> model_add m k c) src models.(i);
               ok :=
                 !ok
-                && negative
+                && !negative
                    = M.exists
                        (fun k _ ->
                          Option.value ~default:0 (M.find_opt k models.(i)) < 0)
@@ -244,7 +278,8 @@ let qcheck_model =
               check ()
           | Diff (i, k) ->
               let src = models.(k) in
-              Bag.diff_into ~into:bags.(i) bags.(k);
+              mutate i (not (Bag.is_empty bags.(k))) (fun () ->
+                  Bag.diff_into ~into:bags.(i) bags.(k));
               models.(i) <- M.fold (fun k c m -> model_add m k (-c)) src models.(i);
               check ()
           | Bulk (i, len, n) ->

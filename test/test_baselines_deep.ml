@@ -117,7 +117,7 @@ let test_strobe_mid_flight_kill () =
   (* the killed derivations are gone: only the R0-less... the final view
      must equal a recomputation *)
   let expected =
-    Checker.expected_states view
+    Test_checker.expected_states view
       ~initial:outcome.Experiment.initial_sources
       ~deliveries:(Node.deliveries outcome.Experiment.node)
   in

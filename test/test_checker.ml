@@ -23,9 +23,23 @@ let obs ?(deliveries = deliveries) installs final =
   Rig.history ~initial:(Paper_example.initial ()) ~v0:(Paper_example.v0 ())
     ~deliveries installs final
 
+(* The ground-truth view after each delivery prefix (element 0 is the
+   initial view), each recomputed from scratch over the sources as the
+   prefix leaves them, so it shares no replay code with the checker. *)
+let expected_states view ~initial ~deliveries =
+  let rels = Array.map Relation.copy initial in
+  let state () = Relation.as_bag (Algebra.eval view (Array.get rels)) in
+  let after (u : Message.update) =
+    match Relation.apply rels.(u.Message.txn.source) u.Message.delta with
+    | Ok () -> state ()
+    | Error _ -> invalid_arg "expected_states: a delete of absent tuples"
+  in
+  let s0 = state () in
+  Array.of_list (s0 :: List.map after deliveries)
+
 let test_expected_states () =
   let states =
-    Checker.expected_states view ~initial:(Paper_example.initial ())
+    expected_states view ~initial:(Paper_example.initial ())
       ~deliveries
   in
   Alcotest.(check int) "four states" 4 (Array.length states);
@@ -61,7 +75,7 @@ let test_strong_batching_accepted () =
      2's delivery 1: a legal serialization (per-source orders respected)
      but not a delivery-order prefix — strong, not complete *)
   let states =
-    Checker.expected_states view ~initial:(Paper_example.initial ())
+    expected_states view ~initial:(Paper_example.initial ())
       ~deliveries:
         [ List.nth deliveries 0; List.nth deliveries 2; List.nth deliveries 1 ]
   in
@@ -97,7 +111,7 @@ let test_out_of_order_same_source_rejected () =
         occurred_at = 0.; global = None } ]
   in
   let states =
-    Checker.expected_states view ~initial:(Paper_example.initial ())
+    expected_states view ~initial:(Paper_example.initial ())
       ~deliveries
   in
   let final = states.(2) in
@@ -228,7 +242,7 @@ let test_mutation_dropped_install () =
 let test_degenerate_empty_initial () =
   let n = Repro_relational.View_def.n_sources view in
   let initial = Array.init n (fun _ -> Relation.create ()) in
-  let states = Checker.expected_states view ~initial ~deliveries:[] in
+  let states = expected_states view ~initial ~deliveries:[] in
   Alcotest.(check int) "one state (the initial view)" 1 (Array.length states);
   Alcotest.(check bool) "empty sources give an empty view" true
     (Bag.is_empty states.(0));
@@ -262,7 +276,7 @@ let test_degenerate_all_noop_deltas () =
   in
   let deliveries = [ mk 0 0; mk 1 0; mk 0 1 ] in
   let states =
-    Checker.expected_states view ~initial:(Paper_example.initial ())
+    expected_states view ~initial:(Paper_example.initial ())
       ~deliveries
   in
   Array.iter
@@ -388,7 +402,7 @@ let test_deviation_reported () =
    delivery, then carries a spurious tuple. *)
 let test_strong_deviation_reported () =
   let states =
-    Checker.expected_states view ~initial:(Paper_example.initial ())
+    expected_states view ~initial:(Paper_example.initial ())
       ~deliveries:
         [ List.nth deliveries 0; List.nth deliveries 2; List.nth deliveries 1 ]
   in

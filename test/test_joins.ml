@@ -416,6 +416,113 @@ let kernel_eval =
         (Relation.as_bag (Algebra.eval view (Array.get rels)))
         (Nested_loop.eval view rels))
 
+(* One evaluator fed successive states of the sources, as the
+   recompute baseline feeds it one snapshot per source per update. A
+   source is kept, replaced by a [Relation.copy] that is then edited (a
+   copy left unedited is what a source answers a fetch with, so its
+   index is reused), edited in place, the very relation the evaluator
+   saw last, or emptied. An edit inserts, deletes one copy of the
+   [i]th entry in sorted order, or, as [Grow], inserts 8 fresh tuples,
+   past the next growth of a table that held at most 5. *)
+type edit = Insert of Tuple.t * int | Delete of int | Grow
+type change = Keep | Copied of edit list | In_place of edit list | Emptied
+
+let gen_edit width =
+  QCheck.Gen.(
+    frequency
+      [ (3, map2 (fun t n -> Insert (t, n)) (gen_tuple width) (int_range 1 2));
+        (2, map (fun i -> Delete i) (int_range 0 4));
+        (1, return Grow) ])
+
+let gen_change width =
+  let edits = QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) (gen_edit width) in
+  QCheck.Gen.(
+    frequency
+      [ (3, return Keep);
+        (3, map (fun e -> Copied e) edits);
+        (3, map (fun e -> In_place e) edits);
+        (1, return Emptied) ])
+
+let apply_edit width r = function
+  | Insert (t, n) -> Relation.insert r t n
+  | Delete i -> (
+      match List.nth_opt (Relation.to_sorted_list r) i with
+      | Some (t, _) -> Relation.delete r t 1
+      | None -> ())
+  | Grow ->
+      for i = 0 to 7 do
+        Relation.insert r
+          (Array.init width (fun a ->
+               Value.int (if a = 0 then 100 + i else i mod 3)))
+          1
+      done
+
+let apply_change width r = function
+  | Keep -> r
+  | Copied edits ->
+      let r = Relation.copy r in
+      List.iter (apply_edit width r) edits;
+      r
+  | In_place edits ->
+      List.iter (apply_edit width r) edits;
+      r
+  | Emptied -> Relation.create ()
+
+let pp_edit = function
+  | Insert (t, n) -> Printf.sprintf "+%s[%d]" (Tuple.to_string t) n
+  | Delete i -> Printf.sprintf "-#%d" i
+  | Grow -> "grow"
+
+let pp_change = function
+  | Keep -> "keep"
+  | Copied e -> "copy " ^ String.concat " " (List.map pp_edit e)
+  | In_place e -> "in place " ^ String.concat " " (List.map pp_edit e)
+  | Emptied -> "empty"
+
+let kernel_evaluator =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 4 >>= fun n ->
+    gen_view n >>= fun view ->
+    let width = View_def.width view in
+    flatten_l
+      (List.init n (fun j ->
+           map Relation.adopt (gen_bag ~positive:true (width j))))
+    >>= fun rels ->
+    list_size (int_range 6 10)
+      (flatten_l (List.init n (fun j -> gen_change (width j))))
+    >|= fun steps -> (view, Array.of_list rels, steps)
+  in
+  kernel_property "nested-loop oracle: evaluator over changing sources" gen
+    (fun (v, rels, steps) ->
+      String.concat "\n"
+        ((show View_def.pp v
+         :: Array.to_list (Array.map (show Relation.pp) rels))
+        @ List.mapi
+            (fun s changes ->
+              Printf.sprintf "step %d: %s" s
+                (String.concat " | " (List.map pp_change changes)))
+            steps))
+    (fun (view, initial, steps) ->
+      (* the generated relations stay as printed: every step works on
+         copies of them *)
+      let rels = Array.map Relation.copy initial in
+      let eval = Algebra.evaluator view in
+      let agrees () =
+        Bag.equal
+          (Relation.as_bag (eval (Array.get rels)))
+          (Nested_loop.eval view rels)
+      in
+      agrees ()
+      && List.for_all
+           (fun changes ->
+             List.iteri
+               (fun j c ->
+                 rels.(j) <- apply_change (View_def.width view j) rels.(j) c)
+               changes;
+             agrees ())
+           steps)
+
 (* TempView over [lo..hi], the answer over it and source [j], and L_j
    indexed on some of [j]'s columns, so that both the probe and the hash
    join serve the error term. *)
@@ -457,6 +564,7 @@ let suite =
     kernel_extend;
     kernel_merge_overlap;
     kernel_eval;
+    kernel_evaluator;
     kernel_compensate;
     Alcotest.test_case "presets: probes never scan" `Slow
       test_presets_never_scan;

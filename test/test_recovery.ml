@@ -762,6 +762,28 @@ let test_c_strobe_crashy_smoke () =
     (r.Experiment.metrics.Metrics.wh_crashes = 1
     && r.Experiment.metrics.Metrics.replayed_records >= 0)
 
+(* Recompute restarts with no join index kept: its first recompute after
+   the restore builds all of them, and the view still converges to the
+   crash-free run's. *)
+let test_recompute_crashy_smoke () =
+  let run wh_crashes =
+    Experiment.run
+      (crashy_scenario ?wh_crashes ~link:Fault.reliable 5L)
+      (module Recompute : Algorithm.S)
+  in
+  let r = run None and clean = run (Some []) in
+  Alcotest.(check bool) "quiesces" true r.Experiment.completed;
+  Alcotest.(check int) "all updates incorporated" n_updates
+    r.Experiment.metrics.Metrics.updates_incorporated;
+  let v = r.Experiment.verdict.Checker.verdict in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least convergent (got %s)" (Checker.verdict_to_string v))
+    true
+    (Checker.compare_verdict v Checker.Convergent <= 0);
+  Alcotest.(check int) "crashed once" 1 r.Experiment.metrics.Metrics.wh_crashes;
+  Alcotest.(check bool) "final view as without the crash" true
+    (Bag.equal r.Experiment.final_view clean.Experiment.final_view)
+
 let test_eca_crashy_smoke () =
   let scenario =
     { (crashy_scenario ~link:Fault.reliable 7L) with
@@ -863,6 +885,8 @@ let suite =
       `Quick test_wal_live_bytes_bounded;
     Alcotest.test_case "smoke: c-strobe across a crash window" `Quick
       test_c_strobe_crashy_smoke;
+    Alcotest.test_case "smoke: recompute across a crash window" `Quick
+      test_recompute_crashy_smoke;
     Alcotest.test_case "smoke: eca (centralized) across a crash window" `Quick
       test_eca_crashy_smoke;
     Alcotest.test_case "bounded queue: backpressure keeps run complete" `Quick
