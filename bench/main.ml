@@ -215,11 +215,13 @@ let micro_tests () =
     (* the same recompute through one evaluator, as Recompute keeps it:
        each run toggles one tuple of the next source in turn, then every
        source answers with a Relation.copy of its table, as Source_node
-       does, so at most one of the three join indexes is rebuilt *)
+       does, so at most one of the three join indexes is rebuilt; the
+       evaluator's change is installed into the view it read *)
     let view4 = Chain.view ~n:4 () in
     let tables = Chain.populate view4 ~size:500 ~domain:500 (Rng.create 42L) in
     let eval = Algebra.evaluator view4 in
-    let current = Relation.as_bag (eval (Array.get tables)) in
+    let current = Bag.create () in
+    Bag.merge_into ~into:current (eval (Array.get tables) ~old:current);
     let run = ref 0 in
     Test.make ~name:"recompute 4 × 500, one source changed per run"
       (Staged.stage (fun () ->
@@ -230,8 +232,8 @@ let micro_tests () =
              Relation.insert tables.(j) tup 1
            else Relation.delete tables.(j) tup 1;
            let snapshots = Array.map Relation.copy tables in
-           let fresh = eval (Array.get snapshots) in
-           Bag.diff_into ~into:(Relation.as_bag fresh) current))
+           Bag.merge_into ~into:current
+             (eval (Array.get snapshots) ~old:current)))
   in
   let bench_aggregate_read =
     (* the serving tier's aggregate read right after an install moved

@@ -314,35 +314,31 @@ let select_project view (full : Partial.t) : Delta.t =
         full.data);
   out
 
-(* [gather parts srcs locs] is the tuple whose column [i] is column
-   [locs.(i)] of [parts.(srcs.(i))]. *)
-let gather parts srcs locs =
-  let t = Array.make (Array.length srcs) Value.Null in
-  for i = 0 to Array.length srcs - 1 do
-    t.(i) <- parts.(srcs.(i)).(locs.(i))
-  done;
-  t
-
 (* One pipelined probe chain: source 0 streams through indexes of
    sources 1..n-1, each read in place. [parts.(j)] holds the tuple
    matched at source j, so the full-width tuple is never built: a
    residual or the selection reads global attribute g as column
-   [loc.(g)] of [parts.(src.(g))], and the only tuple made is the view
-   tuple of a match that passes the selection. The view is sized for
-   the smallest source, as a chain at fan-out 1 yields about that many
-   tuples. It is a fresh bag, so it becomes the relation without a
-   copy: its counts are products of the relations' positive counts, so
-   they are positive.
+   [loc.(g)] of [parts.(src.(g))], and the view tuple of a match that
+   passes the selection is [Tuple.gather parts psrc ploc]. The plan,
+   every map here, is made once per chain. *)
+type plan = {
+  n : int;
+  parts : Tuple.t array;
+  lookup : int -> Value.t;
+  (* Junction k joins source k to source k + 1: its index holds source
+     k + 1 keyed on [bcols.(k)], and source k's columns [pcols.(k)]
+     probe it. *)
+  bcols : int array array;
+  pcols : int array array;
+  residuals : Predicate.t option array;
+  psrc : int array;
+  ploc : int array;
+  selection : Predicate.t;
+  (* Junction k's last index, with a copy of the bag it indexed. *)
+  built : (Bag.t * index) option array;
+}
 
-   The plan, every map above, is made once per chain. With [keep],
-   junction k also keeps the index it built with an O(1) copy of the
-   bag it was built from, and reuses it while the next bag fetched for
-   source k + 1 still [Bag.shares] that copy's entries. Copy-on-write
-   never writes a shared bag's arrays again, so equal arrays mean equal
-   contents. The chain holds a copy, never the fetched bag itself: a
-   caller that then changes its relation in place unshares it first,
-   so the next call sees fresh arrays and rebuilds. *)
-let chain ~keep view =
+let plan view =
   let n = View_def.n_sources view in
   let src = Array.make (View_def.total_width view) 0 in
   let loc = Array.make (View_def.total_width view) 0 in
@@ -353,73 +349,101 @@ let chain ~keep view =
     done
   done;
   let parts = Array.make n [||] in
-  let lookup g = parts.(src.(g)).(loc.(g)) in
-  (* Junction k joins source k to source k + 1: its index holds source
-     k + 1 keyed on [bcols.(k)], and source k's columns [pcols.(k)]
-     probe it. *)
   let junction k = View_def.join_between view k in
   let cols k side =
     Array.of_list
       (List.map (fun eq -> loc.(side eq)) (junction k).Join_spec.equalities)
   in
-  let bcols = Array.init (n - 1) (fun k -> cols k snd) in
-  let pcols = Array.init (n - 1) (fun k -> cols k fst) in
-  let residuals =
-    Array.init (n - 1) (fun k -> (junction k).Join_spec.residual)
-  in
   let proj = View_def.projection view in
-  let psrc = Array.map (Array.get src) proj in
-  let ploc = Array.map (Array.get loc) proj in
-  let selection = View_def.selection view in
-  let built = Array.make (n - 1) None in
-  fun fetch ->
-    let rels = Array.init n (fun j -> Relation.as_bag (fetch j)) in
-    let idxs =
-      Array.init (n - 1) (fun k ->
-          let r = rels.(k + 1) in
-          match built.(k) with
-          | Some (b, idx) when Bag.shares b r -> idx
-          | _ ->
-              let idx = index r bcols.(k) in
-              if keep then built.(k) <- Some (Bag.copy r, idx);
-              idx)
-    in
-    let out =
-      Bag.create
-        ~initial_size:
-          (Array.fold_left (fun m r -> min m (Bag.cardinal r)) max_int rels)
-        ()
-    in
-    let emit =
-      match selection with
-      | Predicate.True -> fun c -> Delta.add out (gather parts psrc ploc) c
-      | sel ->
-          fun c ->
-            if Predicate.eval ~lookup sel then
-              Delta.add out (gather parts psrc ploc) c
-    in
-    (* [descend k c]: [parts] holds a match for sources 0..k; extend it
-       through junction k *)
-    let rec descend k c =
-      if k = n - 1 then emit c
-      else begin
-        let idx = idxs.(k) in
-        let e = ref (first idx parts.(k) pcols.(k)) in
-        while !e >= 0 do
-          parts.(k + 1) <- idx.tuples.(!e);
-          (match residuals.(k) with
-          | Some p when not (Predicate.eval ~lookup p) -> ()
-          | _ -> descend (k + 1) (c * idx.counts.(!e)));
-          e := idx.next.(!e)
-        done
-      end
-    in
-    Bag.iter
-      (fun tup c ->
-        parts.(0) <- tup;
-        descend 0 c)
-      rels.(0);
-    Relation.adopt out
+  { n; parts; lookup = (fun g -> parts.(src.(g)).(loc.(g)));
+    bcols = Array.init (n - 1) (fun k -> cols k snd);
+    pcols = Array.init (n - 1) (fun k -> cols k fst);
+    residuals = Array.init (n - 1) (fun k -> (junction k).Join_spec.residual);
+    psrc = Array.map (Array.get src) proj;
+    ploc = Array.map (Array.get loc) proj;
+    selection = View_def.selection view;
+    built = Array.make (n - 1) None }
 
-let eval view = chain ~keep:false view
-let evaluator view = chain ~keep:true view
+let sources p fetch = Array.init p.n (fun j -> Relation.as_bag (fetch j))
+
+(* [run p ~keep rels emit] calls [emit c] with [p.parts] holding each
+   match that passes the selection, [c] its count.
+
+   With [keep], junction k also keeps the index it built with an O(1)
+   copy of the bag it was built from, and reuses it while the next bag
+   fetched for source k + 1 still [Bag.shares] that copy's entries.
+   Copy-on-write never writes a shared bag's arrays again, so equal
+   arrays mean equal contents. The chain holds a copy, never the
+   fetched bag itself: a caller that then changes its relation in place
+   unshares it first, so the next call sees fresh arrays and
+   rebuilds. *)
+let run p ~keep rels emit =
+  let { n; parts; lookup; pcols; residuals; _ } = p in
+  let idxs =
+    Array.init (n - 1) (fun k ->
+        let r = rels.(k + 1) in
+        match p.built.(k) with
+        | Some (b, idx) when Bag.shares b r -> idx
+        | _ ->
+            let idx = index r p.bcols.(k) in
+            if keep then p.built.(k) <- Some (Bag.copy r, idx);
+            idx)
+  in
+  let emit =
+    match p.selection with
+    | Predicate.True -> emit
+    | sel -> fun c -> if Predicate.eval ~lookup sel then emit c
+  in
+  (* [descend k c]: [parts] holds a match for sources 0..k; extend it
+     through junction k *)
+  let rec descend k c =
+    if k = n - 1 then emit c
+    else begin
+      let idx = idxs.(k) in
+      let e = ref (first idx parts.(k) pcols.(k)) in
+      while !e >= 0 do
+        parts.(k + 1) <- idx.tuples.(!e);
+        (match residuals.(k) with
+        | Some r when not (Predicate.eval ~lookup r) -> ()
+        | _ -> descend (k + 1) (c * idx.counts.(!e)));
+        e := idx.next.(!e)
+      done
+    end
+  in
+  Bag.iter
+    (fun tup c ->
+      parts.(0) <- tup;
+      descend 0 c)
+    rels.(0)
+
+(* The view is sized for the smallest source, as a chain at fan-out 1
+   yields about that many tuples. It is a fresh bag, so it becomes the
+   relation without a copy: its counts are products of the relations'
+   positive counts, so they are positive. *)
+let eval view fetch =
+  let p = plan view in
+  let rels = sources p fetch in
+  let out =
+    Bag.create
+      ~initial_size:
+        (Array.fold_left (fun m r -> min m (Bag.cardinal r)) max_int rels)
+      ()
+  in
+  let { parts; psrc; ploc; _ } = p in
+  run p ~keep:false rels (fun c ->
+      Delta.add out (Tuple.gather parts psrc ploc) c);
+  Relation.adopt out
+
+(* Each match is looked up in [old] where it stands, by
+   [Tuple.hash_gather] and [Tuple.equal_gather], so a result already in
+   the view costs no tuple. *)
+let evaluator view =
+  let p = plan view in
+  let { parts; psrc; ploc; _ } = p in
+  let equal t = Tuple.equal_gather t parts psrc ploc in
+  let make () = Tuple.gather parts psrc ploc in
+  fun fetch ~old ->
+    let d = Bag.differ old in
+    run p ~keep:true (sources p fetch) (fun c ->
+        Bag.visit d ~hash:(Tuple.hash_gather parts psrc ploc) ~equal ~make c);
+    Bag.finish d

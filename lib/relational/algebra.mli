@@ -78,14 +78,23 @@ val select_project : View_def.t -> Partial.t -> Delta.t
     even marked shared. *)
 val eval : View_def.t -> (int -> Relation.t) -> Relation.t
 
-(** [evaluator view] is {!eval} [view] for repeated recomputes, as the
-    recompute baseline makes one per update. The plan (column maps,
-    probe columns, residuals, projection) is made once. Junction k keeps
-    the index it built over source k + 1 with an O(1) {!Relation.copy}
-    of that relation, and the next call reuses the index while the
-    relation fetched for source k + 1 still {!Bag.shares} that copy's
-    entries. So a source that answers with a [Relation.copy] of an
-    unchanged table costs no build, and any change, even in place to the
-    very relation fetched before, rebuilds that junction only. Each call
-    equals [eval view fetch] bag for bag. *)
-val evaluator : View_def.t -> (int -> Relation.t) -> Relation.t
+(** [evaluator view] recomputes the view repeatedly, as the recompute
+    baseline does once per update, and returns each time the change to
+    the view rather than the view: [evaluator view fetch ~old] is
+    [eval view fetch − old], a fresh delta. [old], typically the
+    installed view, is read in place and never written, so it needs no
+    copy: each result of the probe chain is hashed and compared where
+    it stands ({!Tuple.hash_gather}, {!Tuple.equal_gather}) and looked up
+    in [old] through a {!Bag.differ}, so the only tuples built are those
+    new to [old], which the delta installs.
+
+    The plan (column maps, probe columns, residuals, projection) is made
+    once. Junction k keeps the index it built over source k + 1 with an
+    O(1) {!Relation.copy} of that relation, and the next call reuses the
+    index while the relation fetched for source k + 1 still
+    {!Bag.shares} that copy's entries. So a source that answers with a
+    [Relation.copy] of an unchanged table costs no build, and any
+    change, even in place to the very relation fetched before, rebuilds
+    that junction only. *)
+val evaluator :
+  View_def.t -> (int -> Relation.t) -> old:Bag.t -> Delta.t

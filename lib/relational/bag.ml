@@ -112,6 +112,27 @@ let remove_at b hole =
   counts.(hole) <- 0;
   b.size <- b.size - 1
 
+(* Add [n] to the entry in slot [i] and return its new count. A count
+   that reaches zero leaves the table. *)
+let settle b i n =
+  unshare b;
+  let c = b.counts.(i) + n in
+  if c = 0 then remove_at b i else b.counts.(i) <- c;
+  c
+
+(* Put [tup], hashed [h], in the empty slot [i] that ends its run, or
+   where it belongs once the table has grown. *)
+let insert b i h tup n =
+  if b.size >= limit (Array.length b.hashes) then begin
+    grow b;
+    let mask = Array.length b.hashes - 1 in
+    place b (free b.hashes mask (h land mask)) h tup n
+  end
+  else begin
+    unshare b;
+    place b i h tup n
+  end
+
 (* [bump b tup n] adds [n <> 0] and returns the new count. A count that
    reaches zero leaves the table, but [n] still moves the total: the
    entry's old count was [-n]. *)
@@ -120,26 +141,76 @@ let bump b tup n =
   let mask = Array.length b.hashes - 1 in
   let i = slot b.hashes b.keys mask h tup (h land mask) in
   b.total <- b.total + n;
-  if b.hashes.(i) >= 0 then begin
-    unshare b;
-    let c = b.counts.(i) + n in
-    if c = 0 then remove_at b i else b.counts.(i) <- c;
-    c
-  end
+  if b.hashes.(i) >= 0 then settle b i n
   else begin
-    if b.size >= limit (Array.length b.hashes) then begin
-      grow b;
-      let mask = Array.length b.hashes - 1 in
-      place b (free b.hashes mask (h land mask)) h tup n
-    end
-    else begin
-      unshare b;
-      place b i h tup n
-    end;
+    insert b i h tup n;
     n
   end
 
 let add b tup n = if n <> 0 then ignore (bump b tup n)
+
+(* [slot] for a tuple known by its hash [h] and a test [equal] of a key
+   against it. *)
+let rec slot_by hashes keys mask h equal i =
+  let h' = Array.unsafe_get hashes i in
+  if h' < 0 || (h' = h && equal (Array.unsafe_get keys i)) then i
+  else slot_by hashes keys mask h equal ((i + 1) land mask)
+
+(* [add] of a tuple known by [h] and [equal]. A new entry takes [tup],
+   or [make ()] when [tup] is [no_key], so nothing is built for a tuple
+   the bag holds already. *)
+let add_by b h equal tup make n =
+  if n <> 0 then begin
+    let mask = Array.length b.hashes - 1 in
+    let i = slot_by b.hashes b.keys mask h equal (h land mask) in
+    b.total <- b.total + n;
+    if b.hashes.(i) >= 0 then ignore (settle b i n)
+    else insert b i h (if tup == no_key then make () else tup) n
+  end
+
+(* A diff read off [old] in place: [seen] has bit [i] set once slot [i]
+   of [old] was visited, and [delta] collects the change. *)
+type differ = { old : t; seen : Bytes.t; delta : t }
+
+let differ old =
+  { old; seen = Bytes.make ((Array.length old.hashes + 7) lsr 3) '\000';
+    delta = make 4 }
+
+let[@inline] seen d i =
+  Char.code (Bytes.unsafe_get d.seen (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let[@inline] mark d i =
+  let byte = Char.code (Bytes.unsafe_get d.seen (i lsr 3)) in
+  Bytes.unsafe_set d.seen (i lsr 3)
+    (Char.unsafe_chr (byte lor (1 lsl (i land 7))))
+
+(* The first visit to an entry of [old] moves [delta] by the difference
+   of the counts and marks the slot; a later one, or a tuple [old]
+   lacks, adds its count. Either way [delta] reuses [old]'s tuple when
+   there is one. *)
+let visit d ~hash ~equal ~make c =
+  let old = d.old in
+  let mask = Array.length old.hashes - 1 in
+  let i = slot_by old.hashes old.keys mask hash equal (hash land mask) in
+  if old.hashes.(i) < 0 then add_by d.delta hash equal no_key make c
+  else begin
+    let c =
+      if seen d i then c
+      else begin
+        mark d i;
+        c - old.counts.(i)
+      end
+    in
+    add_by d.delta hash equal old.keys.(i) make c
+  end
+
+let finish d =
+  let old = d.old in
+  for i = 0 to Array.length old.hashes - 1 do
+    if old.hashes.(i) >= 0 && not (seen d i) then
+      add d.delta old.keys.(i) (-old.counts.(i))
+  done;
+  d.delta
 
 (* An empty slot's count is 0. *)
 let count b tup =

@@ -67,6 +67,34 @@ val merge_checked : into:t -> t -> bool
     Aliasing is safe: [diff_into ~into b b] empties the bag. *)
 val diff_into : into:t -> t -> unit
 
+(** {2 Read-only diff}
+
+    A differ computes [new − old] while [new] is visited tuple by tuple
+    (each tuple any number of times, with any counts), reading [old] in
+    place: [old] is never written, so it needs no copy. A visit names
+    its tuple by hash and equality, so the caller need not build it:
+    a tuple is built only when it is new to both [old] and the result,
+    and an entry of [old] lends its own tuple to the result. *)
+
+type differ
+
+(** [differ old] starts a diff against [old], which must not change
+    until {!finish}. *)
+val differ : t -> differ
+
+(** [visit d ~hash ~equal ~make c] adds [c] copies of a tuple [u] to
+    [new]: [hash] is [Tuple.hash u], [equal v] is [Tuple.equal v u], and
+    [make ()] builds [u]. It costs a probe of [old] and, unless the
+    first visit to an entry of [old] matches its count, one of the
+    result. *)
+val visit :
+  differ -> hash:int -> equal:(Tuple.t -> bool) -> make:(unit -> Tuple.t) ->
+  int -> unit
+
+(** [finish d] is [new − old], a fresh bag: every visit's count, less
+    the count in [old] of every tuple. [d] is spent. *)
+val finish : differ -> t
+
 (** Entries sorted by tuple — canonical, deterministic order. *)
 val to_sorted_list : t -> (Tuple.t * int) list
 

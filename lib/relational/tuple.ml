@@ -68,6 +68,43 @@ let equal_cols a acols b bcols =
   let n = Array.length acols in
   n = Array.length bcols && equal_cols_from a acols b bcols 0 n
 
+let gather parts srcs locs =
+  let t = Array.make (Array.length srcs) Value.Null in
+  for i = 0 to Array.length srcs - 1 do
+    t.(i) <- parts.(srcs.(i)).(locs.(i))
+  done;
+  t
+
+(* Column [i] of [gather parts srcs locs], read in place. *)
+let gathered parts srcs locs i =
+  (Array.unsafe_get parts (Array.unsafe_get srcs i)).(Array.unsafe_get locs i)
+
+(* [hash] and [equal] of [gather parts srcs locs], read in place. *)
+let rec hash_gather_from parts srcs locs i n h =
+  if i = n then h
+  else
+    let x =
+      match gathered parts srcs locs i with
+      | Value.Int x -> x
+      | v -> Hashtbl.hash v
+    in
+    hash_gather_from parts srcs locs (i + 1) n ((h * 0x100000001b3) + x)
+
+let hash_gather parts srcs locs =
+  let n = Array.length srcs in
+  Value.spread (hash_gather_from parts srcs locs 0 n n)
+
+let rec equal_gather_from t parts srcs locs i n =
+  i = n
+  || (match (Array.unsafe_get t i, gathered parts srcs locs i) with
+     | Value.Int x, Value.Int y -> x = y
+     | x, y -> Value.compare x y = 0)
+     && equal_gather_from t parts srcs locs (i + 1) n
+
+let equal_gather t parts srcs locs =
+  let n = Array.length srcs in
+  n = Array.length t && equal_gather_from t parts srcs locs 0 n
+
 let concat = Array.append
 
 let project t indices =

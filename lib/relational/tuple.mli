@@ -29,6 +29,19 @@ val hash_cols : t -> int array -> int
     either projection. *)
 val equal_cols : t -> int array -> t -> int array -> bool
 
+(** [gather parts srcs locs] is the tuple whose column [i] is column
+    [locs.(i)] of [parts.(srcs.(i))]: a view tuple read off the source
+    tuples matched along a join chain. *)
+val gather : t array -> int array -> int array -> t
+
+(** [hash_gather parts srcs locs] is [hash (gather parts srcs locs)],
+    without building the tuple. *)
+val hash_gather : t array -> int array -> int array -> int
+
+(** [equal_gather t parts srcs locs] is
+    [equal t (gather parts srcs locs)], without building the tuple. *)
+val equal_gather : t -> t array -> int array -> int array -> bool
+
 (** [concat a b] is the juxtaposition of [a] and [b] — the tuple of the
     joined relation. *)
 val concat : t -> t -> t

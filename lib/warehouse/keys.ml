@@ -57,6 +57,10 @@ let add_answer view ~working full =
     (Algebra.select_project view { Partial.lo = 0; hi = last; data = full })
 
 let install (ctx : Algorithm.ctx) ~working ~txns =
-  let delta = Bag.copy working in
-  Bag.diff_into ~into:delta (ctx.view_contents ());
-  ctx.install delta ~txns
+  let d = Bag.differ (ctx.view_contents ()) in
+  Bag.iter
+    (fun tup c ->
+      Bag.visit d ~hash:(Tuple.hash tup) ~equal:(Tuple.equal tup)
+        ~make:(fun () -> tup) c)
+    working;
+  ctx.install (Bag.finish d) ~txns

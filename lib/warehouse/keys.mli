@@ -40,6 +40,8 @@ val view_deletion :
 val add_answer : View_def.t -> working:Bag.t -> Delta.t -> unit
 
 (** [install ctx ~working ~txns] installs [working] minus the current
-    view as one state transition incorporating [txns]. *)
+    view as one state transition incorporating [txns]. The difference
+    is read off the view in place by a {!Bag.differ}, which neither
+    writes the view nor copies [working]. *)
 val install :
   Algorithm.ctx -> working:Bag.t -> txns:Update_queue.entry list -> unit

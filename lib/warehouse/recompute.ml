@@ -21,7 +21,7 @@ type job = {
 type t = {
   ctx : Algorithm.ctx;
   mutable current : job option;
-  eval : (int -> Relation.t) -> Relation.t;
+  eval : (int -> Relation.t) -> old:Bag.t -> Delta.t;
 }
 
 let create ctx = { ctx; current = None; eval = Algebra.evaluator ctx.view }
@@ -55,10 +55,9 @@ and finish t job =
     match job.snapshots.(i) with Some r -> r | None -> assert false
   in
   (* Install the difference between the recomputed view and the current
-     contents, so the node's single install path applies. [eval]'s result
-     is fresh, so the difference is taken in it, in place. *)
-  let delta = Relation.as_bag (t.eval fetch) in
-  Bag.diff_into ~into:delta (t.ctx.view_contents ());
+     contents, so the node's single install path applies. [eval] reads
+     the current contents in place and returns the difference. *)
+  let delta = t.eval fetch ~old:(t.ctx.view_contents ()) in
   t.current <- None;
   t.ctx.install delta ~txns:[ job.entry ];
   Obs.finish t.ctx.obs job.span;

@@ -193,9 +193,8 @@ let test_eval_result_is_fresh () =
         rels)
     [ ("n=2", view2); ("n=1, every column", view1) ]
 
-(* Recompute diffs the current view into [eval]'s fresh result, never
-   into a snapshot it was sent, and leaves both the snapshots and the
-   view it read unchanged. *)
+(* Recompute installs a fresh delta, never a snapshot it was sent, and
+   leaves both the snapshots and the view it read unchanged. *)
 let test_recompute_diffs_into_fresh_bag () =
   let open Repro_warehouse in
   let open Repro_protocol in

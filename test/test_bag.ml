@@ -294,6 +294,62 @@ let qcheck_model =
         ops;
       !ok)
 
+(* The read-only differ against a model: [old] is empty, or up to 7
+   entries with signed counts in a table of 8 slots, drawn from a few
+   keys and from [wrap_keys], so runs collide and wrap past the last
+   slot. Visits repeat keys, name keys [old] lacks, and carry zero and
+   negative counts. The result is Σ visits − [old]; [old] is not
+   written, so a copy taken before still shares it; and a tuple is
+   built only when [old] lacks it. *)
+let qcheck_differ =
+  let gen =
+    let open QCheck.Gen in
+    let k = oneof [ int_range 0 5; oneofa wrap_keys ] in
+    let entries n keys =
+      list_size (int_range 0 n) (pair keys (int_range (-3) 3))
+    in
+    pair
+      (frequency [ (1, return []); (4, entries 7 k) ])
+      (entries 20 (frequency [ (3, k); (1, int_range 6 9) ]))
+  in
+  let show l =
+    String.concat " "
+      (List.map (fun (k, c) -> Printf.sprintf "%d[%d]" k c) l)
+  in
+  QCheck.Test.make ~name:"bag differ = visits - old, old untouched"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (o, v) -> "old " ^ show o ^ " / visits " ^ show v)
+       gen)
+    (fun (old_entries, visits) ->
+      let old = Bag.create ~initial_size:7 () in
+      List.iter (fun (k, c) -> Bag.add old (key k) c) old_entries;
+      let old_model =
+        List.fold_left (fun m (k, c) -> model_add m k c) M.empty old_entries
+      in
+      let before = Bag.copy old in
+      let made_present = ref false in
+      let d = Bag.differ old in
+      List.iter
+        (fun (k, c) ->
+          let tup = key k in
+          Bag.visit d ~hash:(Tuple.hash tup) ~equal:(Tuple.equal tup)
+            ~make:(fun () ->
+              if Bag.mem old tup then made_present := true;
+              tup)
+            c)
+        visits;
+      let result = Bag.finish d in
+      let expected =
+        List.fold_left
+          (fun m (k, c) -> model_add m k c)
+          (M.map (fun c -> -c) old_model)
+          visits
+      in
+      agrees result expected
+      && Bag.shares before old && agrees old old_model
+      && not !made_present)
+
 let suite =
   [ Alcotest.test_case "add cancels to empty" `Quick test_add_cancel;
     Alcotest.test_case "counts and sizes" `Quick test_counts;
@@ -307,4 +363,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_of_list_sums;
     QCheck_alcotest.to_alcotest qcheck_merge_diff_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_total_is_sum;
-    QCheck_alcotest.to_alcotest qcheck_model ]
+    QCheck_alcotest.to_alcotest qcheck_model;
+    QCheck_alcotest.to_alcotest qcheck_differ ]

@@ -479,49 +479,108 @@ let pp_change = function
   | In_place e -> "in place " ^ String.concat " " (List.map pp_edit e)
   | Emptied -> "empty"
 
+(* A chain, its sources, and 6-10 steps of source changes, each with
+   an [extra] drawn by [gen_extra view]. *)
+let gen_evaluator_case gen_extra =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun n ->
+  gen_view n >>= fun view ->
+  let width = View_def.width view in
+  flatten_l
+    (List.init n (fun j ->
+         map Relation.adopt (gen_bag ~positive:true (width j))))
+  >>= fun rels ->
+  list_size (int_range 6 10)
+    (pair (flatten_l (List.init n (fun j -> gen_change (width j))))
+       (gen_extra view))
+  >|= fun steps -> (view, Array.of_list rels, steps)
+
+let show_evaluator_case pp_extra (v, rels, steps) =
+  String.concat "\n"
+    ((show View_def.pp v :: Array.to_list (Array.map (show Relation.pp) rels))
+    @ List.mapi
+        (fun s (changes, extra) ->
+          Printf.sprintf "step %d: %s%s" s
+            (String.concat " | " (List.map pp_change changes))
+            (pp_extra extra))
+        steps)
+
+(* [evaluator_steps view initial steps step] feeds one evaluator the
+   initial sources, then each step's changes, calling
+   [step eval rels extra] after each (with no extra at the start). The
+   generated relations stay as printed: every step works on copies of
+   them. *)
+let evaluator_steps view initial steps step =
+  let rels = Array.map Relation.copy initial in
+  let eval = Algebra.evaluator view in
+  step eval rels None
+  && List.for_all
+       (fun (changes, extra) ->
+         List.iteri
+           (fun j c ->
+             rels.(j) <- apply_change (View_def.width view j) rels.(j) c)
+           changes;
+         step eval rels (Some extra))
+       steps
+
+(* The recompute baseline's use: the view advances by each returned
+   change, and must equal the reference after every step. *)
 let kernel_evaluator =
-  let gen =
-    let open QCheck.Gen in
-    int_range 1 4 >>= fun n ->
-    gen_view n >>= fun view ->
-    let width = View_def.width view in
-    flatten_l
-      (List.init n (fun j ->
-           map Relation.adopt (gen_bag ~positive:true (width j))))
-    >>= fun rels ->
-    list_size (int_range 6 10)
-      (flatten_l (List.init n (fun j -> gen_change (width j))))
-    >|= fun steps -> (view, Array.of_list rels, steps)
-  in
-  kernel_property "nested-loop oracle: evaluator over changing sources" gen
-    (fun (v, rels, steps) ->
-      String.concat "\n"
-        ((show View_def.pp v
-         :: Array.to_list (Array.map (show Relation.pp) rels))
-        @ List.mapi
-            (fun s changes ->
-              Printf.sprintf "step %d: %s" s
-                (String.concat " | " (List.map pp_change changes)))
-            steps))
+  kernel_property "nested-loop oracle: evaluator over changing sources"
+    (gen_evaluator_case (fun _ -> QCheck.Gen.unit))
+    (show_evaluator_case (fun () -> ""))
     (fun (view, initial, steps) ->
-      (* the generated relations stay as printed: every step works on
-         copies of them *)
-      let rels = Array.map Relation.copy initial in
-      let eval = Algebra.evaluator view in
-      let agrees () =
-        Bag.equal
-          (Relation.as_bag (eval (Array.get rels)))
-          (Nested_loop.eval view rels)
-      in
-      agrees ()
-      && List.for_all
-           (fun changes ->
-             List.iteri
-               (fun j c ->
-                 rels.(j) <- apply_change (View_def.width view j) rels.(j) c)
-               changes;
-             agrees ())
-           steps)
+      let current = Bag.create () in
+      evaluator_steps view initial steps (fun eval rels _ ->
+          Bag.merge_into ~into:current (eval (Array.get rels) ~old:current);
+          Bag.equal current (Nested_loop.eval view rels)))
+
+(* The old view an evaluator diffs against, whatever it holds: the
+   current view, nothing, the view [k + 1] steps back (or the earliest
+   there is), or an unrelated bag of view tuples with signed counts. *)
+type old = Current | Empty | Stale of int | Unrelated of Bag.t
+
+let gen_old view =
+  QCheck.Gen.(
+    frequency
+      [ (2, return Current); (1, return Empty);
+        (2, map (fun k -> Stale k) (int_range 0 9));
+        ( 2,
+          map
+            (fun b -> Unrelated b)
+            (gen_bag (Array.length (View_def.projection view)))
+        ) ])
+
+let pp_old = function
+  | Current -> ", against the current view"
+  | Empty -> ", against nothing"
+  | Stale k -> Printf.sprintf ", against the view %d steps back" (k + 1)
+  | Unrelated b -> ", against " ^ show Bag.pp b
+
+(* Whatever [old] is, the change takes it to the reference, and [old]
+   is never written: a copy taken before still shares it. *)
+let kernel_evaluator_old =
+  kernel_property "nested-loop oracle: evaluator against any old view"
+    (gen_evaluator_case gen_old)
+    (show_evaluator_case pp_old)
+    (fun (view, initial, steps) ->
+      let history = ref [] in
+      evaluator_steps view initial steps (fun eval rels extra ->
+          let old =
+            match (extra, !history) with
+            | Some (Unrelated b), _ -> b
+            | Some (Stale k), (_ :: _ as h) ->
+                List.nth h (min (List.length h - 1) (k + 1))
+            | (None | Some Current), h :: _ -> h
+            | _ -> Bag.create ()
+          in
+          let before = Bag.copy old in
+          let change = eval (Array.get rels) ~old in
+          let untouched = Bag.shares before old in
+          let expected = Nested_loop.eval view rels in
+          Bag.merge_into ~into:before change;
+          history := expected :: !history;
+          untouched && Bag.equal before expected))
 
 (* TempView over [lo..hi], the answer over it and source [j], and L_j
    indexed on some of [j]'s columns, so that both the probe and the hash
@@ -565,6 +624,7 @@ let suite =
     kernel_merge_overlap;
     kernel_eval;
     kernel_evaluator;
+    kernel_evaluator_old;
     kernel_compensate;
     Alcotest.test_case "presets: probes never scan" `Slow
       test_presets_never_scan;

@@ -194,6 +194,65 @@ let qcheck_equal_cols =
       Tuple.equal_cols a ac b bc
       = Tuple.equal (Tuple.project a ac) (Tuple.project b bc))
 
+(* One to three parts, and columns drawn from them with repeats: none
+   when every part is empty. *)
+let gen_gather =
+  let open QCheck.Gen in
+  list_size (int_range 1 3) gen_tuple >>= fun parts ->
+  let parts = Array.of_list parts in
+  let places =
+    List.concat
+      (List.mapi
+         (fun j t -> List.init (Array.length t) (fun a -> (j, a)))
+         (Array.to_list parts))
+  in
+  (if places = [] then return []
+   else list_size (int_range 0 4) (oneofl places))
+  >|= fun cols ->
+  ( parts,
+    Array.of_list (List.map fst cols),
+    Array.of_list (List.map snd cols) )
+
+let show_gather (parts, srcs, locs) =
+  Printf.sprintf "%s at %s / %s"
+    (String.concat " " (Array.to_list (Array.map Tuple.to_string parts)))
+    (show_cols srcs) (show_cols locs)
+
+let qcheck_hash_gather =
+  QCheck.Test.make ~name:"Tuple.hash_gather = hash (gather ...)" ~count:1000
+    (QCheck.make ~print:show_gather gen_gather)
+    (fun (parts, srcs, locs) ->
+      Tuple.hash_gather parts srcs locs
+      = Tuple.hash (Tuple.gather parts srcs locs))
+
+(* Usually the gathered tuple with each column kept, swapped for an
+   equivalent or redrawn; sometimes a tuple of any arity. *)
+let qcheck_equal_gather =
+  let gen =
+    let open QCheck.Gen in
+    gen_gather >>= fun (parts, srcs, locs) ->
+    let column v =
+      frequency [ (3, return v); (3, return (equivalent v)); (1, gen_value) ]
+    in
+    frequency
+      [ ( 4,
+          map Array.of_list
+            (flatten_l
+               (List.map column
+                  (Array.to_list (Tuple.gather parts srcs locs)))) );
+        (1, gen_tuple) ]
+    >|= fun t -> (t, (parts, srcs, locs))
+  in
+  QCheck.Test.make
+    ~name:"Tuple.equal_gather t parts srcs locs iff equal t (gather ...)"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (t, g) -> Tuple.to_string t ^ " vs " ^ show_gather g)
+       gen)
+    (fun (t, (parts, srcs, locs)) ->
+      Tuple.equal_gather t parts srcs locs
+      = Tuple.equal t (Tuple.gather parts srcs locs))
+
 let suite =
   [ Alcotest.test_case "schema basics" `Quick test_schema_basics;
     Alcotest.test_case "schema validation" `Quick test_schema_validation;
@@ -205,4 +264,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_equal_hash;
     QCheck_alcotest.to_alcotest qcheck_wide_hash;
     QCheck_alcotest.to_alcotest qcheck_hash_cols;
-    QCheck_alcotest.to_alcotest qcheck_equal_cols ]
+    QCheck_alcotest.to_alcotest qcheck_equal_cols;
+    QCheck_alcotest.to_alcotest qcheck_hash_gather;
+    QCheck_alcotest.to_alcotest qcheck_equal_gather ]
