@@ -87,8 +87,8 @@ aux:
 # compensate against the same reference on 2,000 random chains each;
 # then 100 seeded plain, crash and outage storms per algorithm (sweep,
 # sweep-batched, nested-sweep, strobe), each draining at its
-# consistency floor with no probe degraded to an unindexed scan. `dune
-# runtest` runs the same suite at 5 seeds (100 chains each).
+# consistency floor. `dune runtest` runs the same suite at 5 seeds (100
+# chains each).
 joins:
 	JOIN_SEEDS=100 dune exec test/test_main.exe -- test join-strategies
 

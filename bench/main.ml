@@ -99,16 +99,13 @@ let micro_tests () =
   let bench_indexed_probe =
     (* the source-side fast path: probe a persistent index instead of
        building a hash table over the whole relation per query *)
-    let tbl =
-      Repro_source.Base_table.create ~source:0 ~indexes:[ 2 ] rels.(0)
-    in
+    let tbl = Repro_source.Base_table.create ~source:0 ~view:view3 rels.(0) in
+    (* the table builds its index at its first leg: before the runs *)
+    ignore (Repro_source.Base_table.indexes tbl);
     Test.make ~name:"sweep step via persistent index (1k tuples)"
       (Staged.stage (fun () ->
            let p = Partial.of_source_delta view3 1 delta in
-           ignore
-             (Algebra.extend_with_probe view3 p ~source:0
-                ~probe:(fun ~col ~value ->
-                  Repro_source.Base_table.probe tbl ~col ~value))))
+           ignore (Repro_source.Base_table.extend tbl p)))
   in
   let bench_sim_round_batched =
     (* tight gaps so the queue actually builds up and sweeps amortize *)
@@ -253,9 +250,10 @@ let micro_tests () =
   in
   let queued_compensation ~name ~b ~extras =
     (* an answer from source 0 compensated against the 64 updates from
-       source 0 still queued, probing the queue's index on their join
-       column [b] (TempView's [a] is 7): each run, one more update
-       arrives and the oldest leaves, so the queue holds 64 *)
+       source 0 still queued, probing the queue's index of their
+       junction with source 1, keyed on [b] (TempView's [a] is 7): each
+       run, one more update arrives and the oldest leaves, so the queue
+       holds 64 *)
     let module Q = Repro_warehouse.Update_queue in
     let temp = Partial.of_source_delta view3 1 delta in
     let answer = Algebra.extend view3 temp ~with_relation:(0, rels.(0)) in

@@ -235,10 +235,8 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
         (Channel.create engine ~latency:scenario.latency ~rng:(Rng.split rng)
            ~deliver)
   in
-  (* apply: how the workload performs an update at "source i";
-     scan_total: probes across this run's own base tables that degraded
-     to O(n) scans — the suites assert 0. *)
-  let send_to, apply, scan_total =
+  (* apply: how the workload performs an update at "source i" *)
+  let send_to, apply =
     match scenario.topology with
     | Scenario.Distributed ->
         let up_send = Array.init n (fun i -> link mk_up i ~deliver) in
@@ -260,12 +258,8 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
                 (fun (gid, parts) -> { Repro_protocol.Message.gid; parts })
                 global
             in
-            ignore (Source_node.local_update ?global sources.(source) delta)),
-          fun () ->
-            Array.fold_left
-              (fun acc s ->
-                acc + Base_table.scan_count (Source_node.table s))
-              0 sources )
+            ignore (Source_node.local_update ?global sources.(source) delta))
+        )
     | Scenario.Centralized ->
         (* the single site plays the role of "source 0" for crash windows *)
         let up = link mk_up 0 ~deliver in
@@ -276,13 +270,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
         ( (fun _i msg -> down msg),
           (fun ~source ~global:_ delta ->
             (* the centralized site applies type-3 parts as local updates *)
-            ignore (Eca_site.local_update site ~source delta)),
-          fun () ->
-            let acc = ref 0 in
-            for i = 0 to n - 1 do
-              acc := !acc + Base_table.scan_count (Eca_site.table site i)
-            done;
-            !acc )
+            ignore (Eca_site.local_update site ~source delta)) )
   in
   let store =
     if wh_crashes <> [] then
@@ -525,7 +513,6 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
      canonical encoding of the final projections) *)
   if Aux_store.mode aux <> Aux_store.Off then
     m.Metrics.aux_bytes <- Aux_store.bytes aux;
-  m.Metrics.unindexed_scans <- scan_total ();
   let sessions =
     Option.map
       (fun srv -> Checker.check_sessions ~n_sources:n (Server.read_log srv))

@@ -416,7 +416,7 @@ let l4 ctx (str : structure) =
                    exn)
               ~hint:
                 "raise Invalid_argument naming the operation and the \
-                 offending value (see Base_table.probe), or return an \
+                 offending value (see Base_table.apply), or return an \
                  option; pragma only if the .mli documents the contract"
             :: !out
       | _ -> ())
@@ -558,10 +558,9 @@ let contains hay needle =
 (* The 27× gap this repo's index layer closed: [Algebra.extend] walks
    every stored tuple per delta row, so a bare call in the warehouse's
    per-update path silently reopens the scan bottleneck. Warehouse code
-   must go through [Algebra.extend_with_probe] backed by the leg's
-   persistent index; the only legitimate scan is the fallback for a
-   cross-product junction (no equality to probe on), and it carries a
-   pragma naming the reason. *)
+   must go through [Algebra.probe] over the leg's junction index, which
+   every junction has, a cross product included; a deliberate scan
+   carries a pragma naming the reason. *)
 let l6 ctx (str : structure) =
   if not (contains (norm_path ctx.file) "lib/warehouse/") then []
   else begin
@@ -578,11 +577,10 @@ let l6 ctx (str : structure) =
                    stored tuple per delta row, bypassing the persistent \
                    indexes"
                 ~hint:
-                  "probe the leg's index through \
-                   `Algebra.extend_with_probe` (see \
-                   Aux_store.local_answer); if this site is the \
-                   cross-product fallback (a junction with no equality \
-                   to probe on), say so with a `lint: allow L6` pragma"
+                  "probe the leg's junction index through \
+                   `Algebra.probe` (see Aux_store.local_answer); if \
+                   the scan is deliberate, say why with a \
+                   `lint: allow L6` pragma"
               :: !out
         | _ -> ())
       (fun it s -> it.structure it s)
@@ -661,7 +659,7 @@ let mutator_target = function
   | [ "Bytes"; ("set" | "fill" | "blit" | "unsafe_set") ]
   | [ "Atomic"; ("set" | "incr" | "decr") ]
   | [ "Bag"; ("add" | "remove" | "merge_into" | "merge_checked" | "diff_into") ]
-  | [ "Column_index"; "add" ]
+  | [ "Algebra"; ("add" | "add_all") ]
   | [ "Delta"; "add" ]
   | [ "Relation"; "apply" ]
   | [ ("Base_table" | "Aux_store" | "Eca_site"); "apply" ] ->

@@ -1,23 +1,36 @@
-(* The hash join indexes one operand on its key columns and probes it
-   with the other's. An index is built once, from a bag read in place,
-   and never changes. Its entries sit in three arrays of the build's
-   cardinality: tuple, count, and the next entry with the same key
-   (-1 ends a chain). Distinct keys sit in an open-addressed table, the
-   linear probing of [Bag]: slot [i] holds a key's [Tuple.hash_cols]
-   ([-1] when empty) and the first entry of its chain, whose tuple is
-   the key read in place. The table has at least twice as many slots as
-   entries, so a miss stops within a few slots. A build adds each entry
-   at the head of its key's chain, so it is O(n) at any fan-out: a
+(* The join index keys a bag's entries on some of their columns, read in
+   place. Its entries sit in three arrays: tuple, count, and the next
+   entry with the same key (-1 ends a chain). Distinct keys sit in an
+   open-addressed table, the linear probing of [Bag]: slot [i] holds a
+   key's [Tuple.hash_cols] ([-1] when empty) and the first entry of its
+   chain, whose tuple is the key read in place. The table keeps at least
+   twice as many slots as keys, so a miss stops within a few slots. A
    cross-product junction, no key columns, is one key with one chain.
+
+   A bulk build adds each entry at the head of its key's chain, so it
+   is O(n) at any fan-out. [add] changes one entry in place, found by
+   walking its key's chain, so it costs the key's fan-out: a new tuple
+   takes a free entry and joins the end of its key's chain, where the
+   walk stopped, so entries that leave oldest first, as the update
+   queue's do, are found at once. An entry whose count reaches 0
+   leaves its chain for the free list, chained through [next]. A key
+   whose chain empties leaves the table by backward-shift deletion, as
+   in [Bag], so a probe still stops at the first empty slot and every
+   chain holds a live entry. The entry arrays and the table grow by
+   doubling.
+
    A probe hashes its own key columns in place, finds the key's slot and
    walks that key's chain only. No key tuple is built on either side. *)
 type index = {
   cols : int array;
-  hashes : int array;
-  heads : int array;
-  next : int array;
-  tuples : Tuple.t array;
-  counts : int array;
+  mutable hashes : int array;
+  mutable heads : int array;
+  mutable next : int array;
+  mutable tuples : Tuple.t array;
+  mutable counts : int array;
+  mutable keys : int;  (* occupied slots *)
+  mutable used : int;  (* entries below [used] are live or free *)
+  mutable free : int;  (* the first free entry, or -1 *)
 }
 
 (* The slot holding the key of [ptup]'s [pcols], hashed [h], or the
@@ -40,14 +53,13 @@ let first idx ptup pcols =
 
 let rec slots cap n = if cap >= 2 * n then cap else slots (cap * 2) n
 
-(* [data]'s entries grouped by their [cols]. *)
 let index data cols =
   let n = Delta.cardinal data in
   let cap = slots 2 n in
   let idx =
     { cols; hashes = Array.make cap (-1); heads = Array.make cap 0;
       next = Array.make n (-1); tuples = Array.make n [||];
-      counts = Array.make n 0 }
+      counts = Array.make n 0; keys = 0; used = n; free = -1 }
   in
   let mask = cap - 1 in
   let e = ref 0 in
@@ -55,7 +67,10 @@ let index data cols =
     (fun tup c ->
       let h = Tuple.hash_cols tup cols in
       let i = find_slot idx mask h tup cols (h land mask) in
-      if idx.hashes.(i) < 0 then idx.hashes.(i) <- h
+      if idx.hashes.(i) < 0 then begin
+        idx.hashes.(i) <- h;
+        idx.keys <- idx.keys + 1
+      end
       else idx.next.(!e) <- idx.heads.(i);
       idx.heads.(i) <- !e;
       idx.tuples.(!e) <- tup;
@@ -63,6 +78,138 @@ let index data cols =
       incr e)
     data;
   idx
+
+let rec empty_slot hashes mask i =
+  if hashes.(i) < 0 then i else empty_slot hashes mask ((i + 1) land mask)
+
+(* The table at twice its slots, every key rehashed; chains stay. *)
+let grow_table idx =
+  let cap = 2 * Array.length idx.hashes in
+  let mask = cap - 1 in
+  let hashes = Array.make cap (-1) and heads = Array.make cap 0 in
+  Array.iteri
+    (fun i h ->
+      if h >= 0 then begin
+        let j = empty_slot hashes mask (h land mask) in
+        hashes.(j) <- h;
+        heads.(j) <- idx.heads.(i)
+      end)
+    idx.hashes;
+  idx.hashes <- hashes;
+  idx.heads <- heads
+
+(* A free entry holding [tup], [c] and [next], the entry arrays doubled
+   when none is free. *)
+let take idx tup c next =
+  let e =
+    if idx.free >= 0 then begin
+      let e = idx.free in
+      idx.free <- idx.next.(e);
+      e
+    end
+    else begin
+      let n = Array.length idx.tuples in
+      if idx.used = n then begin
+        let cap = max 4 (2 * n) in
+        let widen a fill =
+          Array.init cap (fun i -> if i < n then a.(i) else fill)
+        in
+        idx.next <- widen idx.next (-1);
+        idx.tuples <- widen idx.tuples [||];
+        idx.counts <- widen idx.counts 0
+      end;
+      idx.used <- idx.used + 1;
+      idx.used - 1
+    end
+  in
+  idx.tuples.(e) <- tup;
+  idx.counts.(e) <- c;
+  idx.next.(e) <- next;
+  e
+
+(* Slot [hole] loses its key: each key behind it in the run that may
+   move shifts back into the hole. *)
+let remove_slot idx hole =
+  let hashes = idx.hashes and heads = idx.heads in
+  let mask = Array.length hashes - 1 in
+  let rec shift hole j =
+    let h = hashes.(j) in
+    if h < 0 then hole
+    else if (j - h) land mask >= (j - hole) land mask then begin
+      hashes.(hole) <- h;
+      heads.(hole) <- heads.(j);
+      shift j ((j + 1) land mask)
+    end
+    else shift hole ((j + 1) land mask)
+  in
+  hashes.(shift hole ((hole + 1) land mask)) <- -1;
+  idx.keys <- idx.keys - 1
+
+let rec add idx tup c =
+  if c <> 0 then begin
+    let cols = idx.cols in
+    let h = Tuple.hash_cols tup cols in
+    let mask = Array.length idx.hashes - 1 in
+    let i = find_slot idx mask h tup cols (h land mask) in
+    if idx.hashes.(i) >= 0 then begin
+      (* the key is present: find [tup] in its chain, [prev] before it,
+         or append it after the last entry [prev] *)
+      let rec walk prev e =
+        if e < 0 then begin
+          let e = take idx tup c (-1) in
+          idx.next.(prev) <- e
+        end
+        else if not (Tuple.equal idx.tuples.(e) tup) then walk e idx.next.(e)
+        else if idx.counts.(e) + c <> 0 then
+          idx.counts.(e) <- idx.counts.(e) + c
+        else begin
+          let after = idx.next.(e) in
+          if prev >= 0 then idx.next.(prev) <- after
+          else if after >= 0 then idx.heads.(i) <- after
+          else remove_slot idx i;
+          idx.tuples.(e) <- [||];
+          idx.counts.(e) <- 0;
+          idx.next.(e) <- idx.free;
+          idx.free <- e
+        end
+      in
+      walk (-1) idx.heads.(i)
+    end
+    else if 2 * (idx.keys + 1) > Array.length idx.hashes then begin
+      grow_table idx;
+      add idx tup c
+    end
+    else begin
+      idx.heads.(i) <- take idx tup c (-1);
+      idx.hashes.(i) <- h;
+      idx.keys <- idx.keys + 1
+    end
+  end
+
+let matches idx ptup pcols f =
+  let e = ref (first idx ptup pcols) in
+  while !e >= 0 do
+    f (Array.unsafe_get idx.tuples !e) idx.counts.(!e);
+    e := idx.next.(!e)
+  done
+
+(* [a]'s entries are all in [b], with their counts: each key of [a]
+   probes [b] with its head entry's tuple. *)
+let within a b =
+  let ok = ref true in
+  Array.iteri
+    (fun i h ->
+      if h >= 0 then
+        matches a a.tuples.(a.heads.(i)) a.cols (fun tup c ->
+            let found = ref false in
+            matches b tup a.cols (fun u c' ->
+                if c = c' && Tuple.equal u tup then found := true);
+            if not !found then ok := false))
+    a.hashes;
+  !ok
+
+let equal_index a b =
+  a.cols = b.cols && a.keys = b.keys && within a b && within b a
 
 (* [iter_matches idx probe pcols f] calls [f ptup pc btup bc] on every
    entry of [probe] and every index entry with the same key. *)
@@ -86,6 +233,32 @@ let count_matches idx probe pcols =
     (fun ptup _ n -> chain_length idx.next (first idx ptup pcols) n)
     probe 0
 
+(* Junction [k]'s key columns of source [k] and of [k + 1], shifted to
+   partials whose first columns are global attributes [lofs] and
+   [rofs]. *)
+let key_cols view k ~lofs ~rofs =
+  let lcols, rcols = View_def.junction_key view k in
+  let shift cols ofs src =
+    let d = View_def.offset view src - ofs in
+    if d = 0 then cols else Array.map (( + ) d) cols
+  in
+  (shift lcols lofs k, shift rcols rofs (k + 1))
+
+(* [pairs view k ~lofs ~rofs f] is called on each pair of a left tuple
+   (first column global attribute [lofs]) and a right one ([rofs])
+   whose keys match across junction [k]: it calls [f] on their
+   concatenation with the product of their counts when the junction's
+   residual holds. *)
+let pairs view k ~lofs ~rofs f =
+  match (View_def.join_between view k).Join_spec.residual with
+  | None -> fun ltup lc rtup rc -> f (Tuple.concat ltup rtup) (lc * rc)
+  | Some p ->
+      fun ltup lc rtup rc ->
+        let lookup g =
+          if g < rofs then ltup.(g - lofs) else rtup.(g - rofs)
+        in
+        if Predicate.eval ~lookup p then f (Tuple.concat ltup rtup) (lc * rc)
+
 (* [hash_join view left right] prepares the join of two adjacent
    partials: it indexes the smaller operand and returns [(size, run)].
    [run f] calls [f] on every joined tuple with its count. Each is the
@@ -101,23 +274,10 @@ let hash_join view (left : Partial.t) (right : Partial.t) =
   let nl = Delta.cardinal left.data and nr = Delta.cardinal right.data in
   if nl = 0 || nr = 0 then ((fun () -> 0), fun _ -> ())
   else begin
-    let spec = View_def.join_between view left.hi in
-    let eqs = spec.Join_spec.equalities in
     let lofs = View_def.offset view left.lo in
     let rofs = View_def.offset view right.lo in
-    let lcols = Array.of_list (List.map (fun (l, _) -> l - lofs) eqs) in
-    let rcols = Array.of_list (List.map (fun (_, r) -> r - rofs) eqs) in
-    let emit f =
-      match spec.Join_spec.residual with
-      | None -> fun ltup lc rtup rc -> f (Tuple.concat ltup rtup) (lc * rc)
-      | Some p ->
-          fun ltup lc rtup rc ->
-            let lookup g =
-              if g < rofs then ltup.(g - lofs) else rtup.(g - rofs)
-            in
-            if Predicate.eval ~lookup p then
-              f (Tuple.concat ltup rtup) (lc * rc)
-    in
+    let lcols, rcols = key_cols view left.hi ~lofs ~rofs in
+    let emit = pairs view left.hi ~lofs ~rofs in
     if nl <= nr then
       let idx = index left.data lcols in
       ( (fun () -> count_matches idx right.data rcols),
@@ -151,92 +311,60 @@ let extend view (p : Partial.t) ~with_relation:(j, r) =
       (Printf.sprintf "Algebra.extend: source %d not adjacent to [%d..%d]" j
          p.lo p.hi)
 
-(* [agree stup ptup eqs] holds when every (source column, partial
-   column) pair of [eqs] carries equal values. A toplevel loop: a
-   closure here would be allocated once per probe match. *)
-let rec agree stup ptup = function
-  | [] -> true
-  | (sc, pc) :: rest -> Value.equal stup.(sc) ptup.(pc) && agree stup ptup rest
+type indexes = { lower : index option; upper : index option }
 
-(* [probe_into view p ~source ~covers ~probe emit] calls [emit] on
-   every tuple of [p] joined with source [source]'s tuples, with its
-   count. Each partial tuple probes on the junction's first equality
-   column [col]: [probe ~col ~value f] calls [f] on the tuples of
-   [source] whose [col] equals [value], with their counts. Any further
-   equalities and the residual predicate filter the candidates. Returns
-   [false], emitting nothing, when there is no column to probe: a
-   cross-product junction, or one whose [col] fails [covers]. *)
-let probe_into view (p : Partial.t) ~source ~covers ~probe emit =
-  let dir =
-    if source = p.lo - 1 then `Left
-    else if source = p.hi + 1 then `Right
-    else
-      invalid_arg
-        (Printf.sprintf
-           "Algebra.extend_with_probe: source %d not adjacent to [%d..%d]"
-           source p.lo p.hi)
+let indexes ?(at = Fun.id) view j data =
+  let build cols = index data (Array.map at cols) in
+  let key k side =
+    if k < 0 || k >= View_def.n_sources view - 1 then None
+    else Some (side (View_def.junction_key view k))
   in
-  let spec =
-    match dir with
-    | `Left -> View_def.join_between view source
-    | `Right -> View_def.join_between view p.hi
+  let below = key (j - 1) snd and above = key j fst in
+  let lower = Option.map build below in
+  let upper =
+    match (below, above) with
+    | Some b, Some a when b = a -> lower
+    | _ -> Option.map build above
   in
-  let src_ofs = View_def.offset view source in
-  let p_ofs = View_def.offset view p.lo in
-  (* each equality names one attribute in [source] and one inside [p];
-     the first drives the probe, the rest filter candidates *)
-  let local (lg, rg) =
-    match dir with
-    | `Left -> (lg - src_ofs, rg - p_ofs)
-    | `Right -> (rg - src_ofs, lg - p_ofs)
-  in
-  match List.map local spec.Join_spec.equalities with
-  | [] -> false (* cross-product junction: no column to probe on *)
-  | (src_col, _) :: _ when not (covers src_col) -> false
-  | (src_col, p_col) :: rest ->
-      let residual_ok stup ptup =
-        match spec.Join_spec.residual with
-        | None -> true
-        | Some pr ->
-            let lookup g =
-              match dir with
-              | `Left ->
-                  if g < p_ofs then stup.(g - src_ofs) else ptup.(g - p_ofs)
-              | `Right ->
-                  if g < src_ofs then ptup.(g - p_ofs) else stup.(g - src_ofs)
-            in
-            Predicate.eval ~lookup pr
-      in
-      Delta.iter
-        (fun ptup pc ->
-          probe ~col:src_col ~value:(Tuple.get ptup p_col) (fun stup sc ->
-              if agree stup ptup rest && residual_ok stup ptup then
-                let combined =
-                  match dir with
-                  | `Left -> Tuple.concat stup ptup
-                  | `Right -> Tuple.concat ptup stup
-                in
-                emit combined (pc * sc)))
-        p.data;
-      true
+  { lower; upper }
 
-let extend_with_probe view (p : Partial.t) ~source ~probe =
-  let result = Delta.empty () in
-  if probe_into view p ~source ~covers:(fun _ -> true) ~probe (Delta.add result)
-  then
-    Some
-      { Partial.lo = min source p.lo; hi = max source p.hi; data = result }
-  else None
+let add_all ix tup c =
+  Option.iter (fun idx -> add idx tup c) ix.lower;
+  match (ix.upper, ix.lower) with
+  | Some u, Some l when u == l -> ()
+  | upper, _ -> Option.iter (fun idx -> add idx tup c) upper
+
+let probe ?lift view ix (p : Partial.t) ~source f =
+  let at_left = source = p.lo - 1 in
+  if not (at_left || source = p.hi + 1) then
+    invalid_arg
+      (Printf.sprintf "Algebra.probe: source %d not adjacent to [%d..%d]"
+         source p.lo p.hi);
+  let sofs = View_def.offset view source and pofs = View_def.offset view p.lo in
+  let missing () =
+    invalid_arg
+      (Printf.sprintf "Algebra.probe: no index of source %d's junction" source)
+  in
+  let lift = Option.value lift ~default:Fun.id in
+  if at_left then
+    let idx = match ix.upper with Some idx -> idx | None -> missing () in
+    let emit = pairs view source ~lofs:sofs ~rofs:pofs f in
+    iter_matches idx p.data (snd (key_cols view source ~lofs:sofs ~rofs:pofs))
+      (fun ptup pc stup sc -> emit (lift stup) sc ptup pc)
+  else
+    let idx = match ix.lower with Some idx -> idx | None -> missing () in
+    let emit = pairs view p.hi ~lofs:pofs ~rofs:sofs f in
+    iter_matches idx p.data (fst (key_cols view p.hi ~lofs:pofs ~rofs:sofs))
+      (fun ptup pc stup sc -> emit ptup pc (lift stup) sc)
 
 (* The error term is linear in the interfering deltas, so each is joined
    with TempView on its own into one bag: [interfering] by probing its
-   index when one covers the junction's probe column, the same probe
-   join a source answers a sweep query with, and every other term by
-   the hash join. All are read in place. Nearly every error term is
-   empty, so its bag is made at its first tuple. The bag collects the
-   error negated, and the answer is then added into it, so the result
-   takes no further bag. *)
-let compensate ?(index = []) ?(extras = []) view ~answer ~interfering
+   index when there is one, the same probe a source answers a sweep
+   query with, and every other term by the hash join. All are read in
+   place. Nearly every error term is empty, so its bag is made at its
+   first tuple. The bag collects the error negated, and the answer is
+   then added into it, so the result takes no further bag. *)
+let compensate ?index ?(extras = []) view ~answer ~interfering
     ~(temp : Partial.t) =
   let j =
     if answer.Partial.lo = temp.lo - 1 && answer.Partial.hi = temp.hi then
@@ -263,12 +391,9 @@ let compensate ?(index = []) ?(extras = []) view ~answer ~interfering
     if j < temp.lo then join_with view dp temp emit
     else join_with view temp dp emit
   in
-  let covers col = List.exists (fun idx -> Column_index.col idx = col) index in
-  let probe ~col ~value =
-    Column_index.iter (List.find (fun idx -> Column_index.col idx = col) index) value
-  in
-  if not (probe_into view temp ~source:j ~covers ~probe emit) then
-    hash_join interfering;
+  (match index with
+  | Some ix -> probe view ix temp ~source:j emit
+  | None -> hash_join interfering);
   List.iter hash_join extras;
   match !error with
   | Some e when not (Delta.is_empty e) ->
@@ -349,16 +474,13 @@ let plan view =
     done
   done;
   let parts = Array.make n [||] in
-  let junction k = View_def.join_between view k in
-  let cols k side =
-    Array.of_list
-      (List.map (fun eq -> loc.(side eq)) (junction k).Join_spec.equalities)
-  in
   let proj = View_def.projection view in
   { n; parts; lookup = (fun g -> parts.(src.(g)).(loc.(g)));
-    bcols = Array.init (n - 1) (fun k -> cols k snd);
-    pcols = Array.init (n - 1) (fun k -> cols k fst);
-    residuals = Array.init (n - 1) (fun k -> (junction k).Join_spec.residual);
+    bcols = Array.init (n - 1) (fun k -> snd (View_def.junction_key view k));
+    pcols = Array.init (n - 1) (fun k -> fst (View_def.junction_key view k));
+    residuals =
+      Array.init (n - 1) (fun k ->
+          (View_def.join_between view k).Join_spec.residual);
     psrc = Array.map (Array.get src) proj;
     ploc = Array.map (Array.get loc) proj;
     selection = View_def.selection view;

@@ -9,9 +9,9 @@
 (** [join view left right] joins two adjacent partials
     ([left.hi + 1 = right.lo]) using the chain's join condition between
     them. Counts multiply, so deletions (negative counts) propagate with
-    the correct sign. The smaller operand is indexed on its key
-    columns, read in place, and the result is sized by the pairs whose
-    keys match. Raises [Invalid_argument] when the partials are not
+    the correct sign. The smaller operand is indexed on the junction's
+    key ({!index}), read in place, and the result is sized by the pairs
+    whose keys match. Raises [Invalid_argument] when the partials are not
     adjacent. *)
 val join : View_def.t -> Partial.t -> Partial.t -> Partial.t
 
@@ -19,6 +19,68 @@ val join : View_def.t -> Partial.t -> Partial.t -> Partial.t
     source [j], which must be adjacent to [p] on either side. This is the
     source-side step of the sweep. *)
 val extend : View_def.t -> Partial.t -> with_relation:int * Relation.t -> Partial.t
+
+(** [join_with view left right f] calls [f] on each tuple of
+    [join view left right] with its count, building no result: the
+    pairs stream out of the probe as they match. *)
+val join_with :
+  View_def.t -> Partial.t -> Partial.t -> (Tuple.t -> int -> unit) -> unit
+
+(** {2 Join indexes}
+
+    The one index every join probes. It keys a bag's entries on a set
+    of columns, the whole key of a junction, and reads each entry's
+    tuple in place. A cross-product junction is the index with no key
+    columns: one key whose chain holds every entry. {!join} builds one
+    over its smaller operand and {!eval} one per junction; the owners of
+    changing bags (a source's table, the update queue's L_j, an
+    auxiliary projection) keep theirs in step with {!add}. *)
+type index
+
+(** [index b cols] indexes [b]'s entries on columns [cols]. *)
+val index : Bag.t -> int array -> index
+
+(** [add idx tup c] adds [c] (possibly negative) to [tup]'s count,
+    keeping the index in step with a bag that received the same
+    [Bag.add]: an entry whose count reaches 0 leaves it, and so does a
+    key without entries. *)
+val add : index -> Tuple.t -> int -> unit
+
+(** [matches idx ptup pcols f] calls [f] on each entry whose key equals
+    [ptup]'s columns [pcols], with its count, in no particular order. *)
+val matches : index -> Tuple.t -> int array -> (Tuple.t -> int -> unit) -> unit
+
+(** The same key columns and the same entries with the same counts. *)
+val equal_index : index -> index -> bool
+
+(** Source [j]'s join indexes, one per junction of [j]: [lower] keyed
+    on [j]'s columns of junction [j − 1], [upper] on those of junction
+    [j] ({!View_def.junction_key}); [None] past an end of the chain.
+    When both keys are the same columns, one index serves both. *)
+type indexes = { lower : index option; upper : index option }
+
+(** [indexes ?at view j b] indexes [b], a bag of source [j]'s tuples,
+    on each junction of [j]. [at c] is the column of [b]'s tuples that
+    holds [j]'s column [c] (the identity by default; an auxiliary
+    projection maps [c] to its position among the tracked columns). *)
+val indexes : ?at:(int -> int) -> View_def.t -> int -> Bag.t -> indexes
+
+(** [add_all ix tup c] is {!add} on each distinct index of [ix]. *)
+val add_all : indexes -> Tuple.t -> int -> unit
+
+(** [probe ?lift view ix p ~source f] joins [p] with the bag [ix]
+    indexes, source [source]'s tuples, adjacent to [p] on either side:
+    it calls [f] on each joined tuple with its count. Each tuple of [p]
+    hashes its side of the junction's key, walks the matching key's
+    entries in the index, and the junction's residual filters the
+    pairs, as in {!join}. [lift] maps an indexed tuple to source width
+    before the residual and the concatenation read it (the identity by
+    default). The result is bag for bag {!extend}'s over the same
+    tuples. Raises [Invalid_argument] when [source] is not adjacent to
+    [p]. *)
+val probe :
+  ?lift:(Tuple.t -> Tuple.t) -> View_def.t -> indexes -> Partial.t ->
+  source:int -> (Tuple.t -> int -> unit) -> unit
 
 (** [compensate ?index ?extras view ~answer ~interfering ~temp] removes
     the error term from a sweep answer (paper §4):
@@ -28,31 +90,17 @@ val extend : View_def.t -> Partial.t -> with_relation:int * Relation.t -> Partia
     sent to source [j]. The join side is inferred from the ranges.
 
     The error term is linear, so each delta is joined with [temp] on its
-    own. [index] lists indexes on columns of [interfering], kept in step
-    with it: when one covers the junction's first equality column,
-    [temp] probes it as {!extend_with_probe} probes a source, costing
-    O(|temp| × fan-out) rather than O(|interfering|). Otherwise, and for
-    every extra, the hash join runs. The result is bag for bag the same
-    either way. When the error term is empty the result is [answer]
-    itself; otherwise it is fresh. Nothing is mutated. *)
+    own. [index], when given, is [interfering]'s {!indexes}, kept in
+    step with it: [temp] probes it as a source answers a sweep query
+    ({!probe}), costing O(|temp| × fan-out) rather than
+    O(|interfering|). Otherwise, and for every extra, the hash join
+    runs. The result is bag for bag the same either way. When the error
+    term is empty the result is [answer] itself; otherwise it is fresh.
+    Nothing is mutated. *)
 val compensate :
-  ?index:Column_index.t list -> ?extras:Delta.t list ->
+  ?index:indexes -> ?extras:Delta.t list ->
   View_def.t -> answer:Partial.t -> interfering:Delta.t -> temp:Partial.t ->
   Partial.t
-
-(** [extend_with_probe view p ~source ~probe] is {!extend} served by a
-    persistent per-column index instead of an ad-hoc hash build: each
-    partial tuple probes the source's index on the junction's first
-    equality column ([probe ~col ~value f] calls [f] on each matching
-    source tuple with its multiplicity, [col] being source-local); any
-    further equalities and any residual predicate filter the candidates. Returns
-    [None] only for a cross-product junction (no equality to probe on) —
-    the caller falls back to {!extend}. Results are always identical to
-    {!extend}'s (asserted by the test suite). *)
-val extend_with_probe :
-  View_def.t -> Partial.t -> source:int ->
-  probe:(col:int -> value:Value.t -> (Tuple.t -> int -> unit) -> unit) ->
-  Partial.t option
 
 (** [merge_overlap view ~at ~left ~right] glues two partials that both end
     at source [at] ([left.hi = at = right.lo]): tuples whose [at]-slices

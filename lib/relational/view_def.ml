@@ -6,6 +6,8 @@ type t = {
   projection : int array;
   offsets : int array;
   total_width : int;
+  (* junction k's equality columns, local to source k and to k + 1 *)
+  keys : (int array * int array) array;
 }
 
 let make ~name ~schemas ~joins ?(selection = Predicate.True) ~projection () =
@@ -56,8 +58,17 @@ let make ~name ~schemas ~joins ?(selection = Predicate.True) ~projection () =
       if not (in_range g) then
         invalid_arg "View_def.make: selection attr out of range")
     (Predicate.attrs_used selection);
+  let local pick (spec : Join_spec.t) ofs =
+    Array.of_list (List.map (fun eq -> pick eq - ofs) spec.equalities)
+  in
+  let keys =
+    Array.mapi
+      (fun k spec ->
+        (local fst spec offsets.(k), local snd spec offsets.(k + 1)))
+      joins
+  in
   { view_name = name; schemas; joins; selection; projection; offsets;
-    total_width }
+    total_width; keys }
 
 let name v = v.view_name
 let n_sources v = Array.length v.schemas
@@ -81,13 +92,11 @@ let source_of_global v g =
 
 let global v i a = v.offsets.(i) + a
 
+let junction_key v k = v.keys.(k)
+
 let join_columns v id =
-  let ofs = v.offsets.(id) in
-  let of_joins i pick =
-    if i < 0 || i >= Array.length v.joins then []
-    else List.map (fun eq -> pick eq - ofs) v.joins.(i).Join_spec.equalities
-  in
-  of_joins (id - 1) snd @ of_joins id fst
+  (if id > 0 then Array.to_list (snd v.keys.(id - 1)) else [])
+  @ if id < Array.length v.keys then Array.to_list (fst v.keys.(id)) else []
 
 let global_by_name v i name = global v i (Schema.index_of v.schemas.(i) name)
 

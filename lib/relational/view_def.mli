@@ -48,12 +48,18 @@ val total_width : t -> int
     attribute [g]. *)
 val source_of_global : t -> int -> int
 
+(** [junction_key v k] is junction [k]'s key: the columns its
+    equalities name, in order, local to source [k] and to source [k + 1]
+    ([[||]] for both at a cross product). Every join reads a junction's
+    key here: a source's join indexes ({!Algebra.indexes}), the hash
+    join and the probe chain. The arrays are the view's own; never
+    mutate them. *)
+val junction_key : t -> int -> int array * int array
+
 (** The local columns of source [id] that the chain's join equalities
-    name: its right-hand columns in the junction with [id - 1], then its
-    left-hand columns in the junction with [id + 1]. Each may repeat.
-    Sources index these so that a sweep leg probes instead of scanning
-    ([Base_table]), and so does the update queue's running L_j
-    ([Update_queue.interference]). *)
+    name: its key columns in the junction with [id - 1], then in the
+    junction with [id + 1] ({!junction_key}). Each may repeat. An
+    auxiliary projection tracks these ([Aux_store]). *)
 val join_columns : t -> int -> int list
 
 (** [global_by_name v i name] resolves a source-local attribute name. *)

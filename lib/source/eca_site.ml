@@ -62,7 +62,7 @@ let eval_term t (pins : Message.eca_term) : Partial.t =
             acc :=
               (if j < !acc.Partial.lo then Algebra.join t.view pp !acc
                else Algebra.join t.view !acc pp)
-        | None -> acc := Base_table.extend t.tables.(j) t.view !acc
+        | None -> acc := Base_table.extend t.tables.(j) !acc
       in
       for j = start - 1 downto 0 do
         leg j
@@ -89,7 +89,7 @@ let handle t msg =
         qid (List.length terms) Partial.pp partial;
       t.send (Message.Eca_answer { qid; partial })
   | Message.Sweep_query { qid; target; partial } ->
-      let answer = Base_table.extend t.tables.(target) t.view partial in
+      let answer = Base_table.extend t.tables.(target) partial in
       t.send (Message.Answer { qid; source = target; partial = answer })
   | Message.Fetch { qid; target } ->
       t.send

@@ -12,7 +12,7 @@ open Repro_protocol
 type t
 
 (** [create engine ~view ~inits ~send ~trace] — every hosted base table
-    auto-indexes its join columns from [view], so join legs against
+    indexes each of its junctions in [view], so join legs against
     unpinned relations probe ({!Base_table.extend}), both for sweep
     queries and inside query-term evaluation (terms fan out from the
     lowest pinned position so every intermediate stays delta-sized). *)

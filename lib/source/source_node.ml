@@ -38,7 +38,7 @@ let handle t msg =
   | Message.Sweep_query { qid; target; partial } ->
       if target <> t.node_id then
         invalid_arg "Source_node.handle: sweep query misrouted";
-      let answer = Base_table.extend t.tbl t.view partial in
+      let answer = Base_table.extend t.tbl partial in
       Trace.emit t.trace ~time:now ~who:(who t) "query#%d %a -> %a" qid
         Partial.pp partial Partial.pp answer;
       t.send (Message.Answer { qid; source = t.node_id; partial = answer })

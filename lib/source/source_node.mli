@@ -14,7 +14,7 @@ type t
 
 (** [create engine ~view ~id ~init ~send ~trace] builds the server for
     source [id] with initial relation [init]; its base table
-    auto-indexes the view's join columns, so sweep-query legs probe
+    indexes each of the source's junctions in the view, so sweep-query legs probe
     ({!Base_table.extend}). [send] transmits a message to the warehouse
     (normally a FIFO channel endpoint). *)
 val create :

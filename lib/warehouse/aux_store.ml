@@ -25,12 +25,12 @@ type t = {
   widths : int array;
   projs : Bag.t array;
   genesis : Bag.t array;
-  (* per source: (local join column, an index of [projs] on that
-     column's position in [tracked]) — maintained by [apply], rebuilt by
-     [restore]/[reset], so a local answer probes instead of copying the
-     whole projection per leg. Join columns are always tracked (both
-     modes), so every probe an answerable leg issues hits an index. *)
-  indexes : (int * Column_index.t) list array;
+  (* per source: [projs]'s join indexes, one per junction, keyed on the
+     junction's columns at their positions in [tracked] — maintained by
+     [apply], rebuilt by [restore]/[reset], so a local answer probes
+     instead of copying the whole projection per leg. Join columns are
+     tracked in both modes, so every junction has its index. *)
+  indexes : Algebra.indexes array;
   (* [projs] in canonical order with cached encodings, for checkpoints;
      built at the first {!image}, then kept in step by [apply] *)
   mutable images : Canon.t array option;
@@ -72,28 +72,23 @@ let referenced view =
   Array.iter add (View_def.projection view);
   !acc
 
-let join_columns view =
-  let acc = ref [] in
-  Array.iter
-    (fun (js : Join_spec.t) ->
-      List.iter
-        (fun (l, r) ->
-          acc := l :: r :: !acc)
-        js.Join_spec.equalities)
-    (View_def.joins view);
-  !acc
-
 let project_relation rel cols =
   let b = Bag.create () in
   Relation.iter (fun tup c -> Bag.add b (Tuple.project tup cols) c) rel;
   b
 
+(* Source [j]'s join indexes over [proj], its projection onto
+   [tracked]. *)
+let index_projection view tracked j proj =
+  let at col =
+    let rec find k = if tracked.(k) = col then k else find (k + 1) in
+    find 0
+  in
+  Algebra.indexes ~at view j proj
+
 let rebuild_index t j =
   t.indexes.(j) <-
-    List.map
-      (fun (col, idx) ->
-        (col, Column_index.of_bag ~col:(Column_index.col idx) t.projs.(j)))
-      t.indexes.(j)
+    index_projection (Option.get t.view) t.tracked.(j) j t.projs.(j)
 
 let create ~view ~mode ~initial () =
   match mode with
@@ -104,7 +99,7 @@ let create ~view ~mode ~initial () =
         invalid_arg
           (Printf.sprintf "Aux_store.create: %d initial relations for %d sources"
              (Array.length initial) n);
-      let refd = referenced view and jcols = join_columns view in
+      let refd = referenced view in
       let required = Array.init n (fun j -> localize view j refd) in
       let tracked =
         Array.init n (fun j ->
@@ -112,7 +107,7 @@ let create ~view ~mode ~initial () =
             let wanted =
               match mode with
               | Off -> assert false
-              | Keys_only -> keys @ localize view j jcols
+              | Keys_only -> keys @ View_def.join_columns view j
               | Full -> keys @ required.(j)
             in
             Array.of_list (List.sort_uniq compare wanted))
@@ -128,16 +123,7 @@ let create ~view ~mode ~initial () =
         Array.init n (fun j -> project_relation initial.(j) tracked.(j))
       in
       let indexes =
-        Array.init n (fun j ->
-            List.filter_map
-              (fun col ->
-                let pos = ref (-1) in
-                Array.iteri
-                  (fun k c -> if c = col then pos := k)
-                  tracked.(j);
-                if !pos < 0 then None
-                else Some (col, Column_index.of_bag ~col:!pos projs.(j)))
-              (List.sort_uniq compare (localize view j jcols)))
+        Array.init n (fun j -> index_projection view tracked.(j) j projs.(j))
       in
       { mode; view = Some view; tracked; answerable; widths; projs;
         genesis =
@@ -148,8 +134,7 @@ let mode t = t.mode
 let tracked t j = if t.mode = Off then [||] else t.tracked.(j)
 let answers t j = t.mode <> Off && t.answerable.(j)
 
-let index t j ~col =
-  if t.mode = Off then None else List.assoc_opt col t.indexes.(j)
+let indexes t j = t.indexes.(j)
 
 let apply t ~source delta =
   if t.mode <> Off then
@@ -158,9 +143,7 @@ let apply t ~source delta =
         let pt = Tuple.project tup t.tracked.(source) in
         Bag.add t.projs.(source) pt c;
         Option.iter (fun images -> Canon.add images.(source) pt c) t.images;
-        List.iter
-          (fun (_, idx) -> Column_index.add idx pt c)
-          t.indexes.(source))
+        Algebra.add_all t.indexes.(source) pt c)
       delta
 
 (* Lift a projected tuple back to source width: tracked columns carry
@@ -173,53 +156,31 @@ let lift_one t j pt =
   Array.iteri (fun k col -> full.(col) <- pt.(k)) t.tracked.(j);
   full
 
-let lift t j proj =
-  let lifted = Delta.empty () in
-  Bag.iter (fun pt c -> Bag.add lifted (lift_one t j pt) c) proj;
-  lifted
-
-(* The cross-product fallback: copy the whole projection, merge the
-   overlay, lift, hash-join — O(|projection|) allocation per leg, paid
-   only when the junction has no equality to probe on. *)
-let cross_product_answer t view j ~partial ~overlay =
-  let proj = Bag.copy t.projs.(j) in
-  Delta.iter
-    (fun tup c -> Bag.add proj (Tuple.project tup t.tracked.(j)) c)
-    overlay;
-  let pj = { Partial.lo = j; hi = j; data = lift t j proj } in
-  if j < partial.Partial.lo then Algebra.join view pj partial
-  else Algebra.join view partial pj
-
-(* Serve one probe from the projection index plus the (delta-sized)
-   overlay, lifting only the matching rows. Counts from the two sides
-   accumulate in the caller's result delta exactly as the merged-bag
-   path would (cancellations included). *)
-let indexed_probe t j ~overlay ~col ~value f =
-  (match index t j ~col with
-  | Some idx -> Column_index.iter idx value (fun pt c -> f (lift_one t j pt) c)
-  | None ->
-      (* every column an answerable leg probes is a join column, and
-         join columns are tracked and indexed in every mode *)
-      invalid_arg
-        (Printf.sprintf "Aux_store: probe on unindexed column %d of source %d"
-           col j));
-  Delta.iter
-    (fun tup c ->
-      if Value.equal (Tuple.get tup col) value then
-        f (lift_one t j (Tuple.project tup t.tracked.(j))) c)
-    overlay
-
-let local_answer t ~target ~partial ~overlay =
-  if not (answers t target) then None
+(* The leg probes the projection's index, lifting each match, and joins
+   the (delta-sized) overlay, projected and lifted alike, into the same
+   result, so counts from the two sides accumulate, cancellations
+   included, exactly as over the merged bag. *)
+let local_answer t ~target:j ~partial ~overlay =
+  if not (answers t j) then None
   else begin
     let view = Option.get t.view in
-    let j = target in
-    match
-      Algebra.extend_with_probe view partial ~source:j
-        ~probe:(indexed_probe t j ~overlay)
-    with
-    | Some answer -> Some answer
-    | None -> Some (cross_product_answer t view j ~partial ~overlay)
+    let data = Delta.empty () in
+    Algebra.probe ~lift:(lift_one t j) view t.indexes.(j) partial ~source:j
+      (Delta.add data);
+    if not (Delta.is_empty overlay) then begin
+      let lifted = Delta.empty () in
+      Delta.iter
+        (fun tup c ->
+          Delta.add lifted (lift_one t j (Tuple.project tup t.tracked.(j))) c)
+        overlay;
+      let pj = { Partial.lo = j; hi = j; data = lifted } in
+      if j < partial.Partial.lo then
+        Algebra.join_with view pj partial (Delta.add data)
+      else Algebra.join_with view partial pj (Delta.add data)
+    end;
+    Some
+      { Partial.lo = min j partial.Partial.lo; hi = max j partial.Partial.hi;
+        data }
   end
 
 let image t =

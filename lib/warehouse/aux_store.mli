@@ -48,8 +48,8 @@ val off : unit -> t
 (** [create ~view ~mode ~initial ()] projects the initial base
     relations. [initial.(j)] must be source [j]'s relation at warehouse
     genesis (the state [init] the initial view was computed from).
-    Persistent hash indexes are kept on every projected join column, so
-    {!local_answer} probes instead of copying the projection. *)
+    Each projection keeps one join index per junction of its source,
+    so {!local_answer} probes instead of copying the projection. *)
 val create :
   view:View_def.t -> mode:mode -> initial:Relation.t array -> unit -> t
 
@@ -61,11 +61,10 @@ val tracked : t -> int -> int array
 (** Whether legs against source [j] can be answered locally. *)
 val answers : t -> int -> bool
 
-(** [index t j ~col] is the live index of source [j]'s projection on
-    its local join column [col]; the index's own column is [col]'s
-    position in {!tracked}. [None] when off or [col] is no tracked join
-    column. *)
-val index : t -> int -> col:int -> Column_index.t option
+(** [indexes t j] are the live join indexes of source [j]'s
+    projection, one per junction, keyed on the junction's columns at
+    their positions in {!tracked}. Raises when off. *)
+val indexes : t -> int -> Algebra.indexes
 
 (** Advance source [j]'s projection by an installed delta. Must be
     called exactly once per installed update, in install order —
@@ -80,8 +79,8 @@ val apply : t -> source:int -> Delta.t -> unit
     [Delta.empty ()] when the remote path would see exactly the
     installed state. [partial] must be adjacent to [target]
     ([target = partial.lo - 1] or [target = partial.hi + 1]). The leg
-    probes the projection's indexes; only a cross-product junction
-    copies and hash-joins the whole projection. *)
+    probes the projection's index of the junction it meets, whatever
+    its shape ({!Algebra.probe}), and joins the overlay beside it. *)
 val local_answer :
   t -> target:int -> partial:Partial.t -> overlay:Delta.t -> Partial.t option
 

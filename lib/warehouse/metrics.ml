@@ -44,7 +44,6 @@ type t = {
   mutable read_staleness_p99 : float;
   mutable local_answers : int;
   mutable aux_bytes : int;
-  mutable unindexed_scans : int;
 }
 
 let create () =
@@ -61,7 +60,7 @@ let create () =
     max_batch = 0; query_timeouts = 0; breaker_trips = 0; stalled_updates = 0;
     degraded_time = 0.; reads_served = 0; reads_stale = 0; reads_shed = 0;
     read_staleness_p50 = 0.; read_staleness_p99 = 0.; local_answers = 0;
-    aux_bytes = 0; unindexed_scans = 0 }
+    aux_bytes = 0 }
 
 let note_queue_length t len = if len > t.max_queue then t.max_queue <- len
 
@@ -144,7 +143,6 @@ let fields t : (string * [ `Int of int | `Float of float ]) list =
     ("read_staleness_p99", `Float t.read_staleness_p99);
     ("local_answers", `Int t.local_answers);
     ("aux_bytes", `Int t.aux_bytes);
-    ("unindexed_scans", `Int t.unindexed_scans);
     ("mean_staleness", `Float (mean_staleness t));
     ("queries_per_update", `Float (queries_per_update t));
     ("messages_per_update", `Float (messages_per_update t));
@@ -198,6 +196,4 @@ let pp ppf t =
     Format.fprintf ppf
       "@,self-maint: %d local answers (%.0f%% of legs), aux store %d B"
       t.local_answers (100. *. aux_hit_rate t) t.aux_bytes;
-  if t.unindexed_scans > 0 then
-    Format.fprintf ppf "@,joins: %d unindexed probe scans" t.unindexed_scans;
   Format.fprintf ppf "@]"

@@ -52,9 +52,6 @@ type t = {
   mutable read_staleness_p99 : float;  (** tail staleness stamp served *)
   mutable local_answers : int;  (** sweep legs answered from the aux store *)
   mutable aux_bytes : int;  (** encoded aux-store size at end of run *)
-  mutable unindexed_scans : int;
-      (** probes that found no index and degraded to an O(n) scan —
-          0 on every run (asserted by the suites) *)
 }
 
 val create : unit -> t

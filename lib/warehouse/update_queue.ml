@@ -21,9 +21,10 @@ type entry = { update : Message.update; arrival : int; arrived_at : float }
    delta, [pop] and the O(n) removals subtract each delta that leaves.
    Bag addition commutes and a count that reaches zero leaves the bag,
    so the running sum equals [Delta.sum] of the lane's deltas as a bag.
-   Built with the sum, on the same request, come one [Column_index] per
-   join column of source [j] in the view; every delta that moves the
-   sum moves them too, so each equals [Column_index.of_bag] of the sum.
+   Built with the sum, on the same request, come the sum's join indexes,
+   one per junction of source [j] in the view ([Algebra.indexes]); every
+   delta that moves the sum moves them too, so each equals a fresh build
+   over the sum.
    All of it is derived state, never checkpointed: a queue rebuilt from
    entries builds it again on the first request. *)
 type deque = { mutable front : entry list; mutable rear : entry list }
@@ -31,15 +32,10 @@ type deque = { mutable front : entry list; mutable rear : entry list }
 type lane = {
   q : deque;
   mutable count : int;
-  mutable sum : Delta.t option;
-  mutable index : Column_index.t list;
+  mutable running : (Delta.t * Algebra.indexes) option;
 }
 
-type interference = {
-  count : int;
-  sum : Delta.t;
-  index : Column_index.t list;
-}
+type interference = { count : int; sum : Delta.t; index : Algebra.indexes }
 
 type t = {
   all : deque;
@@ -71,19 +67,16 @@ let normalize d =
 let to_list d = d.front @ List.rev d.rear
 
 let new_lane () =
-  { q = { front = []; rear = [] }; count = 0; sum = None; index = [] }
+  { q = { front = []; rear = [] }; count = 0; running = None }
 
 (* [d] moves the lane's sum and indexes by [sign]. *)
 let lane_move (l : lane) sign d =
-  match l.sum with
+  match l.running with
   | None -> ()
-  | Some sum ->
+  | Some (sum, index) ->
       if sign > 0 then Bag.merge_into ~into:sum d
       else Bag.diff_into ~into:sum d;
-      List.iter
-        (fun idx ->
-          Delta.iter (fun tup c -> Column_index.add idx tup (sign * c)) d)
-        l.index
+      Delta.iter (fun tup c -> Algebra.add_all index tup (sign * c)) d
 
 (* The lane of source [j], growing the index on first sight. *)
 let lane t j =
@@ -214,19 +207,16 @@ let from_source t j =
 
 let interference t j =
   let l = lane t j in
-  let sum =
-    match l.sum with
-    | Some sum -> sum
+  let sum, index =
+    match l.running with
+    | Some running -> running
     | None ->
         let sum = Delta.sum (List.map delta_of (from_source t j)) in
-        l.sum <- Some sum;
-        l.index <-
-          List.map
-            (fun col -> Column_index.of_bag ~col sum)
-            (List.sort_uniq Int.compare (View_def.join_columns t.view j));
-        sum
+        let running = (sum, Algebra.indexes t.view j sum) in
+        l.running <- Some running;
+        running
   in
-  { count = l.count; sum; index = l.index }
+  { count = l.count; sum; index }
 
 let take_from_source t j =
   let mine = from_source t j in

@@ -62,13 +62,13 @@ val length : t -> int
 val from_source : t -> int -> entry list
 
 (** L_j of §4, the queued updates from source [j]: [count] entries
-    whose deltas sum to [sum], and [index], one index on [sum] per join
-    column of [j] in the view
-    ({!Repro_relational.View_def.join_columns}). *)
+    whose deltas sum to [sum], and [index], [sum]'s join indexes, one
+    per junction of [j] in the view
+    ({!Repro_relational.Algebra.indexes}). *)
 type interference = {
   count : int;
   sum : Repro_relational.Delta.t;
-  index : Repro_relational.Column_index.t list;
+  index : Repro_relational.Algebra.indexes;
 }
 
 (** [interference t j] is L_j. Its sum and indexes are built on the

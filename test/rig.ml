@@ -33,6 +33,21 @@ let matches probe =
   probe (fun tup c -> acc := (tup, c) :: !acc);
   !acc
 
+(* Junction by junction, the same indexes: the same entries under the
+   same key columns, and one index serving both junctions exactly when
+   [b]'s does. *)
+let indexes_equal (a : Algebra.indexes) (b : Algebra.indexes) =
+  let same x y =
+    match (x, y) with
+    | None, None -> true
+    | Some x, Some y -> Algebra.equal_index x y
+    | Some _, None | None, Some _ -> false
+  in
+  let shared (ix : Algebra.indexes) =
+    match (ix.lower, ix.upper) with Some l, Some u -> l == u | _ -> false
+  in
+  same a.lower b.lower && same a.upper b.upper && shared a = shared b
+
 let verdict =
   Alcotest.testable Checker.pp_verdict (fun a b ->
       Checker.compare_verdict a b = 0)

@@ -2,8 +2,7 @@
    invisible in results and visible only in the message counters.
 
    Unit layers first (mode parsing, checkpoint/WAL byte identity of the
-   aux snapshot, the Base_table.probe error contract, the forced
-   open-breaker composition), then a property over random join specs —
+   aux snapshot, the forced open-breaker composition), then a property over random join specs —
    a leg is locally answerable iff the tracked projection functionally
    determines its result, proved by executing both paths and comparing
    bags — and finally the seeded differential storms: for each seed and
@@ -152,34 +151,6 @@ let qcheck_aux_image_bytes =
       Aux_store.restore r (aux_decode bytes);
       !same && String.equal bytes (old_bytes ())
       && String.equal bytes (aux_encoding r))
-
-(* ————— Base_table.probe unindexed-fallback contract ————— *)
-
-(* An unindexed probe no longer raises: it degrades to a counted O(n)
-   scan with the same answer an index would give, and the degradation is
-   observable per table in [scan_count] (the indexed-leg suites
-   assert the harness's sum of those counters stays 0). *)
-let test_probe_scan_fallback () =
-  let rel = Relation.of_tuples [ Tuple.ints [ 1; 2; 3 ]; Tuple.ints [ 4; 2; 5 ] ] in
-  let bt = Base_table.create ~source:2 ~indexes:[ 0; 2 ] rel in
-  Alcotest.(check bool) "indexed probe answers" true
-    (Rig.matches (Base_table.probe bt ~col:0 ~value:(Value.int 1)) <> []);
-  Alcotest.(check int) "indexed probes are not counted" 0
-    (Base_table.scan_count bt);
-  let hits = Rig.matches (Base_table.probe bt ~col:1 ~value:(Value.int 2)) in
-  Alcotest.(check int) "scan fallback finds both matches" 2
-    (List.length hits);
-  Alcotest.(check int) "the degraded probe is counted" 1
-    (Base_table.scan_count bt);
-  let bare =
-    Base_table.create ~source:0 (Relation.of_tuples [ Tuple.ints [ 7 ] ])
-  in
-  Alcotest.(check bool) "index-free table still answers" true
-    (Rig.matches (Base_table.probe bare ~col:0 ~value:(Value.int 7)) <> []);
-  Alcotest.(check int) "and is counted on its own table" 1
-    (Base_table.scan_count bare);
-  Alcotest.(check int) "without touching the first table" 1
-    (Base_table.scan_count bt)
 
 (* ————— aux × open breaker (node level) ————— *)
 
@@ -565,8 +536,6 @@ let suite =
     Alcotest.test_case "aux snapshot: checkpoint + WAL replay byte identity"
       `Quick test_snapshot_byte_identity;
     QCheck_alcotest.to_alcotest qcheck_aux_image_bytes;
-    Alcotest.test_case "Base_table.probe: counted scan fallback" `Quick
-      test_probe_scan_fallback;
     Alcotest.test_case "aux x open breaker: local installs, zero messages"
       `Quick test_aux_with_open_breaker;
     Alcotest.test_case "property: answerable iff projections determine leg"

@@ -376,12 +376,7 @@ let p1 =
   in
   Group
     ( experiment,
-      [ claim "P1.scans" "DESIGN.md §15"
-          "no probe degrades to an unindexed scan in any of the 55 runs"
-          (fun rows ->
-            List.length rows = 55
-            && List.for_all (fun r -> r.metrics.M.unindexed_scans = 0) rows);
-        claim "P1.self-maint" "DESIGN.md §14"
+      [ claim "P1.self-maint" "DESIGN.md §14"
           "on self-maint, sweep, sweep-batched, nested-sweep and strobe \
            answer legs locally at < 1 msg/upd"
           (fun rows ->

@@ -35,16 +35,20 @@ let test_message_weights () =
             relation = Relation.of_list [ (Tuple.ints [ 9 ], 4) ] }))
 
 let test_base_table_log () =
-  let tbl = Base_table.create ~source:2 (Relation.create ()) in
-  let t1 = Base_table.apply tbl (Delta.insertion (Tuple.ints [ 1 ])) in
-  let t2 = Base_table.apply tbl (Delta.insertion (Tuple.ints [ 2 ])) in
+  let module Chain = Repro_workload.Chain in
+  let tbl =
+    Base_table.create ~source:2 ~view:(Chain.view ~n:3 ()) (Relation.create ())
+  in
+  let tuple k = Chain.tuple ~key:k ~a:k ~b:k in
+  let t1 = Base_table.apply tbl (Delta.insertion (tuple 1)) in
+  let t2 = Base_table.apply tbl (Delta.insertion (tuple 2)) in
   Alcotest.(check int) "seq 0" 0 t1.Message.seq;
   Alcotest.(check int) "seq 1" 1 t2.Message.seq;
   Alcotest.(check int) "source stamped" 2 t1.Message.source;
   Alcotest.(check int) "applied" 2 (Base_table.applied tbl);
   Alcotest.(check int) "log length" 2 (List.length (Base_table.log tbl));
   Alcotest.(check bool) "bad delete raises" true
-    (match Base_table.apply tbl (Delta.deletion (Tuple.ints [ 99 ])) with
+    (match Base_table.apply tbl (Delta.deletion (tuple 99)) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

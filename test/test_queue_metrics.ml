@@ -146,11 +146,11 @@ let qcheck_fifo_model =
    must count the entries of [from_source j] and sum their deltas
    exactly as [Delta.sum] does, while every queued delta stays as it was
    appended and is never the sum bag itself. Each lane also indexes its
-   sum on the source's join columns in the 5-chain [view], and every
-   index must equal [Column_index.of_bag] of that [Delta.sum].
-   Deltas insert and delete four shared tuples, two under each value of
-   either join column, so sums cancel to zero and lose entries and
-   buckets go from one tuple to two and back. *)
+   sum on each of the source's junctions in the 5-chain [view], and
+   every index must equal a fresh [Algebra.indexes] build over that
+   [Delta.sum]. Deltas insert and delete four shared tuples, two under
+   each value of either join column, so sums cancel to zero and lose
+   entries, and keys go from one entry to two and back. *)
 let qcheck_per_source_index =
   QCheck.Test.make ~name:"from_source ≡ filter over entries under every op"
     ~count:300
@@ -185,14 +185,8 @@ let qcheck_per_source_index =
                let expected = Delta.sum (List.map delta_of mine) in
                lj.Update_queue.count = List.length mine
                && Delta.equal sum expected
-               && List.map Column_index.col lj.Update_queue.index
-                  = List.sort_uniq compare (View_def.join_columns view j)
-               && List.for_all
-                    (fun idx ->
-                      Column_index.equal idx
-                        (Column_index.of_bag ~col:(Column_index.col idx)
-                           expected))
-                    lj.Update_queue.index
+               && Rig.indexes_equal lj.Update_queue.index
+                    (Algebra.indexes view j expected)
                && List.for_all
                     (fun e ->
                       delta_of e != sum
