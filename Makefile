@@ -34,7 +34,7 @@ loc:
 	      printf "%-10s +%-6d -%-6d net %+d\n", o[i], add[o[i]], del[o[i]], \
 	        add[o[i]] - del[o[i]] }'
 
-# Repository-invariant static analysis (rules L1-L9, see DESIGN.md §11
+# Repository-invariant static analysis (rules L1-L4 and L7-L9, see DESIGN.md §11
 # and §16). Fails on any error-severity finding not covered by an
 # audited `(* lint: allow <rule> <reason> *)` pragma.
 lint:
@@ -52,9 +52,11 @@ lint-sarif:
 faults:
 	dune exec test/test_main.exe -- test faults
 
-# Warehouse crash-recovery suite only (WAL + checkpoint + restart).
+# Warehouse crash-recovery suite only (WAL + checkpoint + restart), with
+# the crash grid at every 0.1 time unit (about 6,500 crashed runs; `dune
+# runtest` steps it every 2 units).
 recover:
-	dune exec test/test_main.exe -- test recovery
+	CRASH_GRID=1 dune exec test/test_main.exe -- test recovery
 
 # Composed chaos suite at full scale: 50 randomized Fault.chaos
 # schedules per algorithm (heavy link faults, overlapping source
@@ -83,7 +85,7 @@ aux:
 
 # Join suite at full depth: the probe leg (Base_table.extend) against
 # the nested-loop reference (test/nested_loop.ml) on edge cases and 100
-# randomized frontiers; Algebra's join, extend, merge_overlap, eval and
+# randomized frontiers; Algebra's join, merge_overlap, eval and
 # compensate against the same reference on 2,000 random chains each;
 # then 100 seeded plain, crash and outage storms per algorithm (sweep,
 # sweep-batched, nested-sweep, strobe), each draining at its

@@ -22,6 +22,8 @@ let micro_tests () =
   let view3 = Chain.view ~n:3 () in
   let rels = Chain.populate view3 ~size:1000 ~domain:64 rng in
   let delta = Delta.insertion (Chain.tuple ~key:10_000 ~a:7 ~b:9) in
+  (* source 0's relation as a partial, sharing its bag *)
+  let r0 = { Partial.lo = 0; hi = 0; data = Relation.as_bag rels.(0) } in
   let bench_hash_join =
     Test.make ~name:"hash join 1k x 1k"
       (Staged.stage (fun () ->
@@ -33,11 +35,11 @@ let micro_tests () =
     Test.make ~name:"sweep step (dR join R, 1k tuples)"
       (Staged.stage (fun () ->
            let p = Partial.of_source_delta view3 1 delta in
-           ignore (Algebra.extend view3 p ~with_relation:(0, rels.(0)))))
+           ignore (Algebra.join view3 r0 p)))
   in
   let bench_compensate =
     let temp = Partial.of_source_delta view3 1 delta in
-    let answer = Algebra.extend view3 temp ~with_relation:(0, rels.(0)) in
+    let answer = Algebra.join view3 r0 temp in
     Test.make ~name:"local compensation"
       (Staged.stage (fun () ->
            ignore
@@ -256,7 +258,7 @@ let micro_tests () =
        holds 64 *)
     let module Q = Repro_warehouse.Update_queue in
     let temp = Partial.of_source_delta view3 1 delta in
-    let answer = Algebra.extend view3 temp ~with_relation:(0, rels.(0)) in
+    let answer = Algebra.join view3 r0 temp in
     let upd seq =
       { Repro_protocol.Message.txn = { Repro_protocol.Message.source = 0; seq };
         delta =

@@ -48,11 +48,14 @@ let apply_txn view rels into (u : Message.update) =
   let i = u.Message.txn.source in
   let n = View_def.n_sources view in
   let partial = ref (Partial.of_source_delta view i u.Message.delta) in
+  (* source [j]'s relation as a partial, sharing its bag: joins only read
+     it *)
+  let leaf j = { Partial.lo = j; hi = j; data = Relation.as_bag rels.(j) } in
   for j = i - 1 downto 0 do
-    partial := Algebra.extend view !partial ~with_relation:(j, rels.(j))
+    partial := Algebra.join view (leaf j) !partial
   done;
   for j = i + 1 to n - 1 do
-    partial := Algebra.extend view !partial ~with_relation:(j, rels.(j))
+    partial := Algebra.join view !partial (leaf j)
   done;
   Bag.merge_into ~into (Algebra.select_project view !partial);
   match Relation.apply rels.(i) u.Message.delta with

@@ -4,7 +4,7 @@ type t = {
   file : string;
   line : int;
   col : int;
-  rule : string;  (* "L1".."L5", or "parse"/"pragma" for tool diagnostics *)
+  rule : string;  (* "L1".."L9", or "parse"/"pragma" for tool diagnostics *)
   severity : severity;
   message : string;
   hint : string;

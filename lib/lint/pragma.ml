@@ -5,7 +5,8 @@
    opener directly before it (shown here without the opener so the
    scanner does not match its own documentation):
 
-     lint: allow <rule> <reason...>        covers same line or next line
+     lint: allow <rule> <reason...>        after code: covers its own line;
+                                           alone on its line: also the next
      lint: allow-file <rule> <reason...>   covers the whole file
 
    The reason is mandatory: every suppression carries its own audit
@@ -17,6 +18,7 @@ type t = {
   rule : string;  (* canonical id, e.g. "L3" *)
   reason : string;
   file_wide : bool;
+  alone : bool;  (* nothing but blanks before it on its line *)
   mutable used : bool;
 }
 
@@ -27,8 +29,6 @@ let canonical_rule r =
   | "l2" | "iteration-order" -> Some "L2"
   | "l3" | "quadratic" -> Some "L3"
   | "l4" | "exception-hygiene" -> Some "L4"
-  | "l5" | "snapshot-complete" -> Some "L5"
-  | "l6" | "probe-less-join" -> Some "L6"
   | "l7" | "toplevel-mutable-state" -> Some "L7"
   | "l8" | "hot-path-effects" -> Some "L8"
   | "l9" | "send-aliasing" -> Some "L9"
@@ -99,14 +99,17 @@ let scan source =
                           rule )
                       :: !errors
                   else
+                    let alone = String.trim (String.sub line_text 0 at) = "" in
                     pragmas :=
-                      { line; rule; reason; file_wide; used = false }
+                      { line; rule; reason; file_wide; alone; used = false }
                       :: !pragmas)))
     lines;
   (List.rev !pragmas, List.rev !errors)
 
-(* A pragma covers findings of its rule on its own line or the next line
-   (so it can sit at end-of-line or on its own line just above), or
-   anywhere in the file when [file_wide]. *)
+(* A pragma covers findings of its rule on its own line and, when it
+   stands alone on its line just above the code, on the next line; or
+   anywhere in the file when [file_wide]. A pragma at the end of a line
+   of code covers that line only, so it cannot also silence the next. *)
 let covers p (f : Finding.t) =
-  p.rule = f.rule && (p.file_wide || f.line = p.line || f.line = p.line + 1)
+  p.rule = f.rule
+  && (p.file_wide || f.line = p.line || (p.alone && f.line = p.line + 1))

@@ -1,5 +1,6 @@
 (** Suppression pragmas: [(* lint: allow <rule> <reason> *)] covers
-    findings of [<rule>] on the same or the next line;
+    findings of [<rule>] on its own line, and on the next line when
+    nothing but blanks precedes it on its line;
     [(* lint: allow-file <rule> <reason> *)] covers the whole file. The
     reason is mandatory — each suppression is its own audit trail. *)
 
@@ -8,13 +9,14 @@ type t = {
   rule : string;  (** canonical id, e.g. "L3" *)
   reason : string;
   file_wide : bool;
+  alone : bool;  (** nothing but blanks before it on its line *)
   mutable used : bool;
 }
 
-(** Accepts "L1".."L9" and the slug names ("determinism",
+(** Accepts "L1".."L4", "L7".."L9" and the slug names ("determinism",
     "iteration-order", "quadratic", "exception-hygiene",
-    "snapshot-complete", "probe-less-join", "toplevel-mutable-state",
-    "hot-path-effects", "send-aliasing"), case-insensitively. *)
+    "toplevel-mutable-state", "hot-path-effects", "send-aliasing"),
+    case-insensitively. *)
 val canonical_rule : string -> string option
 
 (** [scan source] returns pragmas in line order plus malformed-pragma

@@ -1,4 +1,4 @@
-(* The invariant rules. L1–L6 are per-file [Ast_iterator] walks over one
+(* The invariant rules. L1–L4 are per-file [Ast_iterator] walks over one
    compilation unit's Parsetree; L7–L9 are cross-module, driven by the
    phase-1 [Modgraph] shared across the run. See DESIGN.md §11/§16 for
    the mapping from rule to paper/design invariant.
@@ -6,9 +6,11 @@
    The rules are deliberately syntactic: they over-approximate (a pragma
    with a reason settles the argument) rather than miss the systematic
    bug classes this repo has already paid for — PR 4's O(n²) appends, the
-   Strobe/ECA anomaly family, snapshot drift after PR 2's WAL layer, and
-   the shared-module-state races that would sink the sharded
-   OCaml-domains engine (ROADMAP item 3). *)
+   Strobe/ECA anomaly family, and the shared-module-state races that
+   would sink the sharded OCaml-domains engine (ROADMAP item 3). L5 and
+   L6 are retired: snapshot completeness is a compile error (closed
+   record patterns under warning 9), and the scan L6 flagged,
+   [Algebra.extend], is gone (DESIGN.md §11). *)
 
 open Parsetree
 
@@ -31,13 +33,6 @@ let dotted lid = String.concat "." (path_of lid)
 let norm_path file = String.concat "/" (String.split_on_char '\\' file)
 
 (* ————— shared structure walks ————— *)
-
-(* Name of a [let]-bound value, through type constraints. *)
-let rec binding_name (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (p, _) -> binding_name p
-  | _ -> None
 
 (* Every value binding in the unit at definition level: toplevel [let]s
    plus those inside (nested) modules, functor bodies and functor
@@ -424,171 +419,12 @@ let l4 ctx (str : structure) =
     str;
   List.sort Finding.compare !out
 
-(* ————— L5 · snapshot completeness ————— *)
-
-module SSet = Set.Make (String)
-module SMap = Map.Make (String)
-
-(* PR 2's recovery proof needs [restore ctx (snapshot t)] to behave
-   identically to [t]: a mutable state field that neither function ever
-   mentions is state that a crash silently drops. For a unit defining
-   both [snapshot] and [restore] (or the sweep-engine [extra_] pair),
-   every mutable record field declared in the unit must be referenced —
-   as a field access, record label or pattern label — somewhere in the
-   call closure of each of the two functions. *)
-let l5 ctx (str : structure) =
-  (* mutable fields of record types declared here *)
-  let fields = ref [] in
-  let ty_it =
-    { Ast_iterator.default_iterator with
-      type_declaration =
-        (fun self td ->
-          (match td.ptype_kind with
-          | Ptype_record labels ->
-              List.iter
-                (fun ld ->
-                  if ld.pld_mutable = Asttypes.Mutable then
-                    fields :=
-                      (td.ptype_name.txt, ld.pld_name.txt, ld.pld_loc)
-                      :: !fields)
-                labels
-          | _ -> ());
-          Ast_iterator.default_iterator.type_declaration self td) }
-  in
-  ty_it.structure ty_it str;
-  let fields = List.rev !fields in
-  if fields = [] then []
-  else
-    (* per definition-level binding: unqualified idents it references and
-       record labels it touches *)
-    let info = ref SMap.empty in
-    let names = ref [] in
-    List.iter
-      (fun vb ->
-        match binding_name vb.pvb_pat with
-        | None -> ()
-        | Some name ->
-            let refs = ref SSet.empty in
-            let labels = ref SSet.empty in
-            let lbl lid =
-              match path_of lid with
-              | [] -> ()
-              | parts -> labels := SSet.add (List.nth parts (List.length parts - 1)) !labels
-            in
-            let e_it =
-              { Ast_iterator.default_iterator with
-                expr =
-                  (fun self e ->
-                    (match e.pexp_desc with
-                    | Pexp_ident { txt = Longident.Lident n; _ } ->
-                        refs := SSet.add n !refs
-                    | Pexp_field (_, { txt; _ }) -> lbl txt
-                    | Pexp_setfield (_, { txt; _ }, _) -> lbl txt
-                    | Pexp_record (fs, _) ->
-                        List.iter (fun ({ Location.txt; _ }, _) -> lbl txt) fs
-                    | _ -> ());
-                    Ast_iterator.default_iterator.expr self e);
-                pat =
-                  (fun self p ->
-                    (match p.ppat_desc with
-                    | Ppat_record (fs, _) ->
-                        List.iter (fun ({ Location.txt; _ }, _) -> lbl txt) fs
-                    | _ -> ());
-                    Ast_iterator.default_iterator.pat self p) }
-            in
-            e_it.expr e_it vb.pvb_expr;
-            names := name :: !names;
-            info :=
-              SMap.update name
-                (function
-                  | None -> Some (!refs, !labels)
-                  | Some (r, l) -> Some (SSet.union r !refs, SSet.union l !labels))
-                !info)
-      (structure_bindings str);
-    let closure roots =
-      let seen = ref SSet.empty in
-      let rec go n =
-        if not (SSet.mem n !seen) then begin
-          seen := SSet.add n !seen;
-          match SMap.find_opt n !info with
-          | Some (refs, _) -> SSet.iter go refs
-          | None -> ()
-        end
-      in
-      List.iter go roots;
-      SSet.fold
-        (fun n acc ->
-          match SMap.find_opt n !info with
-          | Some (_, labels) -> SSet.union labels acc
-          | None -> acc)
-        !seen SSet.empty
-    in
-    let have root alt = SMap.mem root !info || SMap.mem alt !info in
-    if not (have "snapshot" "extra_snapshot" && have "restore" "extra_restore")
-    then []
-    else
-      let snap_labels = closure [ "snapshot"; "extra_snapshot" ] in
-      let rest_labels = closure [ "restore"; "extra_restore" ] in
-      List.concat_map
-        (fun (ty, field, loc) ->
-          let miss side =
-            finding ctx ~loc ~rule:"L5" ~severity:Finding.Error
-              ~message:
-                (Printf.sprintf
-                   "mutable field `%s.%s` is never referenced on the %s \
-                    path: crash recovery would silently drop it"
-                   ty field side)
-              ~hint:
-                "capture the field in the snapshot tree and rebuild it in \
-                 restore; if it is genuinely volatile (derived, or reset \
-                 after recovery), say so with a `lint: allow L5` pragma on \
-                 the field"
-          in
-          (if SSet.mem field snap_labels then [] else [ miss "snapshot" ])
-          @ if SSet.mem field rest_labels then [] else [ miss "restore" ])
-        fields
-
-(* ————— L6 · probe-less joins in the warehouse ————— *)
+(* ————— L7 · toplevel mutable state (cross-module) ————— *)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
-
-(* The 27× gap this repo's index layer closed: [Algebra.extend] walks
-   every stored tuple per delta row, so a bare call in the warehouse's
-   per-update path silently reopens the scan bottleneck. Warehouse code
-   must go through [Algebra.probe] over the leg's junction index, which
-   every junction has, a cross product included; a deliberate scan
-   carries a pragma naming the reason. *)
-let l6 ctx (str : structure) =
-  if not (contains (norm_path ctx.file) "lib/warehouse/") then []
-  else begin
-    let out = ref [] in
-    iter_exprs
-      (fun e ->
-        match e.pexp_desc with
-        | Pexp_ident { txt; loc } when path_of txt = [ "Algebra"; "extend" ]
-          ->
-            out :=
-              finding ctx ~loc ~rule:"L6" ~severity:Finding.Error
-                ~message:
-                  "bare `Algebra.extend` in lib/warehouse scans every \
-                   stored tuple per delta row, bypassing the persistent \
-                   indexes"
-                ~hint:
-                  "probe the leg's junction index through \
-                   `Algebra.probe` (see Aux_store.local_answer); if \
-                   the scan is deliberate, say why with a \
-                   `lint: allow L6` pragma"
-              :: !out
-        | _ -> ())
-      (fun it s -> it.structure it s)
-      str;
-    List.rev !out
-  end
-
-(* ————— L7 · toplevel mutable state (cross-module) ————— *)
 
 let in_lib file =
   let f = norm_path file in
@@ -841,8 +677,8 @@ let l9 ctx (str : structure) =
 (* ————— registry ————— *)
 
 let all : (string * (ctx -> structure -> Finding.t list)) list =
-  [ ("L1", l1); ("L2", l2); ("L3", l3); ("L4", l4); ("L5", l5); ("L6", l6);
-    ("L7", l7); ("L8", l8); ("L9", l9) ]
+  [ ("L1", l1); ("L2", l2); ("L3", l3); ("L4", l4); ("L7", l7); ("L8", l8);
+    ("L9", l9) ]
 
 (* id, slug, one-line description — the SARIF rule table and the
    per-rule report stats both read from here. *)
@@ -855,10 +691,6 @@ let meta =
      "no O(n^2) list appends or repeated List.length in loops");
     ("L4", "exception-hygiene",
      "no catch-all swallows or context-free raises across interfaces");
-    ("L5", "snapshot-complete",
-     "every mutable field crosses snapshot and restore");
-    ("L6", "probe-less-join",
-     "warehouse joins probe persistent indexes, never bare scans");
     ("L7", "toplevel-mutable-state",
      "no module-init mutable values in lib/ (domain-shared state)");
     ("L8", "hot-path-effects",

@@ -12,12 +12,6 @@
     - L4 exception hygiene: catch-all [try ... with _ ->] swallows
       (error), bare [raise Not_found]/[raise Exit] in modules with an
       exported [.mli] (error).
-    - L5 snapshot completeness: in units defining [snapshot]+[restore]
-      (or the [extra_] pair), every mutable record field must be
-      referenced in the call closure of both.
-    - L6 probe-less joins: bare [Algebra.extend] in [lib/warehouse/]
-      bypasses the persistent indexes (error); only the cross-product
-      fallback, with no equality to probe on, may carry a pragma.
     - L7 toplevel mutable state (cross-module): any module-init mutable
       value in [lib/] — found through the Modgraph mutability fixpoint,
       so repo-local constructors count — is domain-shared state (error).

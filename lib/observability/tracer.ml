@@ -19,7 +19,7 @@ type span = {
   name : string;
   start_time : float;
   mutable end_time : float;  (* NaN while open *)
-  mutable attrs : (string * attr) list;
+  attrs : (string * attr) list;
   mutable rev_children : id list;
   mutable rev_events : event list;
 }
@@ -57,12 +57,6 @@ let finish t ~time id =
     match Hashtbl.find_opt t.spans id with
     | None -> ()
     | Some s -> if Float.is_nan s.end_time then s.end_time <- time
-
-let add_attrs t id attrs =
-  if id <> none then
-    match Hashtbl.find_opt t.spans id with
-    | None -> ()
-    | Some s -> s.attrs <- s.attrs @ attrs
 
 let event t ~time ?(span = none) ~name ?(attrs = []) () =
   let ev = { at = time; ev_name = name; ev_attrs = attrs } in

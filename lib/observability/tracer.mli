@@ -21,7 +21,7 @@ type span = {
   name : string;
   start_time : float;
   mutable end_time : float;  (** NaN while the span is open *)
-  mutable attrs : (string * attr) list;
+  attrs : (string * attr) list;
   mutable rev_children : id list;
   mutable rev_events : event list;
 }
@@ -41,9 +41,6 @@ val start :
 
 (** Close a span (first close wins; unknown ids and [none] ignored). *)
 val finish : t -> time:float -> id -> unit
-
-(** Append attributes to an open or closed span. *)
-val add_attrs : t -> id -> (string * attr) list -> unit
 
 (** Record a point event on [span] (default: the root). *)
 val event :

@@ -299,18 +299,6 @@ let join view (left : Partial.t) (right : Partial.t) : Partial.t =
   run (Delta.add data);
   { Partial.lo = left.lo; hi = right.hi; data }
 
-(* Source [j]'s relation as a partial, sharing its bag: joins only read
-   it. *)
-let leaf j r = { Partial.lo = j; hi = j; data = Relation.as_bag r }
-
-let extend view (p : Partial.t) ~with_relation:(j, r) =
-  if j = p.lo - 1 then join view (leaf j r) p
-  else if j = p.hi + 1 then join view p (leaf j r)
-  else
-    invalid_arg
-      (Printf.sprintf "Algebra.extend: source %d not adjacent to [%d..%d]" j
-         p.lo p.hi)
-
 type indexes = { lower : index option; upper : index option }
 
 let indexes ?(at = Fun.id) view j data =

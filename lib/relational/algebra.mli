@@ -15,11 +15,6 @@
     adjacent. *)
 val join : View_def.t -> Partial.t -> Partial.t -> Partial.t
 
-(** [extend view p ~with_relation:(j, r)] joins [p] with relation [r] of
-    source [j], which must be adjacent to [p] on either side. This is the
-    source-side step of the sweep. *)
-val extend : View_def.t -> Partial.t -> with_relation:int * Relation.t -> Partial.t
-
 (** [join_with view left right f] calls [f] on each tuple of
     [join view left right] with its count, building no result: the
     pairs stream out of the probe as they match. *)
@@ -75,8 +70,8 @@ val add_all : indexes -> Tuple.t -> int -> unit
     entries in the index, and the junction's residual filters the
     pairs, as in {!join}. [lift] maps an indexed tuple to source width
     before the residual and the concatenation read it (the identity by
-    default). The result is bag for bag {!extend}'s over the same
-    tuples. Raises [Invalid_argument] when [source] is not adjacent to
+    default). The result is bag for bag {!join}'s with a partial
+    holding the same tuples. Raises [Invalid_argument] when [source] is not adjacent to
     [p]. *)
 val probe :
   ?lift:(Tuple.t -> Tuple.t) -> View_def.t -> indexes -> Partial.t ->

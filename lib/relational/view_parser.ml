@@ -299,14 +299,15 @@ let split_where schemas e =
   in
   let joins = Array.make (Array.length schemas - 1) [] in
   let residual = ref [] in
+  let push k eq = joins.(k) <- joins.(k) @ [ eq ] (* lint: allow L3 parse-time only, bounded by the query's join-predicate count *) in
   List.iter
     (fun c ->
       match c with
       | Cmp (Predicate.Eq, (Qattr _ as l), (Qattr _ as r)) ->
           let sl, gl = resolve_qattr schemas l in
           let sr, gr = resolve_qattr schemas r in
-          if sl + 1 = sr then joins.(sl) <- joins.(sl) @ [ (gl, gr) ] (* lint: allow L3 parse-time only, bounded by the query's join-predicate count *)
-          else if sr + 1 = sl then joins.(sr) <- joins.(sr) @ [ (gr, gl) ]
+          if sl + 1 = sr then push sl (gl, gr)
+          else if sr + 1 = sl then push sr (gr, gl)
           else residual := c :: !residual
       | _ -> residual := c :: !residual)
     (conjuncts e);

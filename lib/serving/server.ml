@@ -50,7 +50,6 @@ type t = {
   mutable session_log : Repro_consistency.Checker.read_view list;
       (* reverse serve order; served reads only *)
   h_staleness : Histogram.t;
-  h_latency : Histogram.t;
 }
 
 let create ?(config = default_config) ~engine ~rng ~obs ~n_sources ~view () =
@@ -67,7 +66,7 @@ let create ?(config = default_config) ~engine ~rng ~obs ~n_sources ~view () =
     version = 0; fresh = 0; stale = 0; shed_cap = 0;
     shed_ceiling = 0;
     log = []; session_log = [];
-    h_staleness = Histogram.create (); h_latency = Histogram.create () }
+    h_staleness = Histogram.create () }
 
 let note_delivery t ~source ~txn =
   if source < 0 || source >= t.n_sources then
@@ -159,7 +158,6 @@ let read t ~session ~kind =
       Engine.schedule t.engine
         ~delay:(Rng.exponential t.rng ~mean:t.cfg.service_mean)
         (fun () ->
-          Histogram.record t.h_latency (Engine.now t.engine -. issued_at);
           Obs.finish t.obs span;
           Backpressure.release t.bp 1);
       outcome
@@ -174,8 +172,6 @@ let shed_cap t = t.shed_cap
 let shed_ceiling t = t.shed_ceiling
 let staleness_p50 t = Histogram.p50 t.h_staleness
 let staleness_p99 t = Histogram.p99 t.h_staleness
-let staleness_histogram t = t.h_staleness
-let latency_histogram t = t.h_latency
 
 let log t = List.rev t.log
 let read_log t = List.rev t.session_log

@@ -97,8 +97,6 @@ val shed_ceiling : t -> int
 val staleness_p50 : t -> float
 
 val staleness_p99 : t -> float
-val staleness_histogram : t -> Histogram.t
-val latency_histogram : t -> Histogram.t
 
 (** Every read in serve order (including shed ones). *)
 val log : t -> record list

@@ -34,11 +34,6 @@ let crashed t ~source ~time =
     (fun w -> w.source = source && time >= w.down_at && time < w.up_at)
     t.crashes
 
-let warehouse_crashed t ~time =
-  List.exists
-    (fun o -> time >= o.wh_down_at && time < o.wh_up_at)
-    t.wh_crashes
-
 let random rng ~n_sources ~horizon =
   let link =
     { drop = Rng.uniform rng ~lo:0.0 ~hi:0.3;

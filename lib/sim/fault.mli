@@ -58,10 +58,6 @@ val is_faulty : t -> bool
     windows at [time]? *)
 val crashed : t -> source:int -> time:float -> bool
 
-(** [warehouse_crashed t ~time] — is the warehouse inside one of its
-    outage windows at [time]? *)
-val warehouse_crashed : t -> time:float -> bool
-
 (** [random rng ~n_sources ~horizon] draws a schedule for the property
     harness: moderate loss/duplication/spike rates and, with probability
     1/2, one crash window per run placed inside [horizon]. Deterministic

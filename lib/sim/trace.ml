@@ -1,9 +1,8 @@
 type line = { time : float; who : string; text : string }
-type t = { mutable enabled : bool; mutable rev_lines : line list }
+type t = { enabled : bool; mutable rev_lines : line list }
 
 let create ?(enabled = false) () = { enabled; rev_lines = [] }
 let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 
 let emit t ~time ~who fmt =
   if t.enabled then

@@ -8,7 +8,6 @@ type t
 
 val create : ?enabled:bool -> unit -> t
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 (** [emit t ~time ~who fmt …]: record a line (no-op when disabled). *)
 val emit : t -> time:float -> who:string -> ('a, Format.formatter, unit) format -> 'a

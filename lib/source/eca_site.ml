@@ -42,17 +42,7 @@ let eval_term t (pins : Message.eca_term) : Partial.t =
   let n = View_def.n_sources t.view in
   let pinned j = List.assoc_opt j pins in
   match List.sort (fun (a, _) (b, _) -> Int.compare a b) pins with
-  | [] ->
-      (* no pin: the full chain join (used by no algorithm today) *)
-      let acc =
-        ref (Partial.of_relation t.view 0 (Base_table.relation t.tables.(0)))
-      in
-      for j = 1 to n - 1 do
-        acc :=
-          Algebra.join t.view !acc
-            (Partial.of_relation t.view j (Base_table.relation t.tables.(j)))
-      done;
-      !acc
+  | [] -> invalid_arg "Eca_site.eval_terms: term pins no source"
   | (start, d0) :: _ ->
       let acc = ref (Partial.of_source_delta t.view start d0) in
       let leg j =

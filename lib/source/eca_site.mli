@@ -36,5 +36,6 @@ val local_update : t -> source:int -> Delta.t -> Message.txn_id
 val handle : t -> Message.to_source -> unit
 
 (** [eval_terms t terms] — exposed for tests: the summed full-width result
-    of a query expression. *)
+    of a query expression. Raises [Invalid_argument] on an empty
+    expression or a term that pins no source. *)
 val eval_terms : t -> Message.eca_term list -> Partial.t

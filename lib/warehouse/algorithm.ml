@@ -79,8 +79,8 @@ let txn_span ctx name ?(attrs = []) entries =
 
 module Snap = Repro_durability.Snap
 
-let snap_of_entry (e : Update_queue.entry) =
-  Snap.List [ Snap.Update e.update; Snap.Int e.arrival; Snap.Float e.arrived_at ]
+let snap_of_entry { Update_queue.update; arrival; arrived_at } =
+  Snap.List [ Snap.Update update; Snap.Int arrival; Snap.Float arrived_at ]
 
 let entry_of_snap s =
   match Snap.to_list s with

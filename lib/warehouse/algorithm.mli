@@ -67,12 +67,16 @@ module type S = sig
 
   (** Freeze the algorithm's resumable state for a checkpoint. Must be a
       deep copy: the returned tree may outlive arbitrary further
-      mutation of [t]. *)
+      mutation of [t]. Binds each record of its state with a closed
+      pattern naming every field ([ctx = _], and [span = _] with its
+      reason for a volatile or derived field), so a field added to the
+      state fails the build (warning 9, an error in this library). *)
   val snapshot : t -> Repro_durability.Snap.t
 
   (** Rebuild from a {!snapshot} against a fresh context (crash
       recovery). [restore ctx (snapshot t)] must behave identically to
-      [t] for all future events. *)
+      [t] for all future events. Builds each record literally, never
+      with [{ r with … }], so every field is written. *)
   val restore : ctx -> Repro_durability.Snap.t -> t
 end
 

@@ -29,8 +29,7 @@ type source = {
   mutable probes : int;  (* probes issued since this breaker opened *)
   mutable cur_delay : float;  (* next open → half-open delay *)
   mutable abandoned : bool;  (* probe budget exhausted: open for good *)
-  (* lint: allow L5 volatile: stamps pending probe timers; restore bumps it to orphan them and re-schedules fresh probes *)
-  mutable probe_epoch : int;
+  mutable probe_epoch : int;  (* stamps pending probe timers *)
 }
 
 type decision = Retry | Tripped
@@ -42,15 +41,10 @@ type t = {
   obs : Obs.t;
   metrics : Metrics.t;
   sources : source array;
-  (* lint: allow L5 derived: count of not-Closed sources, rebuilt by restore while replaying per-source states *)
   mutable not_closed : int;
-  (* lint: allow L5 derived: degraded-interval start, re-opened by restore when any restored breaker is not Closed *)
   mutable degraded_since : float;  (* < 0. ⇒ not currently degraded *)
-  (* lint: allow L5 volatile: harness callback, rewired after create/restore *)
   mutable on_open : int -> unit;
-  (* lint: allow L5 volatile: harness callback, rewired after create/restore *)
   mutable on_probe : int -> unit;
-  (* lint: allow L5 volatile: harness callback, rewired after create/restore *)
   mutable on_close : int -> unit;
 }
 
@@ -82,7 +76,6 @@ let state t i = t.sources.(i).state
 let source_ok t i = t.sources.(i).state = Closed
 let degraded t = t.not_closed > 0
 let abandoned t i = t.sources.(i).abandoned
-let any_abandoned t = Array.exists (fun s -> s.abandoned) t.sources
 
 (* degraded_time accounting: one interval per contiguous stretch with at
    least one non-Closed source. *)
@@ -220,56 +213,72 @@ let reset t =
       s.probe_epoch <- s.probe_epoch + 1)
     t.sources
 
-let snapshot t =
+let snapshot
+    { sources; engine = _; rng = _; config = _; obs = _; metrics = _;
+      (* derived: restore recounts and re-opens them from the sources *)
+      not_closed = _; degraded_since = _;
+      (* volatile: harness callbacks, rewired after create/restore *)
+      on_open = _; on_probe = _; on_close = _ } =
   Snap.List
-    (Array.to_list t.sources
-    |> List.map (fun s ->
+    (Array.to_list sources
+    |> List.map
+         (fun
+           { state; failures; probes; cur_delay; abandoned;
+             (* volatile: restore orphans the old timers and schedules
+                fresh probes *)
+             probe_epoch = _ }
+         ->
            Snap.List
              [ Snap.Int
-                 (match s.state with
-                 | Closed -> 0
-                 | Open -> 1
-                 | Half_open -> 2);
-               Snap.Int s.failures; Snap.Int s.probes;
-               Snap.Float s.cur_delay; Snap.Bool s.abandoned ]))
+                 (match state with Closed -> 0 | Open -> 1 | Half_open -> 2);
+               Snap.Int failures; Snap.Int probes; Snap.Float cur_delay;
+               Snap.Bool abandoned ]))
 
-let restore t snap =
-  let sources =
+(* In place: the node and the harness hold [t]. Each source is written
+   back whole, as a fresh record; [halt] already orphaned the old one's
+   probe timers. *)
+let restore
+    ({ sources; config; engine = _; rng = _; obs = _; metrics = _;
+       (* derived: rewound here and rebuilt from the restored sources *)
+       not_closed = _; degraded_since = _;
+       (* volatile: harness callbacks, rewired after create/restore *)
+       on_open = _; on_probe = _; on_close = _ } as t) snap =
+  let snaps =
     match snap with
     | Snap.List l -> l
     | _ -> invalid_arg "Breaker.restore: malformed snapshot"
   in
-  if List.length sources <> Array.length t.sources then
+  if List.length snaps <> Array.length sources then
     invalid_arg "Breaker.restore: source count mismatch";
   (* rewind accounting, then replay transitions from the snapshot *)
   if t.degraded_since >= 0. then end_degraded t;
   t.not_closed <- 0;
   List.iteri
     (fun i snap_s ->
-      let s = t.sources.(i) in
-      (match Snap.to_list snap_s with
+      match Snap.to_list snap_s with
       | [ st; failures; probes; cur_delay; abandoned ] ->
-          s.state <-
-            (match Snap.to_int st with
+          let state =
+            match Snap.to_int st with
             | 0 -> Closed
-            | 1 -> Open
-            | 2 -> Half_open
-            | _ -> invalid_arg "Breaker.restore: bad state");
-          s.failures <- Snap.to_int failures;
-          s.probes <- Snap.to_int probes;
-          s.cur_delay <- Snap.to_float cur_delay;
-          s.abandoned <- Snap.to_bool abandoned
-      | _ -> invalid_arg "Breaker.restore: malformed source");
-      s.probe_epoch <- s.probe_epoch + 1;
-      (* a checkpointed Half_open probe was answered (or not) by the old
-         incarnation; the new one re-probes from Open *)
-      if s.state = Half_open then s.state <- Open;
-      if s.state <> Closed then begin
-        t.not_closed <- t.not_closed + 1;
-        if t.not_closed = 1 then begin_degraded t;
-        if not s.abandoned then begin
-          if s.cur_delay <= 0. then s.cur_delay <- t.config.probe_after;
-          schedule_probe t i
-        end
-      end)
-    sources
+            (* a checkpointed Half_open probe was answered (or not) by
+               the old incarnation; the new one re-probes from Open *)
+            | 1 | 2 -> Open
+            | _ -> invalid_arg "Breaker.restore: bad state"
+          in
+          let abandoned = Snap.to_bool abandoned in
+          let cur_delay = Snap.to_float cur_delay in
+          sources.(i) <-
+            { state; failures = Snap.to_int failures;
+              probes = Snap.to_int probes;
+              cur_delay =
+                (if state = Open && (not abandoned) && cur_delay <= 0. then
+                   config.probe_after
+                 else cur_delay);
+              abandoned; probe_epoch = 0 };
+          if state <> Closed then begin
+            t.not_closed <- t.not_closed + 1;
+            if t.not_closed = 1 then begin_degraded t;
+            if not abandoned then schedule_probe t i
+          end
+      | _ -> invalid_arg "Breaker.restore: malformed source")
+    snaps

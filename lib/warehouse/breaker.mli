@@ -88,8 +88,6 @@ val degraded : t -> bool
 (** Source [i] exhausted its probe budget and is written off. *)
 val abandoned : t -> int -> bool
 
-val any_abandoned : t -> bool
-
 (** Feed in a query-deadline expiry on the link to source [i]. *)
 val record_timeout : t -> int -> decision
 

@@ -24,7 +24,6 @@ type current = {
   mutable kills : (int * Tuple.t) list;  (* (source, key) kills to apply *)
   mutable finished : bool;  (* finalize-once guard *)
   delete_view_delta : Delta.t;  (* local handling of the delete part *)
-  (* lint: allow L5 volatile span id, like the legs': Tracer.none after restore *)
   mutable span : Tracer.id;
 }
 
@@ -216,14 +215,14 @@ let idle t = t.current = None && Update_queue.is_empty t.ctx.queue
 
 module Snap = Repro_durability.Snap
 
-let snap_of_job job =
+let snap_of_job { pins; pin_ids; leg } =
   Snap.List
     [ Snap.List
         (List.map
            (fun (src, d) ->
              Snap.List [ Snap.Int src; Snap.Delta (Delta.copy d) ])
-           job.pins);
-      Snap.ints job.pin_ids; Sweep_leg.snapshot job.leg ]
+           pins);
+      Snap.ints pin_ids; Sweep_leg.snapshot leg ]
 
 let job_of_snap s =
   match Snap.to_list s with
@@ -240,26 +239,30 @@ let job_of_snap s =
 
 (* Canonical hashtable dumps: spawned pin-id sets and killed arrivals
    sorted so equal states encode identically. *)
-let snap_of_current cur =
+let snap_of_current
+    { entry; jobs; spawned; answer; killed; kills; finished;
+      delete_view_delta;
+      (* volatile span id, like the legs': [Tracer.none] after restore *)
+      span = _ } =
   let spawned =
-    Hashtbl.fold (fun ids () acc -> ids :: acc) cur.spawned []
+    Hashtbl.fold (fun ids () acc -> ids :: acc) spawned []
     |> List.sort compare |> List.map Snap.ints
   in
   let killed =
-    Hashtbl.fold (fun a () acc -> a :: acc) cur.killed []
+    Hashtbl.fold (fun a () acc -> a :: acc) killed []
     |> List.sort Int.compare
   in
   Snap.List
-    [ Algorithm.snap_of_entry cur.entry;
-      Snap.List (List.map snap_of_job cur.jobs); Snap.List spawned;
-      Snap.option (fun a -> Snap.Partial (Partial.copy a)) cur.answer;
+    [ Algorithm.snap_of_entry entry;
+      Snap.List (List.map snap_of_job jobs); Snap.List spawned;
+      Snap.option (fun a -> Snap.Partial (Partial.copy a)) answer;
       Snap.ints killed;
       Snap.List
         (List.map
            (fun (src, key) ->
              Snap.List [ Snap.Int src; Snap.Tup (Array.copy key) ])
-           cur.kills);
-      Snap.Bool cur.finished; Snap.Delta (Delta.copy cur.delete_view_delta) ]
+           kills);
+      Snap.Bool finished; Snap.Delta (Delta.copy delete_view_delta) ]
 
 let current_of_snap s =
   match Snap.to_list s with
@@ -284,7 +287,7 @@ let current_of_snap s =
         delete_view_delta = Snap.to_delta dvd; span = Tracer.none }
   | _ -> invalid_arg "C_strobe: malformed current snapshot"
 
-let snapshot t = Snap.option snap_of_current t.current
+let snapshot { ctx = _; current } = Snap.option snap_of_current current
 
 let restore ctx s =
   Keys.require_keys ~algorithm:"C-strobe" ctx.Algorithm.view;

@@ -9,7 +9,6 @@ type pending = {
   entry : Update_queue.entry;
   terms : Message.eca_term list;
   qid : int;
-  (* volatile span id: never checkpointed, [Tracer.none] after restore *)
   span : Tracer.id;
 }
 
@@ -86,10 +85,14 @@ let term_of_snap s : Message.eca_term =
       | _ -> invalid_arg "Eca: malformed term snapshot")
     (Snap.to_list s)
 
-let snap_of_pending p =
+let snap_of_pending
+    { entry; terms; qid;
+      (* volatile span id: never checkpointed, [Tracer.none] after
+         restore *)
+      span = _ } =
   Snap.List
-    [ Algorithm.snap_of_entry p.entry;
-      Snap.List (List.map snap_of_term p.terms); Snap.Int p.qid ]
+    [ Algorithm.snap_of_entry entry;
+      Snap.List (List.map snap_of_term terms); Snap.Int qid ]
 
 let pending_of_snap s =
   match Snap.to_list s with
@@ -101,7 +104,8 @@ let pending_of_snap s =
 
 (* Checkpointed in delivery order: the encoding is unchanged by the
    reversed in-memory representation. *)
-let snapshot t = Snap.List (List.rev_map snap_of_pending t.rev_pending)
+let snapshot { ctx = _; rev_pending } =
+  Snap.List (List.rev_map snap_of_pending rev_pending)
 
 let restore ctx s =
   { ctx; rev_pending = List.rev_map pending_of_snap (Snap.to_list s) }

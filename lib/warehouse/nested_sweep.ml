@@ -184,10 +184,10 @@ struct
 
   module Snap = Repro_durability.Snap
 
-  let snap_of_frame f =
+  let snap_of_frame { entries; left; src; right; leg } =
     Snap.List
-      [ Snap.List (List.map Algorithm.snap_of_entry f.entries);
-        Snap.ints [ f.left; f.src; f.right ]; Sweep_leg.snapshot f.leg ]
+      [ Snap.List (List.map Algorithm.snap_of_entry entries);
+        Snap.ints [ left; src; right ]; Sweep_leg.snapshot leg ]
 
   let frame_of_snap s =
     match Snap.to_list s with
@@ -203,10 +203,10 @@ struct
 
   (* The batch is checkpointed in delivery order, keeping the encoding
      identical to the pre-deque representation. *)
-  let snapshot t =
+  let snapshot { ctx = _; max_depth = _; stack; rev_batch } =
     Snap.List
-      [ Snap.List (List.map snap_of_frame t.stack);
-        Snap.List (List.rev_map Algorithm.snap_of_entry t.rev_batch) ]
+      [ Snap.List (List.map snap_of_frame stack);
+        Snap.List (List.rev_map Algorithm.snap_of_entry rev_batch) ]
 
   let restore ctx s =
     match Snap.to_list s with

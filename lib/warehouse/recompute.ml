@@ -8,10 +8,8 @@ let name = "recompute"
 type job = {
   entry : Update_queue.entry;
   snapshots : Relation.t option array;
-  (* lint: allow L5 derived: job_of_snap recounts the None snapshots at restore *)
   mutable missing : int;
   qid : int;
-  (* lint: allow L5 volatile span id: never checkpointed, Tracer.none after restore *)
   mutable span : Tracer.id;
 }
 
@@ -92,13 +90,19 @@ module Snap = Repro_durability.Snap
 
 (* Snapshots checkpoint as option deltas (Relation.t has no Snap
    constructor; a relation is a set, i.e. a non-negative delta). *)
-let snap_of_job job =
+let snap_of_job
+    { entry; snapshots;
+      (* derived: job_of_snap recounts the None snapshots at restore *)
+      missing = _; qid;
+      (* volatile span id: never checkpointed, [Tracer.none] after
+         restore *)
+      span = _ } =
   Snap.List
-    [ Algorithm.snap_of_entry job.entry;
+    [ Algorithm.snap_of_entry entry;
       Snap.List
-        (Array.to_list job.snapshots
+        (Array.to_list snapshots
         |> List.map (Snap.option (fun r -> Snap.Delta (Delta.of_relation r))));
-      Snap.Int job.qid ]
+      Snap.Int qid ]
 
 let job_of_snap s =
   match Snap.to_list s with
@@ -119,6 +123,12 @@ let job_of_snap s =
         qid = Snap.to_int qid; span = Tracer.none }
   | _ -> invalid_arg "Recompute: malformed job snapshot"
 
-let snapshot t = Snap.option snap_of_job t.current
+let snapshot
+    { ctx = _; current;
+      (* derived: restore starts a fresh evaluator *)
+      eval = _ } =
+  Snap.option snap_of_job current
+
 let restore ctx s =
-  { (create ctx) with current = Snap.to_option job_of_snap s }
+  { ctx; current = Snap.to_option job_of_snap s;
+    eval = Algebra.evaluator ctx.view }

@@ -144,14 +144,14 @@ let action_of_snap s =
       Ins { full = Snap.to_delta full }
   | _ -> invalid_arg "Strobe: malformed action snapshot"
 
-let snap_of_query q =
+let snap_of_query { entry; leg; kill_keys } =
   Snap.List
-    [ Algorithm.snap_of_entry q.entry; Sweep_leg.snapshot q.leg;
+    [ Algorithm.snap_of_entry entry; Sweep_leg.snapshot leg;
       Snap.List
         (List.map
            (fun (source, key) ->
              Snap.List [ Snap.Int source; Snap.Tup (Array.copy key) ])
-           q.kill_keys) ]
+           kill_keys) ]
 
 let query_of_snap s =
   match Snap.to_list s with
@@ -168,11 +168,11 @@ let query_of_snap s =
 
 (* The batch and query set are checkpointed in delivery order, keeping
    the encoding identical to the pre-deque representation. *)
-let snapshot t =
+let snapshot { ctx = _; rev_uqs; rev_al; rev_batch } =
   Snap.List
-    [ Snap.List (List.rev_map snap_of_query t.rev_uqs);
-      Snap.List (List.map snap_of_action t.rev_al);
-      Snap.List (List.rev_map Algorithm.snap_of_entry t.rev_batch) ]
+    [ Snap.List (List.rev_map snap_of_query rev_uqs);
+      Snap.List (List.map snap_of_action rev_al);
+      Snap.List (List.rev_map Algorithm.snap_of_entry rev_batch) ]
 
 let restore ctx s =
   match Snap.to_list s with

@@ -322,12 +322,16 @@ module Make (P : POLICY) = struct
     && Update_queue.is_empty t.ctx.queue
     && P.extra_idle t.extra
 
-  (* [combined] is a function of [entries]; restore recomputes it. *)
-  let snap_of_batch b =
+  let snap_of_batch
+      { entries;
+        (* derived: a function of [entries]; restore recomputes it *)
+        combined = _; acc; src; leg;
+        (* volatile span id: [Tracer.none] after restore *)
+        span = _ } =
     Snap.List
-      [ Snap.List (List.map Algorithm.snap_of_entry b.entries);
-        Snap.option (fun d -> Snap.Delta (Delta.copy d)) b.acc;
-        Snap.Int b.src; Sweep_leg.snapshot b.leg ]
+      [ Snap.List (List.map Algorithm.snap_of_entry entries);
+        Snap.option (fun d -> Snap.Delta (Delta.copy d)) acc;
+        Snap.Int src; Sweep_leg.snapshot leg ]
 
   let batch_of_snap s =
     match Snap.to_list s with
@@ -338,10 +342,10 @@ module Make (P : POLICY) = struct
           leg = Sweep_leg.restore leg; span = Tracer.none }
     | _ -> invalid_arg (name ^ ": malformed batch snapshot")
 
-  let snapshot t =
+  let snapshot { ctx = _; extra; batch; aborted; stall_mark } =
     Snap.List
-      [ Snap.option snap_of_batch t.batch; P.extra_snapshot t.extra;
-        Snap.ints t.aborted; Snap.Int t.stall_mark ]
+      [ Snap.option snap_of_batch batch; P.extra_snapshot extra;
+        Snap.ints aborted; Snap.Int stall_mark ]
 
   let restore ctx s =
     match Snap.to_list s with

@@ -62,16 +62,15 @@ include Sweep_batched.Make (struct
   module Snap = Repro_durability.Snap
 
   (* Canonical dump: open transactions sorted by gid. *)
-  let extra_snapshot ledger =
+  let extra_snapshot { open_txns; buffered; rev_buffered_entries } =
     let open_txns =
-      Hashtbl.fold (fun gid r acc -> (gid, r) :: acc) ledger.open_txns []
+      Hashtbl.fold (fun gid r acc -> (gid, r) :: acc) open_txns []
       |> List.sort compare
       |> List.map (fun (gid, r) -> Snap.ints [ gid; r ])
     in
     Snap.List
-      [ Snap.List open_txns; Snap.Delta (Delta.copy ledger.buffered);
-        Snap.List
-          (List.rev_map Algorithm.snap_of_entry ledger.rev_buffered_entries) ]
+      [ Snap.List open_txns; Snap.Delta (Delta.copy buffered);
+        Snap.List (List.rev_map Algorithm.snap_of_entry rev_buffered_entries) ]
 
   let extra_restore _ s =
     match Snap.to_list s with

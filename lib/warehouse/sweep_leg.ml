@@ -10,7 +10,7 @@ type t = {
   mutable temp : Partial.t;
   mutable pending : int list;
   mutable outstanding : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after a crash restore (recovery truncates the span tree) *)
+  mutable span : Tracer.id;
   mutable query : Tracer.id;
 }
 
@@ -104,10 +104,14 @@ let overlay entries j =
          else None)
        entries)
 
-let snapshot leg =
+let snapshot
+    { qid; dv; temp; pending; outstanding;
+      (* volatile span ids: never checkpointed, [Tracer.none] after a
+         crash restore (recovery truncates the span tree) *)
+      span = _; query = _ } =
   Snap.List
-    [ Snap.Partial (Partial.copy leg.dv); Snap.Partial (Partial.copy leg.temp);
-      Snap.ints leg.pending; Snap.Int leg.outstanding; Snap.Int leg.qid ]
+    [ Snap.Partial (Partial.copy dv); Snap.Partial (Partial.copy temp);
+      Snap.ints pending; Snap.Int outstanding; Snap.Int qid ]
 
 let restore s =
   match Snap.to_list s with

@@ -106,10 +106,13 @@ let idle t = t.current = None && Update_queue.is_empty t.ctx.queue
 
 module Snap = Repro_durability.Snap
 
-let snap_of_vc vc =
+let snap_of_vc
+    { entry; src; left; right;
+      (* volatile span id: [Tracer.none] after restore *)
+      span = _ } =
   Snap.List
-    [ Algorithm.snap_of_entry vc.entry; Snap.Int vc.src; Sweep_leg.snapshot vc.left;
-      Sweep_leg.snapshot vc.right ]
+    [ Algorithm.snap_of_entry entry; Snap.Int src; Sweep_leg.snapshot left;
+      Sweep_leg.snapshot right ]
 
 let vc_of_snap s =
   match Snap.to_list s with
@@ -119,5 +122,5 @@ let vc_of_snap s =
         span = Tracer.none }
   | _ -> invalid_arg "Sweep_parallel: malformed snapshot"
 
-let snapshot t = Snap.option snap_of_vc t.current
+let snapshot { ctx = _; current } = Snap.option snap_of_vc current
 let restore ctx s = { ctx; current = Snap.to_option vc_of_snap s }

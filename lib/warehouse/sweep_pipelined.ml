@@ -15,7 +15,7 @@ type state = {
   window : int;
   mutable front : vc list;  (* oldest first *)
   mutable rear : vc list;  (* newest first *)
-  mutable depth : int; (* lint: allow L5 derived: restore recomputes it from the decoded pipeline *)
+  mutable depth : int;
 }
 
 module Make (Cfg : sig
@@ -32,7 +32,7 @@ struct
     if Cfg.window < 1 then invalid_arg "Sweep_pipelined: window < 1";
     { ctx; window = Cfg.window; front = []; rear = []; depth = 0 }
 
-  (* Whole pipeline in delivery order, for scans and snapshots. *)
+  (* Whole pipeline in delivery order, for scans. *)
   let pipeline t = t.front @ List.rev t.rear
 
   let push t vc =
@@ -135,8 +135,8 @@ struct
 
   module Snap = Repro_durability.Snap
 
-  let snap_of_vc vc =
-    Snap.List [ Algorithm.snap_of_entry vc.entry; Sweep_leg.snapshot vc.leg ]
+  let snap_of_vc { entry; leg } =
+    Snap.List [ Algorithm.snap_of_entry entry; Sweep_leg.snapshot leg ]
 
   let vc_of_snap s =
     match Snap.to_list s with
@@ -146,7 +146,11 @@ struct
 
   (* Checkpoint encoding stays in delivery order, exactly as before the
      deque refactor. *)
-  let snapshot t = Snap.List (List.map snap_of_vc (pipeline t))
+  let snapshot
+      { ctx = _; window = _; front; rear;
+        (* derived: restore recomputes it from the decoded pipeline *)
+        depth = _ } =
+    Snap.List (List.map snap_of_vc front @ List.rev_map snap_of_vc rear)
 
   let restore ctx s =
     let vcs = List.map vc_of_snap (Snap.to_list s) in

@@ -50,6 +50,9 @@ let test_join_requires_adjacency () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Source [j]'s relation as a partial, sharing its bag. *)
+let leaf j r = { Partial.lo = j; hi = j; data = Relation.as_bag r }
+
 let test_extend_both_sides () =
   let r0 = Relation.of_tuples [ Chain.tuple ~key:0 ~a:1 ~b:5 ] in
   let r2 = Relation.of_tuples [ Chain.tuple ~key:0 ~a:6 ~b:9 ] in
@@ -57,13 +60,13 @@ let test_extend_both_sides () =
     { Partial.lo = 1; hi = 1;
       data = Delta.of_list [ (Chain.tuple ~key:3 ~a:5 ~b:6, 1) ] }
   in
-  let left = Algebra.extend view3 mid ~with_relation:(0, r0) in
+  let left = Algebra.join view3 (leaf 0 r0) mid in
   Alcotest.(check int) "left extension matched" 1 (Partial.cardinal left);
   Alcotest.(check int) "covers 0..1" 0 left.Partial.lo;
-  let both = Algebra.extend view3 left ~with_relation:(2, r2) in
+  let both = Algebra.join view3 left (leaf 2 r2) in
   Alcotest.(check bool) "covers all" true (Partial.covers_all view3 both);
-  Alcotest.(check bool) "overlapping extend rejected" true
-    (match Algebra.extend view3 left ~with_relation:(0, r0) with
+  Alcotest.(check bool) "overlapping join rejected" true
+    (match Algebra.join view3 left (leaf 0 r0) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -131,10 +134,10 @@ let incremental_matches_recompute view n =
       in
       let partial = ref (Partial.of_source_delta view i delta) in
       for j = i - 1 downto 0 do
-        partial := Algebra.extend view !partial ~with_relation:(j, rels.(j))
+        partial := Algebra.join view (leaf j rels.(j)) !partial
       done;
       for j = i + 1 to n - 1 do
-        partial := Algebra.extend view !partial ~with_relation:(j, rels.(j))
+        partial := Algebra.join view !partial (leaf j rels.(j))
       done;
       let dv = Algebra.select_project view !partial in
       (match Relation.apply rels.(i) delta with
@@ -160,11 +163,10 @@ let qcheck_inputs_untouched =
       let before = Array.map Relation.copy rels in
       let p1 = Partial.of_relation view3 1 r1 in
       let p1_before = Partial.copy p1 in
-      let p0 = { Partial.lo = 0; hi = 0; data = Relation.as_bag r0 } in
-      let joined = Algebra.join view3 p0 p1 in
+      let joined = Algebra.join view3 (leaf 0 r0) p1 in
       let joined_before = Partial.copy joined in
-      ignore (Algebra.extend view3 p1 ~with_relation:(2, r2));
-      ignore (Algebra.extend view3 joined ~with_relation:(2, r2));
+      ignore (Algebra.join view3 p1 (leaf 2 r2));
+      ignore (Algebra.join view3 joined (leaf 2 r2));
       ignore (Algebra.eval view3 (fun j -> rels.(j)));
       ignore (Algebra.eval view1 (fun _ -> r0));
       Array.for_all2 Relation.equal rels before

@@ -207,7 +207,7 @@ let test_aux_with_open_breaker () =
    the referenced-column set from the View_def spec — independently of
    Aux_store's planner — and demands [answers] agree with
    "required ⊆ tracked"; then it executes every sweep leg both ways
-   (local answer vs Algebra.extend over the mirror relations) and
+   (local answer vs Nested_loop.extend over the mirror relations) and
    compares the resulting ΔV bags. *)
 
 let random_view rng =
@@ -316,7 +316,7 @@ let sweep_delta view mirror aux ~use_aux s d =
     in
     match local with
     | Some p' -> p := p'
-    | None -> p := Algebra.extend view !p ~with_relation:(j, mirror.(j))
+    | None -> p := Nested_loop.extend view !p ~with_relation:(j, mirror.(j))
   in
   for j = s - 1 downto 0 do leg j done;
   for j = s + 1 to View_def.n_sources view - 1 do leg j done;

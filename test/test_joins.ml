@@ -9,8 +9,8 @@
    run must drain and meet its algorithm's Table 1 floor, which the
    checker decides by replaying every install against [Algebra].
 
-   The kernel itself ([Algebra.join], [extend], [merge_overlap], [eval]
-   and [compensate], whose hash-join terms stream through the join's
+   The kernel itself ([Algebra.join], from either side of a source's
+   relation, [merge_overlap], [eval] and [compensate], whose hash-join terms stream through the join's
    [join_with]) is checked against the same reference on random chains: multi-equality, residual and
    cross-product junctions, signed counts, empty operands, and Str,
    Null, ±0.0 and NaN values.
@@ -320,10 +320,11 @@ let kernel_extend =
   kernel_property "nested-loop oracle: extend" gen
     (fun (v, p, _, r) -> show_case v [ p; r ])
     (fun (view, p, j, r) ->
-      let rel = Relation.adopt r.Partial.data in
       Partial.equal
-        (Algebra.extend view p ~with_relation:(j, rel))
-        (Nested_loop.extend view p ~with_relation:(j, rel)))
+        (if j < p.Partial.lo then Algebra.join view r p
+         else Algebra.join view p r)
+        (Nested_loop.extend view p
+           ~with_relation:(j, Relation.adopt r.Partial.data)))
 
 (* Right tuples whose leading [at]-columns are often a left tuple's
    trailing ones, so that the overlap joins. *)

@@ -25,7 +25,7 @@ let read_fixture name =
 let lint ?(has_mli = false) name =
   Driver.lint_source ~has_mli ~file:name (read_fixture name)
 
-(* Lint a fixture as if it lived at [file] — for the path-scoped L6. *)
+(* Lint a fixture as if it lived at [file] — for the path-scoped rules. *)
 let lint_as ~file name =
   Driver.lint_source ~has_mli:false ~file (read_fixture name)
 
@@ -69,40 +69,6 @@ let test_l4 () =
   check_findings "l4_pos without mli keeps only the swallow" [ ("L4", 3) ]
     (lint ~has_mli:false "l4_pos.ml");
   check_findings "l4_neg silent" [] (lint ~has_mli:true "l4_neg.ml")
-
-let test_l5 () =
-  let r = lint "l5_pos.ml" in
-  check_findings "l5_pos flags the dropped field" [ ("L5", 2) ] r;
-  (match r.findings with
-  | [ f ] ->
-      let contains hay needle =
-        let n = String.length needle and h = String.length hay in
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "message names the dropped field" true
-        (contains f.Finding.message "t.label")
-  | _ -> Alcotest.fail "expected one finding");
-  check_findings "l5_neg silent" [] (lint "l5_neg.ml")
-
-let test_l6 () =
-  let r = lint_as ~file:"lib/warehouse/l6_pos.ml" "l6_pos.ml" in
-  check_findings "l6_pos fires inside lib/warehouse" [ ("L6", 3) ] r;
-  (match r.findings with
-  | [ f ] ->
-      Alcotest.(check string) "probe-less extend is an error" "error"
-        (Finding.severity_label f.Finding.severity)
-  | _ -> Alcotest.fail "expected one finding");
-  check_findings "same source is silent outside the warehouse" []
-    (lint_as ~file:"lib/source/l6_pos.ml" "l6_pos.ml");
-  let neg = lint_as ~file:"lib/warehouse/l6_neg.ml" "l6_neg.ml" in
-  check_findings "l6_neg: probe path silent, pragma'd scan suppressed" []
-    neg;
-  match neg.Driver.suppressed with
-  | [ (f, _) ] ->
-      Alcotest.(check string) "the deliberate scan rode its pragma" "L6"
-        f.Finding.rule
-  | _ -> Alcotest.fail "expected exactly one suppression"
 
 (* ————— L7–L9: the cross-module rules ————— *)
 
@@ -217,6 +183,12 @@ let test_pragma_suppression () =
       Alcotest.(check bool) "reason recorded" true
         (String.length p.Repro_lint.Pragma.reason > 0)
   | _ -> Alcotest.fail "expected exactly one suppression");
+  let scope = lint "pragma_scope.ml" in
+  check_findings "a trailing pragma does not cover the next line"
+    [ ("L1", 3) ] scope;
+  Alcotest.(check (list int)) "trailing and standalone pragmas suppress"
+    [ 2; 5 ]
+    (List.map (fun ((f : Finding.t), _) -> f.line) scope.suppressed);
   let unused = lint "pragma_unused.ml" in
   check_findings "unused pragma warns" [ ("pragma", 1) ] unused;
   let bad = lint "pragma_bad.ml" in
@@ -229,9 +201,9 @@ let test_pragma_suppression () =
        bad.findings);
   (* an unused pragma for a path-scoped rule warns even where the rule
      applies *)
-  check_findings "unused L6 pragma warns inside the warehouse"
+  check_findings "unused L7 pragma warns inside lib/"
     [ ("pragma", 1) ]
-    (lint_as ~file:"lib/warehouse/pragma_unused_l6.ml" "pragma_unused_l6.ml")
+    (lint_as ~file:"lib/workload/pragma_unused_l7.ml" "pragma_unused_l7.ml")
 
 (* Suppression audit: the pragma count the driver reports per file must
    equal the raw occurrences of the marker in the source — so a pragma
@@ -340,7 +312,8 @@ let test_sarif_round_trip () =
     (field "name" driver = Jsonw.String "repro-lint");
   (match field "rules" driver with
   | Jsonw.List rules ->
-      Alcotest.(check int) "rule table covers L1–L9" 9 (List.length rules);
+      Alcotest.(check int) "rule table covers L1–L4 and L7–L9" 7
+        (List.length rules);
       List.iter
         (fun r ->
           match (field "id" r, field "shortDescription" r) with
@@ -424,9 +397,6 @@ let suite =
     Alcotest.test_case "L2: iteration-order fixtures" `Quick test_l2;
     Alcotest.test_case "L3: quadratic fixtures" `Quick test_l3;
     Alcotest.test_case "L4: exception-hygiene fixtures" `Quick test_l4;
-    Alcotest.test_case "L5: snapshot-completeness fixtures" `Quick test_l5;
-    Alcotest.test_case "L6: warehouse probe-less-extend fixtures" `Quick
-      test_l6;
     Alcotest.test_case "L7: toplevel-mutable-state fixtures" `Quick test_l7;
     Alcotest.test_case "L7: cross-module mutability fixpoint" `Quick
       test_l7_cross_module;

@@ -74,21 +74,17 @@ let qcheck_merge_overlap_vs_direct =
     (fun (r0, r1, r2) ->
       QCheck.assume (not (Relation.is_empty r1));
       (* direct: R0 ⋈ R1 ⋈ R2 *)
-      let direct =
-        let p = Partial.of_relation view 0 r0 in
-        let p = Algebra.extend view p ~with_relation:(1, r1) in
-        Algebra.extend view p ~with_relation:(2, r2)
-      in
+      let p0 = Partial.of_relation view 0 r0
+      and p1 = Partial.of_relation view 1 r1
+      and p2 = Partial.of_relation view 2 r2 in
+      let direct = Algebra.join view (Algebra.join view p0 p1) p2 in
       (* split at 1: left = R0 ⋈ R1, right = distinct(R1) ⋈ R2, merged *)
-      let left =
-        Algebra.extend view (Partial.of_relation view 1 r1)
-          ~with_relation:(0, r0)
-      in
+      let left = Algebra.join view p0 p1 in
       let right =
-        Algebra.extend view
+        Algebra.join view
           { Partial.lo = 1; hi = 1;
             data = Delta.distinct (Delta.of_relation r1) }
-          ~with_relation:(2, r2)
+          p2
       in
       let merged = Algebra.merge_overlap view ~at:1 ~left ~right in
       Partial.equal direct merged)

@@ -127,7 +127,10 @@ let test_eca_site_terms () =
   (* a two-term expression sums *)
   let two = Eca_site.eval_terms site [ [ (1, d) ]; [ (1, d) ] ] in
   Alcotest.(check int) "terms sum" 2
-    (Delta.count two.Partial.data (Tuple.ints [ 1; 3; 3; 5; 5; 6 ]))
+    (Delta.count two.Partial.data (Tuple.ints [ 1; 3; 3; 5; 5; 6 ]));
+  Alcotest.check_raises "a term that pins no source is rejected"
+    (Invalid_argument "Eca_site.eval_terms: term pins no source") (fun () ->
+      ignore (Eca_site.eval_terms site [ [] ]))
 
 let suite =
   [ Alcotest.test_case "txn id ordering" `Quick test_txn_id_order;

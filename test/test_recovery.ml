@@ -797,6 +797,80 @@ let test_eca_crashy_smoke () =
     (r.Experiment.verdict.Checker.verdict <> Checker.Inconsistent);
   Alcotest.(check int) "crashed once" 1 r.Experiment.metrics.Metrics.wh_crashes
 
+(* ————— crash grid: one warehouse crash at every point in time ————— *)
+
+(* The seeded properties above crash where their schedules happen to
+   land. The grid crashes the warehouse once, for one time unit, at
+   every grid point of a 20-update [concurrent] run up to the crash-free
+   run's drain time, so DESIGN.md §8's recovery (checkpoint, WAL tail,
+   transport replay) is exercised wherever a crash can fall. The step is
+   CRASH_GRID tenths of a unit: 20 for `dune runtest`, 1 for `make
+   recover`. *)
+let grid_tenths = Rig.seeds_env ~var:"CRASH_GRID" ~default:20
+
+let grid_scenario topology =
+  let s = Option.get (Scenario.find_preset "concurrent") in
+  { s with
+    Scenario.stream = { s.Scenario.stream with Update_gen.n_updates };
+    checkpoint_every = 4;
+    topology }
+
+let test_crash_grid topology algo () =
+  let scenario = grid_scenario topology in
+  let clean = Experiment.run scenario algo in
+  let floor = clean.Experiment.verdict.Checker.verdict in
+  let rec go k =
+    let at = float_of_int (k * grid_tenths) /. 10. in
+    if at <= clean.Experiment.sim_time then begin
+      let fail what =
+        Alcotest.failf "%s, crash at %.1f: %s" clean.Experiment.algorithm at
+          what
+      in
+      let crash = { Fault.wh_down_at = at; wh_up_at = at +. 1. } in
+      let r =
+        match
+          Experiment.run
+            { scenario with
+              Scenario.faults =
+                { scenario.Scenario.faults with Fault.wh_crashes = [ crash ] } }
+            algo
+        with
+        | r -> r
+        | exception e -> fail (Printexc.to_string e)
+      in
+      let v = r.Experiment.verdict.Checker.verdict in
+      if not r.Experiment.completed then fail "did not drain";
+      let crashes = r.Experiment.metrics.Metrics.wh_crashes in
+      if crashes <> 1 then fail (Printf.sprintf "%d crashes, not 1" crashes);
+      if not (Bag.equal r.Experiment.final_view clean.Experiment.final_view)
+      then fail "final view differs from the crash-free run's";
+      if Checker.compare_verdict v floor > 0 then
+        fail
+          (Printf.sprintf "verdict %s below the crash-free %s"
+             (Checker.verdict_to_string v)
+             (Checker.verdict_to_string floor));
+      go (k + 1)
+    end
+  in
+  go 0
+
+let crash_grid_cases =
+  let distributed name algo = (name, Scenario.Distributed, algo) in
+  List.map
+    (fun (name, topology, algo) ->
+      Alcotest.test_case ("crash grid: " ^ name) `Quick
+        (test_crash_grid topology algo))
+    [ distributed "sweep" (module Sweep : Algorithm.S);
+      distributed "sweep-batched" (module Sweep_batched : Algorithm.S);
+      distributed "nested-sweep" (module Nested_sweep : Algorithm.S);
+      distributed "strobe" (module Strobe : Algorithm.S);
+      distributed "c-strobe" (module C_strobe : Algorithm.S);
+      distributed "recompute" (module Recompute : Algorithm.S);
+      distributed "sweep-pipelined" (module Sweep_pipelined : Algorithm.S);
+      distributed "sweep-parallel" (module Sweep_parallel : Algorithm.S);
+      distributed "sweep-global" (module Sweep_global : Algorithm.S);
+      ("eca (centralized)", Scenario.Centralized, (module Eca : Algorithm.S)) ]
+
 (* ————— bounded queue under load ————— *)
 
 let test_bounded_queue_backpressure () =
@@ -893,3 +967,4 @@ let suite =
       test_bounded_queue_backpressure;
     Alcotest.test_case "unbounded queue: knob off changes nothing" `Quick
       test_unbounded_queue_untouched ]
+  @ crash_grid_cases
