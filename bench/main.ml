@@ -315,6 +315,32 @@ let micro_tests () =
            i := (!i + 1) land 1023;
            ignore (Bag.count view hits.(!i) + Bag.count view misses.(!i))))
   in
+  let bench_install =
+    (* a SWEEP install on sweep-fanout: 75 view tuples merge into a view
+       of 2^17. Runs alternate between inserting 75 tuples the view
+       lacks and deleting them again, from one of 1,024 deltas in turn,
+       each built from fresh arrays as a sweep's ΔV is, so the view
+       keeps its size and the slots a run touches (about 20 MB of cache
+       lines over the 1,024) are rarely in L2 *)
+    let n = 1 lsl 17 in
+    let tup k = Chain.tuple ~key:k ~a:(k mod 250) ~b:(k * 7 mod 250) in
+    let view = Bag.create () in
+    for k = 0 to n - 1 do
+      Bag.add view (tup k) 1
+    done;
+    let delta i sign =
+      Delta.of_list (List.init 75 (fun j -> (tup (n + (i * 75) + j), sign)))
+    in
+    let inserts = Array.init 1024 (fun i -> delta i 1) in
+    let deletes = Array.init 1024 (fun i -> delta i (-1)) in
+    let run = ref 0 in
+    Test.make ~name:"install 75 tuples into a 128k-tuple view"
+      (Staged.stage (fun () ->
+           let i = (!run lsr 1) land 1023 in
+           let d = if !run land 1 = 0 then inserts.(i) else deletes.(i) in
+           incr run;
+           ignore (Bag.merge_checked ~into:view d)))
+  in
   let bench_copy_add =
     (* a snapshot that then changes: the copy, then the first add *)
     let rel =
@@ -341,7 +367,7 @@ let micro_tests () =
     bench_recompute_one_changed;
     bench_aggregate_read; bench_queued_compensation;
     bench_right_leg_compensation; bench_unjoined_compensation;
-    bench_view_probe; bench_copy_add ]
+    bench_view_probe; bench_install; bench_copy_add ]
 
 (* Words allocated on either heap: [Gc.minor_words], plus the words
    allocated directly on the major heap, which is where an array of

@@ -2,8 +2,11 @@
    place. Its entries sit in three arrays: tuple, count, and the next
    entry with the same key (-1 ends a chain). Distinct keys sit in an
    open-addressed table, the linear probing of [Bag]: slot [i] holds a
-   key's [Tuple.hash_cols] ([-1] when empty) and the first entry of its
-   chain, whose tuple is the key read in place. The table keeps at least
+   key's [Tuple.hash_cols] ([-1] when empty) and one word that packs
+   the first entry of its chain, whose tuple is the key read in place,
+   with the number of entries in the chain, its size: a probe knows its
+   key's fan-out before it walks the chain, and the size costs no word
+   of its own and moves wherever the head moves. The table keeps at least
    twice as many slots as keys, so a miss stops within a few slots. A
    cross-product junction, no key columns, is one key with one chain.
 
@@ -24,7 +27,7 @@
 type index = {
   cols : int array;
   mutable hashes : int array;
-  mutable heads : int array;
+  mutable heads : int array;  (* head + size * [one], see [head] *)
   mutable next : int array;
   mutable tuples : Tuple.t array;
   mutable counts : int array;
@@ -33,6 +36,13 @@ type index = {
   mutable free : int;  (* the first free entry, or -1 *)
 }
 
+(* A slot's word in [heads] holds the first entry of its key's chain in
+   its low 31 bits and the chain's length above them; adding [one] adds
+   an entry to the length. OCaml 5's native ints have 63 bits. *)
+let one = 1 lsl 31
+let head x = x land (one - 1)
+let size x = x lsr 31
+
 (* The slot holding the key of [ptup]'s [pcols], hashed [h], or the
    empty slot ending its run. *)
 let rec find_slot idx mask h ptup pcols i =
@@ -40,16 +50,22 @@ let rec find_slot idx mask h ptup pcols i =
   if
     h' < 0
     || h' = h
-       && Tuple.equal_cols idx.tuples.(idx.heads.(i)) idx.cols ptup pcols
+       && Tuple.equal_cols idx.tuples.(head idx.heads.(i)) idx.cols ptup pcols
   then i
   else find_slot idx mask h ptup pcols ((i + 1) land mask)
 
-(* The first entry whose key equals [ptup]'s [pcols], or -1. *)
-let first idx ptup pcols =
+(* The slot of the key equal to [ptup]'s [pcols], or -1. Inlined, so
+   [first], on every step of a probe chain, costs no extra call. *)
+let[@inline] key_slot idx ptup pcols =
   let h = Tuple.hash_cols ptup pcols in
   let mask = Array.length idx.hashes - 1 in
   let i = find_slot idx mask h ptup pcols (h land mask) in
-  if idx.hashes.(i) < 0 then -1 else idx.heads.(i)
+  if idx.hashes.(i) < 0 then -1 else i
+
+(* The first entry whose key equals [ptup]'s [pcols], or -1. *)
+let first idx ptup pcols =
+  let i = key_slot idx ptup pcols in
+  if i < 0 then -1 else head idx.heads.(i)
 
 let rec slots cap n = if cap >= 2 * n then cap else slots (cap * 2) n
 
@@ -71,8 +87,9 @@ let index data cols =
         idx.hashes.(i) <- h;
         idx.keys <- idx.keys + 1
       end
-      else idx.next.(!e) <- idx.heads.(i);
-      idx.heads.(i) <- !e;
+      else idx.next.(!e) <- head idx.heads.(i);
+      let x = idx.heads.(i) in
+      idx.heads.(i) <- x - head x + one + !e;
       idx.tuples.(!e) <- tup;
       idx.counts.(!e) <- c;
       incr e)
@@ -157,15 +174,18 @@ let rec add idx tup c =
       let rec walk prev e =
         if e < 0 then begin
           let e = take idx tup c (-1) in
-          idx.next.(prev) <- e
+          idx.next.(prev) <- e;
+          idx.heads.(i) <- idx.heads.(i) + one
         end
         else if not (Tuple.equal idx.tuples.(e) tup) then walk e idx.next.(e)
         else if idx.counts.(e) + c <> 0 then
           idx.counts.(e) <- idx.counts.(e) + c
         else begin
           let after = idx.next.(e) in
+          let x = idx.heads.(i) - one in
+          idx.heads.(i) <- x;
           if prev >= 0 then idx.next.(prev) <- after
-          else if after >= 0 then idx.heads.(i) <- after
+          else if after >= 0 then idx.heads.(i) <- x - head x + after
           else remove_slot idx i;
           idx.tuples.(e) <- [||];
           idx.counts.(e) <- 0;
@@ -173,14 +193,14 @@ let rec add idx tup c =
           idx.free <- e
         end
       in
-      walk (-1) idx.heads.(i)
+      walk (-1) (head idx.heads.(i))
     end
     else if 2 * (idx.keys + 1) > Array.length idx.hashes then begin
       grow_table idx;
       add idx tup c
     end
     else begin
-      idx.heads.(i) <- take idx tup c (-1);
+      idx.heads.(i) <- take idx tup c (-1) + one;
       idx.hashes.(i) <- h;
       idx.keys <- idx.keys + 1
     end
@@ -193,6 +213,19 @@ let matches idx ptup pcols f =
     e := idx.next.(!e)
   done
 
+let rec chain_length next e n =
+  if e < 0 then n else chain_length next next.(e) (n + 1)
+
+(* Each key's size is the length of its chain. *)
+let sized idx =
+  let ok = ref true in
+  Array.iteri
+    (fun i h ->
+      let x = idx.heads.(i) in
+      if h >= 0 && size x <> chain_length idx.next (head x) 0 then ok := false)
+    idx.hashes;
+  !ok
+
 (* [a]'s entries are all in [b], with their counts: each key of [a]
    probes [b] with its head entry's tuple. *)
 let within a b =
@@ -200,7 +233,7 @@ let within a b =
   Array.iteri
     (fun i h ->
       if h >= 0 then
-        matches a a.tuples.(a.heads.(i)) a.cols (fun tup c ->
+        matches a a.tuples.(head a.heads.(i)) a.cols (fun tup c ->
             let found = ref false in
             matches b tup a.cols (fun u c' ->
                 if c = c' && Tuple.equal u tup then found := true);
@@ -209,7 +242,8 @@ let within a b =
   !ok
 
 let equal_index a b =
-  a.cols = b.cols && a.keys = b.keys && within a b && within b a
+  a.cols = b.cols && a.keys = b.keys && sized a && sized b && within a b
+  && within b a
 
 (* [iter_matches idx probe pcols f] calls [f ptup pc btup bc] on every
    entry of [probe] and every index entry with the same key. *)
@@ -223,14 +257,13 @@ let iter_matches idx probe pcols f =
       done)
     probe
 
-let rec chain_length next e n =
-  if e < 0 then n else chain_length next next.(e) (n + 1)
-
-(* The number of (probe entry, index entry) pairs with equal keys, found
-   by walking their chains without building anything. *)
+(* The number of (probe entry, index entry) pairs with equal keys: the
+   sizes of the keys the probe entries find. *)
 let count_matches idx probe pcols =
   Delta.fold
-    (fun ptup _ n -> chain_length idx.next (first idx ptup pcols) n)
+    (fun ptup _ n ->
+      let i = key_slot idx ptup pcols in
+      if i < 0 then n else n + size idx.heads.(i))
     probe 0
 
 (* Junction [k]'s key columns of source [k] and of [k + 1], shifted to
@@ -322,28 +355,70 @@ let add_all ix tup c =
   | Some u, Some l when u == l -> ()
   | upper, _ -> Option.iter (fun idx -> add idx tup c) upper
 
-let probe ?lift view ix (p : Partial.t) ~source f =
+(* The index of [ix] that [p] probes at source [source], the columns of
+   [p]'s tuples that probe it, and the emitter of a matched pair, which
+   [lift]s the source's tuple and calls [f] on the join. *)
+let leg ?(lift = Fun.id) view ix (p : Partial.t) ~source =
   let at_left = source = p.lo - 1 in
   if not (at_left || source = p.hi + 1) then
     invalid_arg
-      (Printf.sprintf "Algebra.probe: source %d not adjacent to [%d..%d]"
+      (Printf.sprintf "Algebra.answer: source %d not adjacent to [%d..%d]"
          source p.lo p.hi);
   let sofs = View_def.offset view source and pofs = View_def.offset view p.lo in
   let missing () =
     invalid_arg
-      (Printf.sprintf "Algebra.probe: no index of source %d's junction" source)
+      (Printf.sprintf "Algebra.answer: no index of source %d's junction" source)
   in
-  let lift = Option.value lift ~default:Fun.id in
   if at_left then
     let idx = match ix.upper with Some idx -> idx | None -> missing () in
-    let emit = pairs view source ~lofs:sofs ~rofs:pofs f in
-    iter_matches idx p.data (snd (key_cols view source ~lofs:sofs ~rofs:pofs))
-      (fun ptup pc stup sc -> emit (lift stup) sc ptup pc)
+    let pairs = pairs view source ~lofs:sofs ~rofs:pofs in
+    ( idx,
+      snd (key_cols view source ~lofs:sofs ~rofs:pofs),
+      fun f ->
+        let emit = pairs f in
+        fun ptup pc stup sc -> emit (lift stup) sc ptup pc )
   else
     let idx = match ix.lower with Some idx -> idx | None -> missing () in
-    let emit = pairs view p.hi ~lofs:pofs ~rofs:sofs f in
-    iter_matches idx p.data (fst (key_cols view p.hi ~lofs:pofs ~rofs:sofs))
-      (fun ptup pc stup sc -> emit ptup pc (lift stup) sc)
+    let pairs = pairs view p.hi ~lofs:pofs ~rofs:sofs in
+    ( idx,
+      fst (key_cols view p.hi ~lofs:pofs ~rofs:sofs),
+      fun f ->
+        let emit = pairs f in
+        fun ptup pc stup sc -> emit ptup pc (lift stup) sc )
+
+let probe view ix (p : Partial.t) ~source f =
+  let idx, pcols, emit = leg view ix p ~source in
+  iter_matches idx p.data pcols (emit f)
+
+(* Two passes over [p]: the first finds each tuple's key once,
+   remembers its chain and sums the keys' sizes; the second walks the
+   remembered chains into a bag made at that size. *)
+let answer ?lift view ix (p : Partial.t) ~source =
+  let idx, pcols, emit = leg ?lift view ix p ~source in
+  let chains = Array.make (Delta.cardinal p.data) (-1) in
+  let k = ref 0 and total = ref 0 in
+  Delta.iter
+    (fun ptup _ ->
+      let i = key_slot idx ptup pcols in
+      if i >= 0 then begin
+        chains.(!k) <- head idx.heads.(i);
+        total := !total + size idx.heads.(i)
+      end;
+      incr k)
+    p.data;
+  let data = Bag.create ~initial_size:!total () in
+  let emit = emit (Delta.add data) in
+  k := 0;
+  Delta.iter
+    (fun ptup pc ->
+      let e = ref chains.(!k) in
+      while !e >= 0 do
+        emit ptup pc (Array.unsafe_get idx.tuples !e) idx.counts.(!e);
+        e := idx.next.(!e)
+      done;
+      incr k)
+    p.data;
+  data
 
 (* The error term is linear in the interfering deltas, so each is joined
    with TempView on its own into one bag: [interfering] by probing its
@@ -476,8 +551,7 @@ let plan view =
 
 let sources p fetch = Array.init p.n (fun j -> Relation.as_bag (fetch j))
 
-(* [run p ~keep rels emit] calls [emit c] with [p.parts] holding each
-   match that passes the selection, [c] its count.
+(* Junction k's index over [rels.(k + 1)].
 
    With [keep], junction k also keeps the index it built with an O(1)
    copy of the bag it was built from, and reuses it while the next bag
@@ -487,18 +561,20 @@ let sources p fetch = Array.init p.n (fun j -> Relation.as_bag (fetch j))
    fetched bag itself: a caller that then changes its relation in place
    unshares it first, so the next call sees fresh arrays and
    rebuilds. *)
-let run p ~keep rels emit =
+let chain_indexes p ~keep rels =
+  Array.init (p.n - 1) (fun k ->
+      let r = rels.(k + 1) in
+      match p.built.(k) with
+      | Some (b, idx) when Bag.shares b r -> idx
+      | _ ->
+          let idx = index r p.bcols.(k) in
+          if keep then p.built.(k) <- Some (Bag.copy r, idx);
+          idx)
+
+(* [run p idxs rels emit] calls [emit c] with [p.parts] holding each
+   match that passes the selection, [c] its count. *)
+let run p idxs rels emit =
   let { n; parts; lookup; pcols; residuals; _ } = p in
-  let idxs =
-    Array.init (n - 1) (fun k ->
-        let r = rels.(k + 1) in
-        match p.built.(k) with
-        | Some (b, idx) when Bag.shares b r -> idx
-        | _ ->
-            let idx = index r p.bcols.(k) in
-            if keep then p.built.(k) <- Some (Bag.copy r, idx);
-            idx)
-  in
   let emit =
     match p.selection with
     | Predicate.True -> emit
@@ -526,22 +602,49 @@ let run p ~keep rels emit =
       descend 0 c)
     rels.(0)
 
-(* The view is sized for the smallest source, as a chain at fan-out 1
-   yields about that many tuples. It is a fresh bag, so it becomes the
-   relation without a copy: its counts are products of the relations'
-   positive counts, so they are positive. *)
+(* A bound on the chain's distinct results, counted without building
+   any: every junction but the last is walked as [run] walks it, and
+   the last adds the size of the key each match finds. Its residual and
+   the selection only drop matches, and the projection only merges
+   them. *)
+let bound p idxs rels =
+  let { n; parts; lookup; pcols; residuals; _ } = p in
+  let rec descend k =
+    let idx = idxs.(k) in
+    if k = n - 2 then begin
+      let i = key_slot idx parts.(k) pcols.(k) in
+      if i < 0 then 0 else size idx.heads.(i)
+    end
+    else begin
+      let e = ref (first idx parts.(k) pcols.(k)) and m = ref 0 in
+      while !e >= 0 do
+        parts.(k + 1) <- idx.tuples.(!e);
+        (match residuals.(k) with
+        | Some r when not (Predicate.eval ~lookup r) -> ()
+        | _ -> m := !m + descend (k + 1));
+        e := idx.next.(!e)
+      done;
+      !m
+    end
+  in
+  if n = 1 then Bag.cardinal rels.(0)
+  else
+    Bag.fold
+      (fun tup _ m ->
+        parts.(0) <- tup;
+        m + descend 0)
+      rels.(0) 0
+
+(* The view is sized by [bound], so it never grows. It is a fresh bag,
+   so it becomes the relation without a copy: its counts are products
+   of the relations' positive counts, so they are positive. *)
 let eval view fetch =
   let p = plan view in
   let rels = sources p fetch in
-  let out =
-    Bag.create
-      ~initial_size:
-        (Array.fold_left (fun m r -> min m (Bag.cardinal r)) max_int rels)
-      ()
-  in
+  let idxs = chain_indexes p ~keep:false rels in
+  let out = Bag.create ~initial_size:(bound p idxs rels) () in
   let { parts; psrc; ploc; _ } = p in
-  run p ~keep:false rels (fun c ->
-      Delta.add out (Tuple.gather parts psrc ploc) c);
+  run p idxs rels (fun c -> Delta.add out (Tuple.gather parts psrc ploc) c);
   Relation.adopt out
 
 (* Each match is looked up in [old] where it stands, by
@@ -554,6 +657,7 @@ let evaluator view =
   let make () = Tuple.gather parts psrc ploc in
   fun fetch ~old ->
     let d = Bag.differ old in
-    run p ~keep:true (sources p fetch) (fun c ->
+    let rels = sources p fetch in
+    run p (chain_indexes p ~keep:true rels) rels (fun c ->
         Bag.visit d ~hash:(Tuple.hash_gather parts psrc ploc) ~equal ~make c);
     Bag.finish d

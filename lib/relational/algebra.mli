@@ -45,7 +45,9 @@ val add : index -> Tuple.t -> int -> unit
     [ptup]'s columns [pcols], with its count, in no particular order. *)
 val matches : index -> Tuple.t -> int array -> (Tuple.t -> int -> unit) -> unit
 
-(** The same key columns and the same entries with the same counts. *)
+(** The same key columns and the same entries with the same counts,
+    and on both sides each key's number of entries, kept with its first
+    entry, agrees with its chain. *)
 val equal_index : index -> index -> bool
 
 (** Source [j]'s join indexes, one per junction of [j]: [lower] keyed
@@ -63,19 +65,21 @@ val indexes : ?at:(int -> int) -> View_def.t -> int -> Bag.t -> indexes
 (** [add_all ix tup c] is {!add} on each distinct index of [ix]. *)
 val add_all : indexes -> Tuple.t -> int -> unit
 
-(** [probe ?lift view ix p ~source f] joins [p] with the bag [ix]
-    indexes, source [source]'s tuples, adjacent to [p] on either side:
-    it calls [f] on each joined tuple with its count. Each tuple of [p]
-    hashes its side of the junction's key, walks the matching key's
-    entries in the index, and the junction's residual filters the
-    pairs, as in {!join}. [lift] maps an indexed tuple to source width
-    before the residual and the concatenation read it (the identity by
-    default). The result is bag for bag {!join}'s with a partial
-    holding the same tuples. Raises [Invalid_argument] when [source] is not adjacent to
-    [p]. *)
-val probe :
+(** [answer ?lift view ix p ~source] joins [p] with the bag [ix]
+    indexes, source [source]'s tuples, adjacent to [p] on either side,
+    as a source answers a sweep query: a fresh delta, bag for bag
+    {!join}'s with a partial holding the same tuples. Each tuple of [p]
+    hashes its side of the junction's key and finds the key once; the
+    index keeps each key's number of entries, and their sum bounds the
+    result (the junction's residual only drops pairs), so the delta is
+    made once at that size and never grows. Then the keys' entries are
+    walked, and the residual filters the pairs. [lift] maps an indexed
+    tuple to source width before the residual and the concatenation
+    read it (the identity by default). Raises [Invalid_argument] when
+    [source] is not adjacent to [p]. *)
+val answer :
   ?lift:(Tuple.t -> Tuple.t) -> View_def.t -> indexes -> Partial.t ->
-  source:int -> (Tuple.t -> int -> unit) -> unit
+  source:int -> Delta.t
 
 (** [compensate ?index ?extras view ~answer ~interfering ~temp] removes
     the error term from a sweep answer (paper §4):
@@ -87,7 +91,7 @@ val probe :
     The error term is linear, so each delta is joined with [temp] on its
     own. [index], when given, is [interfering]'s {!indexes}, kept in
     step with it: [temp] probes it as a source answers a sweep query
-    ({!probe}), costing O(|temp| × fan-out) rather than
+    ({!answer}), costing O(|temp| × fan-out) rather than
     O(|interfering|). Otherwise, and for every extra, the hash join
     runs. The result is bag for bag the same either way. When the error
     term is empty the result is [answer] itself; otherwise it is fresh.

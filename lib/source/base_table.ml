@@ -28,9 +28,8 @@ let indexes t =
       ix
 
 let extend t (partial : Partial.t) =
-  let data = Delta.empty () in
-  Algebra.probe t.view (indexes t) partial ~source:t.src (Delta.add data);
-  { Partial.lo = min t.src partial.lo; hi = max t.src partial.hi; data }
+  { Partial.lo = min t.src partial.lo; hi = max t.src partial.hi;
+    data = Algebra.answer t.view (indexes t) partial ~source:t.src }
 
 let apply t delta =
   (match Relation.apply t.rel delta with

@@ -23,7 +23,7 @@ val indexes : t -> Algebra.indexes
 (** [extend t partial] — one sweep leg: joins [partial] with this
     table's current relation ({!Algebra.join}'s result, bag for bag)
     by probing the index of the junction [partial] meets
-    ({!Algebra.probe}), whatever its shape: a cross product probes the
+    ({!Algebra.answer}), whatever its shape: a cross product probes the
     index with no key columns. [partial] must be adjacent to
     {!source}. *)
 val extend : t -> Partial.t -> Partial.t

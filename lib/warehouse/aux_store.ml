@@ -164,9 +164,9 @@ let local_answer t ~target:j ~partial ~overlay =
   if not (answers t j) then None
   else begin
     let view = Option.get t.view in
-    let data = Delta.empty () in
-    Algebra.probe ~lift:(lift_one t j) view t.indexes.(j) partial ~source:j
-      (Delta.add data);
+    let data =
+      Algebra.answer ~lift:(lift_one t j) view t.indexes.(j) partial ~source:j
+    in
     if not (Delta.is_empty overlay) then begin
       let lifted = Delta.empty () in
       Delta.iter

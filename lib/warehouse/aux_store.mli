@@ -80,7 +80,7 @@ val apply : t -> source:int -> Delta.t -> unit
     installed state. [partial] must be adjacent to [target]
     ([target = partial.lo - 1] or [target = partial.hi + 1]). The leg
     probes the projection's index of the junction it meets, whatever
-    its shape ({!Algebra.probe}), and joins the overlay beside it. *)
+    its shape ({!Algebra.answer}), and joins the overlay beside it. *)
 val local_answer :
   t -> target:int -> partial:Partial.t -> overlay:Delta.t -> Partial.t option
 

@@ -16,7 +16,9 @@ type t = {
   (* [data] in canonical order with cached encodings, for checkpoints;
      built at the first checkpoint, then kept in step by every install *)
   mutable image : Canon.t option;
-  initial : Bag.t;
+  (* a copy of the view as [create] adopted it, kept only for readers:
+     the checker's history and genesis recovery from a store *)
+  initial : Bag.t option;
   metrics : Metrics.t;
   queue : Update_queue.t;
   record_history : bool;
@@ -164,11 +166,15 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
     ?queue_capacity ?breaker ?(aux = Aux_store.off ()) ?(stall_cap = 256)
     ?(record_history = true) ?(trace = Trace.create ())
     ?(obs = Obs.disabled ()) () =
-  let data = Bag.copy (Relation.as_bag init) in
+  let data = Relation.as_bag init in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let t =
     { engine; view; algorithm; send; data; image = None;
-      initial = Bag.copy data; metrics;
+      initial =
+        (if record_history || Option.is_some durability then
+           Some (Bag.copy data)
+         else None);
+      metrics;
       queue = Update_queue.create ?capacity:queue_capacity ~view ();
       record_history; trace; obs; store = durability; breaker; aux; stall_cap;
       next_qid = 0; replaying = false; replay_installs = Queue.create ();
@@ -179,6 +185,13 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
   t.algo <- Some (Algorithm.instantiate algorithm (wire t));
   wire_breaker t;
   t
+
+let initial_view t =
+  match t.initial with
+  | Some b -> b
+  | None ->
+      invalid_arg
+        "Node.initial_view: kept only with record_history or a durability store"
 
 (* Restart after a crash: volatile state (view, queue, algorithm, qid
    counter) comes from the checkpoint — or from genesis when none was
@@ -207,7 +220,7 @@ let recover ~prev ?checkpoint () =
             ~view:prev.view entries ~next_arrival:c.queue_next_arrival,
           c.next_qid )
     | None ->
-        ( Bag.copy prev.initial,
+        ( Bag.copy (initial_view prev),
           None,
           Update_queue.create ?capacity:(Update_queue.capacity prev.queue)
             ~view:prev.view (),
@@ -383,5 +396,4 @@ let degraded t =
 let algorithm_name t = Algorithm.packed_name (algo t)
 let installs t = List.rev t.rev_installs
 let deliveries t = List.rev t.rev_deliveries
-let initial_view t = t.initial
 let idle t = Algorithm.packed_idle (algo t)

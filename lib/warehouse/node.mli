@@ -39,8 +39,19 @@ type t
 (** [create engine ~view ~algorithm ~send ~init ()] builds the node.
     [send i msg] must transmit [msg] to source [i] (or to the centralized
     site); [init] is the initial, correct materialized view (paper §5.1
-    assumes V starts correct). [record_history] (default true) keeps
-    each install's txns and a copy of its delta for the checker — O(|Δ|)
+    assumes V starts correct).
+
+    The node adopts [init]: its bag becomes the live view, and every
+    install changes it in place, so a caller that reads [init] after
+    [create] passes a {!Relation.copy} (O(1)). The node keeps a copy of
+    it as {!initial_view} only for the readers of that view, the
+    checker's history ([record_history]) and genesis recovery
+    ([durability]). That copy shares the view's arrays, so the first
+    install copies them; without either reader the node takes no copy
+    and the first install writes the arrays in place.
+
+    [record_history] (default true) keeps the initial view and each
+    install's txns and a copy of its delta for the checker — O(|Δ|)
     per install, not O(|view|). [durability] attaches a WAL +
     checkpoint store; [metrics] lets the caller supply the counter record
     (so it can survive crash/recovery); [queue_capacity] bounds the update
@@ -157,7 +168,10 @@ val installs : t -> install_record list
 (** Updates in warehouse delivery order. *)
 val deliveries : t -> Message.update list
 
-(** Initial view contents (snapshot taken at creation). *)
+(** Initial view contents (a copy of [init] taken at creation). Raises
+    [Invalid_argument] when the node was created with
+    [~record_history:false] and no durability store, as it then keeps
+    no copy. *)
 val initial_view : t -> Bag.t
 
 (** True when the algorithm has no in-flight work and the queue is

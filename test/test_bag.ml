@@ -294,6 +294,52 @@ let qcheck_model =
         ops;
       !ok)
 
+(* The three merges against a model on targets large enough that the
+   merge first reads each source tuple's home slot (65,536 slots): a
+   copy of a target of 30,000 keys at count 1, a source of signed
+   counts over keys inside and outside it, so counts cancel, grow, turn
+   negative and insert, and each merge once more with the target as its
+   own source, which doubles or empties it. [merge_checked] must report
+   a negative count exactly when the model holds one under a key of the
+   source. *)
+let qcheck_large_merges =
+  let large = Bag.create () and large_model = ref M.empty in
+  for k = 0 to 29_999 do
+    Bag.add large (key k) 1;
+    large_model := model_add !large_model k 1
+  done;
+  let entry = QCheck.(pair (int_range 29_000 31_000) (int_range (-3) 3)) in
+  QCheck.Test.make ~name:"bag merges ≡ Map model on large targets, aliased too"
+    ~count:30
+    QCheck.(pair (int_range 0 5) (list_of_size Gen.(0 -- 300) entry))
+    (fun (op, entries) ->
+      let target = Bag.copy large and model = ref !large_model in
+      let src, src_model =
+        if op >= 3 then (target, !model)
+        else
+          ( Bag.of_list (List.map (fun (k, n) -> (key k, n)) entries),
+            List.fold_left (fun m (k, n) -> model_add m k n) M.empty entries )
+      in
+      let sign = if op mod 3 = 2 then -1 else 1 in
+      let negative =
+        match op mod 3 with
+        | 0 -> Bag.merge_checked ~into:target src
+        | 1 ->
+            Bag.merge_into ~into:target src;
+            false
+        | _ ->
+            Bag.diff_into ~into:target src;
+            false
+      in
+      model := M.fold (fun k c m -> model_add m k (sign * c)) src_model !model;
+      let want_negative =
+        op mod 3 = 0
+        && M.exists
+             (fun k _ -> Option.value ~default:0 (M.find_opt k !model) < 0)
+             src_model
+      in
+      negative = want_negative && agrees target !model)
+
 (* The read-only differ against a model: [old] is empty, or up to 7
    entries with signed counts in a table of 8 slots, drawn from a few
    keys and from [wrap_keys], so runs collide and wrap past the last
@@ -364,4 +410,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_merge_diff_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_total_is_sum;
     QCheck_alcotest.to_alcotest qcheck_model;
+    QCheck_alcotest.to_alcotest qcheck_large_merges;
     QCheck_alcotest.to_alcotest qcheck_differ ]

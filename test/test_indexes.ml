@@ -273,6 +273,39 @@ let qcheck_index_model =
           agrees ())
         adds)
 
+(* Each key's size, kept with its chain's head, against the chain after
+   every add ([Algebra.equal_index] checks it on both sides), from an
+   empty index. Keys are the 64 values of [b], each with up to four
+   tuples: keys come and go, so the table doubles several times,
+   emptied keys leave runs by backward shift, moving the keys behind
+   them, and freed entries are taken again. With no key columns, every
+   tuple is under one key. *)
+let qcheck_index_sizes =
+  let add =
+    QCheck.(triple (int_range 0 63) (int_range 0 3) (oneofl [ 1; -1 ]))
+  in
+  QCheck.Test.make ~name:"join index: each key's size is its chain's length"
+    ~count:100
+    QCheck.(pair bool (list_of_size Gen.(0 -- 400) add))
+    (fun (cross, adds) ->
+      let cols = if cross then [||] else [| 2 |] in
+      let idx = Algebra.index (Delta.empty ()) cols in
+      let model = ref Model.empty in
+      List.for_all
+        (fun (b, a, n) ->
+          let tup = Chain.tuple ~key:0 ~a ~b in
+          Algebra.add idx tup n;
+          model :=
+            Model.update tup
+              (fun c ->
+                match Option.value c ~default:0 + n with
+                | 0 -> None
+                | c -> Some c)
+              !model;
+          Algebra.equal_index idx
+            (Algebra.index (Delta.of_list (Model.bindings !model)) cols))
+        adds)
+
 (* ————— the owners' indexes equal rebuilt ones ————— *)
 
 (* Random update transactions over a tiny domain, so that tuples repeat,
@@ -404,6 +437,7 @@ let suite =
     Alcotest.test_case "cross-product fallback through its callers" `Quick
       test_cross_product_fallback;
     QCheck_alcotest.to_alcotest qcheck_index_model;
+    QCheck_alcotest.to_alcotest qcheck_index_sizes;
     QCheck_alcotest.to_alcotest qcheck_base_table_indexes;
     QCheck_alcotest.to_alcotest qcheck_aux_store_indexes;
     QCheck_alcotest.to_alcotest qcheck_probe_compensation ]
