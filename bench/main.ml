@@ -351,6 +351,17 @@ let micro_tests () =
     Test.make ~name:"Relation.copy of a 4k-tuple relation, then one add"
       (Staged.stage (fun () -> Relation.insert (Relation.copy rel) fresh 1))
   in
+  let bench_trace_off =
+    (* a source's apply line with tracing off: the call sites' guard is
+       the whole cost, where an unguarded emit built a closure per
+       argument before it could drop the line *)
+    let off = Trace.create () in
+    Test.make ~name:"guarded Trace.emit, tracing off (2 arguments)"
+      (Staged.stage (fun () ->
+           if Trace.enabled off then
+             Trace.emit off ~time:1.5 ~who:"source0" "apply %d = %a" 7
+               Delta.pp delta))
+  in
   let bench_parser =
     Test.make ~name:"parse SQL view definition"
       (Staged.stage (fun () ->
@@ -367,7 +378,7 @@ let micro_tests () =
     bench_recompute_one_changed;
     bench_aggregate_read; bench_queued_compensation;
     bench_right_leg_compensation; bench_unjoined_compensation;
-    bench_view_probe; bench_install; bench_copy_add ]
+    bench_view_probe; bench_install; bench_copy_add; bench_trace_off ]
 
 (* Words allocated on either heap: [Gc.minor_words], plus the words
    allocated directly on the major heap, which is where an array of

@@ -85,7 +85,14 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     Chain.populate view ~size:scenario.init_size ~domain:scenario.domain
       data_rng
   in
-  let initial_copy = Array.map Relation.copy initial in
+  (* The sources adopt [initial] and change it in place. The aux store
+     and the update generator read it only here, before the first
+     update; the checker reads the sources' genesis after the run, so
+     only a checked run keeps copies (O(1) each, but each holds its
+     source's first arrays alive once that source changes). *)
+  let initial_copy =
+    if check then Array.map Relation.copy initial else initial
+  in
   let initial_view = Algebra.eval view (fun i -> initial.(i)) in
   let node = ref None in
   let the_node () =
@@ -188,6 +195,26 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     up_links := l :: !up_links;
     Transport.link_send l
   in
+  let store =
+    if wh_crashes <> [] then
+      Some (Store.create ~checkpoint_every:scenario.checkpoint_every ())
+    else None
+  in
+  (* A deadline expiry or a transport ack can open or close a breaker
+     outside any delivery, and the node's breaker hooks then change the
+     algorithm's state (it parks or resumes work and sends queries) with
+     no WAL record for replay to regenerate it from. A checkpoint right
+     after such a transition makes it durable: recovery starts after
+     it instead of replaying past it into queries the sources already
+     answered. *)
+  let durable_transition b i f =
+    let before = Breaker.state b i in
+    let r = f () in
+    (match store with
+    | Some st when Breaker.state b i <> before -> Store.checkpoint_now st
+    | _ -> ());
+    r
+  in
   let mk_down i ~deliver =
     (* a deadline expiry already suspended the sender; below [k]
        consecutive expiries the breaker says retry (resume, fresh
@@ -198,7 +225,9 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
       match breaker with
       | None -> ()
       | Some b -> (
-          match Breaker.record_timeout b i with
+          match
+            durable_transition b i (fun () -> Breaker.record_timeout b i)
+          with
           | Breaker.Retry ->
               Option.iter
                 (fun l -> Transport.resume_sender (Transport.link_sender l))
@@ -213,7 +242,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
       match breaker with
       | None -> ()
       | Some b ->
-          Breaker.record_success b i;
+          durable_transition b i (fun () -> Breaker.record_success b i);
           if Breaker.source_ok b i then
             Option.iter
               (fun l ->
@@ -271,11 +300,6 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
           (fun ~source ~global:_ delta ->
             (* the centralized site applies type-3 parts as local updates *)
             ignore (Eca_site.local_update site ~source delta)) )
-  in
-  let store =
-    if wh_crashes <> [] then
-      Some (Store.create ~checkpoint_every:scenario.checkpoint_every ())
-    else None
   in
   let aux =
     Aux_store.create ~view ~mode:scenario.aux_mode ~initial:initial_copy ()
@@ -420,7 +444,8 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
           read_cap = scenario.read_cap }
       in
       let srv =
-        Server.create ~config ~engine ~rng:(Rng.split rng) ~obs ~n_sources:n
+        Server.create ~config ~record_history:check ~engine
+          ~rng:(Rng.split rng) ~obs ~n_sources:n
           ~view:(fun () -> Node.view_contents (the_node ()))
           ()
       in
@@ -514,9 +539,11 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
   if Aux_store.mode aux <> Aux_store.Off then
     m.Metrics.aux_bytes <- Aux_store.bytes aux;
   let sessions =
-    Option.map
-      (fun srv -> Checker.check_sessions ~n_sources:n (Server.read_log srv))
-      server
+    if check then
+      Option.map
+        (fun srv -> Checker.check_sessions ~n_sources:n (Server.read_log srv))
+        server
+    else None
   in
   let verdict =
     if check && completed then

@@ -36,10 +36,12 @@ type result = {
           [Checker.check ~degraded:true] *)
   reads : Repro_serving.Server.record list;
       (** the serving tier's read log in serve order (shed reads
-          included); [] when [scenario.read_rate = 0] *)
+          included); [] when [scenario.read_rate = 0] or the run is
+          unchecked ([run ~check:false]) *)
   sessions : Checker.session_report option;
       (** session-guarantee grades (monotonic reads, read-your-writes)
-          over the served reads; [None] without a serving tier *)
+          over the served reads; [None] without a serving tier or when
+          the run is unchecked *)
 }
 
 (** Outcome of a {!run_scripted} run, exposing everything needed for
@@ -80,8 +82,14 @@ val observation :
 val check_scripted : scripted_outcome -> Checker.result
 
 (** [run scenario algorithm] executes to quiescence.
-    [check] (default true) records the install history and runs the
-    consistency checker over it.
+    [check] (default true) records the run's histories — the sources'
+    initial contents, the node's deliveries and installs
+    ([Node.create ~record_history]), the serving tier's read and session
+    logs — and runs the consistency checker and the session grader over
+    them. An unchecked run keeps none of them, so its memory follows the
+    warehouse's state and not the run's length; its [verdict] reads
+    "not checked", [reads] is [[]] and [sessions] is [None]. The
+    simulation itself is the same either way.
     [trace] collects a simulation trace when provided.
     [obs] attaches structured observability (spans, histograms,
     transport events); its clock is bound to the engine's virtual time.

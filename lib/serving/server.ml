@@ -38,10 +38,14 @@ type t = {
      so both feeds stay O(1) amortized. *)
   pending : ((int * int) * float) Queue.t;
   installed : (int * int, unit) Hashtbl.t;
-  seen : (int * int, unit) Hashtbl.t;  (* dedup re-acknowledged txns *)
+  high_water : int array;
+      (* per source, the highest txn seq acknowledged so far (-1 before
+         the first): a source's updates arrive in seq order (FIFO
+         links), so a seq at or below it is a re-acknowledgement *)
   acked : int array;  (* per-source deliveries acknowledged *)
   incorporated : int array;  (* per-source updates reflected in the view *)
   mutable version : int;  (* installs observed *)
+  record_history : bool;  (* keep [log] and [session_log] *)
   mutable fresh : int;
   mutable stale : int;
   mutable shed_cap : int;
@@ -52,7 +56,8 @@ type t = {
   h_staleness : Histogram.t;
 }
 
-let create ?(config = default_config) ~engine ~rng ~obs ~n_sources ~view () =
+let create ?(config = default_config) ?(record_history = true) ~engine ~rng
+    ~obs ~n_sources ~view () =
   if config.read_cap < 1 then invalid_arg "Server.create: read_cap < 1";
   if config.staleness_slo < 0. then
     invalid_arg "Server.create: staleness_slo < 0";
@@ -61,9 +66,9 @@ let create ?(config = default_config) ~engine ~rng ~obs ~n_sources ~view () =
   { engine; rng; obs; cfg = config; view; n_sources;
     bp = Backpressure.create ~n_sources:1 ~capacity:config.read_cap;
     pending = Queue.create (); installed = Hashtbl.create 64;
-    seen = Hashtbl.create 64;
+    high_water = Array.make n_sources (-1);
     acked = Array.make n_sources 0; incorporated = Array.make n_sources 0;
-    version = 0; fresh = 0; stale = 0; shed_cap = 0;
+    version = 0; record_history; fresh = 0; stale = 0; shed_cap = 0;
     shed_ceiling = 0;
     log = []; session_log = [];
     h_staleness = Histogram.create () }
@@ -74,8 +79,8 @@ let note_delivery t ~source ~txn =
   (* A txn re-acknowledged after a crash window must not enter the
      pending FIFO twice — its single install would only cancel one
      entry, pinning staleness forever. *)
-  if not (Hashtbl.mem t.seen (source, txn)) then begin
-    Hashtbl.replace t.seen (source, txn) ();
+  if txn > t.high_water.(source) then begin
+    t.high_water.(source) <- txn;
     Queue.push ((source, txn), Engine.now t.engine) t.pending;
     t.acked.(source) <- t.acked.(source) + 1
   end
@@ -118,18 +123,26 @@ let record t r = t.log <- r :: t.log
 let read t ~session ~kind =
   let issued_at = Engine.now t.engine in
   let st = staleness t in
+  (* guarded, as every hot-path emission is: the attribute list is
+     built before [Obs.span] can see the handle is disabled *)
   let span =
-    Obs.span t.obs "read"
-      [ ("session", Tracer.I session); ("staleness", Tracer.F st) ]
+    if Obs.active t.obs then
+      Obs.span t.obs "read"
+        [ ("session", Tracer.I session); ("staleness", Tracer.F st) ]
+    else Tracer.none
   in
   let shed reason =
     (match reason with
     | Ceiling -> t.shed_ceiling <- t.shed_ceiling + 1
     | Cap -> t.shed_cap <- t.shed_cap + 1);
-    Obs.event t.obs ~span "read.shed"
-      [ ("reason", Tracer.S (match reason with Ceiling -> "ceiling" | Cap -> "cap")) ];
+    if Obs.active t.obs then
+      Obs.event t.obs ~span "read.shed"
+        [ ("reason",
+           Tracer.S (match reason with Ceiling -> "ceiling" | Cap -> "cap")) ];
     Obs.finish t.obs span;
-    record t { session; issued_at; outcome = Shed; staleness = st; answer = 0 };
+    if t.record_history then
+      record t
+        { session; issued_at; outcome = Shed; staleness = st; answer = 0 };
     Shed
   in
   if st > t.cfg.staleness_ceiling then shed Ceiling
@@ -147,12 +160,14 @@ let read t ~session ~kind =
       | Stale _ -> t.stale <- t.stale + 1
       | Shed -> ());
       Histogram.record t.h_staleness st;
-      record t { session; issued_at; outcome; staleness = st; answer = ans };
-      t.session_log <-
-        { Repro_consistency.Checker.session; issued_at; version = t.version;
-          incorporated = Array.copy t.incorporated;
-          acked = Array.copy t.acked }
-        :: t.session_log;
+      if t.record_history then begin
+        record t { session; issued_at; outcome; staleness = st; answer = ans };
+        t.session_log <-
+          { Repro_consistency.Checker.session; issued_at; version = t.version;
+            incorporated = Array.copy t.incorporated;
+            acked = Array.copy t.acked }
+          :: t.session_log
+      end;
       (* The token is held for a seeded service interval — this is what
          makes the cap bite under a flash crowd. *)
       Engine.schedule t.engine

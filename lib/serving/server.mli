@@ -53,16 +53,22 @@ type t
 
 (** [create ~engine ~rng ~obs ~n_sources ~view ()] — [view] is a
     closure (not a snapshot) so the server keeps reading the live view
-    across warehouse crash/recovery. Raises [Invalid_argument] on
-    [read_cap < 1], negative SLO, or ceiling below SLO. *)
+    across warehouse crash/recovery. [record_history] (default true)
+    keeps {!log} and {!read_log}; without it both stay empty and the
+    server's memory does not grow with the reads it serves. Raises
+    [Invalid_argument] on [read_cap < 1], negative SLO, or ceiling below
+    SLO. *)
 val create :
-  ?config:config -> engine:Engine.t -> rng:Rng.t -> obs:Obs.t ->
-  n_sources:int -> view:(unit -> Bag.t) -> unit -> t
+  ?config:config -> ?record_history:bool -> engine:Engine.t -> rng:Rng.t ->
+  obs:Obs.t -> n_sources:int -> view:(unit -> Bag.t) -> unit -> t
 
 (** {2 Feeds from the warehouse} *)
 
 (** [note_delivery t ~source ~txn] — the warehouse acknowledged (queued)
-    update [txn] of [source]; it now counts against staleness. *)
+    update [txn] of [source]; it now counts against staleness. Each
+    source's txns must be noted in seq order (FIFO delivery): a txn at
+    or below the highest one noted for its source is taken for a
+    re-acknowledgement after a crash window and ignored. *)
 val note_delivery : t -> source:int -> txn:int -> unit
 
 (** [note_install t entries] — an install incorporated the given
@@ -98,9 +104,11 @@ val staleness_p50 : t -> float
 
 val staleness_p99 : t -> float
 
-(** Every read in serve order (including shed ones). *)
+(** Every read in serve order (including shed ones); [[]] without
+    [record_history]. *)
 val log : t -> record list
 
 (** Served reads as {!Repro_consistency.Checker.read_view}s, ready for
-    {!Repro_consistency.Checker.check_sessions}. *)
+    {!Repro_consistency.Checker.check_sessions}; [[]] without
+    [record_history]. *)
 val read_log : t -> Repro_consistency.Checker.read_view list

@@ -1,34 +1,42 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes, read and written as an
+   unboxed int64, and [next] and [mix] are inlined into each draw: a
+   mutable int64 field would box the state on every step and a
+   non-inlined [mix] would box its result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let split t =
-  let seed = int64 t in
-  create seed
+let int64 t = next t
+
+let split t = create (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   (* Keep 62 bits so the conversion to OCaml's 63-bit int stays
      non-negative. *)
-  let v = Int64.to_int (Int64.logand (int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let v = Int64.to_int (Int64.logand (next t) 0x3FFF_FFFF_FFFF_FFFFL) in
   v mod bound
 
-let float t =
+let[@inline] float t =
   (* 53 random bits into [0, 1) *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits /. 9007199254740992.0
 
 let bool t p = float t < p

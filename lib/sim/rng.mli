@@ -1,7 +1,10 @@
 (** Deterministic splitmix64 PRNG.
 
     Every run of the simulator is seeded explicitly, so experiments and
-    failing property-test cases replay bit-identically. *)
+    failing property-test cases replay bit-identically. A draw allocates
+    nothing but its own boxed result: {!int} and {!bool} allocate
+    nothing, {!float} and {!exponential} at most the float they return,
+    {!int64} the int64. *)
 
 type t
 

@@ -5,13 +5,10 @@ let create ?(enabled = false) () = { enabled; rev_lines = [] }
 let enabled t = t.enabled
 
 let emit t ~time ~who fmt =
-  if t.enabled then
-    Format.kasprintf
-      (fun text -> t.rev_lines <- { time; who; text } :: t.rev_lines)
-      fmt
-  else
-    (* lint: allow L8 ikfprintf ignores its formatter argument and never writes; std_formatter is only a type witness *)
-    Format.ikfprintf (fun _ -> ()) Format.std_formatter fmt
+  Format.kasprintf
+    (fun text ->
+      if t.enabled then t.rev_lines <- { time; who; text } :: t.rev_lines)
+    fmt
 
 let lines t = List.rev t.rev_lines
 let clear t = t.rev_lines <- []

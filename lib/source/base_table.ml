@@ -10,11 +10,10 @@ type t = {
          source that only answers snapshots (the recompute baseline)
          never pays for them; then kept in step by [apply] *)
   mutable next_seq : int;
-  mutable rev_log : (Message.txn_id * Delta.t) list;
 }
 
 let create ~source ~view rel =
-  { src = source; view; rel; index = None; next_seq = 0; rev_log = [] }
+  { src = source; view; rel; index = None; next_seq = 0 }
 
 let source t = t.src
 let relation t = t.rel
@@ -42,8 +41,6 @@ let apply t delta =
   Option.iter (fun ix -> Delta.iter (Algebra.add_all ix) delta) t.index;
   let txn = { Message.source = t.src; seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
-  t.rev_log <- (txn, Delta.copy delta) :: t.rev_log;
   txn
 
-let log t = List.rev t.rev_log
 let applied t = t.next_seq

@@ -1,7 +1,9 @@
-(** A base relation plus its local transaction log.
+(** A base relation and its join indexes.
 
-    Updates are applied atomically and sequence-numbered; the log is the
-    per-source ground truth the consistency checker replays. *)
+    Updates are applied atomically and sequence-numbered. The table keeps
+    no history of them: the consistency checker replays the warehouse's
+    delivery record ([Node.deliveries]), which holds
+    every update in the order it was delivered. *)
 
 open Repro_relational
 open Repro_protocol
@@ -32,12 +34,10 @@ val extend : t -> Partial.t -> Partial.t
 val relation : t -> Relation.t
 
 (** Atomically apply one update transaction (single update or
-    source-local multi-update, paper §2) and log it. Raises
+    source-local multi-update, paper §2) and return its sequence
+    number. Raises
     [Invalid_argument] when a delete refers to absent tuples. *)
 val apply : t -> Delta.t -> Message.txn_id
-
-(** Applied transactions, oldest first. *)
-val log : t -> (Message.txn_id * Delta.t) list
 
 (** Number of transactions applied. *)
 val applied : t -> int

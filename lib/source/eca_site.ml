@@ -23,8 +23,9 @@ let table t i = t.tables.(i)
 let local_update t ~source delta =
   let txn = Base_table.apply t.tables.(source) delta in
   let now = Engine.now t.engine in
-  Trace.emit t.trace ~time:now ~who:"eca-site" "apply %a = %a"
-    Message.pp_txn_id txn Delta.pp delta;
+  if Trace.enabled t.trace then
+    Trace.emit t.trace ~time:now ~who:"eca-site" "apply %a = %a"
+      Message.pp_txn_id txn Delta.pp delta;
   t.send
     (Message.Update_notice
        { txn; delta = Delta.copy delta; occurred_at = now; global = None });
@@ -75,8 +76,10 @@ let handle t msg =
   match msg with
   | Message.Eca_query { qid; terms } ->
       let partial = eval_terms t terms in
-      Trace.emit t.trace ~time:now ~who:"eca-site" "eca_query#%d (%d terms) -> %a"
-        qid (List.length terms) Partial.pp partial;
+      if Trace.enabled t.trace then
+        Trace.emit t.trace ~time:now ~who:"eca-site"
+          "eca_query#%d (%d terms) -> %a" qid (List.length terms) Partial.pp
+          partial;
       t.send (Message.Eca_answer { qid; partial })
   | Message.Sweep_query { qid; target; partial } ->
       let answer = Base_table.extend t.tables.(target) partial in

@@ -24,8 +24,9 @@ let table t = t.tbl
 let local_update ?global t delta =
   let txn = Base_table.apply t.tbl delta in
   let now = Engine.now t.engine in
-  Trace.emit t.trace ~time:now ~who:t.who "apply %a = %a" Message.pp_txn_id
-    txn Delta.pp delta;
+  if Trace.enabled t.trace then
+    Trace.emit t.trace ~time:now ~who:t.who "apply %a = %a" Message.pp_txn_id
+      txn Delta.pp delta;
   t.send
     (Message.Update_notice
        { txn; delta = Delta.copy delta; occurred_at = now; global });
@@ -38,13 +39,15 @@ let handle t msg =
       if target <> t.node_id then
         invalid_arg "Source_node.handle: sweep query misrouted";
       let answer = Base_table.extend t.tbl partial in
-      Trace.emit t.trace ~time:now ~who:t.who "query#%d %a -> %a" qid
-        Partial.pp partial Partial.pp answer;
+      if Trace.enabled t.trace then
+        Trace.emit t.trace ~time:now ~who:t.who "query#%d %a -> %a" qid
+          Partial.pp partial Partial.pp answer;
       t.send (Message.Answer { qid; source = t.node_id; partial = answer })
   | Message.Fetch { qid; target } ->
       if target <> t.node_id then
         invalid_arg "Source_node.handle: fetch misrouted";
-      Trace.emit t.trace ~time:now ~who:t.who "fetch#%d" qid;
+      if Trace.enabled t.trace then
+        Trace.emit t.trace ~time:now ~who:t.who "fetch#%d" qid;
       t.send
         (Message.Snapshot
            { qid; source = t.node_id;

@@ -59,6 +59,8 @@ let restore_packed (module A : S) ctx snap =
 module Obs = Repro_observability.Obs
 module Tracer = Repro_observability.Tracer
 
+let tracing ctx = Trace.enabled ctx.trace
+
 let trace ctx fmt =
   Trace.emit ctx.trace ~time:(Engine.now ctx.engine) ~who:"warehouse" fmt
 

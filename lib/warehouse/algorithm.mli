@@ -98,8 +98,14 @@ val restore_packed : (module S) -> ctx -> Repro_durability.Snap.t -> packed
 
 (** {2 The shared transaction frame} *)
 
+(** [ctx.trace] is enabled: the guard of every {!trace} call,
+    [if Algorithm.tracing ctx then Algorithm.trace ctx …], which makes a
+    disabled trace cost one branch and no allocation. *)
+val tracing : ctx -> bool
+
 (** [trace ctx fmt …] records a warehouse line in [ctx.trace] at the
-    current simulated time (no-op when the trace is disabled). *)
+    current simulated time (formatted and dropped when the trace is
+    disabled; see {!tracing}). *)
 val trace : ctx -> ('a, Format.formatter, unit) format -> 'a
 
 (** Transaction ids of queue entries, comma-joined. *)

@@ -47,8 +47,9 @@ let make_job (ctx : Algorithm.ctx) cur ~pins ~pin_ids ~compensating =
   in
   let job = { pins; pin_ids; leg } in
   if compensating then
-    Algorithm.trace ctx "c-strobe: compensating query %d (pins %s)" leg.qid
-      (String.concat "," (List.map string_of_int pin_ids));
+    if Algorithm.tracing ctx then
+      Algorithm.trace ctx "c-strobe: compensating query %d (pins %s)" leg.qid
+        (String.concat "," (List.map string_of_int pin_ids));
   if Obs.active ctx.obs then
     leg.span <-
       Obs.span ctx.obs ~parent:cur.span "job"

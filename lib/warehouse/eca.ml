@@ -39,8 +39,9 @@ let on_update t (entry : Update_queue.entry) =
   in
   let terms = [ (a, delta) ] :: compensations in
   let qid = t.ctx.fresh_qid () in
-  Algorithm.trace t.ctx "eca: query %d with %d terms for %a" qid
-    (List.length terms) Message.pp_txn_id entry.update.Message.txn;
+  if Algorithm.tracing t.ctx then
+    Algorithm.trace t.ctx "eca: query %d with %d terms for %a" qid
+      (List.length terms) Message.pp_txn_id entry.update.Message.txn;
   let span =
     Algorithm.txn_span t.ctx name
       ~attrs:[ ("terms", Tracer.I (List.length terms)); ("qid", Tracer.I qid) ]

@@ -75,8 +75,9 @@ struct
                  into the parent's and resume the parent. *)
               t.stack <- parents;
               parent.leg.dv <- Partial.add parent.leg.dv frame.leg.dv;
-              Algorithm.trace t.ctx "frame for src %d returns to src %d"
-                frame.src parent.src;
+              if Algorithm.tracing t.ctx then
+                Algorithm.trace t.ctx "frame for src %d returns to src %d"
+                  frame.src parent.src;
               Obs.finish t.ctx.obs frame.leg.span;
               advance t
           | [] ->
@@ -86,8 +87,9 @@ struct
               let txns = List.rev t.rev_batch in
               t.stack <- [];
               t.rev_batch <- [];
-              Algorithm.trace t.ctx "install batch of %d update(s): %a"
-                (List.length txns) Delta.pp view_delta;
+              if Algorithm.tracing t.ctx then
+                Algorithm.trace t.ctx "install batch of %d update(s): %a"
+                  (List.length txns) Delta.pp view_delta;
               t.ctx.install view_delta ~txns;
               Obs.finish t.ctx.obs frame.leg.span;
               start_next t)
@@ -105,8 +107,9 @@ struct
               make_frame t.ctx ~entries:[ entry ] ~left:0 ~src:i
                 ~right:(n - 1)
             in
-            Algorithm.trace t.ctx "ViewChange(%a, 0, %d, %d) begins"
-              Message.pp_txn_id entry.update.Message.txn i (n - 1);
+            if Algorithm.tracing t.ctx then
+              Algorithm.trace t.ctx "ViewChange(%a, 0, %d, %d) begins"
+                Message.pp_txn_id entry.update.Message.txn i (n - 1);
             let batch = [ entry ] in
             frame.leg.span <- Algorithm.txn_span t.ctx name batch;
             t.stack <- [ frame ];
@@ -130,9 +133,10 @@ struct
                  update stays queued for its own, later ViewChange. *)
               t.ctx.metrics.Metrics.fallbacks <-
                 t.ctx.metrics.Metrics.fallbacks + 1;
-              Algorithm.trace t.ctx
-                "depth limit: leaving %d update(s) from %d queued"
-                n_interfering j;
+              if Algorithm.tracing t.ctx then
+                Algorithm.trace t.ctx
+                  "depth limit: leaving %d update(s) from %d queued"
+                  n_interfering j;
               if Obs.active t.ctx.obs then
                 Obs.event t.ctx.obs ~span:frame.leg.span "fallback"
                   [ ("source", Tracer.I j); ("depth", Tracer.I depth) ]
@@ -157,9 +161,10 @@ struct
               let new_depth = depth + 1 in
               if new_depth > t.ctx.metrics.Metrics.max_depth then
                 t.ctx.metrics.Metrics.max_depth <- new_depth;
-              Algorithm.trace t.ctx
-                "recurse: ViewChange(ΔR%d, %d, %d, %d) at depth %d" j child.left
-                child.src child.right new_depth;
+              if Algorithm.tracing t.ctx then
+                Algorithm.trace t.ctx
+                  "recurse: ViewChange(ΔR%d, %d, %d, %d) at depth %d" j child.left
+                  child.src child.right new_depth;
               if Obs.active t.ctx.obs then
                 child.leg.span <-
                   Obs.span t.ctx.obs ~parent:frame.leg.span "frame"

@@ -56,8 +56,9 @@ let wire t =
       t.metrics.Metrics.queries_sent <- t.metrics.Metrics.queries_sent + 1;
       t.metrics.Metrics.query_weight <-
         t.metrics.Metrics.query_weight + Message.weight_to_source msg;
-      Trace.emit t.trace ~time:(Engine.now t.engine) ~who:"warehouse" "send %a"
-        Message.pp_to_source msg;
+      if Trace.enabled t.trace then
+        Trace.emit t.trace ~time:(Engine.now t.engine) ~who:"warehouse"
+          "send %a" Message.pp_to_source msg;
       if Obs.active t.obs then
         Obs.observe t.obs "query_weight"
           (float_of_int (Message.weight_to_source msg))
@@ -254,7 +255,7 @@ let handle_update t update ~arrived_at =
       t.metrics.Metrics.updates_received + 1;
     t.metrics.Metrics.notice_weight <-
       t.metrics.Metrics.notice_weight + Delta.weight update.Message.delta;
-    t.rev_deliveries <- update :: t.rev_deliveries;
+    if t.record_history then t.rev_deliveries <- update :: t.rev_deliveries;
     List.iter (fun f -> f update) (List.rev t.rev_delivery_listeners)
   end;
   let entry = Update_queue.append t.queue update ~arrived_at in

@@ -50,17 +50,20 @@ type t
     install copies them; without either reader the node takes no copy
     and the first install writes the arrays in place.
 
-    [record_history] (default true) keeps the initial view and each
-    install's txns and a copy of its delta for the checker — O(|Δ|)
-    per install, not O(|view|). [durability] attaches a WAL +
-    checkpoint store; [metrics] lets the caller supply the counter record
-    (so it can survive crash/recovery); [queue_capacity] bounds the update
-    queue (admission control must hold updates back — see
-    {!Update_queue.create}); [obs] attaches structured spans + latency
-    histograms (a disabled handle by default — one branch per emission).
-    Observability is muted during WAL replay: replayed work was already
-    observed before the crash. [breaker] attaches per-source circuit
-    breakers: the node routes answer arrivals to
+    [record_history] (default true) keeps, for the checker, the initial
+    view, every delivered update ({!deliveries}) and each install's txns
+    and a copy of its delta — O(|Δ|) per update and install, not
+    O(|view|). Without it the node keeps no per-update history, so its
+    memory follows the view and the queue, not the run's length.
+    [durability] attaches a WAL + checkpoint store; [metrics] lets the
+    caller supply the counter record (so it can survive crash/recovery);
+    [queue_capacity] bounds the update queue (admission control must
+    hold updates back — see {!Update_queue.create}); [obs] attaches
+    structured spans + latency histograms (a disabled handle by default
+    — one branch per emission). Observability is muted during WAL
+    replay: replayed work was already observed before the crash.
+    [breaker] attaches per-source circuit breakers: the node routes
+    answer arrivals to
     {!Breaker.record_success}, wires breaker open/close transitions to
     the algorithm's [on_source_down]/[on_source_up] hooks, and
     checkpoints/restores breaker state with the rest of the node.
@@ -162,10 +165,11 @@ val degraded : t -> bool
 
 val algorithm_name : t -> string
 
-(** Installs in order of occurrence. *)
+(** Installs in order of occurrence; [[]] without [record_history]. *)
 val installs : t -> install_record list
 
-(** Updates in warehouse delivery order. *)
+(** Updates in warehouse delivery order; [[]] without
+    [record_history]. *)
 val deliveries : t -> Message.update list
 
 (** Initial view contents (a copy of [init] taken at creation). Raises

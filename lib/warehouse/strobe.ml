@@ -49,7 +49,8 @@ let flush t =
     let txns = List.rev t.rev_batch in
     t.rev_al <- [];
     t.rev_batch <- [];
-    Algorithm.trace t.ctx "strobe: flush AL (%d txns)" (List.length txns);
+    if Algorithm.tracing t.ctx then
+      Algorithm.trace t.ctx "strobe: flush AL (%d txns)" (List.length txns);
     if Obs.active t.ctx.obs then
       Obs.event t.ctx.obs "strobe.flush"
         [ ("txns", Tracer.I (List.length txns)) ];

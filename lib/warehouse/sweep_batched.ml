@@ -192,8 +192,9 @@ module Make (P : POLICY) = struct
 
   and install t entries acc span =
     let delta = match acc with Some d -> d | None -> Delta.empty () in
-    Algorithm.trace t.ctx "%s: ViewChange(%a) yields %a" name
-      Algorithm.pp_txns entries Delta.pp delta;
+    if Algorithm.tracing t.ctx then
+      Algorithm.trace t.ctx "%s: ViewChange(%a) yields %a" name
+        Algorithm.pp_txns entries Delta.pp delta;
     t.batch <- None;
     P.install t.ctx t.extra delta entries;
     Obs.finish t.ctx.obs span;
@@ -258,8 +259,9 @@ module Make (P : POLICY) = struct
            as the recovery probe); the batch was pushed back and re-runs
            with fresh qids *)
         t.aborted <- List.filter (fun q -> q <> qid) t.aborted;
-        Algorithm.trace t.ctx "%s: dropped answer for aborted qid=%d from %d"
-          name qid source;
+        if Algorithm.tracing t.ctx then
+          Algorithm.trace t.ctx "%s: dropped answer for aborted qid=%d from %d"
+            name qid source;
         start_next t
     | Message.Answer { qid; source = j; partial }, Some b
       when Sweep_leg.awaits b.leg ~qid ~source:j ->
@@ -302,8 +304,9 @@ module Make (P : POLICY) = struct
           (fun e -> Update_queue.push_front t.ctx.queue e)
           (List.rev b.entries);
         t.batch <- None;
-        Algorithm.trace t.ctx "%s: abort ViewChange(%a) — source %d tripped"
-          name Algorithm.pp_txns b.entries j;
+        if Algorithm.tracing t.ctx then
+          Algorithm.trace t.ctx "%s: abort ViewChange(%a) — source %d tripped"
+            name Algorithm.pp_txns b.entries j;
         if Obs.active t.ctx.obs then
           Obs.event t.ctx.obs ~span:b.span (name ^ ".abort")
             [ ("source", Tracer.I j); ("qid", Tracer.I b.leg.qid) ];

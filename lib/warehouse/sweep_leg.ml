@@ -39,8 +39,9 @@ let aux_hop (ctx : Algorithm.ctx) ~name ~overlay =
             | Some _ as answer ->
                 ctx.metrics.Metrics.local_answers <-
                   ctx.metrics.Metrics.local_answers + 1;
-                Algorithm.trace ctx
-                  "%s: leg %d answered locally from aux store" name j;
+                if Algorithm.tracing ctx then
+                  Algorithm.trace ctx
+                    "%s: leg %d answered locally from aux store" name j;
                 if Obs.active ctx.obs then
                   Obs.event ctx.obs ~span:leg.span (name ^ ".local-answer")
                     [ ("source", Tracer.I j) ];
@@ -84,8 +85,9 @@ let answer (ctx : Algorithm.ctx) leg ~source ?interfering ?(extras = [])
       else begin
         ctx.metrics.Metrics.compensations <-
           ctx.metrics.Metrics.compensations + 1;
-        Algorithm.trace ctx
-          "compensate answer from %d for %d interfering update(s)" source n;
+        if Algorithm.tracing ctx then
+          Algorithm.trace ctx
+            "compensate answer from %d for %d interfering update(s)" source n;
         if Obs.active ctx.obs then
           Obs.event ctx.obs ~span:leg.span "compensate"
             [ ("source", Tracer.I source); ("interfering", Tracer.I n) ];

@@ -34,8 +34,9 @@ let rec maybe_finish t =
           ~right:vc.right.dv
       in
       let view_delta = Algebra.select_project t.ctx.view merged in
-      Algorithm.trace t.ctx "parallel install for %a: %a" Message.pp_txn_id
-        vc.entry.update.Message.txn Delta.pp view_delta;
+      if Algorithm.tracing t.ctx then
+        Algorithm.trace t.ctx "parallel install for %a: %a" Message.pp_txn_id
+          vc.entry.update.Message.txn Delta.pp view_delta;
       t.current <- None;
       t.ctx.install view_delta ~txns:[ vc.entry ];
       Obs.finish t.ctx.obs vc.span;
@@ -62,10 +63,11 @@ and start_next t =
               (Partial.of_source_delta t.ctx.view i (Delta.distinct delta))
               ~pending:(List.init (n - 1 - i) (fun k -> i + 1 + k))
           in
-          Algorithm.trace t.ctx
-            "parallel ViewChange(%a): left %d hops, right %d hops"
-            Message.pp_txn_id entry.update.Message.txn i
-            (n - 1 - i);
+          if Algorithm.tracing t.ctx then
+            Algorithm.trace t.ctx
+              "parallel ViewChange(%a): left %d hops, right %d hops"
+              Message.pp_txn_id entry.update.Message.txn i
+              (n - 1 - i);
           let span = Algorithm.txn_span t.ctx name [ entry ] in
           if Obs.active t.ctx.obs then begin
             left.span <-

@@ -52,8 +52,9 @@ struct
     match t.front with
     | vc :: rest when Sweep_leg.finished vc.leg ->
         let view_delta = Algebra.select_project t.ctx.view vc.leg.dv in
-        Algorithm.trace t.ctx "pipelined install for %a" Message.pp_txn_id
-          vc.entry.update.Message.txn;
+        if Algorithm.tracing t.ctx then
+          Algorithm.trace t.ctx "pipelined install for %a" Message.pp_txn_id
+            vc.entry.update.Message.txn;
         t.front <- rest;
         t.depth <- t.depth - 1;
         t.ctx.install view_delta ~txns:[ vc.entry ];
@@ -81,8 +82,9 @@ struct
                      entry.update.Message.delta)
                   ~pending:(Sweep_order.order ~n ~i) }
           in
-          Algorithm.trace t.ctx "pipelined ViewChange(%a) begins (depth %d)"
-            Message.pp_txn_id entry.update.Message.txn (t.depth + 1);
+          if Algorithm.tracing t.ctx then
+            Algorithm.trace t.ctx "pipelined ViewChange(%a) begins (depth %d)"
+              Message.pp_txn_id entry.update.Message.txn (t.depth + 1);
           push t vc;
           ignore (Sweep_leg.step t.ctx vc.leg : bool);
           (* an n=1 view completes instantly; also keep filling *)

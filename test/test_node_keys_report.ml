@@ -87,6 +87,42 @@ let test_node_accounting () =
     (Bag.equal (Node.initial_view node)
        (Bag.of_list [ (Tuple.ints [ 0; 0; 0; 0; 3 ], 1) ]))
 
+(* Without [record_history] the node keeps no per-update history: the
+   same two notices are counted but neither delivered update nor install
+   is retained. *)
+let test_node_without_history () =
+  let module Message = Repro_protocol.Message in
+  let node record_history =
+    let engine = Repro_sim.Engine.create () in
+    let n =
+      Node.create engine ~view:view3 ~algorithm:(module Sweep : Algorithm.S)
+        ~send:(fun _ _ -> ())
+        ~init:(Relation.create ()) ~record_history ()
+    in
+    List.iteri
+      (fun seq k ->
+        Node.deliver n
+          (Message.Update_notice
+             { txn = { Message.source = 1; seq };
+               delta = Delta.insertion (Chain.tuple ~key:k ~a:1 ~b:2);
+               occurred_at = 0.; global = None }))
+      [ 1; 2 ];
+    n
+  in
+  let kept = node true and dropped = node false in
+  Alcotest.(check int) "recorded run keeps both deliveries" 2
+    (List.length (Node.deliveries kept));
+  Alcotest.(check int) "both notices counted" 2
+    (Node.metrics dropped).Metrics.updates_received;
+  Alcotest.(check int) "no deliveries kept" 0
+    (List.length (Node.deliveries dropped));
+  Alcotest.(check int) "no installs kept" 0
+    (List.length (Node.installs dropped));
+  Alcotest.(check bool) "no initial view kept" true
+    (match Node.initial_view dropped with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_table_render () =
   let s =
     Report.table ~title:"T" ~headers:[ "x"; "count" ]
@@ -151,6 +187,8 @@ let suite =
     Alcotest.test_case "view_deletion" `Quick test_view_deletion;
     Alcotest.test_case "require_keys" `Quick test_require_keys;
     Alcotest.test_case "node accounting" `Quick test_node_accounting;
+    Alcotest.test_case "node without history keeps none" `Quick
+      test_node_without_history;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table utf8 widths" `Quick test_table_utf8_width;
     Alcotest.test_case "scenario presets" `Quick test_scenario_presets ]

@@ -46,7 +46,6 @@ let test_base_table_log () =
   Alcotest.(check int) "seq 1" 1 t2.Message.seq;
   Alcotest.(check int) "source stamped" 2 t1.Message.source;
   Alcotest.(check int) "applied" 2 (Base_table.applied tbl);
-  Alcotest.(check int) "log length" 2 (List.length (Base_table.log tbl));
   Alcotest.(check bool) "bad delete raises" true
     (match Base_table.apply tbl (Delta.deletion (tuple 99)) with
     | exception Invalid_argument _ -> true

@@ -194,6 +194,51 @@ let test_duplicate_delivery_deduped () =
         (Server.staleness srv));
   run_engine engine
 
+(* The high-water mark takes a re-acknowledged txn for what it is when
+   each source's txns arrive in seq order, as over the FIFO links: a
+   seeded stream over two sources, where a crash window re-acknowledges
+   a suffix of what a source already sent, counts each txn once (the
+   [acked] a served read reports) and a single install of each clears
+   staleness. *)
+let test_high_water_dedups_fifo_reacks seed =
+  let engine = Engine.create ~seed:1L () in
+  let config = { Server.default_config with Server.read_cap = 1_000_000 } in
+  let srv = mk_server ~config engine ~view:(fun () -> Bag.create ()) in
+  let rng = Rng.create (Int64.of_int seed) in
+  let next = [| 0; 0 |] in
+  let distinct = ref [] in
+  Engine.at engine ~time:0. (fun () ->
+      for _ = 1 to 60 do
+        let source = Rng.int rng 2 in
+        if next.(source) > 0 && Rng.bool rng 0.2 then
+          (* a crash window: the suffix from [from] is acknowledged again *)
+          for txn = Rng.int rng next.(source) to next.(source) - 1 do
+            Server.note_delivery srv ~source ~txn
+          done
+        else begin
+          Server.note_delivery srv ~source ~txn:next.(source);
+          distinct := (source, next.(source)) :: !distinct;
+          next.(source) <- next.(source) + 1
+        end;
+        ignore (Server.read srv ~session:0 ~kind:Read_gen.Aggregate)
+      done);
+  Engine.at engine ~time:5. (fun () -> Server.note_install srv !distinct);
+  Engine.at engine ~time:6. (fun () ->
+      Alcotest.(check (float 0.)) "one install per txn clears staleness" 0.
+        (Server.staleness srv));
+  run_engine engine;
+  List.iter
+    (fun (r : Checker.read_view) ->
+      let counted = Array.fold_left ( + ) 0 r.Checker.acked in
+      Alcotest.(check bool) "acked counts distinct txns only" true
+        (counted <= List.length !distinct))
+    (Server.read_log srv);
+  match List.rev (Server.read_log srv) with
+  | last :: _ ->
+      Alcotest.(check (array int)) "each txn acknowledged once" next
+        last.Checker.acked
+  | [] -> Alcotest.fail "expected served reads"
+
 let classification_config =
   { Server.staleness_slo = 2.0; staleness_ceiling = 16.0; read_cap = 4;
     service_mean = 0.01 }
@@ -451,6 +496,49 @@ let test_degraded_run_keeps_serving () =
   Alcotest.(check int) "no read blocked" (List.length r.Experiment.reads)
     (m.Metrics.reads_served + m.Metrics.reads_shed)
 
+(* ————— what a run keeps ————— *)
+
+(* flash-crowd with a warehouse outage added: reads, a source outage and
+   a crash with recovery in one run *)
+let crash_reads_scenario () =
+  let s = Option.get (Scenario.find_preset "flash-crowd") in
+  { s with
+    Scenario.faults =
+      { s.Scenario.faults with
+        Fault.wh_crashes = [ { Fault.wh_down_at = 40.; wh_up_at = 52. } ] } }
+
+let test_unchecked_run_keeps_no_logs () =
+  let sc = crash_reads_scenario () in
+  let algo = (module Sweep : Algorithm.S) in
+  let checked = Experiment.run sc algo in
+  let unchecked = Experiment.run ~check:false sc algo in
+  let m = checked.Experiment.metrics in
+  Alcotest.(check bool) "the run crashed and served reads" true
+    (m.Metrics.wh_crashes = 1 && m.Metrics.reads_served > 0);
+  Alcotest.check Rig.verdict "checked run still graded" Checker.Complete
+    checked.Experiment.verdict.Checker.verdict;
+  Alcotest.(check int) "checked run keeps every read"
+    (m.Metrics.reads_served + m.Metrics.reads_shed)
+    (List.length checked.Experiment.reads);
+  (match checked.Experiment.sessions with
+  | Some s ->
+      Alcotest.(check int) "checked run grades every served read"
+        m.Metrics.reads_served s.Checker.reads_graded
+  | None -> Alcotest.fail "expected a session report");
+  Alcotest.(check int) "unchecked run keeps no read log" 0
+    (List.length unchecked.Experiment.reads);
+  Alcotest.(check bool) "unchecked run grades no sessions" true
+    (unchecked.Experiment.sessions = None);
+  (* the histories are kept beside the simulation, never in it *)
+  Rig.check_replay ~ctx:"checked vs unchecked" checked unchecked;
+  let counters r =
+    List.filter
+      (fun (k, _) -> k <> "recovery_seconds")  (* wall clock *)
+      (Metrics.fields r.Experiment.metrics)
+  in
+  Alcotest.(check bool) "same counters" true
+    (counters checked = counters unchecked)
+
 (* ————— zero-update read-only run ————— *)
 
 let test_read_only_run () =
@@ -498,6 +586,10 @@ let suite =
       test_staleness_monotone_across_heal;
     Alcotest.test_case "server: duplicate delivery deduped" `Quick
       test_duplicate_delivery_deduped;
+    Alcotest.test_case "server: high-water mark dedups FIFO re-acks" `Quick
+      (fun () -> Rig.for_seeds serve_seeds test_high_water_dedups_fifo_reacks);
+    Alcotest.test_case "storm: unchecked run keeps no read or session log"
+      `Quick test_unchecked_run_keeps_no_logs;
     Alcotest.test_case "server: fresh / stale / shed classification" `Quick
       test_outcome_classification;
     Alcotest.test_case "server: aggregate cache follows installs and recovery"
